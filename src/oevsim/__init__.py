@@ -22,7 +22,6 @@ from .attack import (
     delta_bounds,
     delta_max_no_revert,
     delta_trigger_bound,
-    front_run,
     limiting_profit_nofee,
     optimize_attack,
 )
@@ -38,7 +37,6 @@ from .engine import (
     marginal_phase_profit,
     run_liquidation,
     single_shot_profit,
-    strategy_grid,
 )
 from .lending import (
     DEFAULT_CONVENTION,
@@ -55,7 +53,6 @@ from .lending import (
     health_factor,
     hf_after_marginal,
     marginal_repay_total,
-    post_liquidation_state,
     repay_amount,
 )
 from .oracles import (
@@ -71,23 +68,3 @@ from .oracles import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AttackResult", "Binding", "BoundSet", "ClosingBound", "ConfigError",
-    "CriticalFeeResult", "DEFAULT_CONVENTION", "DeltaBounds", "Instance",
-    "InsufficientReservesError", "LastBinding", "LiquidationResult",
-    "LoanPosition", "NoThresholdError", "NonMonotoneFeeProfileError",
-    "OptimizeOutcome", "OracleConfig", "PoolState", "RepayConvention",
-    "RiskParams", "ScenarioConfig", "Strategy", "attack_profit",
-    "best_strategy", "bound_closing", "bound_collateral", "bound_debt",
-    "compute_bounds", "critical_fee", "debt_exhaustion_bound",
-    "delta_baddebt_cap", "delta_bounds", "delta_max_no_revert",
-    "delta_trigger_bound", "dp_oracle", "final_tranche", "front_run",
-    "health_factor", "hf_after_marginal", "hf_monotonicity_check",
-    "integral_oracle", "interior_maximum", "limiting_profit_nofee",
-    "load_config", "marginal_phase_profit", "marginal_repay_total",
-    "optimize_attack", "post_liquidation_state", "random_instances",
-    "repay_amount", "run_liquidation", "simulate_liquidation_sequence",
-    "single_shot_profit", "strategy_grid", "subadditivity_check",
-    "verification_report",
-]

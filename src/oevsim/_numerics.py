@@ -66,29 +66,3 @@ def bisect_root(
         if hi - lo <= tol_x * max(1.0, abs(lo), abs(hi)):
             break
     return 0.5 * (lo + hi)
-
-
-def bisect_predicate(
-    pred: Callable[[float], bool],
-    lo: float,
-    hi: float,
-    tol_x: float = 1e-12,
-    max_iter: int = 200,
-) -> tuple[float, float]:
-    """Boundary of a monotone predicate: pred(lo) True, pred(hi) False.
-
-    Returns the final (lo, hi) bracket with pred(lo) True and pred(hi) False.
-    """
-    if not pred(lo):
-        raise ValueError(f"predicate must hold at lo={lo}")
-    if pred(hi):
-        raise ValueError(f"predicate must fail at hi={hi}")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol_x * max(1.0, abs(lo), abs(hi)):
-            break
-    return lo, hi

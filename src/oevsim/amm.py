@@ -54,12 +54,6 @@ class PoolState:
         """Product of the reserves (the pool's liquidity constant k)."""
         return self.reserve_collateral * self.reserve_debt
 
-    def scaled(self, s: float) -> "PoolState":
-        """Pool with both reserves multiplied by ``s`` (same price, deeper book)."""
-        if not s > 0.0:
-            raise ValueError(f"scale factor must be > 0, got {s}")
-        return PoolState(self.reserve_collateral * s, self.reserve_debt * s, self.fee)
-
     def sell_collateral(self, amount_in: float) -> tuple[float, "PoolState"]:
         """Swap ``amount_in`` collateral for debt asset.
 

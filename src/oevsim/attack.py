@@ -100,11 +100,6 @@ class AttackResult:
     strategy: Strategy
 
 
-def front_run(pool: PoolState, delta: float) -> tuple[float, PoolState]:
-    """Sell ``delta`` collateral into the pool; thin wrapper over the AMM swap."""
-    return pool.sell_collateral(delta)
-
-
 def delta_trigger_bound(
     position: LoanPosition, pool: PoolState, haircut: float
 ) -> float:
@@ -183,7 +178,7 @@ def attack_profit(
     """
     if delta < 0.0:
         raise ValueError(f"attack size must be >= 0, got {delta}")
-    proceeds, pool1 = front_run(pool, delta)
+    proceeds, pool1 = pool.sell_collateral(delta)
     liq, strat = best_strategy(position, pool1, params, convention)
     pool2 = liq.post_pool
     triggered = health_factor(position, pool1, params.haircut) <= 1.0

@@ -27,15 +27,14 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
 from . import attack as atk
 from . import oracles
 from .config import ConfigError, ScenarioConfig, load_config
-from .engine import best_strategy
-from .lending import LoanPosition, RepayConvention, RiskParams, health_factor
+from .engine import best_strategy, run_liquidation
+from .lending import LoanPosition, RepayConvention, RiskParams
 from .amm import PoolState
 
 _PARALLEL_MIN_POINTS = 256
@@ -173,8 +172,6 @@ def reproduce_ex1() -> tuple[list[str], list[list]]:
     rows = []
     for s in np.geomspace(0.05, 100.0, 121):
         pool = PoolState(1000.0 * s, 2e6 * s, 0.003)
-        from .engine import run_liquidation
-
         full = run_liquidation(position, pool, risk, risk.closing_factor, 1.0)
         capped = run_liquidation(position, pool, risk, 1.0, risk.max_liq_fraction)
         rows.append([float(s), full.pi_tot, capped.pi_tot])

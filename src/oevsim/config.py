@@ -140,9 +140,6 @@ class ScenarioConfig:
     attack: AttackSpec = field(default_factory=AttackSpec)
     convention: RepayConvention = DEFAULT_CONVENTION
 
-    def risk_params(self) -> RiskParams:
-        return self.risk
-
     def state_at(self, price: float | None = None, scale: float | None = None,
                  fee: float | None = None) -> tuple[LoanPosition, PoolState]:
         pool = self.pool.resolve(price=price, scale=scale, fee=fee)
@@ -293,6 +290,10 @@ def parse_config(data: dict) -> ScenarioConfig:
             problems.append("sweep.axis=delta requires mode: attack")
         if axis == "fee" and not all(0.0 <= sweep_raw.get(k, 0.0) < 1.0 for k in ("start", "stop")):
             problems.append("sweep: fee axis values must lie in [0, 1)")
+        if axis in ("price", "pool_scale") and not all(sweep_raw.get(k, 1.0) > 0.0 for k in ("start", "stop")):
+            problems.append(f"sweep: {axis} axis values must be > 0")
+        if axis == "delta" and not all(sweep_raw.get(k, 0.0) >= 0.0 for k in ("start", "stop")):
+            problems.append("sweep: delta axis values must be >= 0")
         if not problems and {"axis", "start", "stop", "steps"} <= sweep_raw.keys():
             sweep = SweepSpec(axis, sweep_raw["start"], sweep_raw["stop"],
                               sweep_raw["steps"], spacing)
@@ -310,6 +311,8 @@ def parse_config(data: dict) -> ScenarioConfig:
     )
     if not 0.0 <= attack.fee_low < 1.0 or not 0.0 <= attack.fee_high < 1.0:
         problems.append("attack: fee_low/fee_high must lie in [0, 1)")
+    elif attack.fee_low >= attack.fee_high:
+        problems.append(f"attack: fee_low must be < fee_high, got {attack.fee_low} >= {attack.fee_high}")
 
     if problems:
         raise ConfigError(problems)

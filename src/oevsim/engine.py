@@ -171,6 +171,15 @@ def final_tranche(
     return x_last, single_shot_profit(pool_bar, x_last, params.bonus), tag
 
 
+def _snap(value: float, scale: float) -> float:
+    """``value`` clamped at 0, with exact boundary hits (within ``scale``) snapped to 0.
+
+    Downstream code can then compare remaining collateral and debt against 0
+    without tolerance gymnastics.
+    """
+    return 0.0 if abs(value) <= scale else max(value, 0.0)
+
+
 def _zero_result(
     position: LoanPosition,
     pool: PoolState,
@@ -190,8 +199,7 @@ def _zero_result(
             x_debt_full=debt_exhaustion_bound(position, pool, params.bonus, convention),
             x_debt_kappa=bound_debt(position, pool, kappa, params.bonus, convention),
             x_closing=0.0,
-            quad_linear=math.nan, quad_curvature=math.nan,
-            quad_discriminant=math.nan, branch="gated",
+            branch="gated",
         )
     else:
         bounds = compute_bounds(position, pool, params, cf_target, kappa, convention)
@@ -246,27 +254,24 @@ def run_liquidation(
     a, b_res = pool.reserve_collateral, pool.reserve_debt
     a_bar = a + x_liq * u
     pool_bar = PoolState(a_bar, a * b_res / a_bar, pool.fee)
-    c_bar = position.collateral - x_liq * (1.0 + params.bonus)
-    if abs(c_bar) <= 1e-9 * position.collateral:
-        c_bar = 0.0
-    b_bar = position.debt - marginal_repay_total(pool, x_liq, params.bonus, convention)
-    if abs(b_bar) <= 1e-9 * position.debt:
-        b_bar = 0.0
-    pos_bar = LoanPosition(max(c_bar, 0.0), max(b_bar, 0.0))
+    pos_bar = LoanPosition(
+        _snap(position.collateral - x_liq * (1.0 + params.bonus), 1e-9 * position.collateral),
+        _snap(position.debt - marginal_repay_total(pool, x_liq, params.bonus, convention),
+              1e-9 * position.debt),
+    )
 
     x_last, pi_last, last_binding = 0.0, 0.0, LastBinding.NONE
     if binding is Binding.CLOSING_FACTOR and x_cf < x_c and x_cf < x_b:
         x_last, pi_last, last_binding = final_tranche(pool_bar, pos_bar, params, kappa, convention)
         if x_last > 0.0:
-            c2 = pos_bar.collateral - x_last * (1.0 + params.bonus)
-            if abs(c2) <= 1e-9 * max(position.collateral, 1.0):
-                c2 = 0.0
-            b2 = pos_bar.debt - repay_amount(pool_bar, x_last, params.bonus, convention)
-            if abs(b2) <= 1e-9 * max(position.debt, 1.0):
-                b2 = 0.0
+            pos_bar = LoanPosition(
+                _snap(pos_bar.collateral - x_last * (1.0 + params.bonus),
+                      1e-9 * max(position.collateral, 1.0)),
+                _snap(pos_bar.debt - repay_amount(pool_bar, x_last, params.bonus, convention),
+                      1e-9 * max(position.debt, 1.0)),
+            )
             a2 = pool_bar.reserve_collateral + x_last * u
             pool_bar = PoolState(a2, pool_bar.invariant() / a2, pool.fee)
-            pos_bar = LoanPosition(max(c2, 0.0), max(b2, 0.0))
 
     bad_debt = pos_bar.debt if pos_bar.collateral == 0.0 and pos_bar.debt > 0.0 else 0.0
     return LiquidationResult(
@@ -290,22 +295,3 @@ def best_strategy(
     if full.pi_tot >= capped.pi_tot:
         return full, Strategy.CF_FULL
     return capped, Strategy.ONE_KAPPA
-
-
-def strategy_grid(
-    position: LoanPosition,
-    pool: PoolState,
-    params: RiskParams,
-    pairs: list[tuple[float, float]],
-    convention: RepayConvention = DEFAULT_CONVENTION,
-) -> tuple[LiquidationResult, tuple[float, float]]:
-    """Best L(cf_i, kappa_i) over a list of threshold pairs, first pair wins ties."""
-    if not pairs:
-        raise ValueError("strategy_grid needs at least one (cf_target, kappa) pair")
-    best: LiquidationResult | None = None
-    best_pair = pairs[0]
-    for cf_i, kappa_i in pairs:
-        res = run_liquidation(position, pool, params, cf_i, kappa_i, convention)
-        if best is None or res.pi_tot > best.pi_tot:
-            best, best_pair = res, (cf_i, kappa_i)
-    return best, best_pair

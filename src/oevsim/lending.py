@@ -171,6 +171,19 @@ def marginal_repay_total(
     return m * b_res * x / (a + x * u)
 
 
+def _debt_cap(debt: float, pool: PoolState, bonus: float, m: float) -> float:
+    """Solve m*B*x/(A + x*u) = debt: debt*A / (m*B - debt*u).
+
+    +inf when the denominator is not positive (the pool lacks the debt-asset
+    depth to ever absorb that repayment, so the cap never binds); 0 for zero
+    debt.
+    """
+    den = m * pool.reserve_debt - debt * trade_multiplier(pool.fee, bonus)
+    if den <= 0.0:
+        return math.inf
+    return debt * pool.reserve_collateral / den
+
+
 def bound_debt(
     position: LoanPosition,
     pool: PoolState,
@@ -180,24 +193,15 @@ def bound_debt(
 ) -> float:
     """Per-transaction cap: largest single x with beta(x) <= kappa * debt.
 
-    Under the default convention this is kappa*b*A / (B - kappa*b*u), taken
-    as +inf when the denominator is not positive (the pool cannot absorb a
-    full kappa repayment, so the cap never binds).
+    kappa*b*A/B under SPOT_PRICE; otherwise beta has the trajectory form
+    m*B*x/(A + x*u) and the cap is :func:`_debt_cap` of kappa*b.
     """
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    if position.debt == 0.0:
-        return 0.0
-    a, b_res = pool.reserve_collateral, pool.reserve_debt
-    u = trade_multiplier(pool.fee, bonus)
     kb = kappa * position.debt
     if convention is RepayConvention.SPOT_PRICE:
-        return kb * a / b_res
-    m = 1.0 if convention is RepayConvention.EXECUTION_VALUE else (1.0 - pool.fee)
-    den = m * b_res - kb * u
-    if den <= 0.0:
-        return math.inf
-    return kb * a / den
+        return kb * pool.reserve_collateral / pool.reserve_debt
+    return _debt_cap(kb, pool, bonus, _traj_factor(pool.fee, convention))
 
 
 def debt_exhaustion_bound(
@@ -208,18 +212,10 @@ def debt_exhaustion_bound(
 ) -> float:
     """Cumulative size at which a marginal run has repaid the entire debt.
 
-    Solves m*B*x/(A + x*u) = b, giving b*A / (m*B - b*u); +inf when the pool
+    Solves m*B*x/(A + x*u) = b with :func:`_debt_cap`; +inf when the pool
     lacks the debt-asset depth to ever absorb full repayment.
     """
-    if position.debt == 0.0:
-        return 0.0
-    a, b_res = pool.reserve_collateral, pool.reserve_debt
-    u = trade_multiplier(pool.fee, bonus)
-    m = _traj_factor(pool.fee, convention)
-    den = m * b_res - position.debt * u
-    if den <= 0.0:
-        return math.inf
-    return position.debt * a / den
+    return _debt_cap(position.debt, pool, bonus, _traj_factor(pool.fee, convention))
 
 
 def hf_after_marginal(
@@ -228,22 +224,18 @@ def hf_after_marginal(
     haircut: float,
     bonus: float,
     x: float,
-    debt: float | None = None,
     convention: RepayConvention = DEFAULT_CONVENTION,
 ) -> float:
     """Health factor after a marginal liquidation run of cumulative size x.
 
     Collateral falls by x*(1+bonus), the pool absorbs x*u collateral, the
-    marked price becomes B*A/(A + x*u)**2 and the debt falls by the
-    trajectory repayment m*B*x/(A + x*u).  ``debt`` overrides the position's
-    debt in the write-down and the denominator (callers may pass a capped
-    amount); by default the full outstanding debt is used.
+    marked price becomes B*A/(A + x*u)**2 and the position's debt falls by
+    the trajectory repayment m*B*x/(A + x*u).
     """
     a, b_res = pool.reserve_collateral, pool.reserve_debt
     u = trade_multiplier(pool.fee, bonus)
     m = _traj_factor(pool.fee, convention)
-    b_arg = position.debt if debt is None else debt
-    remaining = b_arg - m * b_res * x / (a + x * u)
+    remaining = position.debt - m * b_res * x / (a + x * u)
     if remaining == 0.0:
         return math.inf
     price = b_res * a / (a + x * u) ** 2
@@ -281,31 +273,32 @@ def bound_closing(
     haircut: float,
     bonus: float,
     cf_target: float,
-    debt: float | None = None,
     convention: RepayConvention = DEFAULT_CONVENTION,
 ) -> ClosingBound:
     """Smallest non-negative x with hf_after_marginal(x) == cf_target.
 
-    ``debt`` is the amount appearing in the health-factor denominator and
-    write-down; it defaults to the position's full debt.  Among the real
-    roots the smallest non-negative one that is an actual crossing inside
-    [0, min(collateral bound, debt-exhaustion bound)] is preferred; if no
-    root falls in that range the smallest non-negative root is reported
-    as-is (it cannot bind then).  The returned root is polished by two
-    Newton steps and verified against the defining equation to 1e-9.
+    Among the real roots the smallest non-negative one that is an actual
+    crossing inside [0, min(collateral bound, debt-exhaustion bound)] is
+    preferred; if no root falls in that range the smallest non-negative
+    root is reported as-is (it cannot bind then).  Roots down to
+    -1e-12*min(A/u, collateral bound) are rounding noise around 0 and count
+    as 0; scaling that tolerance to the position, not only to the pool,
+    keeps a tiny position in a deep pool from taking a truly negative root
+    for 0.  The returned root is polished by two Newton steps and verified
+    against the defining equation to 1e-9.
     """
     a, b_res = pool.reserve_collateral, pool.reserve_debt
     c = position.collateral
-    b_arg = position.debt if debt is None else debt
-    if b_arg <= 0.0:
+    b = position.debt
+    if b <= 0.0:
         return ClosingBound(math.inf, math.nan, math.nan, math.nan, "none")
     u = trade_multiplier(pool.fee, bonus)
     m = _traj_factor(pool.fee, convention)
     cf = cf_target
 
-    linear = cf * (2.0 * a * b_arg * u - m * b_res * a) + haircut * b_res * a * (1.0 + bonus)
-    curvature = m * b_res * u - b_arg * u * u
-    offset = cf * b_arg * a * a - haircut * b_res * a * c
+    linear = cf * (2.0 * a * b * u - m * b_res * a) + haircut * b_res * a * (1.0 + bonus)
+    curvature = m * b_res * u - b * u * u
+    offset = cf * b * a * a - haircut * b_res * a * c
 
     lead = cf * curvature
     roots: list[float]
@@ -331,15 +324,13 @@ def bound_closing(
     def poly_deriv(x: float) -> float:
         return 2.0 * lead * x - linear
 
-    tol = 1e-12 * max(1.0, a / max(u, 1e-300))
+    x_c = bound_collateral(position, bonus)
+    tol = 1e-12 * min(a / max(u, 1e-300), x_c)
     candidates = sorted(max(r, 0.0) for r in roots if math.isfinite(r) and r >= -tol)
     if not candidates:
         return ClosingBound(math.inf, linear, curvature, disc, "none")
 
-    in_range_cap = min(
-        bound_collateral(position, bonus),
-        debt_exhaustion_bound(LoanPosition(c, b_arg), pool, bonus, convention),
-    )
+    in_range_cap = min(x_c, debt_exhaustion_bound(position, pool, bonus, convention))
     in_range = [r for r in candidates if r <= in_range_cap * (1.0 + 1e-12)]
     root = in_range[0] if in_range else candidates[0]
 
@@ -353,13 +344,11 @@ def bound_closing(
         root -= step
     root = max(root, 0.0)
 
-    root = _refine_and_verify_closing_root(
-        position, pool, haircut, bonus, cf, b_arg, convention, root, poly
-    )
+    root = _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, convention, root, poly)
     return ClosingBound(root, linear, curvature, disc, branch)
 
 
-def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, b_arg, convention, root, poly):
+def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, convention, root, poly):
     """Defining-property self-check: the returned root must satisfy HF == cf.
 
     The polynomial's coefficients can lose digits in extreme states, so
@@ -369,8 +358,8 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, b_arg, c
     a, b_res = pool.reserve_collateral, pool.reserve_debt
     u = trade_multiplier(pool.fee, bonus)
     m = _traj_factor(pool.fee, convention)
-    remaining = b_arg - m * b_res * root / (a + root * u)
-    if remaining <= 1e-12 * b_arg:
+    remaining = position.debt - m * b_res * root / (a + root * u)
+    if remaining <= 1e-12 * position.debt:
         # Root sits at (or beyond) debt exhaustion where HF is singular; fall
         # back to the polynomial residual at a matching scale.
         scale = abs(poly(0.0)) + abs(poly(2.0 * root + 1.0)) + 1.0
@@ -381,7 +370,7 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, b_arg, c
     tol = _ROOT_CHECK_TOL * max(1.0, cf)
 
     def gap(x: float) -> float:
-        return hf_after_marginal(position, pool, haircut, bonus, x, b_arg, convention) - cf
+        return hf_after_marginal(position, pool, haircut, bonus, x, convention) - cf
 
     res = gap(root)
     if abs(res) > 0.5 * tol:
@@ -420,21 +409,19 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, b_arg, c
 
 @dataclass(frozen=True)
 class BoundSet:
-    """The three liquidation bounds of a state, plus quadratic diagnostics.
+    """The three liquidation bounds of a state.
 
     x_debt_full is the cumulative bound of a marginal run (full repayment,
     kappa circumvented by many small transactions); x_debt_kappa is the
     single-transaction cap at the given kappa.  Both are +inf when they
-    cannot bind.
+    cannot bind.  ``branch`` is the recovery bound's :class:`ClosingBound`
+    branch, or "gated" when the threshold gate left nothing to solve.
     """
 
     x_collateral: float
     x_debt_full: float
     x_debt_kappa: float
     x_closing: float
-    quad_linear: float
-    quad_curvature: float
-    quad_discriminant: float
     branch: str
 
 
@@ -455,42 +442,5 @@ def compute_bounds(
         x_debt_full=debt_exhaustion_bound(position, pool, params.bonus, convention),
         x_debt_kappa=bound_debt(position, pool, kappa, params.bonus, convention),
         x_closing=closing.x,
-        quad_linear=closing.linear,
-        quad_curvature=closing.curvature,
-        quad_discriminant=closing.discriminant,
         branch=closing.branch,
     )
-
-
-def post_liquidation_state(
-    position: LoanPosition,
-    pool: PoolState,
-    x: float,
-    params: RiskParams,
-    convention: RepayConvention = DEFAULT_CONVENTION,
-) -> tuple[LoanPosition, PoolState]:
-    """State after one liquidation transaction of size x.
-
-    The borrower loses x*(1+bonus) collateral, the debt falls by the
-    convention's beta(x), and the pool absorbs the x*(1+bonus) collateral
-    sale.  x must lie within the collateral bound and the full-debt cap.
-    Exact boundary hits snap to zero so downstream code can compare against
-    0 without tolerance gymnastics.
-    """
-    if x < 0.0:
-        raise ValueError(f"liquidation size must be >= 0, got {x}")
-    if x == 0.0:
-        return position, pool
-    x_c = bound_collateral(position, params.bonus)
-    cap = min(x_c, bound_debt(position, pool, 1.0, params.bonus, convention))
-    if x > cap * (1.0 + 1e-12):
-        raise ValueError(f"liquidation size {x} exceeds the feasible cap {cap}")
-
-    new_collateral = position.collateral - x * (1.0 + params.bonus)
-    if abs(new_collateral) <= 1e-9 * max(position.collateral, 1.0):
-        new_collateral = 0.0
-    new_debt = position.debt - repay_amount(pool, x, params.bonus, convention)
-    if abs(new_debt) <= 1e-9 * max(position.debt, 1.0):
-        new_debt = 0.0
-    _, new_pool = pool.sell_collateral(x * (1.0 + params.bonus))
-    return LoanPosition(max(new_collateral, 0.0), max(new_debt, 0.0)), new_pool

@@ -1,7 +1,6 @@
 """Sandwich attack legs, feasibility bounds, limiting behavior, optimizer."""
 
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -18,7 +17,6 @@ from oevsim import (
     delta_bounds,
     delta_max_no_revert,
     delta_trigger_bound,
-    front_run,
     health_factor,
     limiting_profit_nofee,
     optimize_attack,
@@ -32,20 +30,25 @@ POOL5 = PoolState(10_000.0, 28_000_000.0, 0.003)
 POS5 = LoanPosition(20.12, 32_000.0)
 
 
-def test_front_run_is_the_amm_swap():
-    pool = PoolState(10_000.0, 28_000_000.0, 0.003)
-    proceeds, pool1 = front_run(pool, 500.0)
-    a, b, g, d = map(Fraction, (10_000, 28_000_000, Fraction(3, 1000), 500))
-    expected = b * d * (1 - g) / (a + d * (1 - g))
-    assert proceeds == pytest.approx(float(expected), rel=1e-12)
-    assert pool1.invariant() == pytest.approx(pool.invariant(), rel=1e-15)
-    assert front_run(pool, 0.0) == (0.0, pool)
-
-
-def test_front_run_proceeds_approach_full_reserve_without_fee():
+def test_sell_proceeds_approach_full_reserve_without_fee():
     pool = PoolState(1000.0, 2_000_000.0, 0.0)
-    proceeds, _ = front_run(pool, 1e9 * pool.reserve_collateral)
+    proceeds, _ = pool.sell_collateral(1e9 * pool.reserve_collateral)
     assert proceeds == pytest.approx(pool.reserve_debt, rel=1e-8)
+
+
+def test_attack_profit_tiny_position_in_deep_pool():
+    # A root tolerance scaled to the pool alone (1e-12*A/u, far above this
+    # collateral) took a negative recovery root for 0 and failed the
+    # self-check with ArithmeticError.
+    pos = LoanPosition(2.4030954118888192e-08, 1.1287521332041413e-07)
+    pool = PoolState(769999166.5054636, 237876643.23465458, 0.0013347257699877688)
+    risk = RiskParams(0.9357036191127394, 0.08136631595810896,
+                      0.36247504864748514, 0.29170762002307216)
+    res = attack_profit(576749292768.7482, pos, pool, risk)
+    assert res.feasible
+    assert math.isfinite(res.liquidation.pi_tot) and res.liquidation.pi_tot >= 0.0
+    for after in (res.pool_after_front, res.pool_after_liq):
+        assert after.invariant() == pytest.approx(pool.invariant(), rel=1e-12)
 
 
 def test_trigger_bound_clamps_and_self_checks():
@@ -57,7 +60,7 @@ def test_trigger_bound_clamps_and_self_checks():
 
     trig = delta_trigger_bound(pos_low, pool, 0.85)
     assert trig > 0.0
-    _, pool1 = front_run(pool, trig)
+    _, pool1 = pool.sell_collateral(trig)
     assert health_factor(pos_low, pool1, 0.85) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -66,7 +69,7 @@ def test_trigger_self_check_on_random_instances():
         trig = delta_trigger_bound(inst.position, inst.pool, inst.params.haircut)
         if not (trig > 0.0 and math.isfinite(trig)):
             continue
-        _, pool1 = front_run(inst.pool, trig)
+        _, pool1 = inst.pool.sell_collateral(trig)
         assert health_factor(inst.position, pool1, inst.params.haircut) == pytest.approx(
             1.0, abs=1e-9
         )
@@ -74,7 +77,7 @@ def test_trigger_self_check_on_random_instances():
 
 def test_baddebt_cap_self_check_and_limits():
     cap = delta_baddebt_cap(POS5, POOL5, STD.bonus)
-    _, pool1 = front_run(POOL5, cap)
+    _, pool1 = POOL5.sell_collateral(cap)
     assert pool1.reserve_debt == pytest.approx(
         POS5.debt * (1.0 - POOL5.fee) * (1.0 + STD.bonus), rel=1e-9
     )
@@ -98,7 +101,7 @@ def test_no_revert_boundary_is_sharp():
     # check the buy-back reverts just above the ceiling, not just below.
     ceiling = delta_max_no_revert(POOL5, POS5.collateral)
     for delta, ok in ((ceiling * (1 - 1e-9), True), (ceiling * (1 + 1e-9), False)):
-        _, pool1 = front_run(POOL5, delta)
+        _, pool1 = POOL5.sell_collateral(delta)
         _, pool2 = pool1.sell_collateral(POS5.collateral)  # x_c*(1+bonus) == c
         if ok:
             pool2.buy_collateral_exact(delta)

@@ -141,6 +141,23 @@ def test_cli_exit_code_on_bad_config(tmp_path):
     assert main(["liquidate", str(tmp_path / "missing.yaml")]) == 2
 
 
+@pytest.mark.parametrize("command, extra, fragment", [
+    ("fee-threshold", "mode: attack\nattack:\n  fee_low: 0.003\n  fee_high: 0.001\n",
+     "fee_low must be < fee_high"),
+    ("sweep", "sweep:\n  axis: price\n  start: -100.0\n  stop: 2000.0\n  steps: 3\n",
+     "price axis values must be > 0"),
+    ("sweep", "sweep:\n  axis: price\n  start: 0.0\n  stop: 2000.0\n  steps: 3\n",
+     "price axis values must be > 0"),
+    ("sweep", "sweep:\n  axis: pool_scale\n  start: 1.0\n  stop: 0.0\n  steps: 3\n",
+     "pool_scale axis values must be > 0"),
+    ("sweep", "mode: attack\nsweep:\n  axis: delta\n  start: -10.0\n  stop: 10.0\n  steps: 3\n",
+     "delta axis values must be >= 0"),
+], ids=["fee_interval", "price_negative", "price_zero", "pool_scale_zero", "delta_negative"])
+def test_cli_rejects_out_of_domain_config(tmp_path, capsys, command, extra, fragment):
+    assert main([command, write(tmp_path, MINIMAL + extra)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_cli_liquidate_and_attack_run(tmp_path, capsys):
     cfg_path = write(tmp_path, MINIMAL)
     assert main(["liquidate", cfg_path]) == 0

@@ -20,7 +20,6 @@ from oevsim import (
     marginal_phase_profit,
     run_liquidation,
     single_shot_profit,
-    strategy_grid,
 )
 from oevsim.oracles import integral_oracle, random_instances
 
@@ -168,31 +167,6 @@ def test_best_strategy_tie_breaks_to_cf_full():
     res, chosen = best_strategy(pos, pool_at(2050.0), STD)
     assert res.pi_tot == 0.0
     assert chosen is Strategy.CF_FULL
-
-
-def test_strategy_grid_reductions():
-    pos = LoanPosition(6.0, 10_000.0)
-    pool = pool_at(1800.0)
-    single, pair = strategy_grid(pos, pool, STD, [(1.0, 0.5)])
-    direct = run_liquidation(pos, pool, STD, 1.0, 0.5)
-    assert single.pi_tot == direct.pi_tot and pair == (1.0, 0.5)
-
-    both, _ = strategy_grid(pos, pool, STD, [(STD.closing_factor, 1.0), (1.0, STD.max_liq_fraction)])
-    best, _ = best_strategy(pos, pool, STD)
-    assert both.pi_tot == best.pi_tot
-
-    with pytest.raises(ValueError):
-        strategy_grid(pos, pool, STD, [])
-
-
-def test_strategy_grid_superset_never_worse():
-    rng = random.Random(11)
-    pos = LoanPosition(6.0, 10_000.0)
-    pool = pool_at(1700.0)
-    pairs = [(rng.uniform(0.5, 1.0), rng.uniform(0.1, 1.0)) for _ in range(6)]
-    base, _ = strategy_grid(pos, pool, STD, pairs[:3])
-    more, _ = strategy_grid(pos, pool, STD, pairs)
-    assert more.pi_tot >= base.pi_tot
 
 
 def test_gate_soundness_margin():

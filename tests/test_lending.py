@@ -17,7 +17,7 @@ from oevsim import (
     debt_exhaustion_bound,
     health_factor,
     hf_after_marginal,
-    post_liquidation_state,
+    marginal_repay_total,
     repay_amount,
 )
 from oevsim._numerics import bisect_root
@@ -88,17 +88,6 @@ def test_bound_closing_no_recovery_is_infinite():
     assert cb.x > min(x_c, x_b)  # cannot bind before collateral/debt run out
 
 
-def test_bound_closing_explicit_debt_argument():
-    # Both debt readings must be expressible; each solves its own crossing.
-    pos = LoanPosition(6.0, 10_000.0)
-    pool = pool_at(900.0)
-    full = bound_closing(pos, pool, 0.85, 0.05, 1.0)
-    capped = bound_closing(pos, pool, 0.85, 0.05, 1.0, debt=0.5 * pos.debt)
-    assert capped.x != pytest.approx(full.x)
-    hf = hf_after_marginal(pos, pool, 0.85, 0.05, capped.x, debt=0.5 * pos.debt)
-    assert hf == pytest.approx(1.0, abs=1e-9)
-
-
 def test_bound_closing_matches_bisection_on_random_instances():
     # Near-threshold draws make the recovery bound the binding one, so the
     # crossing lies inside the feasible interval where bisection can see it.
@@ -161,20 +150,9 @@ def test_binding_bound_invariant_under_state_scaling():
                 assert v1 == pytest.approx(v0 * s, rel=1e-9)
 
 
-def test_post_liquidation_state_identity_and_boundary():
-    pos = LoanPosition(6.0, 10_000.0)
-    pool = pool_at(1500.0)
-    same_pos, same_pool = post_liquidation_state(pos, pool, 0.0, STD)
-    assert same_pos is pos and same_pool is pool
-
-    x_c = bound_collateral(pos, STD.bonus)
-    after, _ = post_liquidation_state(pos, pool, x_c, STD)
-    assert after.collateral == 0.0
-
-
-def test_post_liquidation_state_matches_trajectory_hf():
+def test_repay_amount_matches_marginal_run_total():
     # Under the default convention the single-shot write-down equals the
-    # marginal-run total, so the post-state HF must match the closed form.
+    # marginal-run total.
     for inst in random_instances(40, seed=55):
         pos, pool, params = inst.position, inst.pool, inst.params
         x = 0.5 * min(
@@ -183,19 +161,9 @@ def test_post_liquidation_state_matches_trajectory_hf():
         )
         if not (math.isfinite(x) and x > 0.0):
             continue
-        new_pos, new_pool = post_liquidation_state(pos, pool, x, params)
-        got = health_factor(new_pos, new_pool, params.haircut)
-        want = hf_after_marginal(pos, pool, params.haircut, params.bonus, x)
-        assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_post_liquidation_rejects_out_of_range():
-    pos = LoanPosition(6.0, 10_000.0)
-    pool = pool_at(1500.0)
-    with pytest.raises(ValueError):
-        post_liquidation_state(pos, pool, -1.0, STD)
-    with pytest.raises(ValueError):
-        post_liquidation_state(pos, pool, 100.0, STD)
+        assert repay_amount(pool, x, params.bonus) == pytest.approx(
+            marginal_repay_total(pool, x, params.bonus), rel=1e-12
+        )
 
 
 def test_repay_conventions_ordering():
