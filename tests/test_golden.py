@@ -1,0 +1,53 @@
+"""Byte-level golden outputs of the bundled scenarios and the study sweeps.
+
+The SHA-256 values are the references ``perfbench/refs.json`` records for
+the same commands (``sweep_csv-bundled-*``, ``sweep_csv-reproduce-ex*``,
+``attack_search-attack-bundled``, ``attack_search-fee-threshold-bundled``).
+A change that alters any CSV byte or any printed digit fails here.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from oevsim.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+CSV_SHA256 = {
+    ("sweep", "liquidation_price_sweep"):
+        "b79bd159825f682b0a2001c2cfe0508c18f1c055b7f10e92d9b68cedea22a55f",
+    ("sweep", "attack_delta_sweep"):
+        "fa6f712b1b1f3162b41c62fb7285430a3b5472af2049878739c6f3fde2d01ed3",
+    ("reproduce", "ex1"): "85a656412292bb30e606eda052ef274f1bf12d082a379939331c147eadc4bc86",
+    ("reproduce", "ex2"): "aa285f7972716d1ca0b9170a93f4972209690b83baa34e83ab60ebb954b43c83",
+    ("reproduce", "ex3"): "d0fd41c2e36a40c8e23a4377bf2dab053a96f6a0c7e82e805a5a03b05c87b324",
+    ("reproduce", "ex4"): "92531f5c7412c91411726992397718481f057dc6c1bed8136bc4fda561d1908c",
+    ("reproduce", "ex5"): "adbfc5c8c8550a9c8fa4458228c65e657ad9145436cb3a93a7be3007f101c334",
+}
+
+STDOUT_SHA256 = {
+    "attack": (3, "acd37d7f381c305e4e2e8f73b4aa4591b474c8aeed8d32d5e2e7cf45459bad74"),
+    "fee-threshold": (0, "5dfe4b2fd49b050507697b2003f78047d89f66ce11e389b127137ae4dbec8539"),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("command, target", sorted(CSV_SHA256))
+def test_csv_bytes_match_reference(tmp_path, capsys, command, target):
+    arg = str(SCENARIOS / f"{target}.yaml") if command == "sweep" else target
+    out = tmp_path / "out.csv"
+    assert main([command, arg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert sha256(out.read_bytes()) == CSV_SHA256[command, target]
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+def test_bundled_attack_stdout_matches_reference(capsys, command):
+    rc, digest = STDOUT_SHA256[command]
+    assert main([command, str(SCENARIOS / "attack_delta_sweep.yaml")]) == rc
+    assert sha256(capsys.readouterr().out.encode()) == digest
