@@ -57,7 +57,6 @@ from .lending import (
 )
 from .oracles import (
     Instance,
-    OracleConfig,
     dp_oracle,
     hf_monotonicity_check,
     integral_oracle,

@@ -44,9 +44,8 @@ def bisect_root(
     lo: float,
     hi: float,
     tol_x: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
-    """Plain bisection for a sign change of f on [lo, hi]."""
+    """Plain bisection for a sign change of f on [lo, hi], at most 200 halvings."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -54,7 +53,7 @@ def bisect_root(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:

@@ -46,6 +46,10 @@ from .lending import (
 
 # Stay this fraction inside the no-revert ceiling; the objective is singular there.
 GUARD_BAND = 1e-6
+# critical_fee: bracket width at which the fee bisection stops, and the number
+# of interior probes checked for monotonicity before it starts.
+_FEE_TOL = 1e-5
+_FEE_PROBES = 5
 
 
 class NoThresholdError(RuntimeError):
@@ -183,18 +187,12 @@ def attack_profit(
     pool2 = liq.post_pool
     triggered = health_factor(position, pool1, params.haircut) <= 1.0
 
-    if delta >= pool2.reserve_collateral:
-        return AttackResult(
-            delta=delta, front_proceeds=proceeds, liq_profit=liq.pi_tot,
-            buyback_cost=None, total_profit=None, feasible=False,
-            triggered=triggered, pool_after_front=pool1, pool_after_liq=pool2,
-            liquidation=liq, strategy=strat,
-        )
-    cost, _ = pool2.buy_collateral_exact(delta)
+    feasible = delta < pool2.reserve_collateral
+    cost = pool2.buy_collateral_exact(delta)[0] if feasible else None
     return AttackResult(
         delta=delta, front_proceeds=proceeds, liq_profit=liq.pi_tot,
-        buyback_cost=cost, total_profit=proceeds + liq.pi_tot - cost,
-        feasible=True, triggered=triggered,
+        buyback_cost=cost, total_profit=proceeds + liq.pi_tot - cost if feasible else None,
+        feasible=feasible, triggered=triggered,
         pool_after_front=pool1, pool_after_liq=pool2,
         liquidation=liq, strategy=strat,
     )
@@ -304,9 +302,6 @@ def critical_fee(
     params: RiskParams,
     fee_low: float,
     fee_high: float,
-    tol: float = 1e-5,
-    n_probes: int = 5,
-    coarse_points: int = 512,
     convention: RepayConvention = DEFAULT_CONVENTION,
 ) -> CriticalFeeResult:
     """Bisect the fee axis for the profitability threshold of the attack.
@@ -329,15 +324,14 @@ def critical_fee(
 
     def g(fee: float) -> float:
         test_pool = PoolState(shape[0], shape[1], fee)
-        out = optimize_attack(
-            position, test_pool, params, coarse_points=coarse_points, convention=convention
-        )
+        out = optimize_attack(position, test_pool, params, convention=convention)
         val = out.best_positive_profit
         trace.append((fee, val))
         return val
 
     probes = [fee_low]
-    probes += [fee_low + (fee_high - fee_low) * (i + 1) / (n_probes + 1) for i in range(n_probes)]
+    probes += [fee_low + (fee_high - fee_low) * (i + 1) / (_FEE_PROBES + 1)
+               for i in range(_FEE_PROBES)]
     probes.append(fee_high)
     values = [(f, g(f)) for f in probes]
 
@@ -357,7 +351,7 @@ def critical_fee(
 
     lo = max(f for f, v in values if v > profit_floor)
     hi = min(f for f, v in values if v <= profit_floor)
-    while hi - lo > tol:
+    while hi - lo > _FEE_TOL:
         mid = 0.5 * (lo + hi)
         if g(mid) > profit_floor:
             lo = mid

@@ -359,6 +359,10 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.instances < 1 or args.grid_n < 2:
+        print(f"verify: need --instances >= 1 and --grid-n >= 2, "
+              f"got {args.instances} and {args.grid_n}", file=sys.stderr)
+        return 2
     records = oracles.verification_report(
         n_instances=args.instances, seed=args.seed, grid_n=args.grid_n
     )
@@ -413,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the brute-force oracle suites")
     p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--seed", type=int, default=oracles.OracleConfig.seed)
-    p.add_argument("--grid-n", type=int, default=oracles.OracleConfig.grid_n)
+    p.add_argument("--seed", type=int, default=oracles.SEED)
+    p.add_argument("--grid-n", type=int, default=oracles.GRID_N)
     p.add_argument("--report", help="write JSON-lines records here")
     p.set_defaults(func=_cmd_verify)
 

@@ -313,6 +313,11 @@ def parse_config(data: dict) -> ScenarioConfig:
         problems.append("attack: fee_low/fee_high must lie in [0, 1)")
     elif attack.fee_low >= attack.fee_high:
         problems.append(f"attack: fee_low must be < fee_high, got {attack.fee_low} >= {attack.fee_high}")
+    d_lo, d_hi = attack.delta_min, attack.delta_max
+    if any(d is not None and not d >= 0.0 for d in (d_lo, d_hi)):
+        problems.append("attack: delta_min/delta_max must be >= 0")
+    elif d_lo is not None and d_hi is not None and d_lo > d_hi:
+        problems.append(f"attack: delta_min must be <= delta_max, got {d_lo} > {d_hi}")
 
     if problems:
         raise ConfigError(problems)

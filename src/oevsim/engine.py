@@ -199,7 +199,6 @@ def _zero_result(
             x_debt_full=debt_exhaustion_bound(position, pool, params.bonus, convention),
             x_debt_kappa=bound_debt(position, pool, kappa, params.bonus, convention),
             x_closing=0.0,
-            branch="gated",
         )
     else:
         bounds = compute_bounds(position, pool, params, cf_target, kappa, convention)

@@ -145,13 +145,9 @@ def repay_amount(
     """Debt write-down beta(x) of one transaction of size x from this pool state."""
     if x == 0.0:
         return 0.0
-    a, b_res = pool.reserve_collateral, pool.reserve_debt
-    u = trade_multiplier(pool.fee, bonus)
     if convention is RepayConvention.SPOT_PRICE:
-        return b_res * x / a
-    if convention is RepayConvention.EXECUTION_VALUE:
-        return b_res * x / (a + x * u)
-    return (1.0 - pool.fee) * b_res * x / (a + x * u)
+        return pool.reserve_debt * x / pool.reserve_collateral
+    return marginal_repay_total(pool, x, bonus, convention)
 
 
 def marginal_repay_total(
@@ -163,7 +159,8 @@ def marginal_repay_total(
     """Total debt repaid by a run of marginal liquidations summing to x.
 
     Equals m*B*x/(A + x*u) with m from the active convention; the individual
-    step sizes do not matter in the limit.
+    step sizes do not matter in the limit.  Under EXECUTION_VALUE and
+    EXECUTION_PER_BONUS it is also the write-down of a single transaction.
     """
     a, b_res = pool.reserve_collateral, pool.reserve_debt
     u = trade_multiplier(pool.fee, bonus)
@@ -234,8 +231,7 @@ def hf_after_marginal(
     """
     a, b_res = pool.reserve_collateral, pool.reserve_debt
     u = trade_multiplier(pool.fee, bonus)
-    m = _traj_factor(pool.fee, convention)
-    remaining = position.debt - m * b_res * x / (a + x * u)
+    remaining = position.debt - marginal_repay_total(pool, x, bonus, convention)
     if remaining == 0.0:
         return math.inf
     price = b_res * a / (a + x * u) ** 2
@@ -244,26 +240,14 @@ def hf_after_marginal(
 
 @dataclass(frozen=True)
 class ClosingBound:
-    """Recovery bound plus the quadratic diagnostics behind it.
-
-    The bound solves ``hf_after_marginal(x) = cf_target`` which reduces to
-
-        cf * curvature * x**2 - linear * x - offset = 0
-
-    with  curvature = m*B*u - b*u**2,
-          linear    = cf*(2*A*b*u - m*B*A) + haircut*B*A*(1+bonus),
-          offset    = cf*b*A**2 - haircut*B*A*c,
-          u = (1-fee)*(1+bonus),  m the convention's trajectory factor.
+    """Recovery bound and the solver branch that produced it.
 
     ``x`` is +inf when no non-negative real root exists (the health factor
     never recovers to the target).  ``branch`` records whether the quadratic,
-    its linear degeneration, or no root produced the value.
+    its linear degeneration, or no root ("none") produced the value.
     """
 
     x: float
-    linear: float
-    curvature: float
-    discriminant: float
     branch: str
 
 
@@ -276,6 +260,15 @@ def bound_closing(
     convention: RepayConvention = DEFAULT_CONVENTION,
 ) -> ClosingBound:
     """Smallest non-negative x with hf_after_marginal(x) == cf_target.
+
+    The defining equation reduces to
+
+        cf * curvature * x**2 - linear * x - offset = 0
+
+    with  curvature = m*B*u - b*u**2,
+          linear    = cf*(2*A*b*u - m*B*A) + haircut*B*A*(1+bonus),
+          offset    = cf*b*A**2 - haircut*B*A*c,
+          u = (1-fee)*(1+bonus),  m the convention's trajectory factor.
 
     Among the real roots the smallest non-negative one that is an actual
     crossing inside [0, min(collateral bound, debt-exhaustion bound)] is
@@ -291,7 +284,7 @@ def bound_closing(
     c = position.collateral
     b = position.debt
     if b <= 0.0:
-        return ClosingBound(math.inf, math.nan, math.nan, math.nan, "none")
+        return ClosingBound(math.inf, "none")
     u = trade_multiplier(pool.fee, bonus)
     m = _traj_factor(pool.fee, convention)
     cf = cf_target
@@ -305,12 +298,11 @@ def bound_closing(
     if lead == 0.0:
         branch = "linear"
         roots = [-offset / linear] if linear != 0.0 else []
-        disc = math.nan
     else:
         branch = "quadratic"
         disc = linear * linear + 4.0 * lead * offset
         if disc < 0.0:
-            return ClosingBound(math.inf, linear, curvature, disc, "none")
+            return ClosingBound(math.inf, "none")
         # Citardauq split keeps both roots accurate when linear dominates.
         sq = math.sqrt(disc)
         q = -0.5 * (-linear + math.copysign(sq, -linear))
@@ -328,7 +320,7 @@ def bound_closing(
     tol = 1e-12 * min(a / max(u, 1e-300), x_c)
     candidates = sorted(max(r, 0.0) for r in roots if math.isfinite(r) and r >= -tol)
     if not candidates:
-        return ClosingBound(math.inf, linear, curvature, disc, "none")
+        return ClosingBound(math.inf, "none")
 
     in_range_cap = min(x_c, debt_exhaustion_bound(position, pool, bonus, convention))
     in_range = [r for r in candidates if r <= in_range_cap * (1.0 + 1e-12)]
@@ -345,7 +337,7 @@ def bound_closing(
     root = max(root, 0.0)
 
     root = _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, convention, root, poly)
-    return ClosingBound(root, linear, curvature, disc, branch)
+    return ClosingBound(root, branch)
 
 
 def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, convention, root, poly):
@@ -355,10 +347,7 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, conventi
     when the residual of the defining equation exceeds the tolerance the
     root is re-bisected on the health-factor gap itself before verifying.
     """
-    a, b_res = pool.reserve_collateral, pool.reserve_debt
-    u = trade_multiplier(pool.fee, bonus)
-    m = _traj_factor(pool.fee, convention)
-    remaining = position.debt - m * b_res * root / (a + root * u)
+    remaining = position.debt - marginal_repay_total(pool, root, bonus, convention)
     if remaining <= 1e-12 * position.debt:
         # Root sits at (or beyond) debt exhaustion where HF is singular; fall
         # back to the polynomial residual at a matching scale.
@@ -414,15 +403,13 @@ class BoundSet:
     x_debt_full is the cumulative bound of a marginal run (full repayment,
     kappa circumvented by many small transactions); x_debt_kappa is the
     single-transaction cap at the given kappa.  Both are +inf when they
-    cannot bind.  ``branch`` is the recovery bound's :class:`ClosingBound`
-    branch, or "gated" when the threshold gate left nothing to solve.
+    cannot bind.
     """
 
     x_collateral: float
     x_debt_full: float
     x_debt_kappa: float
     x_closing: float
-    branch: str
 
 
 def compute_bounds(
@@ -434,13 +421,10 @@ def compute_bounds(
     convention: RepayConvention = DEFAULT_CONVENTION,
 ) -> BoundSet:
     """Evaluate all bounds of the current state against a given threshold pair."""
-    closing = bound_closing(
-        position, pool, params.haircut, params.bonus, cf_target, convention=convention
-    )
     return BoundSet(
         x_collateral=bound_collateral(position, params.bonus),
         x_debt_full=debt_exhaustion_bound(position, pool, params.bonus, convention),
         x_debt_kappa=bound_debt(position, pool, kappa, params.bonus, convention),
-        x_closing=closing.x,
-        branch=closing.branch,
+        x_closing=bound_closing(position, pool, params.haircut, params.bonus, cf_target,
+                                convention).x,
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import golden_max
+from ._numerics import bisect_root, golden_max
 from .amm import PoolState
 from .engine import run_liquidation
 from .lending import (
@@ -44,20 +44,11 @@ from .lending import (
 
 _EXHAUST_EPS = 1e-11
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Knobs for the random-instance suites."""
-
-    grid_n: int = 10_000
-    tol_rel: float = 1e-3
-    seed: int = 20240811
-
-    def __post_init__(self) -> None:
-        if self.grid_n < 2:
-            raise ValueError(f"grid_n must be >= 2, got {self.grid_n}")
-        if not self.tol_rel > 0.0:
-            raise ValueError(f"tol_rel must be > 0, got {self.tol_rel}")
+# Defaults of the verification suites: DP grid size, engine-vs-DP relative
+# tolerance and instance seed.
+GRID_N = 10_000
+TOL_REL = 1e-3
+SEED = 20240811
 
 
 def _shot_profit(pool: PoolState, x: float, bonus: float) -> tuple[float, PoolState]:
@@ -117,6 +108,14 @@ def simulate_liquidation_sequence(
     c_scale = max(position.collateral, 1.0)
     b_scale = max(position.debt, 1.0)
 
+    def _post_hf(size: float) -> float:
+        b_n = b - repay_amount(pool_cur, size, ell, convention)
+        c_n = c - size * (1.0 + ell)
+        if b_n <= _EXHAUST_EPS * b_scale or c_n <= _EXHAUST_EPS * c_scale:
+            return -math.inf  # exhaustion dominates; not a gate crossing
+        _, peek = pool_cur.sell_collateral(size * (1.0 + ell))
+        return health_factor(LoanPosition(c_n, b_n), peek, theta)
+
     while True:
         if b <= _EXHAUST_EPS * b_scale:
             term = "debt"
@@ -140,46 +139,31 @@ def simulate_liquidation_sequence(
         if not x > 0.0:
             term = "stalled"  # defensive; caps are positive whenever c, b are
             break
-        if stop_before_crossing:
-
-            def _post_hf(size: float) -> float:
-                b_n = b - repay_amount(pool_cur, size, ell, convention)
-                c_n = c - size * (1.0 + ell)
-                if b_n <= _EXHAUST_EPS * b_scale or c_n <= _EXHAUST_EPS * c_scale:
-                    return -math.inf  # exhaustion dominates; not a gate crossing
-                _, peek = pool_cur.sell_collateral(size * (1.0 + ell))
-                return health_factor(LoanPosition(c_n, b_n), peek, theta)
-
-            if _post_hf(x) > cf_target:
-                # Land exactly on the crossing with one bisected partial step,
-                # so the walk's end state does not depend on the step phase.
-                lo_s, hi_s = 0.0, x
-                for _ in range(200):
-                    mid = 0.5 * (lo_s + hi_s)
-                    if _post_hf(mid) > cf_target:
-                        hi_s = mid
-                    else:
-                        lo_s = mid
-                    if hi_s - lo_s <= 1e-15 * max(1.0, hi_s):
-                        break
-                x = lo_s
-                if x > 0.0:
-                    dpi, pool_next = _shot_profit(pool_cur, x, ell)
-                    profit += dpi
-                    b = max(b - repay_amount(pool_cur, x, ell, convention), 0.0)
-                    c = max(c - x * (1.0 + ell), 0.0)
-                    pool_cur = pool_next
-                    cum_x += x
-                    steps += 1
-                term = "closing_factor"
-                break
-        dpi, pool_next = _shot_profit(pool_cur, x, ell)
-        profit += dpi
-        b = max(b - repay_amount(pool_cur, x, ell, convention), 0.0)
-        c = max(c - x * (1.0 + ell), 0.0)
-        pool_cur = pool_next
-        cum_x += x
-        steps += 1
+        crossing = stop_before_crossing and _post_hf(x) > cf_target
+        if crossing:
+            # Land exactly on the crossing with one bisected partial step,
+            # so the walk's end state does not depend on the step phase.
+            lo_s, hi_s = 0.0, x
+            for _ in range(200):
+                mid = 0.5 * (lo_s + hi_s)
+                if _post_hf(mid) > cf_target:
+                    hi_s = mid
+                else:
+                    lo_s = mid
+                if hi_s - lo_s <= 1e-15 * max(1.0, hi_s):
+                    break
+            x = lo_s
+        if x > 0.0:
+            dpi, pool_next = _shot_profit(pool_cur, x, ell)
+            profit += dpi
+            b = max(b - repay_amount(pool_cur, x, ell, convention), 0.0)
+            c = max(c - x * (1.0 + ell), 0.0)
+            pool_cur = pool_next
+            cum_x += x
+            steps += 1
+        if crossing:
+            term = "closing_factor"
+            break
 
     return SequenceOutcome(profit, term, steps, cum_x, LoanPosition(max(c, 0.0), max(b, 0.0)), pool_cur)
 
@@ -268,15 +252,13 @@ def dp_oracle(
     return max(0.0, total)
 
 
-def integral_oracle(pool: PoolState, x_liq: float, bonus: float, quad_n: int = 2**14) -> float:
+def integral_oracle(pool: PoolState, x_liq: float, bonus: float) -> float:
     """Marginal-run profit by quadrature of the per-slice integrand.
 
     The slice at cumulative size x nets (B - y(x)) * (u - 1) / (A + x*u) dx
-    with y(x) the proceeds already extracted.  Composite midpoint at quad_n
-    and 2*quad_n panels with one Richardson extrapolation step.
+    with y(x) the proceeds already extracted.  Composite midpoint at 2**14
+    and 2**15 panels with one Richardson extrapolation step.
     """
-    if quad_n < 16:
-        raise ValueError(f"quad_n must be >= 16, got {quad_n}")
     if x_liq < 0.0:
         raise ValueError(f"x_liq must be >= 0, got {x_liq}")
     if x_liq == 0.0:
@@ -291,8 +273,8 @@ def integral_oracle(pool: PoolState, x_liq: float, bonus: float, quad_n: int = 2
         f = (b_res - y) * (u - 1.0) / (a + x * u)
         return float(np.sum(f) * h)
 
-    coarse = midpoint(quad_n)
-    fine = midpoint(2 * quad_n)
+    coarse = midpoint(2**14)
+    fine = midpoint(2**15)
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -400,7 +382,6 @@ def random_instances(
     bonuses: tuple[float, ...] = BONUS_GRID,
     hf_range: tuple[float, float] = (0.3, 1.2),
     feasible_only: bool = False,
-    convention: RepayConvention = DEFAULT_CONVENTION,
 ) -> list[Instance]:
     """Seeded random system states.
 
@@ -442,8 +423,8 @@ def random_instances(
         params = RiskParams(haircut, bonus, closing, kappa)
 
         x_c = bound_collateral(position, bonus)
-        x_b = debt_exhaustion_bound(position, pool, bonus, convention)
-        x_cf = bound_closing(position, pool, haircut, bonus, cf_target, convention=convention).x
+        x_b = debt_exhaustion_bound(position, pool, bonus)
+        x_cf = bound_closing(position, pool, haircut, bonus, cf_target).x
         finite = [v for v in (x_c, x_b, x_cf) if math.isfinite(v)]
         tied = any(
             abs(p - q) <= 1e-9 * max(abs(p), abs(q), 1e-300)
@@ -463,16 +444,15 @@ def random_instances(
 
 def verification_report(
     n_instances: int = 100,
-    seed: int = OracleConfig.seed,
-    grid_n: int = OracleConfig.grid_n,
-    tol_rel: float = OracleConfig.tol_rel,
-    convention: RepayConvention = DEFAULT_CONVENTION,
+    seed: int = SEED,
+    grid_n: int = GRID_N,
 ) -> list[dict]:
     """Run every oracle suite and return one record per check.
 
     Records are plain dicts (JSON-serializable) with the instance digest,
     the values compared and a pass flag, so callers can persist or pretty-
-    print them as they like.
+    print them as they like.  Every suite runs the default repayment
+    convention; engine and DP agree when within TOL_REL of each other.
     """
     records: list[dict] = []
 
@@ -483,16 +463,14 @@ def verification_report(
         rec.update(values)
         records.append(rec)
 
-    feasible = random_instances(n_instances, seed, feasible_only=True, convention=convention)
+    feasible = random_instances(n_instances, seed, feasible_only=True)
     for inst in feasible:
-        res = run_liquidation(
-            inst.position, inst.pool, inst.params, inst.cf_target, inst.kappa, convention
-        )
+        res = run_liquidation(inst.position, inst.pool, inst.params, inst.cf_target, inst.kappa)
         approx = dp_oracle(
-            inst.position, inst.pool, inst.params, inst.cf_target, inst.kappa, grid_n, convention
+            inst.position, inst.pool, inst.params, inst.cf_target, inst.kappa, grid_n
         )
         err = abs(res.pi_tot - approx) / max(1.0, abs(res.pi_tot))
-        add("engine_vs_dp", inst, err <= tol_rel, engine=res.pi_tot, dp=approx, rel_err=err)
+        add("engine_vs_dp", inst, err <= TOL_REL, engine=res.pi_tot, dp=approx, rel_err=err)
 
         closed = res.pi_liq
         quad = integral_oracle(inst.pool, res.x_liq, inst.params.bonus)
@@ -500,7 +478,7 @@ def verification_report(
         add("integral_vs_closed_form", inst, qerr <= 1e-9, closed=closed, quadrature=quad, rel_err=qerr)
 
     rng = random.Random(seed + 1)
-    general = random_instances(n_instances, seed + 2, convention=convention)
+    general = random_instances(n_instances, seed + 2)
     for inst in general:
         x_c = bound_collateral(inst.position, inst.params.bonus)
         x1 = rng.uniform(0.0, 0.6) * x_c
@@ -523,8 +501,6 @@ def verification_report(
 
     # Recovery bound vs an independent bisection: near-threshold states make
     # the recovery bound the binding one, so the crossing is observable.
-    from ._numerics import bisect_root
-
     checked = 0
     while checked < n_instances:
         fee = rng.choice(FEE_GRID_BPS) / 1e4
@@ -540,19 +516,16 @@ def verification_report(
         )
         inst = Instance(position, pool,
                         RiskParams(haircut, bonus, 0.8, 0.5), cf_target, 0.5)
-        cb = bound_closing(position, pool, haircut, bonus, cf_target, convention=convention)
+        cb = bound_closing(position, pool, haircut, bonus, cf_target)
         hi = min(
             bound_collateral(position, bonus),
-            debt_exhaustion_bound(position, pool, bonus, convention),
+            debt_exhaustion_bound(position, pool, bonus),
         ) * (1.0 - 1e-9)
         if not (math.isfinite(cb.x) and 0.0 < cb.x < hi):
             continue
 
         def gap(x):
-            return (
-                hf_after_marginal(position, pool, haircut, bonus, x, convention=convention)
-                - cf_target
-            )
+            return hf_after_marginal(position, pool, haircut, bonus, x) - cf_target
 
         if gap(hi) <= 0.0:
             continue

@@ -218,6 +218,19 @@ def test_optimizer_refinement_never_loses():
     assert coarse.result.total_profit > 0.0
 
 
+@pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                   reason="recovery-root self-check fails where the exhaustion bounds tie")
+def test_optimize_attack_through_near_equal_exhaustion_bounds():
+    # Near delta = 39.445 the collateral bound and the debt-exhaustion bound
+    # agree to about 3e-11, HF is 0/0 at the end of the marginal run, and the
+    # recovery root fails its self-check with a residual of -5.27e-06.
+    pos = LoanPosition(0.009783424003038013, 0.0001522178433067494)
+    pool = PoolState(48.579849532452165, 2.506480705390799, 1e-4)
+    risk = RiskParams(0.5521458022613934, 0.01, 0.8520760834790868, 0.4688723566652169)
+    out = optimize_attack(pos, pool, risk)
+    assert out.result.feasible and math.isfinite(out.result.total_profit)
+
+
 def test_optimizer_empty_range_returns_zero_attack():
     out = optimize_attack(POS5, POOL5, STD, delta_range=(0.0, 0.0))
     assert out.delta == 0.0 and out.result.total_profit == 0.0

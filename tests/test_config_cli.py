@@ -152,7 +152,15 @@ def test_cli_exit_code_on_bad_config(tmp_path):
      "pool_scale axis values must be > 0"),
     ("sweep", "mode: attack\nsweep:\n  axis: delta\n  start: -10.0\n  stop: 10.0\n  steps: 3\n",
      "delta axis values must be >= 0"),
-], ids=["fee_interval", "price_negative", "price_zero", "pool_scale_zero", "delta_negative"])
+    ("sweep", "mode: attack\nsweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n"
+     "  steps: 3\nattack:\n  delta_min: -5.0\n", "delta_min/delta_max must be >= 0"),
+    ("attack", "mode: attack\nattack:\n  delta_max: -1.0\n", "delta_min/delta_max must be >= 0"),
+    ("sweep", "mode: attack\nsweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n"
+     "  steps: 3\nattack:\n  delta_min: .nan\n", "delta_min/delta_max must be >= 0"),
+    ("attack", "mode: attack\nattack:\n  delta_min: 100.0\n  delta_max: 10.0\n",
+     "delta_min must be <= delta_max"),
+], ids=["fee_interval", "price_negative", "price_zero", "pool_scale_zero", "delta_negative",
+        "delta_min_negative", "delta_max_negative", "delta_min_nan", "delta_range_empty"])
 def test_cli_rejects_out_of_domain_config(tmp_path, capsys, command, extra, fragment):
     assert main([command, write(tmp_path, MINIMAL + extra)]) == 2
     assert fragment in capsys.readouterr().err
@@ -195,6 +203,15 @@ def test_cli_verify_small_run(tmp_path, capsys):
     assert code == 0
     assert "verification passed" in capsys.readouterr().out
     assert report.exists() and len(report.read_text().strip().splitlines()) >= 8
+
+
+@pytest.mark.parametrize("extra", [["--instances", "0"], ["--instances", "-2"],
+                                   ["--grid-n", "1"]])
+def test_cli_verify_rejects_out_of_domain_arguments(capsys, extra):
+    assert main(["verify", *extra]) == 2
+    out = capsys.readouterr()
+    assert "verification passed" not in out.out
+    assert out.err.count("\n") == 1 and "--instances >= 1 and --grid-n >= 2" in out.err
 
 
 def test_number_formatting_uses_12_significant_digits():

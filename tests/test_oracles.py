@@ -21,7 +21,7 @@ from oevsim import (
     subadditivity_check,
     verification_report,
 )
-from oevsim.oracles import Instance, OracleConfig, random_instances
+from oevsim.oracles import Instance, random_instances
 
 STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
 
@@ -81,8 +81,6 @@ def test_integral_oracle_trivial_cases():
     assert integral_oracle(pool, 0.0, 0.05) == 0.0
     # zero fee and zero bonus: the integrand vanishes identically
     assert integral_oracle(pool, 3.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        integral_oracle(pool, 1.0, 0.05, quad_n=4)
 
 
 def test_integral_oracle_matches_closed_form():
@@ -192,11 +190,9 @@ def test_random_instances_feasible_mode():
         assert inst.pool.fee < parity
 
 
-def test_oracle_config_validation():
+def test_dp_oracle_rejects_grid_below_two():
     with pytest.raises(ValueError):
-        OracleConfig(grid_n=1)
-    with pytest.raises(ValueError):
-        OracleConfig(tol_rel=0.0)
+        dp_oracle(LoanPosition(6.0, 10_000.0), pool_at(1500.0), STD, 1.0, 0.5, 1)
 
 
 def test_verification_report_smoke():
