@@ -4,14 +4,23 @@ The SHA-256 values are the references ``perfbench/refs.json`` records for
 the same commands (``sweep_csv-bundled-*``, ``sweep_csv-reproduce-ex*``,
 ``attack_search-attack-bundled``, ``attack_search-fee-threshold-bundled``).
 A change that alters any CSV byte or any printed digit fails here.
+
+The brute-force oracle is pinned bit for bit too: the exact ``dp_oracle``
+values of one borrower under every repayment convention, and the bytes of
+a small ``verify`` report (the references hash only its stdout, which
+shows pass counts, not the compared values).
 """
 
 import hashlib
+import math
 from pathlib import Path
 
 import pytest
 
+from oevsim.amm import PoolState
 from oevsim.cli import main
+from oevsim.lending import LoanPosition, RepayConvention, RiskParams
+from oevsim.oracles import dp_oracle
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -51,3 +60,35 @@ def test_bundled_attack_stdout_matches_reference(capsys, command):
     rc, digest = STDOUT_SHA256[command]
     assert main([command, str(SCENARIOS / "attack_delta_sweep.yaml")]) == rc
     assert sha256(capsys.readouterr().out.encode()) == digest
+
+
+# dp_oracle of LoanPosition(6, 1e4) on the 30 bps pool of liquidity 2e9,
+# cf_target 1.0, kappa 0.5, grid 4000.  At p = 1700 the walk exhausts the
+# collateral; at p = 1820 it ends on the health-gate crossing, so the
+# crossing bisection and the closing trade are pinned as well.
+DP_HEX = {
+    (1700.0, RepayConvention.SPOT_PRICE): "0x1.c49ad1255debap+8",
+    (1700.0, RepayConvention.EXECUTION_VALUE): "0x1.c49ad1255debap+8",
+    (1700.0, RepayConvention.EXECUTION_PER_BONUS): "0x1.c49ad1255debap+8",
+    (1820.0, RepayConvention.SPOT_PRICE): "0x1.8fde75eedec0ap+8",
+    (1820.0, RepayConvention.EXECUTION_VALUE): "0x1.8fec208666675p+8",
+    (1820.0, RepayConvention.EXECUTION_PER_BONUS): "0x1.95b31016b6442p+8",
+}
+
+VERIFY_REPORT_SHA256 = "df1f0b5332f4bbb750d879d13a9bca74d1a9190fac5dd2eb4d935c73d226e6d1"
+
+
+@pytest.mark.parametrize("price, convention", sorted(DP_HEX, key=lambda k: (k[0], k[1].value)),
+                         ids=lambda v: v.value if isinstance(v, RepayConvention) else f"p{v:g}")
+def test_dp_oracle_value_is_bit_exact(price, convention):
+    pool = PoolState(math.sqrt(2e9 / price), math.sqrt(2e9 * price), 0.003)
+    risk = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
+    value = dp_oracle(LoanPosition(6.0, 1e4), pool, risk, 1.0, 0.5, 4000, convention)
+    assert value.hex() == DP_HEX[price, convention]
+
+
+def test_verify_report_bytes_match_reference(tmp_path, capsys):
+    report = tmp_path / "report.jsonl"
+    assert main(["verify", "--instances", "2", "--seed", "1000", "--report", str(report)]) == 0
+    assert "verification passed" in capsys.readouterr().out
+    assert sha256(report.read_bytes()) == VERIFY_REPORT_SHA256
