@@ -309,6 +309,10 @@ def _cmd_attack(args) -> int:
         d_range = (cfg.attack.delta_min or 0.0, cfg.attack.delta_max or math.inf)
     out = atk.optimize_attack(position, pool, cfg.risk, delta_range=d_range,
                               convention=cfg.convention)
+    if d_range is not None and d_range[0] > out.search_hi:
+        print(f"attack: delta range [{d_range[0]:.6g}, {d_range[1]:.6g}] lies above "
+              f"the search ceiling {out.search_hi:.6g}", file=sys.stderr)
+        return 3
     bounds = atk.delta_bounds(position, pool, cfg.risk)
     res = out.result
     print(f"delta bounds         trigger={bounds.trigger:.6g} "

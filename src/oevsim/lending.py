@@ -345,7 +345,8 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, conventi
 
     The polynomial's coefficients can lose digits in extreme states, so
     when the residual of the defining equation exceeds the tolerance the
-    root is re-bisected on the health-factor gap itself before verifying.
+    root is re-bisected on the health-factor gap itself; a root no nearby
+    sign change brackets must meet the tolerance as it is.
     """
     remaining = position.debt - marginal_repay_total(pool, root, bonus, convention)
     if remaining <= 1e-12 * position.debt:
@@ -364,7 +365,7 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, conventi
     res = gap(root)
     if abs(res) > 0.5 * tol:
         width = max(root, 1.0) * 1e-12
-        for _ in range(40):
+        while width <= 0.25 * max(root, 1.0):
             lo, hi = max(root - width, 0.0), root + width
             glo, ghi = gap(lo), gap(hi)
             if (glo > 0.0) != (ghi > 0.0):
@@ -372,23 +373,16 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, conventi
                     mid = 0.5 * (lo + hi)
                     gm = gap(mid)
                     if gm == 0.0:
-                        lo = hi = mid
-                        break
+                        return mid
                     if (gm > 0.0) == (glo > 0.0):
                         lo, glo = mid, gm
                     else:
                         hi = mid
-                root = 0.5 * (lo + hi)
-                res = gap(root)
-                if hi - lo <= 2.0 * math.ulp(hi):
-                    # Crossing bracketed to one ulp: the defining property
-                    # holds to the representable limit even if HF is too
-                    # steep for the residual itself to reach the tolerance.
-                    return root
-                break
+                # Crossing bracketed to one ulp: the defining property holds
+                # to the representable limit even if HF is too steep for the
+                # residual itself to reach the tolerance.
+                return 0.5 * (lo + hi)
             width *= 8.0
-            if width > 0.25 * max(root, 1.0):
-                break
     if abs(res) > tol:
         raise ArithmeticError(
             f"recovery-bound root failed its self-check: residual={res!r} target={cf!r}"

@@ -66,7 +66,7 @@ class SequenceOutcome:
     """Trace summary of a simulated transaction-by-transaction liquidation."""
 
     profit: float
-    terminator: str          # "closing_factor" | "debt" | "collateral" | "gate" | "steps"
+    terminator: str  # "closing_factor" | "debt" | "collateral" | "gate" | "steps" | "stalled"
     steps: int
     cumulative_x: float
     post_position: LoanPosition
@@ -97,75 +97,77 @@ def simulate_liquidation_sequence(
 
     The terminator records which constraint ended the run: the health gate
     ("closing_factor"), debt exhausted, collateral exhausted, a gate that
-    was already shut at entry ("gate"), or the step budget.
+    was already shut at entry ("gate"), the step budget ("steps"), or a
+    transaction cap that is not positive ("stalled").
     """
-    c, b = position.collateral, position.debt
-    pool_cur = pool
-    profit = 0.0
-    cum_x = 0.0
-    steps = 0
     theta, ell = params.haircut, params.bonus
     c_scale = max(position.collateral, 1.0)
     b_scale = max(position.debt, 1.0)
 
-    def _post_hf(size: float) -> float:
-        b_n = b - repay_amount(pool_cur, size, ell, convention)
-        c_n = c - size * (1.0 + ell)
+    def _step(pos: LoanPosition, pool_now: PoolState, size: float):
+        """(profit, post position clamped at 0, post pool, post HF) of one
+        transaction; the HF is -inf once debt or collateral is exhausted,
+        which is not a gate crossing."""
+        dpi, pool_next = _shot_profit(pool_now, size, ell)
+        b_n = pos.debt - repay_amount(pool_now, size, ell, convention)
+        c_n = pos.collateral - size * (1.0 + ell)
+        pos_next = LoanPosition(max(c_n, 0.0), max(b_n, 0.0))
         if b_n <= _EXHAUST_EPS * b_scale or c_n <= _EXHAUST_EPS * c_scale:
-            return -math.inf  # exhaustion dominates; not a gate crossing
-        _, peek = pool_cur.sell_collateral(size * (1.0 + ell))
-        return health_factor(LoanPosition(c_n, b_n), peek, theta)
+            return dpi, pos_next, pool_next, -math.inf
+        return dpi, pos_next, pool_next, health_factor(pos_next, pool_next, theta)
 
+    pos, pool_cur = position, pool
+    hf = health_factor(pos, pool_cur, theta)
+    profit = 0.0
+    cum_x = 0.0
+    steps = 0
     while True:
-        if b <= _EXHAUST_EPS * b_scale:
+        if pos.debt <= _EXHAUST_EPS * b_scale:
             term = "debt"
             break
-        if c <= _EXHAUST_EPS * c_scale:
+        if pos.collateral <= _EXHAUST_EPS * c_scale:
             term = "collateral"
             break
-        hf = health_factor(LoanPosition(c, b), pool_cur, theta)
         if hf > cf_target:
             term = "closing_factor" if steps > 0 else "gate"
             break
         if steps >= max_steps:
             term = "steps"
             break
-        pos_cur = LoanPosition(c, b)
         x = min(
             step_limit,
-            bound_collateral(pos_cur, ell),
-            bound_debt(pos_cur, pool_cur, kappa, ell, convention),
+            bound_collateral(pos, ell),
+            bound_debt(pos, pool_cur, kappa, ell, convention),
         )
         if not x > 0.0:
             term = "stalled"  # defensive; caps are positive whenever c, b are
             break
-        crossing = stop_before_crossing and _post_hf(x) > cf_target
+        step = _step(pos, pool_cur, x)
+        crossing = stop_before_crossing and step[3] > cf_target
         if crossing:
             # Land exactly on the crossing with one bisected partial step,
             # so the walk's end state does not depend on the step phase.
             lo_s, hi_s = 0.0, x
             for _ in range(200):
                 mid = 0.5 * (lo_s + hi_s)
-                if _post_hf(mid) > cf_target:
+                probe = _step(pos, pool_cur, mid)
+                if probe[3] > cf_target:
                     hi_s = mid
                 else:
-                    lo_s = mid
+                    lo_s, step = mid, probe
                 if hi_s - lo_s <= 1e-15 * max(1.0, hi_s):
                     break
             x = lo_s
         if x > 0.0:
-            dpi, pool_next = _shot_profit(pool_cur, x, ell)
+            dpi, pos, pool_cur, hf = step
             profit += dpi
-            b = max(b - repay_amount(pool_cur, x, ell, convention), 0.0)
-            c = max(c - x * (1.0 + ell), 0.0)
-            pool_cur = pool_next
             cum_x += x
             steps += 1
         if crossing:
             term = "closing_factor"
             break
 
-    return SequenceOutcome(profit, term, steps, cum_x, LoanPosition(max(c, 0.0), max(b, 0.0)), pool_cur)
+    return SequenceOutcome(profit, term, steps, cum_x, pos, pool_cur)
 
 
 def _best_closing_trade(

@@ -177,6 +177,16 @@ def test_cli_liquidate_and_attack_run(tmp_path, capsys):
     assert code in (0, 3)
 
 
+def test_cli_attack_range_above_search_ceiling(tmp_path, capsys):
+    # The search ceiling of this state is about 1.9e5, far below delta_min.
+    cfg = MINIMAL + "mode: attack\nattack:\n  delta_min: 1.0e+12\n"
+    assert main(["attack", write(tmp_path, cfg)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1
+    assert "delta range [1e+12, inf] lies above the search ceiling 190621" in out.err
+
+
 def test_cli_fee_threshold_no_threshold_exit(tmp_path, capsys):
     # Interval entirely above bonus parity: liquidation never profitable.
     cfg = MINIMAL + """
