@@ -8,19 +8,26 @@ A change that alters any CSV byte or any printed digit fails here.
 The brute-force oracle is pinned bit for bit too: the exact ``dp_oracle``
 values of one borrower under every repayment convention, and the bytes of
 a small ``verify`` report (the references hash only its stdout, which
-shows pass counts, not the compared values).
+shows pass counts, not the compared values).  So are the closed forms: one
+hash covers every field of a fixed set of ``best_strategy``,
+``attack_profit`` and ``optimize_attack`` results.
 """
 
+import dataclasses
 import hashlib
 import math
+from enum import Enum
 from pathlib import Path
 
 import pytest
 
 from oevsim.amm import PoolState
+from oevsim.attack import attack_profit, optimize_attack
 from oevsim.cli import main
+from oevsim.config import load_config
+from oevsim.engine import best_strategy
 from oevsim.lending import LoanPosition, RepayConvention, RiskParams
-from oevsim.oracles import dp_oracle
+from oevsim.oracles import dp_oracle, random_instances
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -78,12 +85,14 @@ DP_HEX = {
 VERIFY_REPORT_SHA256 = "df1f0b5332f4bbb750d879d13a9bca74d1a9190fac5dd2eb4d935c73d226e6d1"
 
 
+STUDY_RISK = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
+
+
 @pytest.mark.parametrize("price, convention", list(DP_HEX),
                          ids=lambda v: v.value if isinstance(v, RepayConvention) else f"p{v:g}")
 def test_dp_oracle_value_is_bit_exact(price, convention):
     pool = PoolState(math.sqrt(2e9 / price), math.sqrt(2e9 * price), 0.003)
-    risk = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
-    value = dp_oracle(LoanPosition(6.0, 1e4), pool, risk, 1.0, 0.5, 4000, convention)
+    value = dp_oracle(LoanPosition(6.0, 1e4), pool, STUDY_RISK, 1.0, 0.5, 4000, convention)
     assert value.hex() == DP_HEX[price, convention]
 
 
@@ -92,3 +101,49 @@ def test_verify_report_bytes_match_reference(tmp_path, capsys):
     assert main(["verify", "--instances", "2", "--seed", "1000", "--report", str(report)]) == 0
     assert "verification passed" in capsys.readouterr().out
     assert sha256(report.read_bytes()) == VERIFY_REPORT_SHA256
+
+
+ENGINE_SHA256 = "f1cb5bdc4208dcc7fa8dbcb88a8fb0f58ad2a83d0b0405646d834f8adaad9c9c"
+
+
+def _fields(value, name: str = ""):
+    """Every leaf of a result as a string: float bits, enum values, flags."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _fields(getattr(value, f.name), f.name)
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _fields(item, name)
+    elif value is None:
+        # A binding of None and the FEE_GATE member are the same outcome.
+        yield "fee_gate" if name == "binding" else "none"
+    elif isinstance(value, Enum):
+        yield value.value
+    elif isinstance(value, bool):
+        yield str(value)
+    else:
+        yield float(value).hex()
+
+
+def test_engine_results_are_bit_exact():
+    results = []
+    instances = random_instances(200, seed=4242)
+    for convention in RepayConvention:
+        for inst in instances:
+            results.append(best_strategy(inst.position, inst.pool, inst.params, convention))
+            a0 = inst.pool.reserve_collateral
+            for delta in (0.0, 1e-3 * a0, 0.3 * a0):
+                results.append(attack_profit(delta, inst.position, inst.pool, inst.params,
+                                             convention))
+        # Empty positions, with and without the fee gate (u <= 1 at 6%).
+        for fee in (0.0, 0.003, 0.06):
+            pool = PoolState(1000.0, 2e6, fee)
+            for position in (LoanPosition(0.0, 1e4), LoanPosition(5.0, 0.0),
+                             LoanPosition(0.0, 0.0), LoanPosition(5.0, 1e4)):
+                results.append(best_strategy(position, pool, STUDY_RISK, convention))
+    cfg = load_config(SCENARIOS / "attack_delta_sweep.yaml")
+    position, pool = cfg.state_at()
+    results.append(optimize_attack(position, pool, cfg.risk))
+    results.append(optimize_attack(position, pool, cfg.risk, delta_range=(0.0, 0.0)))
+    digest = sha256("\n".join(_fields(tuple(results))).encode())
+    assert digest == ENGINE_SHA256
