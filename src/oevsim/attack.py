@@ -41,7 +41,6 @@ from .lending import (
     LoanPosition,
     RepayConvention,
     RiskParams,
-    health_factor,
 )
 
 # Stay this fraction inside the no-revert ceiling; the objective is singular there.
@@ -185,7 +184,7 @@ def attack_profit(
     proceeds, pool1 = pool.sell_collateral(delta)
     liq, strat = best_strategy(position, pool1, params, convention)
     pool2 = liq.post_pool
-    triggered = health_factor(position, pool1, params.haircut) <= 1.0
+    triggered = liq.hf_initial <= 1.0
 
     feasible = delta < pool2.reserve_collateral
     cost = pool2.buy_collateral_exact(delta)[0] if feasible else None
@@ -218,25 +217,22 @@ def optimize_attack(
     position: LoanPosition,
     pool: PoolState,
     params: RiskParams,
-    delta_range: tuple[float, float] | None = None,
+    delta_range: tuple[float, float] = (0.0, math.inf),
     coarse_points: int = 512,
     convention: RepayConvention = DEFAULT_CONVENTION,
 ) -> OptimizeOutcome:
     """Maximize the sandwich profit over the admissible attack sizes.
 
     The search interval is [0, min(bad-debt cap, no-revert ceiling shrunk by
-    a guard band)], further clipped by ``delta_range`` when given.  The
-    profile jumps at the trigger size, so the trigger and a point just past
-    it are evaluated explicitly; a log-spaced coarse grid covers the rest
-    and a golden-section pass refines the best bracket.  Refinement can
-    only improve on the best coarse point.
+    a guard band)], clipped to ``delta_range``.  The profile jumps at the
+    trigger size, so the trigger and a point just past it are evaluated
+    explicitly; a log-spaced coarse grid covers the rest and a golden-section
+    pass refines the best bracket.  Refinement can only improve on the best
+    coarse point.
     """
     bounds = delta_bounds(position, pool, params)
-    hi = min(bounds.baddebt_cap, bounds.no_revert * (1.0 - GUARD_BAND))
-    lo = 0.0
-    if delta_range is not None:
-        lo = max(lo, delta_range[0])
-        hi = min(hi, delta_range[1])
+    lo = max(0.0, delta_range[0])
+    hi = min(bounds.baddebt_cap, bounds.no_revert * (1.0 - GUARD_BAND), delta_range[1])
 
     def evaluate(d: float) -> AttackResult:
         return attack_profit(d, position, pool, params, convention)
@@ -277,7 +273,7 @@ def optimize_attack(
         d_best, r_best = d_ref, evaluate(d_ref)
     best_positive = max(best_positive, r_best.total_profit if d_best > 0.0 else -math.inf)
 
-    if zero.total_profit is not None and zero.total_profit >= r_best.total_profit:
+    if zero.total_profit >= r_best.total_profit:
         return OptimizeOutcome(0.0, zero, len(grid), hi, best_positive)
     return OptimizeOutcome(d_best, r_best, len(grid), hi, best_positive)
 

@@ -116,8 +116,7 @@ def _eval_liquidation_point(cfg: ScenarioConfig, point: tuple[str, float]) -> li
     res, strat = best_strategy(position, pool, cfg.risk, cfg.convention)
     return [
         axis, value, res.hf_initial, res.pi_liq, res.pi_last, res.pi_tot,
-        res.binding.value if res.binding else "fee_gate",
-        res.last_binding.value, strat.value, res.bad_debt,
+        res.binding.value, res.last_binding.value, strat.value, res.bad_debt,
     ]
 
 
@@ -128,7 +127,7 @@ def _eval_attack_point(cfg: ScenarioConfig, point: tuple[str, float]) -> list:
         delta = value
     else:
         position, pool = cfg.state_at(**_overrides(axis, value))
-        delta = cfg.attack.delta_min or 0.0
+        delta = cfg.attack.delta_min
     bounds = atk.delta_bounds(position, pool, cfg.risk)
     res = atk.attack_profit(delta, position, pool, cfg.risk, cfg.convention)
     return [
@@ -194,8 +193,7 @@ def reproduce_ex2() -> tuple[list[str], list[list]]:
             pool = PoolState(a0, b0, 0.0)
             coll = hf0 * debt * a0 / (risk.haircut * b0)
             res, _ = best_strategy(LoanPosition(coll, debt), pool, risk)
-            rows.append([hf0, float(p), res.pi_tot,
-                         res.binding.value if res.binding else "fee_gate"])
+            rows.append([hf0, float(p), res.pi_tot, res.binding.value])
     return ["hf0", "p", "pi_tot", "binding"], rows
 
 
@@ -220,7 +218,7 @@ def reproduce_ex3() -> tuple[list[str], list[list]]:
         )
         rows.append([
             float(p), res.hf_initial, res.pi_liq, res.pi_last, res.pi_tot,
-            res.binding.value if res.binding else "fee_gate", seq.terminator,
+            res.binding.value, seq.terminator,
         ])
     return ["p", "hf0", "pi_liq", "pi_last", "pi_tot", "binding", "binding_txn"], rows
 
@@ -291,7 +289,7 @@ def _cmd_liquidate(args) -> int:
     print(f"bounds               collateral={b.x_collateral:.6g} debt_full={b.x_debt_full:.6g} "
           f"kappa_cap={b.x_debt_kappa:.6g} recovery={b.x_closing:.6g}")
     print(f"marginal phase       x={res.x_liq:.6g} profit={res.pi_liq:.6g} "
-          f"binding={res.binding.value if res.binding else 'fee_gate'}")
+          f"binding={res.binding.value}")
     print(f"closing trade        x={res.x_last:.6g} profit={res.pi_last:.6g} cap={res.last_binding.value}")
     print(f"total profit         {res.pi_tot:.6g}")
     print(f"post position        collateral={res.post_position.collateral:.6g} "
@@ -304,12 +302,10 @@ def _cmd_liquidate(args) -> int:
 def _cmd_attack(args) -> int:
     cfg = load_config(args.config)
     position, pool = cfg.state_at()
-    d_range = None
-    if cfg.attack.delta_min is not None or cfg.attack.delta_max is not None:
-        d_range = (cfg.attack.delta_min or 0.0, cfg.attack.delta_max or math.inf)
+    d_range = (cfg.attack.delta_min, cfg.attack.delta_max)
     out = atk.optimize_attack(position, pool, cfg.risk, delta_range=d_range,
                               convention=cfg.convention)
-    if d_range is not None and d_range[0] > out.search_hi:
+    if d_range[0] > out.search_hi:
         print(f"attack: delta range [{d_range[0]:.6g}, {d_range[1]:.6g}] lies above "
               f"the search ceiling {out.search_hi:.6g}", file=sys.stderr)
         return 3
@@ -324,7 +320,7 @@ def _cmd_attack(args) -> int:
     print(f"  buy-back cost      {_fmt(res.buyback_cost)}")
     print(f"  total profit       {_fmt(res.total_profit)}")
     print(f"  triggered={res.triggered} feasible={res.feasible} strategy={res.strategy.value}")
-    if out.delta == 0.0 and (res.total_profit or 0.0) <= 0.0:
+    if out.delta == 0.0 and res.total_profit <= 0.0:
         print("no profitable attack size found")
         return 3
     return 0
@@ -436,8 +432,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"config not found: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # A config or output file that cannot be read or written.
+        config_missing = (isinstance(exc, FileNotFoundError)
+                          and exc.filename == getattr(args, "config", None))
+        print(f"{'config not found' if config_missing else 'file error'}: {exc}", file=sys.stderr)
         return 2
 
 

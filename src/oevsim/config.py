@@ -124,8 +124,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    delta_min: float | None = None
-    delta_max: float | None = None
+    delta_min: float = 0.0
+    delta_max: float = math.inf
     fee_low: float = 0.0
     fee_high: float = 0.003
 
@@ -294,29 +294,26 @@ def parse_config(data: dict) -> ScenarioConfig:
             problems.append(f"sweep: {axis} axis values must be > 0")
         if axis == "delta" and not all(sweep_raw.get(k, 0.0) >= 0.0 for k in ("start", "stop")):
             problems.append("sweep: delta axis values must be >= 0")
-        if not problems and {"axis", "start", "stop", "steps"} <= sweep_raw.keys():
-            sweep = SweepSpec(axis, sweep_raw["start"], sweep_raw["stop"],
-                              sweep_raw["steps"], spacing)
+        missing = [k for k in ("start", "stop") if k not in sweep_raw]
+        if missing:
+            problems.append(f"sweep: missing {', '.join(missing)}")
+        if not problems:
+            sweep = SweepSpec(**sweep_raw)
 
     attack_raw = _take(
         _require_mapping(data.get("attack"), "attack", problems), "attack",
         {"delta_min": float, "delta_max": float, "fee_low": float, "fee_high": float},
         problems,
     )
-    attack = AttackSpec(
-        delta_min=attack_raw.get("delta_min"),
-        delta_max=attack_raw.get("delta_max"),
-        fee_low=attack_raw.get("fee_low", 0.0),
-        fee_high=attack_raw.get("fee_high", 0.003),
-    )
+    attack = AttackSpec(**attack_raw)
     if not 0.0 <= attack.fee_low < 1.0 or not 0.0 <= attack.fee_high < 1.0:
         problems.append("attack: fee_low/fee_high must lie in [0, 1)")
     elif attack.fee_low >= attack.fee_high:
         problems.append(f"attack: fee_low must be < fee_high, got {attack.fee_low} >= {attack.fee_high}")
     d_lo, d_hi = attack.delta_min, attack.delta_max
-    if any(d is not None and not d >= 0.0 for d in (d_lo, d_hi)):
+    if not (d_lo >= 0.0 and d_hi >= 0.0):
         problems.append("attack: delta_min/delta_max must be >= 0")
-    elif d_lo is not None and d_hi is not None and d_lo > d_hi:
+    elif d_lo > d_hi:
         problems.append(f"attack: delta_min must be <= delta_max, got {d_lo} > {d_hi}")
 
     if problems:

@@ -58,11 +58,12 @@ _GATE_EPS = 1e-12
 
 
 class Binding(Enum):
-    """Which bound terminated the marginal phase."""
+    """What ended the marginal phase, or kept it from starting."""
 
     COLLATERAL = "collateral"
     DEBT = "debt"
     CLOSING_FACTOR = "closing_factor"
+    FEE_GATE = "fee_gate"
 
 
 class LastBinding(Enum):
@@ -85,12 +86,14 @@ class LiquidationResult:
 
     pi_tot == pi_liq + pi_last exactly; bad_debt is the debt left once the
     borrower's collateral is gone (zero whenever collateral remains).
-    ``binding`` is None only when the fee gate wiped the run before any
-    bound could matter.
+    When nothing is liquidated, every size and profit is 0, the post-state
+    is the initial state, and ``binding`` says why: COLLATERAL or DEBT for
+    an empty side, CLOSING_FACTOR for a health factor above the target,
+    FEE_GATE when (1-fee)*(1+bonus) <= 1.
     """
 
     x_liq: float
-    binding: Binding | None
+    binding: Binding
     pi_liq: float
     x_last: float
     last_binding: LastBinding
@@ -180,17 +183,36 @@ def _snap(value: float, scale: float) -> float:
     return 0.0 if abs(value) <= scale else max(value, 0.0)
 
 
-def _zero_result(
+def _absorb(pool: PoolState, x: float, u: float) -> PoolState:
+    """The pool after a liquidation of size x sells its x*u net collateral into it."""
+    a = pool.reserve_collateral + x * u
+    return PoolState(a, pool.invariant() / a, pool.fee)
+
+
+def run_liquidation(
     position: LoanPosition,
     pool: PoolState,
     params: RiskParams,
     cf_target: float,
     kappa: float,
-    binding: Binding | None,
-    hf: float,
-    convention: RepayConvention,
+    convention: RepayConvention = DEFAULT_CONVENTION,
 ) -> LiquidationResult:
-    if hf > cf_target:
+    """Optimal liquidation profit L(cf_target, kappa) and full post-state.
+
+    Doing nothing is an ordinary outcome with zero profit and the state
+    unchanged, tagged by what stopped the run before it began: no
+    collateral, no debt, a shut health gate (HF > cf_target), or the fee
+    gate.  Otherwise the marginal run and, after a recovery, the closing
+    trade execute.
+    """
+    if not 0.0 < cf_target <= 1.0:
+        raise ValueError(f"cf_target must lie in (0, 1], got {cf_target}")
+    if not 0.0 < kappa <= 1.0:
+        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+
+    hf0 = health_factor(position, pool, params.haircut)
+    u = trade_multiplier(pool.fee, params.bonus)
+    if hf0 > cf_target:
         # Gate shut: the admissible interval is empty, so the recovery bound
         # reports 0 instead of solving a meaningless (and often ill-
         # conditioned) crossing above the threshold.
@@ -202,75 +224,47 @@ def _zero_result(
         )
     else:
         bounds = compute_bounds(position, pool, params, cf_target, kappa, convention)
-    bad = position.debt if position.collateral == 0.0 and position.debt > 0.0 else 0.0
-    return LiquidationResult(
-        x_liq=0.0, binding=binding, pi_liq=0.0,
-        x_last=0.0, last_binding=LastBinding.NONE, pi_last=0.0, pi_tot=0.0,
-        post_position=position, post_pool=pool, bad_debt=bad,
-        bounds=bounds, hf_initial=hf, cf_target=cf_target, kappa=kappa,
-    )
-
-
-def run_liquidation(
-    position: LoanPosition,
-    pool: PoolState,
-    params: RiskParams,
-    cf_target: float,
-    kappa: float,
-    convention: RepayConvention = DEFAULT_CONVENTION,
-) -> LiquidationResult:
-    """Optimal liquidation profit L(cf_target, kappa) and full post-state."""
-    if not 0.0 < cf_target <= 1.0:
-        raise ValueError(f"cf_target must lie in (0, 1], got {cf_target}")
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-
-    hf0 = health_factor(position, pool, params.haircut)
-    if position.collateral == 0.0:
-        return _zero_result(position, pool, params, cf_target, kappa, Binding.COLLATERAL, hf0, convention)
-    if position.debt == 0.0:
-        return _zero_result(position, pool, params, cf_target, kappa, Binding.DEBT, hf0, convention)
-    if hf0 > cf_target:
-        return _zero_result(position, pool, params, cf_target, kappa, Binding.CLOSING_FACTOR, hf0, convention)
-    u = trade_multiplier(pool.fee, params.bonus)
-    if u <= 1.0 + _GATE_EPS:
-        # Fee at or above bonus parity: every trade loses, participation is optional.
-        return _zero_result(position, pool, params, cf_target, kappa, None, hf0, convention)
-
-    bounds = compute_bounds(position, pool, params, cf_target, kappa, convention)
     x_c, x_b, x_cf = bounds.x_collateral, bounds.x_debt_full, bounds.x_closing
 
-    # Tie priority: collateral > debt > closing factor (reporting only).
-    if x_c <= x_b and x_c <= x_cf:
-        x_liq, binding = x_c, Binding.COLLATERAL
-    elif x_b <= x_cf:
-        x_liq, binding = x_b, Binding.DEBT
+    x_liq = pi_liq = x_last = pi_last = 0.0
+    last_binding = LastBinding.NONE
+    pos_bar, pool_bar = position, pool
+    if position.collateral == 0.0:
+        binding = Binding.COLLATERAL
+    elif position.debt == 0.0:
+        binding = Binding.DEBT
+    elif hf0 > cf_target:
+        binding = Binding.CLOSING_FACTOR
+    elif u <= 1.0 + _GATE_EPS:
+        # Fee at or above bonus parity: every trade loses, participation is optional.
+        binding = Binding.FEE_GATE
     else:
-        x_liq, binding = x_cf, Binding.CLOSING_FACTOR
+        # Tie priority: collateral > debt > closing factor (reporting only).
+        if x_c <= x_b and x_c <= x_cf:
+            x_liq, binding = x_c, Binding.COLLATERAL
+        elif x_b <= x_cf:
+            x_liq, binding = x_b, Binding.DEBT
+        else:
+            x_liq, binding = x_cf, Binding.CLOSING_FACTOR
 
-    pi_liq = marginal_phase_profit(pool, x_liq, params.bonus)
+        pi_liq = marginal_phase_profit(pool, x_liq, params.bonus)
+        pool_bar = _absorb(pool, x_liq, u)
+        pos_bar = LoanPosition(
+            _snap(position.collateral - x_liq * (1.0 + params.bonus), 1e-9 * position.collateral),
+            _snap(position.debt - marginal_repay_total(pool, x_liq, params.bonus, convention),
+                  1e-9 * position.debt),
+        )
 
-    a, b_res = pool.reserve_collateral, pool.reserve_debt
-    a_bar = a + x_liq * u
-    pool_bar = PoolState(a_bar, a * b_res / a_bar, pool.fee)
-    pos_bar = LoanPosition(
-        _snap(position.collateral - x_liq * (1.0 + params.bonus), 1e-9 * position.collateral),
-        _snap(position.debt - marginal_repay_total(pool, x_liq, params.bonus, convention),
-              1e-9 * position.debt),
-    )
-
-    x_last, pi_last, last_binding = 0.0, 0.0, LastBinding.NONE
-    if binding is Binding.CLOSING_FACTOR and x_cf < x_c and x_cf < x_b:
-        x_last, pi_last, last_binding = final_tranche(pool_bar, pos_bar, params, kappa, convention)
-        if x_last > 0.0:
-            pos_bar = LoanPosition(
-                _snap(pos_bar.collateral - x_last * (1.0 + params.bonus),
-                      1e-9 * max(position.collateral, 1.0)),
-                _snap(pos_bar.debt - repay_amount(pool_bar, x_last, params.bonus, convention),
-                      1e-9 * max(position.debt, 1.0)),
-            )
-            a2 = pool_bar.reserve_collateral + x_last * u
-            pool_bar = PoolState(a2, pool_bar.invariant() / a2, pool.fee)
+        if binding is Binding.CLOSING_FACTOR and x_cf < x_c and x_cf < x_b:
+            x_last, pi_last, last_binding = final_tranche(pool_bar, pos_bar, params, kappa, convention)
+            if x_last > 0.0:
+                pos_bar = LoanPosition(
+                    _snap(pos_bar.collateral - x_last * (1.0 + params.bonus),
+                          1e-9 * max(position.collateral, 1.0)),
+                    _snap(pos_bar.debt - repay_amount(pool_bar, x_last, params.bonus, convention),
+                          1e-9 * max(position.debt, 1.0)),
+                )
+                pool_bar = _absorb(pool_bar, x_last, u)
 
     bad_debt = pos_bar.debt if pos_bar.collateral == 0.0 and pos_bar.debt > 0.0 else 0.0
     return LiquidationResult(

@@ -159,8 +159,12 @@ def test_cli_exit_code_on_bad_config(tmp_path):
      "  steps: 3\nattack:\n  delta_min: .nan\n", "delta_min/delta_max must be >= 0"),
     ("attack", "mode: attack\nattack:\n  delta_min: 100.0\n  delta_max: 10.0\n",
      "delta_min must be <= delta_max"),
+    ("sweep", "sweep:\n  axis: price\n  start: 1400.0\n  steps: 3\n", "sweep: missing stop"),
+    ("liquidate", "sweep:\n  axis: price\n  stop: 2000.0\n  steps: 3\n",
+     "sweep: missing start"),
 ], ids=["fee_interval", "price_negative", "price_zero", "pool_scale_zero", "delta_negative",
-        "delta_min_negative", "delta_max_negative", "delta_min_nan", "delta_range_empty"])
+        "delta_min_negative", "delta_max_negative", "delta_min_nan", "delta_range_empty",
+        "sweep_no_stop", "sweep_no_start"])
 def test_cli_rejects_out_of_domain_config(tmp_path, capsys, command, extra, fragment):
     assert main([command, write(tmp_path, MINIMAL + extra)]) == 2
     assert fragment in capsys.readouterr().err
@@ -185,6 +189,36 @@ def test_cli_attack_range_above_search_ceiling(tmp_path, capsys):
     assert out.out == ""
     assert out.err.count("\n") == 1
     assert "delta range [1e+12, inf] lies above the search ceiling 190621" in out.err
+
+
+def test_cli_attack_zero_delta_max_searches_only_zero(tmp_path, capsys):
+    # The README pool without a fee: unclipped, the best attack is about 8.3e6.
+    cfg = """
+mode: attack
+pool: {reserve_collateral: 10000.0, reserve_debt: 2.8e+7, fee: 0.0}
+position: {debt: 32000.0, collateral: 20.12}
+risk: {haircut: 0.85, bonus: 0.05, closing_factor: 0.8, max_liq_fraction: 0.5}
+attack: {delta_max: 0.0}
+"""
+    assert main(["attack", write(tmp_path, cfg)]) == 3
+    out = capsys.readouterr().out
+    assert "best attack          delta=0\n" in out
+    assert "no profitable attack size found" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "CONFIG", "--out"], ["reproduce", "ex1", "--out"],
+    ["verify", "--instances", "1", "--grid-n", "50", "--report"],
+], ids=["sweep", "reproduce", "verify"])
+def test_cli_output_in_missing_directory(tmp_path, capsys, command):
+    target = str(tmp_path / "missing" / "out.txt")
+    cfg = write(tmp_path, MINIMAL + "sweep: {axis: price, start: 1400.0, stop: 2000.0, steps: 3}\n")
+    argv = [cfg if arg == "CONFIG" else arg for arg in command]
+    assert main([*argv, target]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert target in err and "No such file or directory" in err
+    assert "config not found" not in err
 
 
 def test_cli_fee_threshold_no_threshold_exit(tmp_path, capsys):

@@ -86,7 +86,7 @@ def test_fee_gate_returns_zero():
         pool = pool_at(1500.0, fee=fee)
         res = run_liquidation(pos, pool, STD, 1.0, 0.5)
         assert res.pi_tot == 0.0
-        assert res.binding is None
+        assert res.binding is Binding.FEE_GATE
 
 
 def test_degenerate_positions():
