@@ -43,6 +43,7 @@ from .lending import (
     BoundSet,
     ClosingBound,
     LoanPosition,
+    RecoveryRootError,
     RepayConvention,
     RiskParams,
     bound_closing,

@@ -1,12 +1,33 @@
-"""Small shared numeric helpers: golden-section maximization and bisection."""
+"""Small shared numeric helpers: golden-section maximization, bisection, and
+Python's ``min``/``max`` for floats or arrays."""
 
 from __future__ import annotations
 
 import math
 from typing import Callable
 
+import numpy as np
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def pmin(x, y):
+    """``min(x, y)`` as the builtin picks it (``y`` only where ``y < x``), for floats or arrays.
+
+    Unlike ``np.minimum`` it keeps the builtin's choice for NaN and signed
+    zeros, so a formula written with it gives the same bits on both paths.
+    """
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.where(y < x, y, x)
+    return y if y < x else x
+
+
+def pmax(x, y):
+    """``max(x, y)`` as the builtin picks it (``y`` only where ``y > x``), for floats or arrays."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.where(y > x, y, x)
+    return y if y > x else x
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:

@@ -66,12 +66,8 @@ class PoolState:
             raise ValueError(f"swap input must be >= 0, got {amount_in}")
         if amount_in == 0.0:
             return 0.0, self
-        a_eff = amount_in * (1.0 - self.fee)
-        new_a = self.reserve_collateral + a_eff
-        new_b = self.reserve_collateral * self.reserve_debt / new_a
-        # B*a_eff/new_a instead of B - new_b: same algebra, no cancellation
-        # when the swap is small relative to the reserves.
-        return self.reserve_debt * a_eff / new_a, PoolState(new_a, new_b, self.fee)
+        out, new_a, new_b = _sell(self.reserve_collateral, self.reserve_debt, self.fee, amount_in)
+        return out, PoolState(new_a, new_b, self.fee)
 
     def buy_collateral_exact(self, amount_out: float) -> tuple[float, "PoolState"]:
         """Buy exactly ``amount_out`` collateral, paying in the debt asset.
@@ -92,7 +88,41 @@ class PoolState:
             raise InsufficientReservesError(
                 f"cannot buy {amount_out} with only {self.reserve_collateral} in reserve"
             )
-        new_a = self.reserve_collateral - amount_out
-        cost = self.reserve_debt * amount_out / ((1.0 - self.fee) * new_a)
-        new_b = self.reserve_collateral * self.reserve_debt / new_a
+        cost, new_a, new_b = _buy(self.reserve_collateral, self.reserve_debt, self.fee, amount_out)
         return cost, PoolState(new_a, new_b, self.fee)
+
+
+# Number-level swap legs, shared by the PoolState methods, the engine's pool
+# update and the batch path (engine.run_liquidation_batch,
+# attack.attack_profit_batch): each takes floats or numpy arrays and keeps
+# one expression order, so every path gives the same bits.
+
+def _sell(a, b, fee, amount_in):
+    """Proceeds and reserves (A + a_eff, A*B / (A + a_eff)) of a sale, a_eff = amount*(1 - fee).
+
+    With ``fee=0`` it is the pool absorbing ``amount_in`` net collateral:
+    multiplying by 1.0 is exact.
+    """
+    a_eff = amount_in * (1.0 - fee)
+    new_a = a + a_eff
+    # B*a_eff/new_a instead of B - new_b: same algebra, no cancellation
+    # when the swap is small relative to the reserves.
+    return b * a_eff / new_a, new_a, a * b / new_a
+
+
+def _require_reserves(a, b, rows) -> None:
+    """Raise PoolState's error for the first of ``rows`` whose computed reserves are not > 0.
+
+    The batch path builds no PoolState, so it checks here what the scalar
+    path's constructor checks: a reserve that underflowed to 0 or is NaN.
+    """
+    bad = rows & ~((a > 0.0) & (b > 0.0))
+    if bad.any():
+        i = int(bad.argmax())
+        PoolState(float(a[i]), float(b[i]))
+
+
+def _buy(a, b, fee, amount_out):
+    """Cost and reserves of buying exactly ``amount_out < A`` collateral."""
+    new_a = a - amount_out
+    return b * amount_out / ((1.0 - fee) * new_a), new_a, a * b / new_a

@@ -34,8 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import golden_max
-from .amm import PoolState
-from .engine import LiquidationResult, Strategy, best_strategy
+from .amm import PoolState, _buy, _require_reserves, _sell
+from .engine import (
+    LiquidationBatch,
+    LiquidationResult,
+    Strategy,
+    best_strategy,
+    best_strategy_batch,
+)
 from .lending import (
     DEFAULT_CONVENTION,
     LoanPosition,
@@ -198,6 +204,51 @@ def attack_profit(
 
 
 @dataclass(frozen=True)
+class AttackBatch:
+    """Columns of :class:`AttackResult` fields, one row per attack.
+
+    ``total_profit`` is NaN where the buy-back reverts (``feasible`` False);
+    ``liquidation`` holds the embedded liquidation's columns.
+    """
+
+    total_profit: np.ndarray
+    feasible: np.ndarray
+    triggered: np.ndarray
+    liquidation: LiquidationBatch
+
+
+def attack_profit_batch(
+    delta, collateral, debt, reserve_collateral, reserve_debt, fee,
+    params: RiskParams,
+    convention: RepayConvention = DEFAULT_CONVENTION,
+) -> AttackBatch:
+    """:func:`attack_profit` of every row, with the same bits.
+
+    The attack sizes, positions and pools are float64 columns that
+    broadcast against each other.  The legs run as masks over the scalar
+    path's formulas, and the liquidation as one
+    :func:`~oevsim.engine.best_strategy_batch` call, whose recovery-root
+    self-checks raise as in a loop of :func:`attack_profit` calls.
+    """
+    delta = np.atleast_1d(np.asarray(delta, dtype=float))
+    if np.any(delta < 0.0):
+        raise ValueError(f"attack size must be >= 0, got {delta[delta < 0.0][0]}")
+    with np.errstate(all="ignore"):
+        proceeds, a1, b1 = _sell(reserve_collateral, reserve_debt, fee, delta)
+        sold = delta != 0.0
+        _require_reserves(a1, b1, sold)
+        liq = best_strategy_batch(collateral, debt, np.where(sold, a1, reserve_collateral),
+                                  np.where(sold, b1, reserve_debt), fee, params, convention)
+        a2 = liq.post_reserve_collateral
+        feasible = delta < a2
+        cost, a3, b3 = _buy(a2, liq.post_reserve_debt, fee, delta)
+        _require_reserves(a3, b3, sold & feasible)
+        cost = np.where(sold, cost, 0.0)
+        total = np.where(feasible, np.where(sold, proceeds, 0.0) + liq.pi_tot - cost, np.nan)
+    return AttackBatch(total, feasible, liq.hf_initial <= 1.0, liq)
+
+
+@dataclass(frozen=True)
 class OptimizeOutcome:
     """Best attack found, with the search resolution on record.
 
@@ -229,6 +280,12 @@ def optimize_attack(
     explicitly; a log-spaced coarse grid covers the rest and a golden-section
     pass refines the best bracket.  Refinement can only improve on the best
     coarse point.
+
+    The coarse grid (up to ``coarse_points + 2`` sizes) is evaluated as one
+    :func:`attack_profit_batch` call, which gives the scalar path's bits.
+    The zero-size attack, the best grid point (re-evaluated to build the
+    returned :class:`AttackResult`) and the golden-section steps are scalar
+    :func:`attack_profit` calls: one at a time, a batch would cost more.
     """
     bounds = delta_bounds(position, pool, params)
     lo = max(0.0, delta_range[0])
@@ -241,23 +298,18 @@ def optimize_attack(
     if hi <= 0.0 or hi < lo:
         return OptimizeOutcome(0.0, zero, 0, max(hi, 0.0), -math.inf)
 
-    grid: list[float] = []
-    if bounds.trigger < hi and math.isfinite(bounds.trigger):
-        grid.extend([bounds.trigger, bounds.trigger * (1.0 + 1e-9) + 1e-12])
-    g_lo = max(lo, hi * 1e-7)
-    grid.extend(float(d) for d in np.geomspace(g_lo, hi, coarse_points))
-    grid = sorted(d for d in grid if lo <= d <= hi)
-
-    evals = [(d, evaluate(d)) for d in grid]
-    feasible = [(d, r) for d, r in evals if r.feasible]
-    best_positive = max(
-        (r.total_profit for d, r in feasible if d > 0.0), default=-math.inf
-    )
+    grid = _coarse_grid(bounds, lo, hi, coarse_points)
+    coarse = attack_profit_batch(grid, position.collateral, position.debt,
+                                 pool.reserve_collateral, pool.reserve_debt, pool.fee,
+                                 params, convention)
+    feasible = [(d, p) for d, p, ok in zip(grid, coarse.total_profit.tolist(),
+                                           coarse.feasible.tolist()) if ok]
+    best_positive = max((p for d, p in feasible if d > 0.0), default=-math.inf)
     if not feasible:
         return OptimizeOutcome(0.0, zero, len(grid), hi, best_positive)
 
-    k = max(range(len(feasible)), key=lambda i: feasible[i][1].total_profit)
-    d_best, r_best = feasible[k]
+    d_best = max(feasible, key=lambda dp: dp[1])[0]
+    r_best = evaluate(d_best)
 
     # Golden refinement between the coarse neighbours of the best point.
     idx = grid.index(d_best)
@@ -276,6 +328,16 @@ def optimize_attack(
     if zero.total_profit >= r_best.total_profit:
         return OptimizeOutcome(0.0, zero, len(grid), hi, best_positive)
     return OptimizeOutcome(d_best, r_best, len(grid), hi, best_positive)
+
+
+def _coarse_grid(bounds: DeltaBounds, lo: float, hi: float, coarse_points: int) -> list[float]:
+    """Sorted attack sizes in [lo, hi]: the trigger, a point just past it, and a log grid."""
+    grid: list[float] = []
+    if bounds.trigger < hi and math.isfinite(bounds.trigger):
+        grid.extend([bounds.trigger, bounds.trigger * (1.0 + 1e-9) + 1e-12])
+    g_lo = max(lo, hi * 1e-7)
+    grid.extend(float(d) for d in np.geomspace(g_lo, hi, coarse_points))
+    return sorted(d for d in grid if lo <= d <= hi)
 
 
 @dataclass(frozen=True)
@@ -310,6 +372,9 @@ def critical_fee(
     probes guard against a non-monotone profile before any bisection
     happens.  The returned fee is the upper end of the final bracket, i.e.
     the smallest fee found with g <= 0.
+
+    Each probe is one :func:`optimize_attack` call, so its coarse grid runs
+    as one batch and only the golden-section steps run point by point.
     """
     if not 0.0 <= fee_low < fee_high < 1.0:
         raise ValueError(f"need 0 <= fee_low < fee_high < 1, got [{fee_low}, {fee_high}]")

@@ -14,7 +14,8 @@ to cap the process pool used for large sweeps (default: all cores,
 sequential for small jobs).
 
 Exit codes: 0 success, 2 config error, 3 infeasible / no threshold,
-4 verification failure.
+4 verification failure, 5 a recovery-bound root that failed its self-check
+(``lending.RecoveryRootError``; one stderr line with the state that fails).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 from . import attack as atk
 from . import oracles
 from .config import ConfigError, ScenarioConfig, load_config
-from .engine import best_strategy, run_liquidation
-from .lending import LoanPosition, RepayConvention, RiskParams
+from .engine import best_strategy, best_strategy_batch, run_liquidation_batch
+from .lending import LoanPosition, RecoveryRootError, RepayConvention, RiskParams
 from .amm import PoolState
 
 _PARALLEL_MIN_POINTS = 256
@@ -167,13 +168,13 @@ def reproduce_ex1() -> tuple[list[str], list[list]]:
     risk = _study_risk(closing_factor=0.95)
     debt = 1e4
     coll = debt * 1000.0 / (risk.haircut * 2e6) - 0.35
-    position = LoanPosition(coll, debt)
-    rows = []
-    for s in np.geomspace(0.05, 100.0, 121):
-        pool = PoolState(1000.0 * s, 2e6 * s, 0.003)
-        full = run_liquidation(position, pool, risk, risk.closing_factor, 1.0)
-        capped = run_liquidation(position, pool, risk, 1.0, risk.max_liq_fraction)
-        rows.append([float(s), full.pi_tot, capped.pi_tot])
+    s = np.geomspace(0.05, 100.0, 121)
+    # Rows 0..120 run the pair (closing_factor, 1), rows 121..241 (1, kappa).
+    res = run_liquidation_batch(coll, debt, np.tile(1000.0 * s, 2), np.tile(2e6 * s, 2), 0.003,
+                                risk, np.repeat([risk.closing_factor, 1.0], len(s)),
+                                np.repeat([1.0, risk.max_liq_fraction], len(s)))
+    pi = res.pi_tot.tolist()
+    rows = [list(row) for row in zip(s.tolist(), pi[:len(s)], pi[len(s):])]
     return ["s", "profit_cf_full", "profit_one_kappa"], rows
 
 
@@ -185,15 +186,15 @@ def reproduce_ex2() -> tuple[list[str], list[list]]:
     """
     risk = _study_risk()
     debt = 1e4
-    rows = []
-    for hf0 in (0.50, 0.90, 0.92, 0.94, 0.99):
-        for p in np.linspace(250.0, 5000.0, 191):
-            a0 = math.sqrt(2e9 / p)
-            b0 = math.sqrt(2e9 * p)
-            pool = PoolState(a0, b0, 0.0)
-            coll = hf0 * debt * a0 / (risk.haircut * b0)
-            res, _ = best_strategy(LoanPosition(coll, debt), pool, risk)
-            rows.append([hf0, float(p), res.pi_tot, res.binding.value])
+    prices = np.linspace(250.0, 5000.0, 191)
+    hf0 = np.repeat([0.50, 0.90, 0.92, 0.94, 0.99], len(prices))
+    p = np.tile(prices, 5)
+    a0 = np.sqrt(2e9 / p)
+    b0 = np.sqrt(2e9 * p)
+    coll = hf0 * debt * a0 / (risk.haircut * b0)
+    res = best_strategy_batch(coll, debt, a0, b0, 0.0, risk)
+    rows = [[h, pp, pi, binding.value] for h, pp, pi, binding
+            in zip(hf0.tolist(), p.tolist(), res.pi_tot.tolist(), res.binding)]
     return ["hf0", "p", "pi_tot", "binding"], rows
 
 
@@ -234,14 +235,15 @@ def reproduce_ex4() -> tuple[list[str], list[list]]:
     p0 = 1.05 * position.debt / (risk.haircut * position.collateral)
     pool = PoolState(math.sqrt(2e9 / p0), math.sqrt(2e9 * p0), 0.0)
     trigger = atk.delta_trigger_bound(position, pool, risk.haircut)
-    deltas = sorted(
+    deltas = np.array(sorted(
         set(np.linspace(0.0, 30000.0, 361))
         | {trigger * (1.0 - 1e-9), trigger * (1.0 + 1e-9)}
-    )
-    rows = []
-    for d in deltas:
-        res = atk.attack_profit(float(d), position, pool, risk)
-        rows.append([float(d), res.total_profit, res.liq_profit, res.triggered])
+    ))
+    res = atk.attack_profit_batch(deltas, position.collateral, position.debt,
+                                  pool.reserve_collateral, pool.reserve_debt, pool.fee, risk)
+    rows = [[d, total if ok else None, pi, trig] for d, total, ok, pi, trig in zip(
+        deltas.tolist(), res.total_profit.tolist(), res.feasible.tolist(),
+        res.liquidation.pi_tot.tolist(), res.triggered.tolist())]
     return ["delta", "total_profit", "liq_profit", "triggered"], rows
 
 
@@ -254,15 +256,19 @@ def reproduce_ex5() -> tuple[list[str], list[list]]:
     """
     risk = _study_risk()
     position = LoanPosition(20.12, 32000.0)
-    rows = []
-    for fee_bps in (0.0, 10.0, 17.0, 30.0):
-        pool = PoolState(1e4, 2.8e7, fee_bps / 1e4)
+    fee_bps, deltas = [], []
+    for bps in (0.0, 10.0, 17.0, 30.0):
+        pool = PoolState(1e4, 2.8e7, bps / 1e4)
         cap = atk.delta_baddebt_cap(position, pool, risk.bonus)
         ceiling = atk.delta_max_no_revert(pool, position.collateral)
-        hi = 0.999 * min(cap, ceiling)
-        for d in np.geomspace(1.0, hi, 301):
-            res = atk.attack_profit(float(d), position, pool, risk)
-            rows.append([fee_bps, float(d), res.total_profit, res.liq_profit, res.feasible])
+        deltas.append(np.geomspace(1.0, 0.999 * min(cap, ceiling), 301))
+        fee_bps += [bps] * 301
+    delta = np.concatenate(deltas)
+    res = atk.attack_profit_batch(delta, position.collateral, position.debt, 1e4, 2.8e7,
+                                  np.array(fee_bps) / 1e4, risk)
+    rows = [[bps, d, total if ok else None, pi, ok] for bps, d, total, ok, pi in zip(
+        fee_bps, delta.tolist(), res.total_profit.tolist(), res.feasible.tolist(),
+        res.liquidation.pi_tot.tolist())]
     return ["fee_bps", "delta", "total_profit", "liq_profit", "feasible"], rows
 
 
@@ -313,7 +319,8 @@ def _cmd_attack(args) -> int:
     res = out.result
     print(f"delta bounds         trigger={bounds.trigger:.6g} "
           f"baddebt_cap={bounds.baddebt_cap:.6g} no_revert={bounds.no_revert:.6g}")
-    print(f"search               [0, {out.search_hi:.6g}] coarse points={out.coarse_points}")
+    print(f"search               [{max(0.0, d_range[0]):.6g}, {out.search_hi:.6g}] "
+          f"coarse points={out.coarse_points}")
     print(f"best attack          delta={out.delta:.6g}")
     print(f"  front proceeds     {res.front_proceeds:.6g}")
     print(f"  liquidation profit {res.liq_profit:.6g}")
@@ -363,13 +370,18 @@ def _cmd_verify(args) -> int:
         print(f"verify: need --instances >= 1 and --grid-n >= 2, "
               f"got {args.instances} and {args.grid_n}", file=sys.stderr)
         return 2
-    records = oracles.verification_report(
-        n_instances=args.instances, seed=args.seed, grid_n=args.grid_n
-    )
-    if args.report:
-        with open(args.report, "w") as fh:
+    # Open the report before the suites run, so a bad path fails at once.
+    report = open(args.report, "w") if args.report else None
+    try:
+        records = oracles.verification_report(
+            n_instances=args.instances, seed=args.seed, grid_n=args.grid_n
+        )
+        if report is not None:
             for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                report.write(json.dumps(rec, sort_keys=True) + "\n")
+    finally:
+        if report is not None:
+            report.close()
     by_check: dict[str, list[bool]] = {}
     for rec in records:
         by_check.setdefault(rec["check"], []).append(rec["passed"])
@@ -432,6 +444,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except RecoveryRootError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 5
     except OSError as exc:
         # A config or output file that cannot be read or written.
         config_missing = (isinstance(exc, FileNotFoundError)

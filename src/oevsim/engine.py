@@ -36,13 +36,24 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .amm import PoolState
+import numpy as np
+
+from ._numerics import pmax
+from .amm import PoolState, _require_reserves, _sell
 from .lending import (
     DEFAULT_CONVENTION,
     BoundSet,
     LoanPosition,
     RepayConvention,
     RiskParams,
+    _debt_cap,
+    _hf,
+    _kappa_cap,
+    _repay,
+    _repay_total,
+    _traj_factor,
+    _x_collateral,
+    bound_closing_batch,
     bound_collateral,
     bound_debt,
     compute_bounds,
@@ -114,9 +125,8 @@ def single_shot_profit(pool: PoolState, x: float, bonus: float) -> float:
     Sell proceeds of the x*(1+bonus) collateral minus the spot-priced
     repayment B*x/A:  B*x*u/(A + x*u) - B*x/A.
     """
-    a, b_res = pool.reserve_collateral, pool.reserve_debt
-    u = trade_multiplier(pool.fee, bonus)
-    return b_res * x * u / (a + x * u) - b_res * x / a
+    return _shot_profit(pool.reserve_collateral, pool.reserve_debt,
+                        trade_multiplier(pool.fee, bonus), x)
 
 
 def marginal_phase_profit(pool: PoolState, x_liq: float, bonus: float) -> float:
@@ -127,9 +137,8 @@ def marginal_phase_profit(pool: PoolState, x_liq: float, bonus: float) -> float:
     """
     if x_liq < 0.0:
         raise ValueError(f"x_liq must be >= 0, got {x_liq}")
-    a, b_res = pool.reserve_collateral, pool.reserve_debt
-    u = trade_multiplier(pool.fee, bonus)
-    return b_res * (u - 1.0) * x_liq / (a + x_liq * u)
+    return _run_profit(pool.reserve_collateral, pool.reserve_debt,
+                       trade_multiplier(pool.fee, bonus), x_liq)
 
 
 def interior_maximum(pool: PoolState, bonus: float) -> float:
@@ -141,7 +150,7 @@ def interior_maximum(pool: PoolState, bonus: float) -> float:
     u = trade_multiplier(pool.fee, bonus)
     if u <= 1.0:
         return 0.0
-    return pool.reserve_collateral * (math.sqrt(u) - 1.0) / u
+    return _interior(pool.reserve_collateral, u, math.sqrt)
 
 
 def final_tranche(
@@ -174,19 +183,43 @@ def final_tranche(
     return x_last, single_shot_profit(pool_bar, x_last, params.bonus), tag
 
 
-def _snap(value: float, scale: float) -> float:
+# Number-level formulas, shared with run_liquidation_batch: each takes floats
+# or numpy arrays and keeps one expression order, so both give the same bits.
+
+def _shot_profit(a, b_res, u, x):
+    return b_res * x * u / (a + x * u) - b_res * x / a
+
+
+def _run_profit(a, b_res, u, x_liq):
+    return b_res * (u - 1.0) * x_liq / (a + x_liq * u)
+
+
+def _interior(a, u, sqrt):
+    # sqrt is math.sqrt or np.sqrt: both are correctly rounded.
+    return a * (sqrt(u) - 1.0) / u
+
+
+def _snap(value, scale):
     """``value`` clamped at 0, with exact boundary hits (within ``scale``) snapped to 0.
 
     Downstream code can then compare remaining collateral and debt against 0
     without tolerance gymnastics.
     """
+    if isinstance(value, np.ndarray):
+        return np.where(abs(value) <= scale, 0.0, pmax(value, 0.0))
     return 0.0 if abs(value) <= scale else max(value, 0.0)
 
 
-def _absorb(pool: PoolState, x: float, u: float) -> PoolState:
-    """The pool after a liquidation of size x sells its x*u net collateral into it."""
-    a = pool.reserve_collateral + x * u
-    return PoolState(a, pool.invariant() / a, pool.fee)
+def _liquidate(a, b_res, c, b, x, u, repaid, bonus, c_ref, b_ref):
+    """Collateral, debt and reserves after a liquidation of size x that repays ``repaid``.
+
+    The pool absorbs the x*u net collateral sold (the fee is inside u);
+    the remaining collateral and debt snap to 0 within 1e-9 of ``c_ref``
+    and ``b_ref``.
+    """
+    _, a_new, b_res_new = _sell(a, b_res, 0.0, x * u)
+    return (_snap(c - x * (1.0 + bonus), 1e-9 * c_ref), _snap(b - repaid, 1e-9 * b_ref),
+            a_new, b_res_new)
 
 
 def run_liquidation(
@@ -247,24 +280,23 @@ def run_liquidation(
         else:
             x_liq, binding = x_cf, Binding.CLOSING_FACTOR
 
+        c, b = position.collateral, position.debt
         pi_liq = marginal_phase_profit(pool, x_liq, params.bonus)
-        pool_bar = _absorb(pool, x_liq, u)
-        pos_bar = LoanPosition(
-            _snap(position.collateral - x_liq * (1.0 + params.bonus), 1e-9 * position.collateral),
-            _snap(position.debt - marginal_repay_total(pool, x_liq, params.bonus, convention),
-                  1e-9 * position.debt),
-        )
+        c_bar, b_bar, a_bar, b_res_bar = _liquidate(
+            pool.reserve_collateral, pool.reserve_debt, c, b, x_liq, u,
+            marginal_repay_total(pool, x_liq, params.bonus, convention), params.bonus, c, b)
+        pool_bar = PoolState(a_bar, b_res_bar, pool.fee)
+        pos_bar = LoanPosition(c_bar, b_bar)
 
         if binding is Binding.CLOSING_FACTOR and x_cf < x_c and x_cf < x_b:
             x_last, pi_last, last_binding = final_tranche(pool_bar, pos_bar, params, kappa, convention)
             if x_last > 0.0:
-                pos_bar = LoanPosition(
-                    _snap(pos_bar.collateral - x_last * (1.0 + params.bonus),
-                          1e-9 * max(position.collateral, 1.0)),
-                    _snap(pos_bar.debt - repay_amount(pool_bar, x_last, params.bonus, convention),
-                          1e-9 * max(position.debt, 1.0)),
-                )
-                pool_bar = _absorb(pool_bar, x_last, u)
+                c_bar, b_bar, a_bar, b_res_bar = _liquidate(
+                    a_bar, b_res_bar, c_bar, b_bar, x_last, u,
+                    repay_amount(pool_bar, x_last, params.bonus, convention), params.bonus,
+                    max(c, 1.0), max(b, 1.0))
+                pos_bar = LoanPosition(c_bar, b_bar)
+                pool_bar = PoolState(a_bar, b_res_bar, pool.fee)
 
     bad_debt = pos_bar.debt if pos_bar.collateral == 0.0 and pos_bar.debt > 0.0 else 0.0
     return LiquidationResult(
@@ -288,3 +320,119 @@ def best_strategy(
     if full.pi_tot >= capped.pi_tot:
         return full, Strategy.CF_FULL
     return capped, Strategy.ONE_KAPPA
+
+
+# The batch path: run_liquidation and best_strategy over float64 columns.
+
+_BINDINGS = np.array(list(Binding), dtype=object)
+_COLLATERAL, _DEBT, _CLOSING_FACTOR, _FEE_GATE = range(4)
+
+
+@dataclass(frozen=True)
+class LiquidationBatch:
+    """Columns of :class:`LiquidationResult` fields, one row per state.
+
+    ``binding`` holds :class:`Binding` members; the post-pool reserves keep
+    each row's fee.
+    """
+
+    pi_tot: np.ndarray
+    binding: np.ndarray
+    hf_initial: np.ndarray
+    post_reserve_collateral: np.ndarray
+    post_reserve_debt: np.ndarray
+
+
+def _columns(*values) -> list[np.ndarray]:
+    """Float64 arrays of one 1-D shape, broadcast from floats and arrays."""
+    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in values))
+
+
+def run_liquidation_batch(
+    collateral, debt, reserve_collateral, reserve_debt, fee,
+    params: RiskParams, cf_target, kappa,
+    convention: RepayConvention = DEFAULT_CONVENTION,
+) -> LiquidationBatch:
+    """:func:`run_liquidation` of every row, with the same bits.
+
+    The position, pool and threshold columns broadcast against each other.
+    Branches are masks over the scalar path's formulas.  A recovery bound
+    the masks cannot settle is solved by the scalar ``bound_closing`` (see
+    :func:`~oevsim.lending.bound_closing_batch`), so its self-check raises
+    here as in a loop of :func:`run_liquidation` calls.
+    """
+    c, b, a, b_res, fee, cf, kappa = _columns(collateral, debt, reserve_collateral, reserve_debt,
+                                              fee, cf_target, kappa)
+    for name, col in (("cf_target", cf), ("kappa", kappa)):
+        bad = ~((0.0 < col) & (col <= 1.0))
+        if bad.any():
+            raise ValueError(f"{name} must lie in (0, 1], got {col[bad][0]}")
+    bonus = params.bonus
+    with np.errstate(all="ignore"):
+        hf0 = np.where(b == 0.0, math.inf, _hf(params.haircut, a, b_res, c, b))
+        u = trade_multiplier(fee, bonus)
+        m = _traj_factor(fee, convention)
+        x_c = _x_collateral(c, bonus)
+        x_b = _debt_cap(b, a, b_res, u, m)
+        shut = hf0 > cf
+        x_cf = np.zeros_like(hf0)
+        solve = ~shut
+        x_cf[solve] = bound_closing_batch(
+            c[solve], b[solve], a[solve], b_res[solve], fee[solve], params.haircut, bonus,
+            cf[solve], convention)
+
+        gate = u <= 1.0 + _GATE_EPS
+        idle = (c == 0.0) | (b == 0.0) | shut | gate
+        by_c = (x_c <= x_b) & (x_c <= x_cf)
+        by_b = ~by_c & (x_b <= x_cf)
+        binding = np.select(
+            [c == 0.0, b == 0.0, shut, gate, by_c, by_b],
+            [_COLLATERAL, _DEBT, _CLOSING_FACTOR, _FEE_GATE, _COLLATERAL, _DEBT], _CLOSING_FACTOR)
+        x_liq = np.where(idle, 0.0, np.where(by_c, x_c, np.where(by_b, x_b, x_cf)))
+        pi_liq = np.where(idle, 0.0, _run_profit(a, b_res, u, x_liq))
+        c_bar, b_bar, a_bar, b_res_bar = _liquidate(
+            a, b_res, c, b, x_liq, u, _repay_total(a, b_res, x_liq, u, m), bonus, c, b)
+        _require_reserves(a_bar, b_res_bar, ~idle)
+
+        # final_tranche on the rows whose run stopped at the recovery bound.
+        tranche = ~idle & (binding == _CLOSING_FACTOR) & (x_cf < x_c) & (x_cf < x_b)
+        x_rem = _x_collateral(c_bar, bonus)
+        x_kb = _kappa_cap(kappa * b_bar, a_bar, b_res_bar, fee, bonus, convention)
+        x_opt = _interior(a_bar, u, np.sqrt)
+        x_last = np.where((x_rem <= x_kb) & (x_rem <= x_opt), x_rem,
+                          np.where(x_kb <= x_opt, x_kb, x_opt))
+        pi_last = np.where(tranche & ~(x_last <= 0.0),
+                           _shot_profit(a_bar, b_res_bar, u, x_last), 0.0)
+        _, _, a_fin, b_res_fin = _liquidate(
+            a_bar, b_res_bar, c_bar, b_bar, x_last, u,
+            _repay(a_bar, b_res_bar, fee, x_last, bonus, convention), bonus,
+            pmax(c, 1.0), pmax(b, 1.0))
+        trade = tranche & (x_last > 0.0)
+        _require_reserves(a_fin, b_res_fin, trade)
+        return LiquidationBatch(
+            pi_tot=pi_liq + pi_last,
+            binding=_BINDINGS[binding],
+            hf_initial=hf0,
+            post_reserve_collateral=np.where(trade, a_fin, np.where(idle, a, a_bar)),
+            post_reserve_debt=np.where(trade, b_res_fin, np.where(idle, b_res, b_res_bar)),
+        )
+
+
+def best_strategy_batch(
+    collateral, debt, reserve_collateral, reserve_debt, fee,
+    params: RiskParams,
+    convention: RepayConvention = DEFAULT_CONVENTION,
+) -> LiquidationBatch:
+    """:func:`best_strategy` of every row, with the same bits.
+
+    Both threshold pairs run in one :func:`run_liquidation_batch` call of
+    twice the rows; ties go to the first pair.
+    """
+    cols = _columns(collateral, debt, reserve_collateral, reserve_debt, fee)
+    n = len(cols[0])
+    both = run_liquidation_batch(
+        *(np.concatenate([v, v]) for v in cols), params,
+        np.repeat([params.closing_factor, 1.0], n), np.repeat([1.0, params.max_liq_fraction], n),
+        convention)
+    first = both.pi_tot[:n] >= both.pi_tot[n:]
+    return LiquidationBatch(*(np.where(first, col[:n], col[n:]) for col in vars(both).values()))

@@ -35,10 +35,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
+from ._numerics import pmax, pmin
 from .amm import PoolState
 
 # Tolerance for the root self-check in bound_closing.
 _ROOT_CHECK_TOL = 1e-9
+# Share of the debt left below which a recovery root is the exhaustion point.
+_EXHAUSTED = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,16 +129,15 @@ def health_factor(position: LoanPosition, pool: PoolState, haircut: float) -> fl
     """haircut * B * c / (A * b); +inf for a debt-free position."""
     if position.debt == 0.0:
         return math.inf
-    return haircut * pool.reserve_debt * position.collateral / (
-        pool.reserve_collateral * position.debt
-    )
+    return _hf(haircut, pool.reserve_collateral, pool.reserve_debt,
+               position.collateral, position.debt)
 
 
 def bound_collateral(position: LoanPosition, bonus: float) -> float:
     """Largest liquidation the collateral can pay for: c / (1 + bonus)."""
     if bonus < 0.0:
         raise ValueError(f"bonus must be >= 0, got {bonus}")
-    return position.collateral / (1.0 + bonus)
+    return _x_collateral(position.collateral, bonus)
 
 
 def repay_amount(
@@ -145,9 +149,7 @@ def repay_amount(
     """Debt write-down beta(x) of one transaction of size x from this pool state."""
     if x == 0.0:
         return 0.0
-    if convention is RepayConvention.SPOT_PRICE:
-        return pool.reserve_debt * x / pool.reserve_collateral
-    return marginal_repay_total(pool, x, bonus, convention)
+    return _repay(pool.reserve_collateral, pool.reserve_debt, pool.fee, x, bonus, convention)
 
 
 def marginal_repay_total(
@@ -162,23 +164,8 @@ def marginal_repay_total(
     step sizes do not matter in the limit.  Under EXECUTION_VALUE and
     EXECUTION_PER_BONUS it is also the write-down of a single transaction.
     """
-    a, b_res = pool.reserve_collateral, pool.reserve_debt
-    u = trade_multiplier(pool.fee, bonus)
-    m = _traj_factor(pool.fee, convention)
-    return m * b_res * x / (a + x * u)
-
-
-def _debt_cap(debt: float, pool: PoolState, bonus: float, m: float) -> float:
-    """Solve m*B*x/(A + x*u) = debt: debt*A / (m*B - debt*u).
-
-    +inf when the denominator is not positive (the pool lacks the debt-asset
-    depth to ever absorb that repayment, so the cap never binds); 0 for zero
-    debt.
-    """
-    den = m * pool.reserve_debt - debt * trade_multiplier(pool.fee, bonus)
-    if den <= 0.0:
-        return math.inf
-    return debt * pool.reserve_collateral / den
+    return _repay_total(pool.reserve_collateral, pool.reserve_debt, x,
+                        trade_multiplier(pool.fee, bonus), _traj_factor(pool.fee, convention))
 
 
 def bound_debt(
@@ -195,10 +182,8 @@ def bound_debt(
     """
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    kb = kappa * position.debt
-    if convention is RepayConvention.SPOT_PRICE:
-        return kb * pool.reserve_collateral / pool.reserve_debt
-    return _debt_cap(kb, pool, bonus, _traj_factor(pool.fee, convention))
+    return _kappa_cap(kappa * position.debt, pool.reserve_collateral, pool.reserve_debt,
+                      pool.fee, bonus, convention)
 
 
 def debt_exhaustion_bound(
@@ -212,7 +197,8 @@ def debt_exhaustion_bound(
     Solves m*B*x/(A + x*u) = b with :func:`_debt_cap`; +inf when the pool
     lacks the debt-asset depth to ever absorb full repayment.
     """
-    return _debt_cap(position.debt, pool, bonus, _traj_factor(pool.fee, convention))
+    return _debt_cap(position.debt, pool.reserve_collateral, pool.reserve_debt,
+                     trade_multiplier(pool.fee, bonus), _traj_factor(pool.fee, convention))
 
 
 def hf_after_marginal(
@@ -231,11 +217,134 @@ def hf_after_marginal(
     """
     a, b_res = pool.reserve_collateral, pool.reserve_debt
     u = trade_multiplier(pool.fee, bonus)
-    remaining = position.debt - marginal_repay_total(pool, x, bonus, convention)
+    remaining = position.debt - _repay_total(a, b_res, x, u, _traj_factor(pool.fee, convention))
     if remaining == 0.0:
         return math.inf
+    return _hf_after(a, b_res, position.collateral, haircut, bonus, x, u, remaining)
+
+
+# ---------------------------------------------------------------------------
+# Number-level formulas.  Each takes floats or numpy arrays, so the scalar
+# functions and the batch path (bound_closing_batch, engine.run_liquidation_batch)
+# share one copy and one expression order, hence the same bits; only the
+# branch selection is written twice, as ``if`` and as masks.
+# ---------------------------------------------------------------------------
+
+def _hf(haircut, a, b_res, c, b):
+    return haircut * b_res * c / (a * b)
+
+
+def _x_collateral(c, bonus):
+    return c / (1.0 + bonus)
+
+
+def _repay_total(a, b_res, x, u, m):
+    return m * b_res * x / (a + x * u)
+
+
+def _repay(a, b_res, fee, x, bonus, convention):
+    """beta(x) of one transaction: B*x/A under SPOT_PRICE, else the trajectory total."""
+    if convention is RepayConvention.SPOT_PRICE:
+        return b_res * x / a
+    return _repay_total(a, b_res, x, trade_multiplier(fee, bonus), _traj_factor(fee, convention))
+
+
+def _debt_cap(debt, a, b_res, u, m):
+    """Solve m*B*x/(A + x*u) = debt: debt*A / (m*B - debt*u).
+
+    +inf when the denominator is not positive (the pool lacks the debt-asset
+    depth to ever absorb that repayment, so the cap never binds); 0 for zero
+    debt.
+    """
+    den = m * b_res - debt * u
+    if isinstance(den, np.ndarray):
+        return np.where(den <= 0.0, math.inf, debt * a / den)
+    if den <= 0.0:
+        return math.inf
+    return debt * a / den
+
+
+def _kappa_cap(kb, a, b_res, fee, bonus, convention):
+    """Largest single x with beta(x) <= kb: kb*A/B under SPOT_PRICE, else the debt cap of kb."""
+    if convention is RepayConvention.SPOT_PRICE:
+        return kb * a / b_res
+    return _debt_cap(kb, a, b_res, trade_multiplier(fee, bonus), _traj_factor(fee, convention))
+
+
+def _hf_after(a, b_res, c, haircut, bonus, x, u, remaining):
+    """Health factor after a marginal run of size x that leaves ``remaining`` debt.
+
+    ``(A + x*u) ** 2`` is libm ``pow`` on a float and ``x*x`` on an array;
+    the two can differ in the last bit, which the batch's residual margin
+    absorbs (see bound_closing_batch).
+    """
     price = b_res * a / (a + x * u) ** 2
-    return haircut * (position.collateral - x * (1.0 + bonus)) * price / remaining
+    return haircut * (c - x * (1.0 + bonus)) * price / remaining
+
+
+def _closing_quadratic(a, b_res, c, b, u, m, haircut, bonus, cf):
+    """(lead, linear, offset) of the recovery equation (lead*x - linear)*x - offset = 0."""
+    linear = cf * (2.0 * a * b * u - m * b_res * a) + haircut * b_res * a * (1.0 + bonus)
+    curvature = m * b_res * u - b * u * u
+    offset = cf * b * a * a - haircut * b_res * a * c
+    return cf * curvature, linear, offset
+
+
+def _poly(quad, x):
+    lead, linear, offset = quad
+    return (lead * x - linear) * x - offset
+
+
+def _poly_slope(quad, x):
+    return 2.0 * quad[0] * x - quad[1]
+
+
+def _discriminant(quad):
+    lead, linear, offset = quad
+    return linear * linear + 4.0 * lead * offset
+
+
+def _citardauq(linear, sq, copysign):
+    """q of the Citardauq split: the roots q/lead and -offset/q stay accurate."""
+    return -0.5 * (-linear + copysign(sq, -linear))
+
+
+def _root_floor(a, u, x_c):
+    """Roots in [-floor, 0) are rounding noise around 0 and count as 0."""
+    return 1e-12 * pmin(a / pmax(u, 1e-300), x_c)
+
+
+def _poly_check(quad, root):
+    """(residual, limit) of the polynomial self-check at a debt-exhaustion root."""
+    scale = abs(_poly(quad, 0.0)) + abs(_poly(quad, 2.0 * root + 1.0)) + 1.0
+    return abs(_poly(quad, root)), 1e-7 * scale
+
+
+def _hf_tol(cf):
+    """Tolerance of the health-factor self-check."""
+    return _ROOT_CHECK_TOL * pmax(1.0, cf)
+
+
+class RecoveryRootError(ArithmeticError):
+    """A recovery-bound root failed its self-check (see :func:`bound_closing`).
+
+    Carries what reproduces the failure: the position, the pool, the
+    threshold ``cf_target`` and the convention, with the ``residual`` that
+    failed: of the health-factor equation, or of the quadratic when the
+    root sits at debt exhaustion (``check`` names which).
+    """
+
+    def __init__(self, check: str, position: LoanPosition, pool: PoolState,
+                 cf_target: float, convention: RepayConvention, residual: float):
+        # All fields in args, so the error pickles (process-pool workers).
+        super().__init__(check, position, pool, cf_target, convention, residual)
+        self.check, self.position, self.pool = check, position, pool
+        self.cf_target, self.convention, self.residual = cf_target, convention, residual
+
+    def __str__(self) -> str:
+        return (f"recovery-bound root failed its {self.check}: residual={self.residual!r} "
+                f"cf_target={self.cf_target!r} convention={self.convention.value} "
+                f"{self.position} {self.pool}")
 
 
 @dataclass(frozen=True)
@@ -270,77 +379,59 @@ def bound_closing(
           offset    = cf*b*A**2 - haircut*B*A*c,
           u = (1-fee)*(1+bonus),  m the convention's trajectory factor.
 
-    Among the real roots the smallest non-negative one that is an actual
-    crossing inside [0, min(collateral bound, debt-exhaustion bound)] is
-    preferred; if no root falls in that range the smallest non-negative
-    root is reported as-is (it cannot bind then).  Roots down to
+    The smallest non-negative real root is returned; when it lies above
+    min(collateral bound, debt-exhaustion bound) it cannot bind.  Roots down to
     -1e-12*min(A/u, collateral bound) are rounding noise around 0 and count
     as 0; scaling that tolerance to the position, not only to the pool,
     keeps a tiny position in a deep pool from taking a truly negative root
     for 0.  The returned root is polished by two Newton steps and verified
-    against the defining equation to 1e-9.
+    against the defining equation to 1e-9; a root that fails raises
+    :class:`RecoveryRootError`.
     """
     a, b_res = pool.reserve_collateral, pool.reserve_debt
-    c = position.collateral
     b = position.debt
     if b <= 0.0:
         return ClosingBound(math.inf, "none")
     u = trade_multiplier(pool.fee, bonus)
     m = _traj_factor(pool.fee, convention)
-    cf = cf_target
+    quad = _closing_quadratic(a, b_res, position.collateral, b, u, m, haircut, bonus, cf_target)
+    lead, linear, offset = quad
 
-    linear = cf * (2.0 * a * b * u - m * b_res * a) + haircut * b_res * a * (1.0 + bonus)
-    curvature = m * b_res * u - b * u * u
-    offset = cf * b * a * a - haircut * b_res * a * c
-
-    lead = cf * curvature
     roots: list[float]
     if lead == 0.0:
         branch = "linear"
         roots = [-offset / linear] if linear != 0.0 else []
     else:
         branch = "quadratic"
-        disc = linear * linear + 4.0 * lead * offset
+        disc = _discriminant(quad)
         if disc < 0.0:
             return ClosingBound(math.inf, "none")
-        # Citardauq split keeps both roots accurate when linear dominates.
-        sq = math.sqrt(disc)
-        q = -0.5 * (-linear + math.copysign(sq, -linear))
+        q = _citardauq(linear, math.sqrt(disc), math.copysign)
         roots = [q / lead]
         if q != 0.0:
             roots.append(-offset / q)
 
-    def poly(x: float) -> float:
-        return (lead * x - linear) * x - offset
-
-    def poly_deriv(x: float) -> float:
-        return 2.0 * lead * x - linear
-
-    x_c = bound_collateral(position, bonus)
-    tol = 1e-12 * min(a / max(u, 1e-300), x_c)
-    candidates = sorted(max(r, 0.0) for r in roots if math.isfinite(r) and r >= -tol)
-    if not candidates:
+    floor = _root_floor(a, u, bound_collateral(position, bonus))
+    root = min((max(r, 0.0) for r in roots if math.isfinite(r) and r >= -floor), default=math.inf)
+    if root == math.inf:
         return ClosingBound(math.inf, "none")
 
-    in_range_cap = min(x_c, debt_exhaustion_bound(position, pool, bonus, convention))
-    in_range = [r for r in candidates if r <= in_range_cap * (1.0 + 1e-12)]
-    root = in_range[0] if in_range else candidates[0]
-
     for _ in range(2):  # Newton polish against float cancellation
-        d = poly_deriv(root)
+        d = _poly_slope(quad, root)
         if d == 0.0:
             break
-        step = poly(root) / d
+        step = _poly(quad, root) / d
         if not math.isfinite(step):
             break
         root -= step
     root = max(root, 0.0)
 
-    root = _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, convention, root, poly)
+    root = _refine_and_verify_closing_root(position, pool, haircut, bonus, cf_target, convention,
+                                           root, quad)
     return ClosingBound(root, branch)
 
 
-def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, convention, root, poly):
+def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, convention, root, quad):
     """Defining-property self-check: the returned root must satisfy HF == cf.
 
     The polynomial's coefficients can lose digits in extreme states, so
@@ -349,15 +440,16 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, conventi
     sign change brackets must meet the tolerance as it is.
     """
     remaining = position.debt - marginal_repay_total(pool, root, bonus, convention)
-    if remaining <= 1e-12 * position.debt:
+    if remaining <= _EXHAUSTED * position.debt:
         # Root sits at (or beyond) debt exhaustion where HF is singular; fall
         # back to the polynomial residual at a matching scale.
-        scale = abs(poly(0.0)) + abs(poly(2.0 * root + 1.0)) + 1.0
-        if abs(poly(root)) > 1e-7 * scale:
-            raise ArithmeticError("recovery-bound root failed its polynomial self-check")
+        residual, limit = _poly_check(quad, root)
+        if residual > limit:
+            raise RecoveryRootError("polynomial self-check", position, pool, cf, convention,
+                                    residual)
         return root
 
-    tol = _ROOT_CHECK_TOL * max(1.0, cf)
+    tol = _hf_tol(cf)
 
     def gap(x: float) -> float:
         return hf_after_marginal(position, pool, haircut, bonus, x, convention) - cf
@@ -384,10 +476,61 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, conventi
                 return 0.5 * (lo + hi)
             width *= 8.0
     if abs(res) > tol:
-        raise ArithmeticError(
-            f"recovery-bound root failed its self-check: residual={res!r} target={cf!r}"
-        )
+        raise RecoveryRootError("self-check", position, pool, cf, convention, res)
     return root
+
+
+def bound_closing_batch(c, b, a, b_res, fee, haircut, bonus, cf, convention):
+    """``bound_closing(...).x`` of every row, as one float64 array.
+
+    ``c, b, a, b_res, fee, cf`` are the rows' position, pool and target, all
+    arrays of one shape.  The quadratic, the root choice and the Newton
+    polish run as masks over the scalar path's formulas.  A row the batch
+    cannot settle is handed to :func:`bound_closing` itself, whose
+    self-checks then run and may raise: the linear branch, a debt that is
+    not positive, a debt-exhaustion root that fails the polynomial check,
+    and a health-factor residual above a quarter of the scalar tolerance.
+    Below that margin the scalar path accepts the root unrefined too: its
+    residual can differ only in the last bit, because it squares with libm
+    ``pow`` where numpy multiplies.
+    """
+    with np.errstate(all="ignore"):
+        u = trade_multiplier(fee, bonus)
+        m = _traj_factor(fee, convention)
+        quad = _closing_quadratic(a, b_res, c, b, u, m, haircut, bonus, cf)
+        lead, linear, offset = quad
+        disc = _discriminant(quad)
+        q = _citardauq(linear, np.sqrt(disc), np.copysign)
+        r1 = q / lead
+        r2 = np.where(q != 0.0, -offset / q, np.nan)
+        floor = _root_floor(a, u, _x_collateral(c, bonus))
+        ok1 = np.isfinite(r1) & (r1 >= -floor)
+        ok2 = np.isfinite(r2) & (r2 >= -floor)
+        r1, r2 = pmax(r1, 0.0), pmax(r2, 0.0)
+        # min() of the candidates: r2 only where it is one and smaller.
+        root = np.where(ok2 & (~ok1 | (r2 < r1)), r2, r1)
+        found = (lead != 0.0) & ~(disc < 0.0) & (ok1 | ok2)
+
+        polish = found.copy()
+        for _ in range(2):
+            d = _poly_slope(quad, root)
+            step = _poly(quad, root) / d
+            polish &= (d != 0.0) & np.isfinite(step)
+            root = np.where(polish, root - step, root)
+        root = pmax(root, 0.0)
+
+        remaining = b - _repay_total(a, b_res, root, u, m)
+        residual, limit = _poly_check(quad, root)
+        gap = _hf_after(a, b_res, c, haircut, bonus, root, u, remaining) - cf
+        settled = np.where(remaining <= _EXHAUSTED * b, ~(residual > limit),
+                           abs(gap) <= 0.25 * _hf_tol(cf))
+        x = np.where(found, root, math.inf)
+        fallback = (b <= 0.0) | (lead == 0.0) | (found & ~settled)
+    for i in np.flatnonzero(fallback).tolist():
+        position = LoanPosition(float(c[i]), float(b[i]))
+        pool = PoolState(float(a[i]), float(b_res[i]), float(fee[i]))
+        x[i] = bound_closing(position, pool, haircut, bonus, float(cf[i]), convention).x
+    return x
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,49 @@ attack: {delta_max: 0.0}
     assert "no profitable attack size found" in out
 
 
+def test_cli_attack_search_line_starts_at_delta_min(tmp_path, capsys):
+    cfg = """
+mode: attack
+pool: {reserve_collateral: 10000.0, reserve_debt: 2.8e+7, fee: 0.0}
+position: {debt: 32000.0, collateral: 20.12}
+risk: {haircut: 0.85, bonus: 0.05, closing_factor: 0.8, max_liq_fraction: 0.5}
+attack: {delta_min: 5000.0}
+"""
+    assert main(["attack", write(tmp_path, cfg)]) == 0
+    assert "search               [5000, 8.32333e+06] coarse points=512\n" in capsys.readouterr().out
+
+
+def test_cli_attack_recovery_root_error_exits_5(tmp_path, capsys):
+    # The cause-B state of test_attack.py's strict xfail: the golden-section
+    # search meets a recovery root that fails its self-check.
+    cfg = """
+mode: attack
+pool: {reserve_collateral: 48.579849532452165, reserve_debt: 2.506480705390799, fee: 1.0e-4}
+position: {collateral: 0.009783424003038013, debt: 0.0001522178433067494}
+risk: {haircut: 0.5521458022613934, bonus: 0.01, closing_factor: 0.8520760834790868,
+       max_liq_fraction: 0.4688723566652169}
+"""
+    assert main(["attack", write(tmp_path, cfg)]) == 5
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err
+    assert out.err.startswith("attack: recovery-bound root failed its self-check: residual=")
+    assert "LoanPosition(collateral=0.009783424003038013" in out.err
+
+
+def test_cli_verify_report_path_checked_before_the_suites(tmp_path, capsys, monkeypatch):
+    from oevsim import oracles
+
+    def not_called(**kwargs):
+        raise AssertionError("verification_report ran before the report path was checked")
+
+    monkeypatch.setattr(oracles, "verification_report", not_called)
+    target = str(tmp_path / "missing" / "r.jsonl")
+    assert main(["verify", "--instances", "1", "--report", target]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and target in err
+
+
 @pytest.mark.parametrize("command", [
     ["sweep", "CONFIG", "--out"], ["reproduce", "ex1", "--out"],
     ["verify", "--instances", "1", "--grid-n", "50", "--report"],
