@@ -207,10 +207,13 @@ def attack_profit(
 class AttackBatch:
     """Columns of :class:`AttackResult` fields, one row per attack.
 
-    ``total_profit`` is NaN where the buy-back reverts (``feasible`` False);
-    ``liquidation`` holds the embedded liquidation's columns.
+    ``buyback_cost`` and ``total_profit`` are NaN where the buy-back reverts
+    (``feasible`` False); ``liquidation`` holds the embedded liquidation's
+    columns.
     """
 
+    front_proceeds: np.ndarray
+    buyback_cost: np.ndarray
     total_profit: np.ndarray
     feasible: np.ndarray
     triggered: np.ndarray
@@ -237,15 +240,15 @@ def attack_profit_batch(
         proceeds, a1, b1 = _sell(reserve_collateral, reserve_debt, fee, delta)
         sold = delta != 0.0
         _require_reserves(a1, b1, sold)
-        liq = best_strategy_batch(collateral, debt, np.where(sold, a1, reserve_collateral),
-                                  np.where(sold, b1, reserve_debt), fee, params, convention)
+        liq, _ = best_strategy_batch(collateral, debt, np.where(sold, a1, reserve_collateral),
+                                     np.where(sold, b1, reserve_debt), fee, params, convention)
         a2 = liq.post_reserve_collateral
         feasible = delta < a2
         cost, a3, b3 = _buy(a2, liq.post_reserve_debt, fee, delta)
         _require_reserves(a3, b3, sold & feasible)
-        cost = np.where(sold, cost, 0.0)
-        total = np.where(feasible, np.where(sold, proceeds, 0.0) + liq.pi_tot - cost, np.nan)
-    return AttackBatch(total, feasible, liq.hf_initial <= 1.0, liq)
+        front = np.where(sold, proceeds, 0.0)
+        cost = np.where(feasible, np.where(sold, cost, 0.0), np.nan)
+    return AttackBatch(front, cost, front + liq.pi_tot - cost, feasible, liq.hf_initial <= 1.0, liq)
 
 
 @dataclass(frozen=True)
@@ -279,7 +282,9 @@ def optimize_attack(
     trigger size, so the trigger and a point just past it are evaluated
     explicitly; a log-spaced coarse grid covers the rest and a golden-section
     pass refines the best bracket.  Refinement can only improve on the best
-    coarse point.
+    coarse point.  An empty interval returns the zero-size attack with
+    ``coarse_points`` 0, and so does an unbounded one: its ceiling is inf
+    only for a debt-free position in a fee-free pool, where no size gains.
 
     The coarse grid (up to ``coarse_points + 2`` sizes) is evaluated as one
     :func:`attack_profit_batch` call, which gives the scalar path's bits.
@@ -295,7 +300,7 @@ def optimize_attack(
         return attack_profit(d, position, pool, params, convention)
 
     zero = evaluate(0.0)
-    if hi <= 0.0 or hi < lo:
+    if hi <= 0.0 or hi < lo or hi == math.inf:
         return OptimizeOutcome(0.0, zero, 0, max(hi, 0.0), -math.inf)
 
     grid = _coarse_grid(bounds, lo, hi, coarse_points)

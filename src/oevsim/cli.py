@@ -9,9 +9,7 @@ Subcommands
     verify [--instances N]        run the brute-force oracle suites
 
 CSV output is deterministic: fixed column order, 12 significant digits,
-'.' decimal separator.  Sweep points are independent; set OEVSIM_WORKERS
-to cap the process pool used for large sweeps (default: all cores,
-sequential for small jobs).
+'.' decimal separator.
 
 Exit codes: 0 success, 2 config error, 3 infeasible / no threshold,
 4 verification failure, 5 a recovery-bound root that failed its self-check
@@ -22,12 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+# Unused by oevsim: the benchmark harness reads cli.ProcessPoolExecutor
+# (perfbench/run.py count_pool_starts, perfbench/tracing.py Tracer.install).
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 
 import numpy as np
 
@@ -38,8 +36,6 @@ from .engine import best_strategy, best_strategy_batch, run_liquidation_batch
 from .lending import LoanPosition, RecoveryRootError, RepayConvention, RiskParams
 from .amm import PoolState
 
-_PARALLEL_MIN_POINTS = 256
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -47,11 +43,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.12g}"
+        return f"{value:.12g}"  # also "inf", "-inf" and "nan", whatever the NaN's sign
     return str(value)
 
 
@@ -65,25 +57,6 @@ def _write_csv(header: list[str], rows: list[list], out_path: str | None) -> Non
     finally:
         if out_path:
             stream.close()
-
-
-def _workers() -> int:
-    env = os.environ.get("OEVSIM_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return os.cpu_count() or 1
-
-
-def _pmap(fn, items: list) -> list:
-    """Order-preserving map, fanned out to processes for large batches."""
-    n = _workers()
-    if n <= 1 or len(items) < _PARALLEL_MIN_POINTS:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * n))))
 
 
 # ---------------------------------------------------------------------------
@@ -101,53 +74,53 @@ ATK_HEADER = [
 ]
 
 
-def _overrides(axis: str, value: float) -> dict:
-    if axis == "price":
-        return {"price": value}
-    if axis == "pool_scale":
-        return {"scale": value}
-    if axis == "fee":
-        return {"fee": value}
-    return {}
-
-
-def _eval_liquidation_point(cfg: ScenarioConfig, point: tuple[str, float]) -> list:
-    axis, value = point
-    position, pool = cfg.state_at(**_overrides(axis, value))
-    res, strat = best_strategy(position, pool, cfg.risk, cfg.convention)
-    return [
-        axis, value, res.hf_initial, res.pi_liq, res.pi_last, res.pi_tot,
-        res.binding.value, res.last_binding.value, strat.value, res.bad_debt,
-    ]
-
-
-def _eval_attack_point(cfg: ScenarioConfig, point: tuple[str, float]) -> list:
-    axis, value = point
-    if axis == "delta":
-        position, pool = cfg.state_at()
-        delta = value
-    else:
-        position, pool = cfg.state_at(**_overrides(axis, value))
-        delta = cfg.attack.delta_min
-    bounds = atk.delta_bounds(position, pool, cfg.risk)
-    res = atk.attack_profit(delta, position, pool, cfg.risk, cfg.convention)
-    return [
-        axis, value, res.delta, res.front_proceeds, res.liq_profit,
-        res.buyback_cost, res.total_profit, res.feasible, res.triggered,
-        bounds.trigger, bounds.baddebt_cap, bounds.no_revert,
-    ]
+# The state_at keyword each pool axis overrides; the delta axis keeps the base state.
+_OVERRIDES = {"price": "price", "pool_scale": "scale", "fee": "fee"}
 
 
 def run_sweep(cfg: ScenarioConfig) -> tuple[list[str], list[list]]:
-    """Evaluate every sweep point; deterministic row order."""
+    """Evaluate every sweep point in one batch call; deterministic row order.
+
+    A liquidation sweep is one :func:`best_strategy_batch` call and an
+    attack sweep one :func:`attack.attack_profit_batch` call; both give the
+    scalar functions' bits on every row.  Each point's state and attack
+    bounds are built by the scalar config and bound functions:
+    ``delta_baddebt_cap`` squares with libm ``pow``, which numpy's ``**2``
+    does not reproduce in every last bit.
+    """
     if cfg.sweep is None:
         raise ConfigError(["sweep: section required for the sweep command"])
-    points = [(cfg.sweep.axis, v) for v in cfg.sweep.values()]
-    if cfg.mode == "attack":
-        rows = _pmap(functools.partial(_eval_attack_point, cfg), points)
-        return ATK_HEADER, rows
-    rows = _pmap(functools.partial(_eval_liquidation_point, cfg), points)
-    return LIQ_HEADER, rows
+    axis, values = cfg.sweep.axis, cfg.sweep.values()
+    if axis == "delta":
+        states = [cfg.state_at()] * len(values)
+    else:
+        states = [cfg.state_at(**{_OVERRIDES[axis]: v}) for v in values]
+    cols = np.array([(pos.collateral, pos.debt, pool.reserve_collateral, pool.reserve_debt,
+                      pool.fee) for pos, pool in states])
+    if cfg.mode != "attack":
+        res, strategy = best_strategy_batch(*cols.T, cfg.risk, cfg.convention)
+        rows = [[axis, v, hf, pi_liq, pi_last, pi_tot, bind.value, last.value, strat.value, bad]
+                for v, hf, pi_liq, pi_last, pi_tot, bind, last, strat, bad in zip(
+                    values, res.hf_initial.tolist(), res.pi_liq.tolist(), res.pi_last.tolist(),
+                    res.pi_tot.tolist(), res.binding, res.last_binding, strategy,
+                    res.bad_debt.tolist())]
+        return LIQ_HEADER, rows
+
+    if axis == "delta":
+        deltas = values
+        bounds = [atk.delta_bounds(*states[0], cfg.risk)] * len(values)
+    else:
+        deltas = [cfg.attack.delta_min] * len(values)
+        bounds = [atk.delta_bounds(pos, pool, cfg.risk) for pos, pool in states]
+    res = atk.attack_profit_batch(deltas, *cols.T, cfg.risk, cfg.convention)
+    # A reverting buy-back has no cost or total: "" in the CSV, as in a single attack.
+    rows = [[axis, v, d, front, pi, cost if ok else None, total if ok else None, ok, trig,
+             bd.trigger, bd.baddebt_cap, bd.no_revert]
+            for v, d, front, pi, cost, total, ok, trig, bd in zip(
+                values, deltas, res.front_proceeds.tolist(), res.liquidation.pi_tot.tolist(),
+                res.buyback_cost.tolist(), res.total_profit.tolist(), res.feasible.tolist(),
+                res.triggered.tolist(), bounds)]
+    return ATK_HEADER, rows
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +165,7 @@ def reproduce_ex2() -> tuple[list[str], list[list]]:
     a0 = np.sqrt(2e9 / p)
     b0 = np.sqrt(2e9 * p)
     coll = hf0 * debt * a0 / (risk.haircut * b0)
-    res = best_strategy_batch(coll, debt, a0, b0, 0.0, risk)
+    res, _ = best_strategy_batch(coll, debt, a0, b0, 0.0, risk)
     rows = [[h, pp, pi, binding.value] for h, pp, pi, binding
             in zip(hf0.tolist(), p.tolist(), res.pi_tot.tolist(), res.binding)]
     return ["hf0", "p", "pi_tot", "binding"], rows
@@ -209,18 +182,18 @@ def reproduce_ex3() -> tuple[list[str], list[list]]:
     """
     risk = _study_risk()
     position = LoanPosition(6.0, 1e4)
+    prices = np.linspace(1400.0, 2100.0, 281)
+    a0, b0 = np.sqrt(2e9 / prices), np.sqrt(2e9 * prices)
+    res, _ = best_strategy_batch(position.collateral, position.debt, a0, b0, 0.0, risk)
     rows = []
-    for p in np.linspace(1400.0, 2100.0, 281):
-        pool = PoolState(math.sqrt(2e9 / p), math.sqrt(2e9 * p), 0.0)
-        res, _ = best_strategy(position, pool, risk)
+    for p, a, b, hf, pi_liq, pi_last, pi_tot, binding in zip(
+            prices.tolist(), a0.tolist(), b0.tolist(), res.hf_initial.tolist(),
+            res.pi_liq.tolist(), res.pi_last.tolist(), res.pi_tot.tolist(), res.binding):
         seq = oracles.simulate_liquidation_sequence(
-            position, pool, risk, cf_target=1.0, kappa=risk.max_liq_fraction,
+            position, PoolState(a, b, 0.0), risk, cf_target=1.0, kappa=risk.max_liq_fraction,
             convention=RepayConvention.SPOT_PRICE,
         )
-        rows.append([
-            float(p), res.hf_initial, res.pi_liq, res.pi_last, res.pi_tot,
-            res.binding.value, seq.terminator,
-        ])
+        rows.append([p, hf, pi_liq, pi_last, pi_tot, binding.value, seq.terminator])
     return ["p", "hf0", "pi_liq", "pi_last", "pi_tot", "binding", "binding_txn"], rows
 
 

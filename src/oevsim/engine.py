@@ -326,19 +326,26 @@ def best_strategy(
 
 _BINDINGS = np.array(list(Binding), dtype=object)
 _COLLATERAL, _DEBT, _CLOSING_FACTOR, _FEE_GATE = range(4)
+_LAST_BINDINGS = np.array(list(LastBinding), dtype=object)
+_REMAINDER, _KAPPA_CAP, _INTERIOR_MAX, _NONE = range(4)
+_STRATEGIES = np.array(list(Strategy), dtype=object)
 
 
 @dataclass(frozen=True)
 class LiquidationBatch:
     """Columns of :class:`LiquidationResult` fields, one row per state.
 
-    ``binding`` holds :class:`Binding` members; the post-pool reserves keep
-    each row's fee.
+    ``binding`` and ``last_binding`` hold :class:`Binding` and
+    :class:`LastBinding` members; the post-pool reserves keep each row's fee.
     """
 
+    pi_liq: np.ndarray
+    pi_last: np.ndarray
     pi_tot: np.ndarray
     binding: np.ndarray
+    last_binding: np.ndarray
     hf_initial: np.ndarray
+    bad_debt: np.ndarray
     post_reserve_collateral: np.ndarray
     post_reserve_debt: np.ndarray
 
@@ -385,9 +392,11 @@ def run_liquidation_batch(
         idle = (c == 0.0) | (b == 0.0) | shut | gate
         by_c = (x_c <= x_b) & (x_c <= x_cf)
         by_b = ~by_c & (x_b <= x_cf)
-        binding = np.select(
-            [c == 0.0, b == 0.0, shut, gate, by_c, by_b],
-            [_COLLATERAL, _DEBT, _CLOSING_FACTOR, _FEE_GATE, _COLLATERAL, _DEBT], _CLOSING_FACTOR)
+        binding = np.where(by_c, _COLLATERAL, np.where(by_b, _DEBT, _CLOSING_FACTOR))
+        # Why an idle row is idle, in reverse order of the scalar if-chain: the last write wins.
+        for why, code in ((gate, _FEE_GATE), (shut, _CLOSING_FACTOR), (b == 0.0, _DEBT),
+                          (c == 0.0, _COLLATERAL)):
+            binding[why] = code
         x_liq = np.where(idle, 0.0, np.where(by_c, x_c, np.where(by_b, x_b, x_cf)))
         pi_liq = np.where(idle, 0.0, _run_profit(a, b_res, u, x_liq))
         c_bar, b_bar, a_bar, b_res_bar = _liquidate(
@@ -399,20 +408,29 @@ def run_liquidation_batch(
         x_rem = _x_collateral(c_bar, bonus)
         x_kb = _kappa_cap(kappa * b_bar, a_bar, b_res_bar, fee, bonus, convention)
         x_opt = _interior(a_bar, u, np.sqrt)
-        x_last = np.where((x_rem <= x_kb) & (x_rem <= x_opt), x_rem,
-                          np.where(x_kb <= x_opt, x_kb, x_opt))
-        pi_last = np.where(tranche & ~(x_last <= 0.0),
-                           _shot_profit(a_bar, b_res_bar, u, x_last), 0.0)
-        _, _, a_fin, b_res_fin = _liquidate(
+        by_rem = (x_rem <= x_kb) & (x_rem <= x_opt)
+        by_kb = ~by_rem & (x_kb <= x_opt)
+        x_last = np.where(by_rem, x_rem, np.where(by_kb, x_kb, x_opt))
+        closes = tranche & ~(x_last <= 0.0)
+        pi_last = np.where(closes, _shot_profit(a_bar, b_res_bar, u, x_last), 0.0)
+        last_binding = np.where(closes, np.where(by_rem, _REMAINDER,
+                                                 np.where(by_kb, _KAPPA_CAP, _INTERIOR_MAX)), _NONE)
+        c_fin, b_fin, a_fin, b_res_fin = _liquidate(
             a_bar, b_res_bar, c_bar, b_bar, x_last, u,
             _repay(a_bar, b_res_bar, fee, x_last, bonus, convention), bonus,
             pmax(c, 1.0), pmax(b, 1.0))
         trade = tranche & (x_last > 0.0)
         _require_reserves(a_fin, b_res_fin, trade)
+        post_c = np.where(trade, c_fin, np.where(idle, c, c_bar))
+        post_b = np.where(trade, b_fin, np.where(idle, b, b_bar))
         return LiquidationBatch(
+            pi_liq=pi_liq,
+            pi_last=pi_last,
             pi_tot=pi_liq + pi_last,
             binding=_BINDINGS[binding],
+            last_binding=_LAST_BINDINGS[last_binding],
             hf_initial=hf0,
+            bad_debt=np.where((post_c == 0.0) & (post_b > 0.0), post_b, 0.0),
             post_reserve_collateral=np.where(trade, a_fin, np.where(idle, a, a_bar)),
             post_reserve_debt=np.where(trade, b_res_fin, np.where(idle, b_res, b_res_bar)),
         )
@@ -422,11 +440,12 @@ def best_strategy_batch(
     collateral, debt, reserve_collateral, reserve_debt, fee,
     params: RiskParams,
     convention: RepayConvention = DEFAULT_CONVENTION,
-) -> LiquidationBatch:
+) -> tuple[LiquidationBatch, np.ndarray]:
     """:func:`best_strategy` of every row, with the same bits.
 
-    Both threshold pairs run in one :func:`run_liquidation_batch` call of
-    twice the rows; ties go to the first pair.
+    Returns the chosen results and the :class:`Strategy` of each row.  Both
+    threshold pairs run in one :func:`run_liquidation_batch` call of twice
+    the rows; ties go to the first pair.
     """
     cols = _columns(collateral, debt, reserve_collateral, reserve_debt, fee)
     n = len(cols[0])
@@ -435,4 +454,5 @@ def best_strategy_batch(
         np.repeat([params.closing_factor, 1.0], n), np.repeat([1.0, params.max_liq_fraction], n),
         convention)
     first = both.pi_tot[:n] >= both.pi_tot[n:]
-    return LiquidationBatch(*(np.where(first, col[:n], col[n:]) for col in vars(both).values()))
+    return (LiquidationBatch(*(np.where(first, col[:n], col[n:]) for col in vars(both).values())),
+            _STRATEGIES[np.where(first, 0, 1)])

@@ -336,7 +336,7 @@ class RecoveryRootError(ArithmeticError):
 
     def __init__(self, check: str, position: LoanPosition, pool: PoolState,
                  cf_target: float, convention: RepayConvention, residual: float):
-        # All fields in args, so the error pickles (process-pool workers).
+        # Every field goes into args: unpickling rebuilds the error as cls(*args).
         super().__init__(check, position, pool, cf_target, convention, residual)
         self.check, self.position, self.pool = check, position, pool
         self.cf_target, self.convention, self.residual = cf_target, convention, residual

@@ -2,11 +2,12 @@
 
 ``attack_profit_batch``, ``best_strategy_batch`` (through it) and
 ``run_liquidation_batch`` are compared row by row with loops of the scalar
-calls: ``.hex()`` of the total profit, the liquidation profit, the initial
-health factor and the post-pool reserves, and the feasible flag and the
-binding.  Rows the masks cannot settle go to the scalar ``bound_closing``;
-the bundled attack grid needs none, and a row whose self-check fails makes
-the batch raise as the scalar call does.
+calls: ``.hex()`` of every profit, cost, the initial health factor, the bad
+debt and the post-pool reserves, and the flags and both bindings.  Rows the
+masks cannot settle go to the scalar ``bound_closing``; the bundled attack
+grid needs none, and a row whose self-check fails makes the batch raise as
+the scalar call does.  ``cli.run_sweep``, one batch call per sweep, is
+compared with rows built point by point from the scalar calls.
 """
 
 import math
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import oevsim.lending
 from oevsim.amm import PoolState
@@ -25,9 +27,11 @@ from oevsim.attack import (
     delta_bounds,
     optimize_attack,
 )
-from oevsim.config import load_config
-from oevsim.engine import run_liquidation, run_liquidation_batch
+from oevsim.cli import main, run_sweep
+from oevsim.config import load_config, parse_config
+from oevsim.engine import best_strategy, run_liquidation, run_liquidation_batch
 from oevsim.lending import (
+    DEFAULT_CONVENTION,
     LoanPosition,
     RecoveryRootError,
     RepayConvention,
@@ -83,16 +87,24 @@ def assert_attack_rows_match(deltas, position, pool, params, convention) -> None
         res = attack_profit(delta, position, pool, params, convention)
         liq = res.liquidation
         assert bool(batch.feasible[i]) is res.feasible, delta
+        assert hx(batch.front_proceeds[i]) == hx(res.front_proceeds), delta
         if res.feasible:
+            assert hx(batch.buyback_cost[i]) == hx(res.buyback_cost), delta
             assert hx(batch.total_profit[i]) == hx(res.total_profit), delta
         else:
-            assert math.isnan(batch.total_profit[i])
+            assert math.isnan(batch.buyback_cost[i]) and math.isnan(batch.total_profit[i])
         assert bool(batch.triggered[i]) is res.triggered
-        assert hx(liq_cols.pi_tot[i]) == hx(liq.pi_tot), delta
-        assert liq_cols.binding[i] is liq.binding, delta
-        assert hx(liq_cols.hf_initial[i]) == hx(liq.hf_initial)
-        assert hx(liq_cols.post_reserve_collateral[i]) == hx(liq.post_pool.reserve_collateral)
-        assert hx(liq_cols.post_reserve_debt[i]) == hx(liq.post_pool.reserve_debt)
+        assert_liquidation_row_matches(liq_cols, i, liq)
+
+
+def assert_liquidation_row_matches(cols, i, res) -> None:
+    """Row ``i`` of a LiquidationBatch against a scalar LiquidationResult."""
+    for name in ("pi_liq", "pi_last", "pi_tot", "hf_initial", "bad_debt"):
+        assert hx(getattr(cols, name)[i]) == hx(getattr(res, name)), name
+    assert cols.binding[i] is res.binding
+    assert cols.last_binding[i] is res.last_binding
+    assert hx(cols.post_reserve_collateral[i]) == hx(res.post_pool.reserve_collateral)
+    assert hx(cols.post_reserve_debt[i]) == hx(res.post_pool.reserve_debt)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -207,10 +219,7 @@ def test_run_liquidation_batch_matches_scalar_per_threshold_pair(convention):
     for k, inst in enumerate(instances):
         res = run_liquidation(inst.position, inst.pool, instances[0].params, float(cf[k]),
                               float(kappa[k]), convention)
-        assert hx(batch.pi_tot[k]) == hx(res.pi_tot)
-        assert batch.binding[k] is res.binding
-        assert hx(batch.post_reserve_collateral[k]) == hx(res.post_pool.reserve_collateral)
-        assert hx(batch.post_reserve_debt[k]) == hx(res.post_pool.reserve_debt)
+        assert_liquidation_row_matches(batch, k, res)
 
 
 def test_batch_raises_where_the_scalar_self_check_raises():
@@ -259,3 +268,96 @@ def test_optimize_attack_returns_the_scalar_result_of_the_best_grid_point():
     out = optimize_attack(position, pool, params)
     again = attack_profit(out.delta, position, pool, params)
     assert out.result == again
+
+
+# Sweeps of a debt worth 5% of the pool's debt reserve, with a health factor
+# of 0.986 (collateral form) or 0.75 at the base price of 2000: the price
+# axis crosses the closing factor and 1, the fee axis crosses bonus parity
+# (1 - 1/1.05, about 4.76%), and the delta axis runs past the no-revert
+# ceiling (about 3.5e5) into reverting buy-backs.
+SWEEPS = {
+    "price": {"axis": "price", "start": 1000.0, "stop": 3000.0, "steps": 41},
+    "pool_scale": {"axis": "pool_scale", "start": 0.05, "stop": 50.0, "steps": 25,
+                   "spacing": "log"},
+    "fee": {"axis": "fee", "start": 0.0, "stop": 0.08, "steps": 25},
+    "delta": {"axis": "delta", "start": 0.0, "stop": 1.0e6, "steps": 25},
+}
+MODE_AXES = [("liquidation", "price"), ("liquidation", "pool_scale"), ("liquidation", "fee"),
+             ("attack", "price"), ("attack", "pool_scale"), ("attack", "fee"),
+             ("attack", "delta")]
+
+
+def sweep_scenario(mode, axis, convention, position_form, pool_form) -> dict:
+    pool = ({"reserve_collateral": 1000.0, "reserve_debt": 2.0e6} if pool_form == "reserves"
+            else {"liquidity": 2.0e9, "price": 2000.0})
+    position = ({"debt": 1.0e5, "collateral": 58.0} if position_form == "collateral"
+                else {"debt": 1.0e5, "initial_health_factor": 0.75})
+    return {
+        "mode": mode, "convention": convention.value, "pool": {**pool, "fee": 0.003},
+        "position": position,
+        "risk": {"haircut": 0.85, "bonus": 0.05, "closing_factor": 0.8, "max_liq_fraction": 0.5},
+        "sweep": SWEEPS[axis], "attack": {"delta_min": 30.0},
+    }
+
+
+def reference_rows(cfg) -> list[list]:
+    """run_sweep's rows, built point by point from the scalar calls."""
+    axis, rows = cfg.sweep.axis, []
+    for value in cfg.sweep.values():
+        key = {"price": "price", "pool_scale": "scale", "fee": "fee"}.get(axis)
+        position, pool = cfg.state_at(**({key: value} if key else {}))
+        if cfg.mode == "liquidation":
+            res, strat = best_strategy(position, pool, cfg.risk, cfg.convention)
+            rows.append([axis, value, res.hf_initial, res.pi_liq, res.pi_last, res.pi_tot,
+                         res.binding.value, res.last_binding.value, strat.value, res.bad_debt])
+            continue
+        delta = value if axis == "delta" else cfg.attack.delta_min
+        bounds = delta_bounds(position, pool, cfg.risk)
+        res = attack_profit(delta, position, pool, cfg.risk, cfg.convention)
+        rows.append([axis, value, res.delta, res.front_proceeds, res.liq_profit,
+                     res.buyback_cost, res.total_profit, res.feasible, res.triggered,
+                     bounds.trigger, bounds.baddebt_cap, bounds.no_revert])
+    return rows
+
+
+def comparable(row: list) -> list:
+    """Types and values of a row: repr for floats (bits, signed zeros), the value otherwise."""
+    return [(type(v), repr(v) if isinstance(v, float) else v) for v in row]
+
+
+@pytest.mark.parametrize("pool_form", ["reserves", "liquidity"])
+@pytest.mark.parametrize("position_form", ["collateral", "initial_health_factor"])
+@pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.value)
+@pytest.mark.parametrize("mode,axis", MODE_AXES)
+def test_sweep_rows_match_scalar_calls(mode, axis, convention, position_form, pool_form):
+    cfg = parse_config(sweep_scenario(mode, axis, convention, position_form, pool_form))
+    _, rows = run_sweep(cfg)
+    want = reference_rows(cfg)
+    assert [comparable(r) for r in rows] == [comparable(r) for r in want]
+    if axis == "delta":
+        assert {r[7] for r in rows} == {True, False}
+
+
+def test_sweep_scenarios_reach_the_fee_gate_both_strategies_and_three_closing_caps():
+    def column(axis, position_form, index):
+        cfg = parse_config(sweep_scenario("liquidation", axis, DEFAULT_CONVENTION, position_form,
+                                          "reserves"))
+        return {row[index] for row in run_sweep(cfg)[1]}
+
+    assert "fee_gate" in column("fee", "initial_health_factor", 6)
+    assert column("fee", "collateral", 7) == {"none", "kappa_cap", "interior_max"}
+    assert column("price", "collateral", 8) == {"cf_full", "one_kappa"}
+
+
+def test_attack_sweep_csv_leaves_reverting_rows_empty(tmp_path):
+    scenario = sweep_scenario("attack", "delta", DEFAULT_CONVENTION, "collateral", "reserves")
+    path, out = tmp_path / "sweep.yaml", tmp_path / "sweep.csv"
+    path.write_text(yaml.safe_dump(scenario))
+    assert main(["sweep", str(path), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "nan" not in text
+    header, *lines = [line.split(",") for line in text.splitlines()]
+    cost, total, feasible = (header.index(k) for k in ("buyback_cost", "total_profit", "feasible"))
+    reverting = [line for line in lines if line[feasible] == "false"]
+    assert reverting and all(line[cost] == line[total] == "" for line in reverting)
+    assert all(line[cost] and line[total] for line in lines if line[feasible] == "true")

@@ -112,8 +112,11 @@ def test_single_point_sweep_matches_direct_call(tmp_path):
     cfg = load_config(write(tmp_path, single))
     _, rows = run_sweep(cfg)
     position, pool = cfg.state_at(price=1400.0)
-    res, _ = best_strategy(position, pool, cfg.risk)
-    assert rows[0][5] == pytest.approx(res.pi_tot, rel=1e-15)
+    res, strat = best_strategy(position, pool, cfg.risk)
+    assert rows == [["price", 1400.0, res.hf_initial, res.pi_liq, res.pi_last, res.pi_tot,
+                     res.binding.value, res.last_binding.value, strat.value, res.bad_debt]]
+    assert [type(v) for v in rows[0]] == [str, float, float, float, float, float, str, str, str,
+                                          float]
 
 
 def test_ex1_header_and_shape_golden():
@@ -204,6 +207,30 @@ attack: {delta_max: 0.0}
     out = capsys.readouterr().out
     assert "best attack          delta=0\n" in out
     assert "no profitable attack size found" in out
+
+
+# A debt-free position in a fee-free pool: the search ceiling is inf.
+DEBT_FREE_NO_FEE = """
+mode: attack
+pool: {reserve_collateral: 10000.0, reserve_debt: 2.8e+7, fee: 0.0}
+position: {debt: 0.0, collateral: 20.12}
+risk: {haircut: 0.85, bonus: 0.05, closing_factor: 0.8, max_liq_fraction: 0.5}
+"""
+
+
+def test_cli_attack_debt_free_position_in_fee_free_pool_exits_3(tmp_path, capsys):
+    assert main(["attack", write(tmp_path, DEBT_FREE_NO_FEE)]) == 3
+    out = capsys.readouterr().out
+    assert "search               [0, inf] coarse points=0\n" in out
+    assert "best attack          delta=0\n" in out
+    assert "no profitable attack size found" in out
+
+
+def test_cli_fee_threshold_debt_free_position_exits_3(tmp_path, capsys):
+    assert main(["fee-threshold", write(tmp_path, DEBT_FREE_NO_FEE)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "no threshold: attack is not profitable at the low end of the interval" in err
 
 
 def test_cli_attack_search_line_starts_at_delta_min(tmp_path, capsys):
@@ -306,5 +333,7 @@ def test_number_formatting_uses_12_significant_digits():
 
     assert _fmt(1234.56789012345) == "1234.56789012"
     assert _fmt(math.inf) == "inf"
+    assert _fmt(-math.inf) == "-inf"
+    assert _fmt(math.nan) == _fmt(-math.nan) == "nan"
     assert _fmt(True) == "true"
     assert _fmt(None) == ""
