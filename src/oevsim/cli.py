@@ -74,10 +74,6 @@ ATK_HEADER = [
 ]
 
 
-# The state_at keyword each pool axis overrides; the delta axis keeps the base state.
-_OVERRIDES = {"price": "price", "pool_scale": "scale", "fee": "fee"}
-
-
 def run_sweep(cfg: ScenarioConfig) -> tuple[list[str], list[list]]:
     """Evaluate every sweep point in one batch call; deterministic row order.
 
@@ -91,10 +87,7 @@ def run_sweep(cfg: ScenarioConfig) -> tuple[list[str], list[list]]:
     if cfg.sweep is None:
         raise ConfigError(["sweep: section required for the sweep command"])
     axis, values = cfg.sweep.axis, cfg.sweep.values()
-    if axis == "delta":
-        states = [cfg.state_at()] * len(values)
-    else:
-        states = [cfg.state_at(**{_OVERRIDES[axis]: v}) for v in values]
+    states = cfg.sweep_states(values)
     cols = np.array([(pos.collateral, pos.debt, pool.reserve_collateral, pool.reserve_debt,
                       pool.fee) for pos, pool in states])
     if cfg.mode != "attack":

@@ -33,14 +33,19 @@ parameters, and optionally a sweep axis and attack settings:
 
 Positions given via ``initial_health_factor`` derive their collateral from
 the pool state they are evaluated against (c = hf*b*A/(haircut*B)), so the
-health factor stays pinned while a sweep moves the pool.  Unknown keys are
-rejected and every violated invariant is reported, not just the first.
+health factor stays pinned while a sweep moves the pool.  The spec dataclasses
+below are the schema: a section's keys, types and required keys (those without
+a default) are its dataclass's fields.  Numbers must be finite (``.inf`` only
+for ``attack.delta_max``), sweep domains are checked on the computed points,
+and every violation is reported, not just the first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -49,6 +54,8 @@ from .amm import PoolState
 from .lending import DEFAULT_CONVENTION, LoanPosition, RepayConvention, RiskParams
 
 SWEEP_AXES = ("price", "pool_scale", "delta", "fee")
+# The state_at keyword each pool axis overrides.
+_OVERRIDES = {"price": "price", "pool_scale": "scale", "fee": "fee"}
 
 
 class ConfigError(ValueError):
@@ -145,45 +152,60 @@ class ScenarioConfig:
         pool = self.pool.resolve(price=price, scale=scale, fee=fee)
         return self.position.resolve(pool, self.risk.haircut), pool
 
+    def sweep_states(self, values: list[float]) -> list[tuple[LoanPosition, PoolState]]:
+        """The state at each sweep value; the delta axis keeps the base state."""
+        if self.sweep.axis == "delta":
+            return [self.state_at()] * len(values)
+        return [self.state_at(**{_OVERRIDES[self.sweep.axis]: v}) for v in values]
 
-def _require_mapping(raw, where: str, problems: list[str]) -> dict:
-    if raw is None:
-        return {}
+
+@functools.cache
+def _schema(spec: type) -> dict[str, tuple[type, object]]:
+    """Each field of ``spec``: its value type (float, int or str) and its default."""
+    hints = typing.get_type_hints(spec)
+    return {f.name: ((typing.get_args(hints[f.name]) or (hints[f.name],))[0], f.default)
+            for f in fields(spec)}
+
+
+def _take(raw, where: str, spec: type, problems: list[str]) -> dict:
+    """Pull a section's typed values out of a mapping, reporting every problem.
+
+    Numbers must be finite, except in a field whose default is +inf.
+    """
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         problems.append(f"{where}: expected a mapping, got {type(raw).__name__}")
         return {}
-    return raw
-
-
-def _take(raw: dict, where: str, allowed: dict[str, type | tuple], problems: list[str]) -> dict:
-    """Pull typed values out of a mapping, flagging unknown keys and bad types."""
+    schema = _schema(spec)
     out = {}
     for key, value in raw.items():
-        if key not in allowed:
+        if key not in schema:
             problems.append(f"{where}: unknown key '{key}'")
             continue
-        want = allowed[key]
+        want, default = schema[key]
         if want is float:
-            if isinstance(value, str):
+            if isinstance(value, (int, str)) and not isinstance(value, bool):
                 # YAML 1.1 reads "2.0e6" (no sign in the exponent) as a string.
                 try:
                     value = float(value)
-                except ValueError:
+                except (ValueError, OverflowError):
                     pass
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not isinstance(value, float):
                 problems.append(f"{where}.{key}: expected a number, got {value!r}")
                 continue
-            out[key] = float(value)
+            if math.isnan(value) or (math.isinf(value) and default != math.inf):
+                problems.append(f"{where}.{key}: must be finite, got {value}")
         elif want is int:
             if isinstance(value, bool) or not isinstance(value, int):
                 problems.append(f"{where}.{key}: expected an integer, got {value!r}")
                 continue
-            out[key] = value
-        else:
-            if not isinstance(value, str):
-                problems.append(f"{where}.{key}: expected a string, got {value!r}")
-                continue
-            out[key] = value
+        elif not isinstance(value, str):
+            problems.append(f"{where}.{key}: expected a string, got {value!r}")
+            continue
+        out[key] = value
+    missing = [key for key, (_, default) in schema.items() if default is MISSING and key not in raw]
+    if missing:
+        problems.append(f"{where}: missing {', '.join(missing)}")
     return out
 
 
@@ -192,8 +214,9 @@ def parse_config(data: dict) -> ScenarioConfig:
     problems: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError(["top level must be a mapping"])
+    sections = [f.name for f in fields(ScenarioConfig)]
     for key in data:
-        if key not in ("mode", "pool", "position", "risk", "sweep", "attack", "convention"):
+        if key not in sections:
             problems.append(f"unknown top-level key '{key}'")
 
     mode = data.get("mode", "liquidation")
@@ -209,103 +232,74 @@ def parse_config(data: dict) -> ScenarioConfig:
             f"convention: must be one of {[c.value for c in RepayConvention]}, got {conv_name!r}"
         )
 
-    pool_raw = _take(
-        _require_mapping(data.get("pool"), "pool", problems), "pool",
-        {"reserve_collateral": float, "reserve_debt": float, "liquidity": float,
-         "price": float, "fee": float, "scale": float},
-        problems,
-    )
-    has_reserves = "reserve_collateral" in pool_raw or "reserve_debt" in pool_raw
-    has_kp = "liquidity" in pool_raw or "price" in pool_raw
+    pool = PoolSpec(**_take(data.get("pool"), "pool", PoolSpec, problems))
+    reserves, kp = (pool.reserve_collateral, pool.reserve_debt), (pool.liquidity, pool.price)
+    has_reserves, has_kp = reserves != (None, None), kp != (None, None)
     if has_reserves and has_kp:
         problems.append("pool: give either reserve_collateral/reserve_debt or liquidity/price, not both")
     elif has_reserves:
-        if not ("reserve_collateral" in pool_raw and "reserve_debt" in pool_raw):
+        if None in reserves:
             problems.append("pool: reserve_collateral and reserve_debt must be given together")
-        elif pool_raw["reserve_collateral"] <= 0 or pool_raw["reserve_debt"] <= 0:
+        elif any(v <= 0 for v in reserves):
             problems.append("pool: reserves must be > 0")
     elif has_kp:
-        if not ("liquidity" in pool_raw and "price" in pool_raw):
+        if None in kp:
             problems.append("pool: liquidity and price must be given together")
-        elif pool_raw["liquidity"] <= 0 or pool_raw["price"] <= 0:
+        elif any(v <= 0 for v in kp):
             problems.append("pool: liquidity and price must be > 0")
     else:
         problems.append("pool: missing reserves (or liquidity/price)")
-    if not 0.0 <= pool_raw.get("fee", 0.0) < 1.0:
-        problems.append(f"pool.fee: must lie in [0, 1), got {pool_raw.get('fee')}")
-    if pool_raw.get("scale", 1.0) <= 0.0:
-        problems.append(f"pool.scale: must be > 0, got {pool_raw.get('scale')}")
+    if not 0.0 <= pool.fee < 1.0:
+        problems.append(f"pool.fee: must lie in [0, 1), got {pool.fee}")
+    if pool.scale <= 0.0:
+        problems.append(f"pool.scale: must be > 0, got {pool.scale}")
 
-    pos_raw = _take(
-        _require_mapping(data.get("position"), "position", problems), "position",
-        {"debt": float, "collateral": float, "initial_health_factor": float},
-        problems,
-    )
-    if "debt" not in pos_raw:
-        problems.append("position.debt: required")
-    elif pos_raw["debt"] < 0:
-        problems.append(f"position.debt: must be >= 0, got {pos_raw['debt']}")
-    has_c = "collateral" in pos_raw
-    has_hf = "initial_health_factor" in pos_raw
-    if has_c == has_hf:
+    pos_raw = _take(data.get("position"), "position", PositionSpec, problems)
+    if ("collateral" in pos_raw) == ("initial_health_factor" in pos_raw):
         problems.append("position: give exactly one of collateral or initial_health_factor")
-    if has_c and pos_raw["collateral"] < 0:
-        problems.append(f"position.collateral: must be >= 0, got {pos_raw['collateral']}")
-    if has_hf and pos_raw["initial_health_factor"] < 0:
-        problems.append("position.initial_health_factor: must be >= 0")
+    for key, value in pos_raw.items():
+        if value < 0:
+            problems.append(f"position.{key}: must be >= 0, got {value}")
 
-    risk_raw = _take(
-        _require_mapping(data.get("risk"), "risk", problems), "risk",
-        {"haircut": float, "bonus": float, "closing_factor": float, "max_liq_fraction": float},
-        problems,
-    )
+    n_before = len(problems)
+    risk_raw = _take(data.get("risk"), "risk", RiskParams, problems)
     risk = None
-    missing = [k for k in ("haircut", "bonus", "closing_factor", "max_liq_fraction") if k not in risk_raw]
-    if missing:
-        problems.append(f"risk: missing {', '.join(missing)}")
-    else:
+    if len(problems) == n_before:
         try:
             risk = RiskParams(**risk_raw)
         except ValueError as exc:
             problems.append(f"risk: {exc}")
 
-    sweep = None
-    if "sweep" in data and data["sweep"] is not None:
-        sweep_raw = _take(
-            _require_mapping(data.get("sweep"), "sweep", problems), "sweep",
-            {"axis": str, "start": float, "stop": float, "steps": int, "spacing": str},
-            problems,
-        )
+    sweep, ends = None, ()
+    if data.get("sweep") is not None:
+        n_before = len(problems)
+        sweep_raw = _take(data["sweep"], "sweep", SweepSpec, problems)
         axis = sweep_raw.get("axis")
-        if axis not in SWEEP_AXES:
+        if "axis" in sweep_raw and axis not in SWEEP_AXES:
             problems.append(f"sweep.axis: must be one of {SWEEP_AXES}, got {axis!r}")
-        if sweep_raw.get("steps", 0) < 1:
-            problems.append(f"sweep.steps: must be >= 1, got {sweep_raw.get('steps')}")
-        spacing = sweep_raw.get("spacing", "linear")
+        if sweep_raw.get("steps", 1) < 1:
+            problems.append(f"sweep.steps: must be >= 1, got {sweep_raw['steps']}")
+        spacing = sweep_raw.get("spacing", SweepSpec.spacing)
         if spacing not in ("linear", "log"):
             problems.append(f"sweep.spacing: must be 'linear' or 'log', got {spacing!r}")
-        if spacing == "log" and (sweep_raw.get("start", 0) <= 0 or sweep_raw.get("stop", 0) <= 0):
+        if spacing == "log" and not all(sweep_raw.get(k, 1.0) > 0 for k in ("start", "stop")):
             problems.append("sweep: log spacing needs positive start/stop")
         if axis == "delta" and mode != "attack":
             problems.append("sweep.axis=delta requires mode: attack")
-        if axis == "fee" and not all(0.0 <= sweep_raw.get(k, 0.0) < 1.0 for k in ("start", "stop")):
-            problems.append("sweep: fee axis values must lie in [0, 1)")
-        if axis in ("price", "pool_scale") and not all(sweep_raw.get(k, 1.0) > 0.0 for k in ("start", "stop")):
-            problems.append(f"sweep: {axis} axis values must be > 0")
-        if axis == "delta" and not all(sweep_raw.get(k, 0.0) >= 0.0 for k in ("start", "stop")):
-            problems.append("sweep: delta axis values must be >= 0")
-        missing = [k for k in ("start", "stop") if k not in sweep_raw]
-        if missing:
-            problems.append(f"sweep: missing {', '.join(missing)}")
-        if not problems:
+        if len(problems) == n_before:
+            # The domain holds for the points the sweep evaluates, whose ends
+            # can round past start/stop; values() is monotone between them.
             sweep = SweepSpec(**sweep_raw)
+            values = sweep.values()
+            ends = (values[0], values[-1])
+            if axis == "fee" and not all(0.0 <= v < 1.0 for v in ends):
+                problems.append("sweep: fee axis values must lie in [0, 1)")
+            elif axis in ("price", "pool_scale") and not all(v > 0.0 for v in ends):
+                problems.append(f"sweep: {axis} axis values must be > 0")
+            elif axis == "delta" and not all(0.0 <= v < math.inf for v in ends):
+                problems.append("sweep: delta axis values must be >= 0 and finite")
 
-    attack_raw = _take(
-        _require_mapping(data.get("attack"), "attack", problems), "attack",
-        {"delta_min": float, "delta_max": float, "fee_low": float, "fee_high": float},
-        problems,
-    )
-    attack = AttackSpec(**attack_raw)
+    attack = AttackSpec(**_take(data.get("attack"), "attack", AttackSpec, problems))
     if not 0.0 <= attack.fee_low < 1.0 or not 0.0 <= attack.fee_high < 1.0:
         problems.append("attack: fee_low/fee_high must lie in [0, 1)")
     elif attack.fee_low >= attack.fee_high:
@@ -318,15 +312,19 @@ def parse_config(data: dict) -> ScenarioConfig:
 
     if problems:
         raise ConfigError(problems)
-    return ScenarioConfig(
-        mode=mode,
-        pool=PoolSpec(**pool_raw),
-        position=PositionSpec(**pos_raw),
-        risk=risk,
-        sweep=sweep,
-        attack=attack,
-        convention=convention,
-    )
+    cfg = ScenarioConfig(mode=mode, pool=pool, position=PositionSpec(**pos_raw), risk=risk,
+                         sweep=sweep, attack=attack, convention=convention)
+    # Finite inputs can still derive a reserve that underflows to 0 or a state
+    # that overflows.  Every derived number is monotone along a sweep, so the
+    # base point and the sweep's ends stand for every point.
+    try:
+        for position, state in [cfg.state_at(), *(cfg.sweep_states(ends) if sweep else [])]:
+            if not all(map(math.isfinite, (position.collateral, state.reserve_collateral,
+                                           state.reserve_debt))):
+                raise ValueError(f"{position} in {state} is not finite")
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError([f"scenario: derived state out of domain: {exc}"]) from None
+    return cfg
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -54,9 +54,9 @@ class LoanPosition:
     debt: float
 
     def __post_init__(self) -> None:
-        if self.collateral < 0.0:
+        if not self.collateral >= 0.0:
             raise ValueError(f"collateral must be >= 0, got {self.collateral}")
-        if self.debt < 0.0:
+        if not self.debt >= 0.0:
             raise ValueError(f"debt must be >= 0, got {self.debt}")
 
 
@@ -79,7 +79,7 @@ class RiskParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.haircut <= 1.0:
             raise ValueError(f"haircut must lie in (0, 1], got {self.haircut}")
-        if self.bonus < 0.0:
+        if not self.bonus >= 0.0:
             raise ValueError(f"bonus must be >= 0, got {self.bonus}")
         if not 0.0 < self.closing_factor <= 1.0:
             raise ValueError(f"closing_factor must lie in (0, 1], got {self.closing_factor}")

@@ -182,15 +182,12 @@ def _best_closing_trade(
 
     Dense scan plus golden-section refinement of the raw single-shot profit
     over [0, min(collateral remainder, kappa cap)]; no closed form is used.
+    The position must hold debt and collateral, so that cap is positive and finite.
     """
     cap = min(
         bound_collateral(position, params.bonus),
         bound_debt(position, pool, kappa, params.bonus, convention),
     )
-    if not cap > 0.0 or not math.isfinite(cap):
-        cap = bound_collateral(position, params.bonus)
-    if not cap > 0.0:
-        return 0.0
 
     def profit(x: float) -> float:
         return _shot_profit(pool, x, params.bonus)[0]

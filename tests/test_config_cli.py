@@ -3,10 +3,12 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oevsim import ConfigError, load_config
 from oevsim.cli import REPRODUCERS, main, run_sweep
-from oevsim.config import parse_config
+from oevsim.config import SWEEP_AXES, parse_config
 from oevsim.engine import best_strategy
 
 MINIMAL = """
@@ -337,3 +339,183 @@ def test_number_formatting_uses_12_significant_digits():
     assert _fmt(math.nan) == _fmt(-math.nan) == "nan"
     assert _fmt(True) == "true"
     assert _fmt(None) == ""
+
+
+def edit(old, new):
+    """MINIMAL with one substring replaced."""
+    assert old in MINIMAL
+    return MINIMAL.replace(old, new)
+
+
+POOL_KP = edit("  reserve_collateral: 1000.0\n  reserve_debt: 2.0e6\n",
+               "  liquidity: 2.0e9\n  price: 2000.0\n")
+SWEEP_EXTRA = "sweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n  steps: 3\n"
+
+
+@pytest.mark.parametrize("text, fragment", [
+    (edit("risk:\n  haircut: 0.85\n  bonus: 0.05\n  closing_factor: 0.8\n  max_liq_fraction: 0.5\n",
+          "risk: [0.85, 0.05]\n"), "risk: expected a mapping, got list"),
+    (edit("  bonus: 0.05\n", "  bonus: 0.05\n  penalty: 0.1\n"), "risk: unknown key 'penalty'"),
+    (edit("reserve_debt: 2.0e6", "reserve_debt: lots"),
+     "pool.reserve_debt: expected a number, got 'lots'"),
+    (edit("debt: 10000.0", "debt: true"), "position.debt: expected a number, got True"),
+    (MINIMAL + SWEEP_EXTRA.replace("steps: 3", "steps: 2.5"),
+     "sweep.steps: expected an integer, got 2.5"),
+    (MINIMAL + SWEEP_EXTRA.replace("axis: price", "axis: 7"),
+     "sweep.axis: expected a string, got 7"),
+    ("- pool\n- risk\n", "top level must be a mapping"),
+    ("pool: {fee: 0.0\n", "YAML parse error"),
+    (edit("  fee: 0.003\n", "  fee: 0.003\n  price: 2000.0\n"),
+     "give either reserve_collateral/reserve_debt or liquidity/price, not both"),
+    (edit("  reserve_debt: 2.0e6\n", ""),
+     "reserve_collateral and reserve_debt must be given together"),
+    (POOL_KP.replace("  price: 2000.0\n", ""), "liquidity and price must be given together"),
+    (POOL_KP.replace("liquidity: 2.0e9", "liquidity: 0.0"), "liquidity and price must be > 0"),
+    (POOL_KP.replace("price: 2000.0", "price: -2000.0"), "liquidity and price must be > 0"),
+    (edit("  fee: 0.003\n", "  fee: 0.003\n  scale: 0.0\n"), "pool.scale: must be > 0"),
+    (edit("debt: 10000.0", "debt: -1.0"), "position.debt: must be >= 0"),
+    (edit("  debt: 10000.0\n", ""), "position: missing debt"),
+    (edit("collateral: 5.5", "collateral: -5.5"), "position.collateral: must be >= 0"),
+    (edit("collateral: 5.5", "initial_health_factor: -0.5"),
+     "position.initial_health_factor: must be >= 0"),
+    (edit("  bonus: 0.05\n", ""), "risk: missing bonus"),
+    (edit("haircut: 0.85", "haircut: 1.5"), "risk: haircut must lie in (0, 1]"),
+    (MINIMAL + SWEEP_EXTRA + "  spacing: cubic\n", "sweep.spacing: must be 'linear' or 'log'"),
+    (MINIMAL + SWEEP_EXTRA.replace("start: 1400.0", "start: 0.0") + "  spacing: log\n",
+     "sweep: log spacing needs positive start/stop"),
+    (MINIMAL + "sweep: {axis: fee, start: 0.0, stop: 1.0, steps: 3}\n",
+     "sweep: fee axis values must lie in [0, 1)"),
+    (MINIMAL + "sweep: {axis: fee, start: -0.1, stop: 0.5, steps: 3}\n",
+     "sweep: fee axis values must lie in [0, 1)"),
+    (MINIMAL + "attack:\n  fee_high: 1.0\n", "attack: fee_low/fee_high must lie in [0, 1)"),
+    (MINIMAL + "attack:\n  fee_low: -0.001\n", "attack: fee_low/fee_high must lie in [0, 1)"),
+    (MINIMAL + "attack:\n  fee_high: .nan\n", "attack.fee_high: must be finite, got nan"),
+    (POOL_KP.replace("liquidity: 2.0e9", "liquidity: 1.0e-300")
+     .replace("price: 2000.0", "price: 1.0e+300"),
+     "scenario: derived state out of domain: reserve_collateral must be > 0"),
+    (edit("reserve_collateral: 1000.0", "reserve_collateral: 1.0e+300")
+     .replace("reserve_debt: 2.0e6", "reserve_debt: 1.0e+300") + SWEEP_EXTRA,
+     "scenario: derived state out of domain: LoanPosition(collateral=5.5,"),
+    (MINIMAL + "convention: midpoint\n", "convention: must be one of"),
+], ids=["section_not_mapping", "unknown_section_key", "number_type", "bool_not_number",
+        "integer_type", "string_type", "top_level_not_mapping", "yaml_syntax", "both_pool_forms",
+        "half_reserves", "half_liquidity_price", "liquidity_zero", "price_negative",
+        "scale_zero", "debt_negative", "debt_missing", "collateral_negative", "hf_negative",
+        "risk_key_missing", "risk_params_rejected", "bad_spacing", "log_start_zero",
+        "fee_axis_stop_one", "fee_axis_start_negative", "fee_high_one", "fee_low_negative",
+        "fee_high_nan", "reserve_underflow", "reserve_overflow", "bad_convention"])
+def test_cli_rejects_every_config_problem(tmp_path, capsys, text, fragment):
+    assert main(["liquidate", write(tmp_path, text)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert fragment in out.err
+
+
+@pytest.mark.parametrize("command, text, fragment", [
+    ("liquidate", edit("reserve_collateral: 1000.0", "reserve_collateral: .nan"),
+     "pool.reserve_collateral: must be finite, got nan"),
+    ("liquidate", edit("reserve_debt: 2.0e6", "reserve_debt: .inf"),
+     "pool.reserve_debt: must be finite, got inf"),
+    ("liquidate", edit("  fee: 0.003\n", "  fee: 0.003\n  scale: .nan\n"),
+     "pool.scale: must be finite, got nan"),
+    ("liquidate", edit("debt: 10000.0", "debt: .nan"), "position.debt: must be finite, got nan"),
+    ("liquidate", edit("debt: 10000.0", "debt: .inf"), "position.debt: must be finite, got inf"),
+    ("liquidate", edit("collateral: 5.5", "collateral: .nan"),
+     "position.collateral: must be finite, got nan"),
+    ("liquidate", edit("collateral: 5.5", "initial_health_factor: .nan"),
+     "position.initial_health_factor: must be finite, got nan"),
+    ("liquidate", edit("bonus: 0.05", "bonus: .nan"), "risk.bonus: must be finite, got nan"),
+    ("liquidate", MINIMAL + SWEEP_EXTRA.replace("stop: 2000.0", "stop: .inf"),
+     "sweep.stop: must be finite, got inf"),
+    ("sweep", MINIMAL + SWEEP_EXTRA.replace("start: 1400.0", "start: -.inf"),
+     "sweep.start: must be finite, got -inf"),
+    ("attack", MINIMAL + "mode: attack\nattack:\n  delta_min: .inf\n",
+     "attack.delta_min: must be finite, got inf"),
+], ids=["reserve_collateral_nan", "reserve_debt_inf", "scale_nan", "debt_nan", "debt_inf",
+        "collateral_nan", "hf_nan", "bonus_nan", "sweep_stop_inf", "sweep_start_neg_inf",
+        "delta_min_inf"])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, command, text, fragment):
+    assert main([command, write(tmp_path, text)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"invalid scenario config:\n  - {fragment}\n"
+
+
+def test_attack_delta_max_may_be_infinite(tmp_path):
+    cfg = load_config(write(tmp_path, MINIMAL + "attack:\n  delta_max: .inf\n"))
+    assert cfg.attack.delta_max == math.inf
+
+
+# Sweeps to the float below 1.0 whose last computed point rounds up to 1.0.
+@pytest.mark.parametrize("steps, spacing, start", [
+    (4, "linear", 0.0), (7, "linear", 0.0), (8, "linear", 0.0),
+    (5, "log", 1.0e-4), (6, "log", 1.0e-4),
+])
+def test_cli_rejects_fee_sweep_rounding_up_to_one(tmp_path, capsys, steps, spacing, start):
+    text = MINIMAL + (f"sweep: {{axis: fee, start: {start!r}, stop: 0.9999999999999999, "
+                      f"steps: {steps}, spacing: {spacing}}}\n")
+    assert main(["sweep", write(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        "invalid scenario config:\n  - sweep: fee axis values must lie in [0, 1)\n")
+
+
+SWEEP_RANGES = {"price": (1.0, 1e4), "pool_scale": (0.1, 10.0), "delta": (0.0, 1e6),
+                "fee": (0.0, 0.1)}
+VALID_SCENARIOS = st.fixed_dictionaries({
+    "mode": st.sampled_from(["liquidation", "attack"]),
+    "pool": st.one_of(
+        st.fixed_dictionaries({"reserve_collateral": st.floats(1.0, 1e6),
+                               "reserve_debt": st.floats(1.0, 1e9)},
+                              optional={"fee": st.floats(0.0, 0.1), "scale": st.floats(0.1, 10.0)}),
+        st.fixed_dictionaries({"liquidity": st.floats(1.0, 1e12), "price": st.floats(1.0, 1e4)},
+                              optional={"fee": st.floats(0.0, 0.1), "scale": st.floats(0.1, 10.0)}),
+    ),
+    "position": st.one_of(
+        st.fixed_dictionaries({"debt": st.floats(0.0, 1e6), "collateral": st.floats(0.0, 1e3)}),
+        st.fixed_dictionaries({"debt": st.floats(0.0, 1e6),
+                               "initial_health_factor": st.floats(0.0, 2.0)}),
+    ),
+    "risk": st.fixed_dictionaries({"haircut": st.floats(0.01, 1.0), "bonus": st.floats(0.0, 0.2),
+                                   "closing_factor": st.floats(0.01, 1.0),
+                                   "max_liq_fraction": st.floats(0.01, 1.0)}),
+}, optional={
+    "sweep": st.sampled_from(SWEEP_AXES).flatmap(lambda axis: st.fixed_dictionaries({
+        "axis": st.just(axis), "start": st.floats(*SWEEP_RANGES[axis]),
+        "stop": st.floats(*SWEEP_RANGES[axis]), "steps": st.integers(1, 50),
+        "spacing": st.sampled_from(["linear", "log"]),
+    })),
+})
+ODD_NUMBERS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -1.0, 5e-324, 1e-300, 1e300, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def scenarios(draw):
+    """A valid-looking scenario with up to two numbers made extreme or out of domain."""
+    doc = draw(VALID_SCENARIOS)
+    slots = [(name, key) for name, section in doc.items() if isinstance(section, dict)
+             for key, value in section.items() if isinstance(value, float)]
+    for name, key in draw(st.lists(st.sampled_from(slots), max_size=2)):
+        doc[name][key] = draw(ODD_NUMBERS)
+    return doc
+
+
+RISK = {"haircut": 0.85, "bonus": 0.05, "closing_factor": 0.8, "max_liq_fraction": 0.5}
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios())
+# Finite inputs whose reserve underflows to 0, at the base point and at a sweep end.
+@example({"pool": {"liquidity": 1e-300, "price": 1e300},
+          "position": {"debt": 1.0, "collateral": 1.0}, "risk": RISK})
+@example({"pool": {"reserve_collateral": 1e-200, "reserve_debt": 1.0},
+          "position": {"debt": 1.0, "collateral": 1.0}, "risk": RISK,
+          "sweep": {"axis": "pool_scale", "start": 1.0, "stop": 1e-200, "steps": 3}})
+def test_parse_config_accepts_only_constructible_states(doc):
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    cfg.state_at()
+    if cfg.sweep is not None:
+        cfg.sweep_states(cfg.sweep.values())

@@ -187,3 +187,13 @@ def test_param_validation():
         RiskParams(0.85, 0.05, 0.8, 0.0)
     with pytest.raises(ValueError):
         LoanPosition(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LoanPosition(math.nan, 1.0),
+    lambda: LoanPosition(1.0, math.nan),
+    lambda: RiskParams(0.85, math.nan, 0.8, 0.5),
+], ids=["collateral", "debt", "bonus"])
+def test_param_validation_rejects_nan(build):
+    with pytest.raises(ValueError):
+        build()
