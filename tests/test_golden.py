@@ -8,7 +8,8 @@ A change that alters any CSV byte or any printed digit fails here.
 The brute-force oracle is pinned bit for bit too: the exact ``dp_oracle``
 values of one borrower under every repayment convention, and the bytes of
 a small ``verify`` report (the references hash only its stdout, which
-shows pass counts, not the compared values).  So are the closed forms: one
+shows pass counts, not the compared values), and every field of a fixed
+set of transaction-by-transaction walks.  So are the closed forms: one
 hash covers every field of a fixed set of ``best_strategy``,
 ``attack_profit`` and ``optimize_attack`` results.
 """
@@ -26,8 +27,8 @@ from oevsim.attack import attack_profit, optimize_attack
 from oevsim.cli import main
 from oevsim.config import load_config
 from oevsim.engine import best_strategy
-from oevsim.lending import LoanPosition, RepayConvention, RiskParams
-from oevsim.oracles import dp_oracle, random_instances
+from oevsim.lending import LoanPosition, RepayConvention, RiskParams, bound_collateral
+from oevsim.oracles import dp_oracle, random_instances, simulate_liquidation_sequence
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -119,7 +120,7 @@ def _fields(value, name: str = ""):
         yield "fee_gate" if name == "binding" else "none"
     elif isinstance(value, Enum):
         yield value.value
-    elif isinstance(value, bool):
+    elif isinstance(value, (bool, str)):
         yield str(value)
     else:
         yield float(value).hex()
@@ -147,3 +148,37 @@ def test_engine_results_are_bit_exact():
     results.append(optimize_attack(position, pool, cfg.risk, delta_range=(0.0, 0.0)))
     digest = sha256("\n".join(_fields(tuple(results))).encode())
     assert digest == ENGINE_SHA256
+
+
+WALK_SHA256 = "63a23ccf5c3100f22badb288cd69a52443f495d7632b675f7f217fc85e206e89"
+
+
+def _walks():
+    """Walk outcomes (or the error raised) over random states, conventions and step policies."""
+    instances = (random_instances(12, seed=5150, feasible_only=True)
+                 + random_instances(12, seed=5151))
+    for convention in RepayConvention:
+        for inst in instances:
+            cap = bound_collateral(inst.position, inst.params.bonus)
+            for step_limit, stop, max_steps in ((math.inf, False, 200_000),  # greedy
+                                                (cap / 200.0, True, 1_000),  # fine, DP-like
+                                                (cap / 7.0, False, 200_000),  # coarse
+                                                (cap / 1e3, True, 25)):  # step budget binds
+                try:
+                    yield simulate_liquidation_sequence(
+                        inst.position, inst.pool, inst.params, inst.cf_target, inst.kappa,
+                        convention, step_limit, stop, max_steps)
+                except ValueError as exc:
+                    yield str(exc)
+    # reproduce ex3's replay (greedy, kappa 0.5, spot-priced write-downs), and at
+    # kappa 1 the first trade of a state near the gate repays the whole debt.
+    for kappa in (0.5, 1.0):
+        for price in (1400.0, 1600.0, 1700.0, 1800.0, 1820.0, 1900.0, 2100.0):
+            pool = PoolState(math.sqrt(2e9 / price), math.sqrt(2e9 * price), 0.0)
+            yield simulate_liquidation_sequence(LoanPosition(6.0, 1e4), pool, STUDY_RISK, 1.0,
+                                                kappa, RepayConvention.SPOT_PRICE)
+
+
+def test_walk_outcomes_are_bit_exact():
+    digest = sha256("\n".join(_fields(tuple(_walks()))).encode())
+    assert digest == WALK_SHA256
