@@ -249,7 +249,8 @@ def parse_config(data: dict) -> ScenarioConfig:
             problems.append("pool: liquidity and price must be > 0")
     else:
         problems.append("pool: missing reserves (or liquidity/price)")
-    if not 0.0 <= pool.fee < 1.0:
+    # A range check skips a value that _take already reported as not finite.
+    if math.isfinite(pool.fee) and not 0.0 <= pool.fee < 1.0:
         problems.append(f"pool.fee: must lie in [0, 1), got {pool.fee}")
     if pool.scale <= 0.0:
         problems.append(f"pool.scale: must be > 0, got {pool.scale}")
@@ -300,15 +301,18 @@ def parse_config(data: dict) -> ScenarioConfig:
                 problems.append("sweep: delta axis values must be >= 0 and finite")
 
     attack = AttackSpec(**_take(data.get("attack"), "attack", AttackSpec, problems))
-    if not 0.0 <= attack.fee_low < 1.0 or not 0.0 <= attack.fee_high < 1.0:
-        problems.append("attack: fee_low/fee_high must lie in [0, 1)")
-    elif attack.fee_low >= attack.fee_high:
-        problems.append(f"attack: fee_low must be < fee_high, got {attack.fee_low} >= {attack.fee_high}")
+    f_lo, f_hi = attack.fee_low, attack.fee_high
+    if math.isfinite(f_lo) and math.isfinite(f_hi):
+        if not (0.0 <= f_lo < 1.0 and 0.0 <= f_hi < 1.0):
+            problems.append("attack: fee_low/fee_high must lie in [0, 1)")
+        elif f_lo >= f_hi:
+            problems.append(f"attack: fee_low must be < fee_high, got {f_lo} >= {f_hi}")
     d_lo, d_hi = attack.delta_min, attack.delta_max
-    if not (d_lo >= 0.0 and d_hi >= 0.0):
-        problems.append("attack: delta_min/delta_max must be >= 0")
-    elif d_lo > d_hi:
-        problems.append(f"attack: delta_min must be <= delta_max, got {d_lo} > {d_hi}")
+    if math.isfinite(d_lo) and not math.isnan(d_hi):  # delta_max may be +inf
+        if not (d_lo >= 0.0 and d_hi >= 0.0):
+            problems.append("attack: delta_min/delta_max must be >= 0")
+        elif d_lo > d_hi:
+            problems.append(f"attack: delta_min must be <= delta_max, got {d_lo} > {d_hi}")
 
     if problems:
         raise ConfigError(problems)

@@ -25,20 +25,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import bisect_root, golden_max
-from .amm import PoolState
+from .amm import PoolState, _require_reserves, _sell
 from .engine import run_liquidation
 from .lending import (
     DEFAULT_CONVENTION,
     LoanPosition,
     RepayConvention,
     RiskParams,
+    _debt_cap,
+    _hf,
+    _kappa_cap,
+    _repay,
+    _repay_total,
+    _traj_factor,
+    _x_collateral,
     bound_closing,
     bound_collateral,
     bound_debt,
     debt_exhaustion_bound,
     health_factor,
     hf_after_marginal,
-    repay_amount,
     trade_multiplier,
 )
 
@@ -100,32 +106,52 @@ def simulate_liquidation_sequence(
     was already shut at entry ("gate"), the step budget ("steps"), or a
     transaction cap that is not positive ("stalled").
     """
-    theta, ell = params.haircut, params.bonus
-    c_scale = max(position.collateral, 1.0)
-    b_scale = max(position.debt, 1.0)
+    theta, ell, fee = params.haircut, params.bonus, pool.fee
+    c_eps = _EXHAUST_EPS * max(position.collateral, 1.0)
+    b_eps = _EXHAUST_EPS * max(position.debt, 1.0)
+    # The walk carries the state as floats (collateral c, debt b, reserves a
+    # and r) and calls the number-level formulas that the LoanPosition and
+    # PoolState functions call, so every step has their bits.  It checks what
+    # their constructors check and builds one on failure, to raise its error.
+    one_plus = 1.0 + ell
+    spot = convention is RepayConvention.SPOT_PRICE
+    u, m = trade_multiplier(fee, ell), _traj_factor(fee, convention)
 
-    def _step(pos: LoanPosition, pool_now: PoolState, size: float):
-        """(profit, post position clamped at 0, post pool, post HF) of one
-        transaction; the HF is -inf once debt or collateral is exhausted,
+    def _step(c: float, b: float, a: float, r: float, size: float):
+        """(profit, post collateral and debt clamped at 0, post reserves, post HF)
+        of one transaction; the HF is -inf once debt or collateral is exhausted,
         which is not a gate crossing."""
-        dpi, pool_next = _shot_profit(pool_now, size, ell)
-        b_n = pos.debt - repay_amount(pool_now, size, ell, convention)
-        c_n = pos.collateral - size * (1.0 + ell)
-        pos_next = LoanPosition(max(c_n, 0.0), max(b_n, 0.0))
-        if b_n <= _EXHAUST_EPS * b_scale or c_n <= _EXHAUST_EPS * c_scale:
-            return dpi, pos_next, pool_next, -math.inf
-        return dpi, pos_next, pool_next, health_factor(pos_next, pool_next, theta)
+        amount = size * one_plus
+        if amount == 0.0:  # the no-op sale; repay_amount is 0 too
+            proceeds, a_n, r_n, beta = 0.0, a, r, 0.0
+        else:
+            proceeds, a_n, r_n = _sell(a, r, fee, amount)
+            if not (a_n > 0.0 and r_n > 0.0):
+                PoolState(a_n, r_n, fee)  # raises its reserve error
+            if spot:
+                beta = _repay(a, r, fee, size, ell, convention)
+            else:
+                beta = _repay_total(a, r, size, u, m)
+        dpi = proceeds - r / a * size
+        c_n, b_n = c - amount, b - beta
+        c_next, b_next = max(c_n, 0.0), max(b_n, 0.0)
+        if not (c_next >= 0.0 and b_next >= 0.0):
+            LoanPosition(c_next, b_next)  # raises on a NaN
+        if b_n <= b_eps or c_n <= c_eps:
+            return dpi, c_next, b_next, a_n, r_n, -math.inf
+        return dpi, c_next, b_next, a_n, r_n, _hf(theta, a_n, r_n, c_next, b_next)
 
-    pos, pool_cur = position, pool
-    hf = health_factor(pos, pool_cur, theta)
+    c, b = position.collateral, position.debt
+    a, r = pool.reserve_collateral, pool.reserve_debt
+    hf = health_factor(position, pool, theta)
     profit = 0.0
     cum_x = 0.0
     steps = 0
     while True:
-        if pos.debt <= _EXHAUST_EPS * b_scale:
+        if b <= b_eps:
             term = "debt"
             break
-        if pos.collateral <= _EXHAUST_EPS * c_scale:
+        if c <= c_eps:
             term = "collateral"
             break
         if hf > cf_target:
@@ -134,24 +160,27 @@ def simulate_liquidation_sequence(
         if steps >= max_steps:
             term = "steps"
             break
+        if steps == 0:
+            bound_debt(position, pool, kappa, ell, convention)  # raises on an invalid kappa
+        kb = kappa * b
         x = min(
             step_limit,
-            bound_collateral(pos, ell),
-            bound_debt(pos, pool_cur, kappa, ell, convention),
+            _x_collateral(c, ell),
+            _kappa_cap(kb, a, r, fee, ell, convention) if spot else _debt_cap(kb, a, r, u, m),
         )
         if not x > 0.0:
             term = "stalled"  # defensive; caps are positive whenever c, b are
             break
-        step = _step(pos, pool_cur, x)
-        crossing = stop_before_crossing and step[3] > cf_target
+        step = _step(c, b, a, r, x)
+        crossing = stop_before_crossing and step[5] > cf_target
         if crossing:
             # Land exactly on the crossing with one bisected partial step,
             # so the walk's end state does not depend on the step phase.
             lo_s, hi_s = 0.0, x
             for _ in range(200):
                 mid = 0.5 * (lo_s + hi_s)
-                probe = _step(pos, pool_cur, mid)
-                if probe[3] > cf_target:
+                probe = _step(c, b, a, r, mid)
+                if probe[5] > cf_target:
                     hi_s = mid
                 else:
                     lo_s, step = mid, probe
@@ -159,7 +188,7 @@ def simulate_liquidation_sequence(
                     break
             x = lo_s
         if x > 0.0:
-            dpi, pos, pool_cur, hf = step
+            dpi, c, b, a, r, hf = step
             profit += dpi
             cum_x += x
             steps += 1
@@ -167,7 +196,8 @@ def simulate_liquidation_sequence(
             term = "closing_factor"
             break
 
-    return SequenceOutcome(profit, term, steps, cum_x, pos, pool_cur)
+    return SequenceOutcome(profit, term, steps, cum_x, LoanPosition(c, b),
+                           PoolState(a, r, fee))
 
 
 def _best_closing_trade(
@@ -192,14 +222,21 @@ def _best_closing_trade(
     def profit(x: float) -> float:
         return _shot_profit(pool, x, params.bonus)[0]
 
+    # The scan is _shot_profit at every grid point, as one array expression
+    # that overflows to inf and nan silently, as Python floats do.
+    a, r = pool.reserve_collateral, pool.reserve_debt
     n = max(64, min(1024, grid_n))
     xs = np.linspace(0.0, cap, n + 1)
-    vals = [profit(float(x)) for x in xs]
+    with np.errstate(all="ignore"):
+        amounts = xs * (1.0 + params.bonus)
+        proceeds, a_n, r_n = _sell(a, r, pool.fee, amounts)
+        vals = proceeds - r / a * xs
+    _require_reserves(a_n, r_n, amounts != 0.0)
     k = int(np.argmax(vals))
     lo = float(xs[max(k - 1, 0)])
     hi = float(xs[min(k + 1, n)])
     _, best = golden_max(profit, lo, hi, tol=1e-12)
-    return max(0.0, best, vals[k])
+    return max(0.0, best, float(vals[k]))
 
 
 def dp_oracle(

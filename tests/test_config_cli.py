@@ -161,7 +161,7 @@ def test_cli_exit_code_on_bad_config(tmp_path):
      "  steps: 3\nattack:\n  delta_min: -5.0\n", "delta_min/delta_max must be >= 0"),
     ("attack", "mode: attack\nattack:\n  delta_max: -1.0\n", "delta_min/delta_max must be >= 0"),
     ("sweep", "mode: attack\nsweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n"
-     "  steps: 3\nattack:\n  delta_min: .nan\n", "delta_min/delta_max must be >= 0"),
+     "  steps: 3\nattack:\n  delta_min: .nan\n", "attack.delta_min: must be finite, got nan"),
     ("attack", "mode: attack\nattack:\n  delta_min: 100.0\n  delta_max: 10.0\n",
      "delta_min must be <= delta_max"),
     ("sweep", "sweep:\n  axis: price\n  start: 1400.0\n  steps: 3\n", "sweep: missing stop"),
@@ -431,9 +431,19 @@ def test_cli_rejects_every_config_problem(tmp_path, capsys, text, fragment):
      "sweep.start: must be finite, got -inf"),
     ("attack", MINIMAL + "mode: attack\nattack:\n  delta_min: .inf\n",
      "attack.delta_min: must be finite, got inf"),
+    ("liquidate", edit("fee: 0.003", "fee: .nan"), "pool.fee: must be finite, got nan"),
+    ("fee-threshold", MINIMAL + "mode: attack\nattack:\n  fee_low: .nan\n",
+     "attack.fee_low: must be finite, got nan"),
+    ("fee-threshold", MINIMAL + "mode: attack\nattack:\n  fee_high: .inf\n",
+     "attack.fee_high: must be finite, got inf"),
+    ("attack", MINIMAL + "mode: attack\nattack:\n  delta_min: .nan\n",
+     "attack.delta_min: must be finite, got nan"),
+    ("attack", MINIMAL + "mode: attack\nattack:\n  delta_max: .nan\n",
+     "attack.delta_max: must be finite, got nan"),
 ], ids=["reserve_collateral_nan", "reserve_debt_inf", "scale_nan", "debt_nan", "debt_inf",
         "collateral_nan", "hf_nan", "bonus_nan", "sweep_stop_inf", "sweep_start_neg_inf",
-        "delta_min_inf"])
+        "delta_min_inf", "fee_nan", "fee_low_nan", "fee_high_inf", "delta_min_nan",
+        "delta_max_nan"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, command, text, fragment):
     assert main([command, write(tmp_path, text)]) == 2
     out = capsys.readouterr()

@@ -160,6 +160,20 @@ def test_sequence_simulator_gate_and_terminators():
     assert health_factor(high.post_position, high.post_pool, STD.haircut) >= 1.0
 
 
+def test_sequence_simulator_raises_what_the_state_constructors_raise():
+    # The first sale underflows the debt reserve to 0: PoolState's error.
+    with pytest.raises(ValueError, match="reserve_debt must be > 0"):
+        simulate_liquidation_sequence(LoanPosition(1e10, 1e100),
+                                      PoolState(1e-200, 1e-120, 0.003), STD, 1.0, 1.0)
+    # bound_debt's kappa check runs at the first transaction, not behind a shut gate.
+    pos = LoanPosition(6.0, 10_000.0)
+    for kappa in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="kappa must lie in"):
+            simulate_liquidation_sequence(pos, pool_at(1500.0), STD, 1.0, kappa)
+        shut = simulate_liquidation_sequence(pos, pool_at(2000.0), STD, 1.0, kappa)
+        assert shut.terminator == "gate"
+
+
 def test_sequence_simulator_small_steps_approach_closed_form():
     pos = LoanPosition(6.0, 10_000.0)
     pool = pool_at(1500.0)
