@@ -128,10 +128,8 @@ def simulate_liquidation_sequence(
             proceeds, a_n, r_n = _sell(a, r, fee, amount)
             if not (a_n > 0.0 and r_n > 0.0):
                 PoolState(a_n, r_n, fee)  # raises its reserve error
-            if spot:
-                beta = _repay(a, r, fee, size, ell, convention)
-            else:
-                beta = _repay_total(a, r, size, u, m)
+            beta = (_repay(a, r, fee, size, ell, convention) if spot
+                    else _repay_total(a, r, size, u, m))
         dpi = proceeds - r / a * size
         c_n, b_n = c - amount, b - beta
         c_next, b_next = max(c_n, 0.0), max(b_n, 0.0)
