@@ -53,8 +53,6 @@ from .lending import (
     debt_exhaustion_bound,
     health_factor,
     hf_after_marginal,
-    marginal_repay_total,
-    repay_amount,
 )
 from .oracles import (
     Instance,

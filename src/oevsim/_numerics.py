@@ -1,8 +1,9 @@
-"""Small shared numeric helpers: golden-section maximization, bisection, and
-Python's ``min``/``max`` for floats or arrays."""
+"""Small shared numeric helpers: golden-section maximization, the one halving
+loop behind every bisection, and Python's ``min``/``max`` for floats or arrays."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
 
@@ -60,6 +61,29 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1
     return best_x, best_y
 
 
+def halve(
+    side: Callable[[float], bool | None],
+    lo: float,
+    hi: float,
+    done: Callable[[float, float], bool],
+    max_halvings: int | None = None,
+) -> tuple[float, float]:
+    """The bracket [lo, hi] halved until ``done(lo, hi)`` holds after a halving.
+
+    ``side(mid)`` True moves ``lo`` to ``mid``, False moves ``hi``, and None
+    (an exact zero) ends at ``(mid, mid)``.  At most ``max_halvings`` when given.
+    """
+    for _ in itertools.count() if max_halvings is None else range(max_halvings):
+        mid = 0.5 * (lo + hi)
+        moves_lo = side(mid)
+        if moves_lo is None:
+            return mid, mid
+        lo, hi = (mid, hi) if moves_lo else (lo, mid)
+        if done(lo, hi):
+            break
+    return lo, hi
+
+
 def bisect_root(
     f: Callable[[float], float],
     lo: float,
@@ -74,15 +98,10 @@ def bisect_root(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= tol_x * max(1.0, abs(lo), abs(hi)):
-            break
+
+    def side(x: float) -> bool | None:
+        fx = f(x)
+        return None if fx == 0.0 else (fx > 0.0) == (flo > 0.0)
+
+    lo, hi = halve(side, lo, hi, lambda lo, hi: hi - lo <= tol_x * max(1.0, abs(lo), abs(hi)), 200)
     return 0.5 * (lo + hi)

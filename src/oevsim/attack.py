@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import golden_max
+from ._numerics import golden_max, halve
 from .amm import PoolState, _buy, _require_reserves, _sell
 from .engine import (
     LiquidationBatch,
@@ -51,6 +51,8 @@ from .lending import (
 
 # Stay this fraction inside the no-revert ceiling; the objective is singular there.
 GUARD_BAND = 1e-6
+# optimize_attack: log-spaced sizes of the coarse grid.
+_COARSE_POINTS = 512
 # critical_fee: bracket width at which the fee bisection stops, and the number
 # of interior probes checked for monotonicity before it starts.
 _FEE_TOL = 1e-5
@@ -272,7 +274,6 @@ def optimize_attack(
     pool: PoolState,
     params: RiskParams,
     delta_range: tuple[float, float] = (0.0, math.inf),
-    coarse_points: int = 512,
     convention: RepayConvention = DEFAULT_CONVENTION,
 ) -> OptimizeOutcome:
     """Maximize the sandwich profit over the admissible attack sizes.
@@ -286,7 +287,7 @@ def optimize_attack(
     ``coarse_points`` 0, and so does an unbounded one: its ceiling is inf
     only for a debt-free position in a fee-free pool, where no size gains.
 
-    The coarse grid (up to ``coarse_points + 2`` sizes) is evaluated as one
+    The coarse grid (up to ``_COARSE_POINTS + 2`` sizes) is evaluated as one
     :func:`attack_profit_batch` call, which gives the scalar path's bits.
     The zero-size attack, the best grid point (re-evaluated to build the
     returned :class:`AttackResult`) and the golden-section steps are scalar
@@ -303,7 +304,7 @@ def optimize_attack(
     if hi <= 0.0 or hi < lo or hi == math.inf:
         return OptimizeOutcome(0.0, zero, 0, max(hi, 0.0), -math.inf)
 
-    grid = _coarse_grid(bounds, lo, hi, coarse_points)
+    grid = _coarse_grid(bounds, lo, hi, _COARSE_POINTS)
     coarse = attack_profit_batch(grid, position.collateral, position.debt,
                                  pool.reserve_collateral, pool.reserve_debt, pool.fee,
                                  params, convention)
@@ -335,13 +336,13 @@ def optimize_attack(
     return OptimizeOutcome(d_best, r_best, len(grid), hi, best_positive)
 
 
-def _coarse_grid(bounds: DeltaBounds, lo: float, hi: float, coarse_points: int) -> list[float]:
+def _coarse_grid(bounds: DeltaBounds, lo: float, hi: float, points: int) -> list[float]:
     """Sorted attack sizes in [lo, hi]: the trigger, a point just past it, and a log grid."""
     grid: list[float] = []
     if bounds.trigger < hi and math.isfinite(bounds.trigger):
         grid.extend([bounds.trigger, bounds.trigger * (1.0 + 1e-9) + 1e-12])
     g_lo = max(lo, hi * 1e-7)
-    grid.extend(float(d) for d in np.geomspace(g_lo, hi, coarse_points))
+    grid.extend(float(d) for d in np.geomspace(g_lo, hi, points))
     return sorted(d for d in grid if lo <= d <= hi)
 
 
@@ -417,10 +418,7 @@ def critical_fee(
 
     lo = max(f for f, v in values if v > profit_floor)
     hi = min(f for f, v in values if v <= profit_floor)
-    while hi - lo > _FEE_TOL:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > profit_floor:
-            lo = mid
-        else:
-            hi = mid
+    if hi - lo > _FEE_TOL:
+        lo, hi = halve(lambda fee: g(fee) > profit_floor, lo, hi,
+                       lambda lo, hi: hi - lo <= _FEE_TOL)
     return CriticalFeeResult(fee_star=hi, bracket=(lo, hi), trace=trace)

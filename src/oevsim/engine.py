@@ -57,10 +57,7 @@ from .lending import (
     bound_collateral,
     bound_debt,
     compute_bounds,
-    debt_exhaustion_bound,
     health_factor,
-    marginal_repay_total,
-    repay_amount,
     trade_multiplier,
 )
 
@@ -236,7 +233,7 @@ def run_liquidation(
     unchanged, tagged by what stopped the run before it began: no
     collateral, no debt, a shut health gate (HF > cf_target), or the fee
     gate.  Otherwise the marginal run and, after a recovery, the closing
-    trade execute.
+    trade execute.  The bounds, gate included, come from ``compute_bounds``.
     """
     if not 0.0 < cf_target <= 1.0:
         raise ValueError(f"cf_target must lie in (0, 1], got {cf_target}")
@@ -245,18 +242,7 @@ def run_liquidation(
 
     hf0 = health_factor(position, pool, params.haircut)
     u = trade_multiplier(pool.fee, params.bonus)
-    if hf0 > cf_target:
-        # Gate shut: the admissible interval is empty, so the recovery bound
-        # reports 0 instead of solving a meaningless (and often ill-
-        # conditioned) crossing above the threshold.
-        bounds = BoundSet(
-            x_collateral=bound_collateral(position, params.bonus),
-            x_debt_full=debt_exhaustion_bound(position, pool, params.bonus, convention),
-            x_debt_kappa=bound_debt(position, pool, kappa, params.bonus, convention),
-            x_closing=0.0,
-        )
-    else:
-        bounds = compute_bounds(position, pool, params, cf_target, kappa, convention)
+    bounds = compute_bounds(position, pool, params, cf_target, kappa, convention)
     x_c, x_b, x_cf = bounds.x_collateral, bounds.x_debt_full, bounds.x_closing
 
     x_liq = pi_liq = x_last = pi_last = 0.0
@@ -281,10 +267,11 @@ def run_liquidation(
             x_liq, binding = x_cf, Binding.CLOSING_FACTOR
 
         c, b = position.collateral, position.debt
+        a, b_res = pool.reserve_collateral, pool.reserve_debt
         pi_liq = marginal_phase_profit(pool, x_liq, params.bonus)
-        c_bar, b_bar, a_bar, b_res_bar = _liquidate(
-            pool.reserve_collateral, pool.reserve_debt, c, b, x_liq, u,
-            marginal_repay_total(pool, x_liq, params.bonus, convention), params.bonus, c, b)
+        repaid = _repay_total(a, b_res, x_liq, u, _traj_factor(pool.fee, convention))
+        c_bar, b_bar, a_bar, b_res_bar = _liquidate(a, b_res, c, b, x_liq, u, repaid,
+                                                    params.bonus, c, b)
         pool_bar = PoolState(a_bar, b_res_bar, pool.fee)
         pos_bar = LoanPosition(c_bar, b_bar)
 
@@ -293,8 +280,8 @@ def run_liquidation(
             if x_last > 0.0:
                 c_bar, b_bar, a_bar, b_res_bar = _liquidate(
                     a_bar, b_res_bar, c_bar, b_bar, x_last, u,
-                    repay_amount(pool_bar, x_last, params.bonus, convention), params.bonus,
-                    max(c, 1.0), max(b, 1.0))
+                    _repay(a_bar, b_res_bar, pool.fee, x_last, params.bonus, convention),
+                    params.bonus, max(c, 1.0), max(b, 1.0))
                 pos_bar = LoanPosition(c_bar, b_bar)
                 pool_bar = PoolState(a_bar, b_res_bar, pool.fee)
 
@@ -376,6 +363,11 @@ def run_liquidation_batch(
             raise ValueError(f"{name} must lie in (0, 1], got {col[bad][0]}")
     bonus = params.bonus
     with np.errstate(all="ignore"):
+        undefined = (b != 0.0) & (a * b == 0.0)
+        if undefined.any():
+            i = int(undefined.argmax())
+            health_factor(LoanPosition(float(c[i]), float(b[i])),
+                          PoolState(float(a[i]), float(b_res[i])), params.haircut)  # raises
         hf0 = np.where(b == 0.0, math.inf, _hf(params.haircut, a, b_res, c, b))
         u = trade_multiplier(fee, bonus)
         m = _traj_factor(fee, convention)

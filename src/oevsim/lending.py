@@ -32,18 +32,21 @@ Everything here is pure and immutable, hence thread-safe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from ._numerics import pmax, pmin
+from ._numerics import halve, pmax, pmin
 from .amm import PoolState
 
 # Tolerance for the root self-check in bound_closing.
 _ROOT_CHECK_TOL = 1e-9
-# Share of the debt left below which a recovery root is the exhaustion point.
-_EXHAUSTED = 1e-12
+# Share of the debt or the collateral left below which a recovery root counts
+# as an exhaustion point: the cancellation in what is left then costs the
+# health factor more relative accuracy than _ROOT_CHECK_TOL.
+_EXHAUSTED = sys.float_info.epsilon / _ROOT_CHECK_TOL
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,15 @@ def _traj_factor(fee: float, convention: RepayConvention) -> float:
 
 
 def health_factor(position: LoanPosition, pool: PoolState, haircut: float) -> float:
-    """haircut * B * c / (A * b); +inf for a debt-free position."""
+    """haircut * B * c / (A * b); +inf for a debt-free position.
+
+    Raises ValueError when ``A * b`` underflows to 0 for a positive debt.
+    """
     if position.debt == 0.0:
         return math.inf
+    if pool.reserve_collateral * position.debt == 0.0:
+        raise ValueError(f"health factor undefined: reserve_collateral * debt underflows to 0 "
+                         f"({pool.reserve_collateral!r} * {position.debt!r})")
     return _hf(haircut, pool.reserve_collateral, pool.reserve_debt,
                position.collateral, position.debt)
 
@@ -138,34 +147,6 @@ def bound_collateral(position: LoanPosition, bonus: float) -> float:
     if bonus < 0.0:
         raise ValueError(f"bonus must be >= 0, got {bonus}")
     return _x_collateral(position.collateral, bonus)
-
-
-def repay_amount(
-    pool: PoolState,
-    x: float,
-    bonus: float,
-    convention: RepayConvention = DEFAULT_CONVENTION,
-) -> float:
-    """Debt write-down beta(x) of one transaction of size x from this pool state."""
-    if x == 0.0:
-        return 0.0
-    return _repay(pool.reserve_collateral, pool.reserve_debt, pool.fee, x, bonus, convention)
-
-
-def marginal_repay_total(
-    pool: PoolState,
-    x: float,
-    bonus: float,
-    convention: RepayConvention = DEFAULT_CONVENTION,
-) -> float:
-    """Total debt repaid by a run of marginal liquidations summing to x.
-
-    Equals m*B*x/(A + x*u) with m from the active convention; the individual
-    step sizes do not matter in the limit.  Under EXECUTION_VALUE and
-    EXECUTION_PER_BONUS it is also the write-down of a single transaction.
-    """
-    return _repay_total(pool.reserve_collateral, pool.reserve_debt, x,
-                        trade_multiplier(pool.fee, bonus), _traj_factor(pool.fee, convention))
 
 
 def bound_debt(
@@ -239,11 +220,12 @@ def _x_collateral(c, bonus):
 
 
 def _repay_total(a, b_res, x, u, m):
+    """Debt repaid by a marginal run of cumulative size x, whatever its step sizes."""
     return m * b_res * x / (a + x * u)
 
 
 def _repay(a, b_res, fee, x, bonus, convention):
-    """beta(x) of one transaction: B*x/A under SPOT_PRICE, else the trajectory total."""
+    """Write-down beta(x) of one transaction: B*x/A under SPOT_PRICE, else the trajectory total."""
     if convention is RepayConvention.SPOT_PRICE:
         return b_res * x / a
     return _repay_total(a, b_res, x, trade_multiplier(fee, bonus), _traj_factor(fee, convention))
@@ -439,10 +421,13 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, conventi
     root is re-bisected on the health-factor gap itself; a root no nearby
     sign change brackets must meet the tolerance as it is.
     """
-    remaining = position.debt - marginal_repay_total(pool, root, bonus, convention)
-    if remaining <= _EXHAUSTED * position.debt:
-        # Root sits at (or beyond) debt exhaustion where HF is singular; fall
-        # back to the polynomial residual at a matching scale.
+    remaining = position.debt - _repay_total(pool.reserve_collateral, pool.reserve_debt, root,
+                                             trade_multiplier(pool.fee, bonus),
+                                             _traj_factor(pool.fee, convention))
+    if _exhausted(position.collateral, position.debt, root, bonus, remaining):
+        # Root sits at (or beyond) debt or collateral exhaustion, where HF
+        # cannot be resolved to the tolerance; fall back to the polynomial
+        # residual at a matching scale.
         residual, limit = _poly_check(quad, root)
         if residual > limit:
             raise RecoveryRootError("polynomial self-check", position, pool, cf, convention,
@@ -461,15 +446,11 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, conventi
             lo, hi = max(root - width, 0.0), root + width
             glo, ghi = gap(lo), gap(hi)
             if (glo > 0.0) != (ghi > 0.0):
-                while hi - lo > math.ulp(hi):
-                    mid = 0.5 * (lo + hi)
-                    gm = gap(mid)
-                    if gm == 0.0:
-                        return mid
-                    if (gm > 0.0) == (glo > 0.0):
-                        lo, glo = mid, gm
-                    else:
-                        hi = mid
+                def side(x: float) -> bool | None:
+                    gx = gap(x)
+                    return None if gx == 0.0 else (gx > 0.0) == (glo > 0.0)
+
+                lo, hi = halve(side, lo, hi, lambda lo, hi: hi - lo <= math.ulp(hi))
                 # Crossing bracketed to one ulp: the defining property holds
                 # to the representable limit even if HF is too steep for the
                 # residual itself to reach the tolerance.
@@ -478,6 +459,11 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, conventi
     if abs(res) > tol:
         raise RecoveryRootError("self-check", position, pool, cf, convention, res)
     return root
+
+
+def _exhausted(c, b, root, bonus, remaining):
+    """Whether the root leaves at most the _EXHAUSTED share of the debt or the collateral."""
+    return (remaining <= _EXHAUSTED * b) | (c - root * (1.0 + bonus) <= _EXHAUSTED * c)
 
 
 def bound_closing_batch(c, b, a, b_res, fee, haircut, bonus, cf, convention):
@@ -522,7 +508,7 @@ def bound_closing_batch(c, b, a, b_res, fee, haircut, bonus, cf, convention):
         remaining = b - _repay_total(a, b_res, root, u, m)
         residual, limit = _poly_check(quad, root)
         gap = _hf_after(a, b_res, c, haircut, bonus, root, u, remaining) - cf
-        settled = np.where(remaining <= _EXHAUSTED * b, ~(residual > limit),
+        settled = np.where(_exhausted(c, b, root, bonus, remaining), ~(residual > limit),
                            abs(gap) <= 0.25 * _hf_tol(cf))
         x = np.where(found, root, math.inf)
         fallback = (b <= 0.0) | (lead == 0.0) | (found & ~settled)
@@ -540,7 +526,7 @@ class BoundSet:
     x_debt_full is the cumulative bound of a marginal run (full repayment,
     kappa circumvented by many small transactions); x_debt_kappa is the
     single-transaction cap at the given kappa.  Both are +inf when they
-    cannot bind.
+    cannot bind.  x_closing is 0 when the health gate is shut.
     """
 
     x_collateral: float
@@ -557,11 +543,16 @@ def compute_bounds(
     kappa: float,
     convention: RepayConvention = DEFAULT_CONVENTION,
 ) -> BoundSet:
-    """Evaluate all bounds of the current state against a given threshold pair."""
+    """Evaluate all bounds of the current state against a given threshold pair.
+
+    A health factor above ``cf_target`` shuts the gate, and the recovery bound
+    reports 0 instead of solving an ill-conditioned crossing above the threshold.
+    """
+    shut = health_factor(position, pool, params.haircut) > cf_target
     return BoundSet(
         x_collateral=bound_collateral(position, params.bonus),
         x_debt_full=debt_exhaustion_bound(position, pool, params.bonus, convention),
         x_debt_kappa=bound_debt(position, pool, kappa, params.bonus, convention),
-        x_closing=bound_closing(position, pool, params.haircut, params.bonus, cf_target,
-                                convention).x,
+        x_closing=0.0 if shut else bound_closing(position, pool, params.haircut, params.bonus,
+                                                 cf_target, convention).x,
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import bisect_root, golden_max
+from ._numerics import bisect_root, golden_max, halve
 from .amm import PoolState, _require_reserves, _sell
 from .engine import run_liquidation
 from .lending import (
@@ -122,7 +122,7 @@ def simulate_liquidation_sequence(
         of one transaction; the HF is -inf once debt or collateral is exhausted,
         which is not a gate crossing."""
         amount = size * one_plus
-        if amount == 0.0:  # the no-op sale; repay_amount is 0 too
+        if amount == 0.0:  # the no-op sale repays nothing
             proceeds, a_n, r_n, beta = 0.0, a, r, 0.0
         else:
             proceeds, a_n, r_n = _sell(a, r, fee, amount)
@@ -174,17 +174,9 @@ def simulate_liquidation_sequence(
         if crossing:
             # Land exactly on the crossing with one bisected partial step,
             # so the walk's end state does not depend on the step phase.
-            lo_s, hi_s = 0.0, x
-            for _ in range(200):
-                mid = 0.5 * (lo_s + hi_s)
-                probe = _step(c, b, a, r, mid)
-                if probe[5] > cf_target:
-                    hi_s = mid
-                else:
-                    lo_s, step = mid, probe
-                if hi_s - lo_s <= 1e-15 * max(1.0, hi_s):
-                    break
-            x = lo_s
+            x, _ = halve(lambda size: not _step(c, b, a, r, size)[5] > cf_target, 0.0, x,
+                         lambda lo, hi: hi - lo <= 1e-15 * max(1.0, hi), 200)
+            step = _step(c, b, a, r, x)
         if x > 0.0:
             dpi, c, b, a, r, hf = step
             profit += dpi

@@ -33,6 +33,7 @@ from oevsim import (
     single_shot_profit,
     subadditivity_check,
 )
+from oevsim._numerics import halve
 from oevsim.cli import reproduce_ex1, reproduce_ex3
 from oevsim.oracles import random_instances
 
@@ -45,24 +46,9 @@ def report(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
 
 
-def _bisect_predicate(pred, lo: float, hi: float, tol_x: float = 1e-12, max_iter: int = 200):
-    """Boundary of a monotone predicate: pred(lo) True, pred(hi) False.
-
-    Returns the final (lo, hi) bracket with pred(lo) True and pred(hi) False.
-    """
-    if not pred(lo):
-        raise ValueError(f"predicate must hold at lo={lo}")
-    if pred(hi):
-        raise ValueError(f"predicate must fail at hi={hi}")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol_x * max(1.0, abs(lo), abs(hi)):
-            break
-    return lo, hi
+def _within(tol_x: float):
+    """Stop test for ``halve``: a bracket at most tol_x * max(1, |lo|, |hi|) wide."""
+    return lambda lo, hi: hi - lo <= tol_x * max(1.0, abs(lo), abs(hi))
 
 
 def test_criterion_01_price_regime_switch():
@@ -83,7 +69,8 @@ def test_criterion_01_price_regime_switch():
         )
         return seq.terminator == "collateral"
 
-    lo, hi = _bisect_predicate(collateral_bound_at, 1700.0, 1900.0, tol_x=1e-10)
+    assert collateral_bound_at(1700.0) and not collateral_bound_at(1900.0)
+    lo, hi = halve(collateral_bound_at, 1700.0, 1900.0, _within(1e-10), 200)
     p_switch = 0.5 * (lo + hi)
     pool_hi = PoolState(math.sqrt(2e9 / hi), math.sqrt(2e9 * hi), 0.0)
     tag_after = simulate_liquidation_sequence(
@@ -96,7 +83,8 @@ def test_criterion_01_price_regime_switch():
         pool = PoolState(math.sqrt(2e9 / p), math.sqrt(2e9 * p), 0.0)
         return run_liquidation(position, pool, STUDY_RISK, 1.0, 0.5).binding is Binding.COLLATERAL
 
-    elo, ehi = _bisect_predicate(engine_collateral_bound, 1700.0, 1900.0, tol_x=1e-10)
+    assert engine_collateral_bound(1700.0) and not engine_collateral_bound(1900.0)
+    elo, ehi = halve(engine_collateral_bound, 1700.0, 1900.0, _within(1e-10), 200)
     elapsed = time.monotonic() - t0
 
     ok = gate_ok and abs(p_switch - 1756.76) <= 0.5 and tag_after == "closing_factor" and elapsed < 10.0
@@ -169,7 +157,8 @@ def test_criterion_04_no_revert_ceiling_matches_formula():
                 return False
             return True
 
-        lo, hi = _bisect_predicate(executes, 0.0, 1.5 * formula, tol_x=1e-10)
+        assert executes(0.0) and not executes(1.5 * formula)
+        lo, hi = halve(executes, 0.0, 1.5 * formula, _within(1e-10), 200)
         boundary = 0.5 * (lo + hi)
         worst = max(worst, abs(boundary - formula) / formula)
     ok = worst <= 1e-6

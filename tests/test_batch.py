@@ -46,11 +46,18 @@ FEES_BPS = (0.0, 1.0, 5.0, 30.0, 100.0)
 CONVENTIONS = list(RepayConvention)
 
 # Cause B of the recovery-root self-check: at this size the collateral and
-# debt-exhaustion bounds of the post-front state nearly tie.
+# debt-exhaustion bounds of the post-front state nearly tie.  Its root sits
+# inside the exhaustion window, so the polynomial check settles it.
 CAUSE_B = (LoanPosition(0.009783424003038013, 0.0001522178433067494),
            PoolState(48.579849532452165, 2.506480705390799, 1e-4),
            RiskParams(0.5521458022613934, 0.01, 0.8520760834790868, 0.4688723566652169))
 CAUSE_B_DELTA = float.fromhex("0x1.3b904db4b9ed5p+5")  # 39.44546071236042
+# A near tie (bounds 1.3e-7 apart) whose root leaves about 2.5e-7 of the debt,
+# just outside the exhaustion window: the health-factor self-check fails.
+SHORT_OF_WINDOW = (LoanPosition(8.331745663884487e-07, 2.885445894891363e-08),
+                   PoolState(3.458330422621055, 0.12771808493794157, 0.0010974388239558678),
+                   RiskParams(0.6099749591202599, 0.0663722135511839, 0.7986954779277954,
+                              0.4947399655985014))
 
 
 def hx(value) -> str:
@@ -222,12 +229,18 @@ def test_run_liquidation_batch_matches_scalar_per_threshold_pair(convention):
         assert_liquidation_row_matches(batch, k, res)
 
 
-def test_batch_raises_where_the_scalar_self_check_raises():
+@pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.value)
+def test_batch_matches_scalar_at_the_cause_b_size(convention):
     position, pool, params = CAUSE_B
+    assert_attack_rows_match([0.0, 1.0, CAUSE_B_DELTA, 50.0], position, pool, params, convention)
+
+
+def test_batch_raises_where_the_scalar_self_check_raises():
+    position, pool, params = SHORT_OF_WINDOW
     with pytest.raises(RecoveryRootError):
-        attack_profit(CAUSE_B_DELTA, position, pool, params)
+        attack_profit(0.0, position, pool, params)
     with pytest.raises(RecoveryRootError) as raised:
-        attack_profit_batch([0.0, 1.0, CAUSE_B_DELTA, 50.0], position.collateral, position.debt,
+        attack_profit_batch([1.0, 0.0, 2.0], position.collateral, position.debt,
                             pool.reserve_collateral, pool.reserve_debt, pool.fee, params)
     assert raised.value.position == position
     assert raised.value.convention is RepayConvention.EXECUTION_VALUE

@@ -248,21 +248,23 @@ attack: {delta_min: 5000.0}
 
 
 def test_cli_attack_recovery_root_error_exits_5(tmp_path, capsys):
-    # The cause-B state of test_attack.py's strict xfail: the golden-section
-    # search meets a recovery root that fails its self-check.
+    # test_batch.py's SHORT_OF_WINDOW state: the zero-size attack's recovery
+    # root leaves a debt share just outside the exhaustion window and fails
+    # its self-check.
     cfg = """
 mode: attack
-pool: {reserve_collateral: 48.579849532452165, reserve_debt: 2.506480705390799, fee: 1.0e-4}
-position: {collateral: 0.009783424003038013, debt: 0.0001522178433067494}
-risk: {haircut: 0.5521458022613934, bonus: 0.01, closing_factor: 0.8520760834790868,
-       max_liq_fraction: 0.4688723566652169}
+pool: {reserve_collateral: 3.458330422621055, reserve_debt: 0.12771808493794157,
+       fee: 0.0010974388239558678}
+position: {collateral: 8.331745663884487e-07, debt: 2.885445894891363e-08}
+risk: {haircut: 0.6099749591202599, bonus: 0.0663722135511839, closing_factor: 0.7986954779277954,
+       max_liq_fraction: 0.4947399655985014}
 """
     assert main(["attack", write(tmp_path, cfg)]) == 5
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and "Traceback" not in out.err
     assert out.err.startswith("attack: recovery-bound root failed its self-check: residual=")
-    assert "LoanPosition(collateral=0.009783424003038013" in out.err
+    assert "LoanPosition(collateral=8.331745663884487e-07" in out.err
 
 
 def test_cli_verify_report_path_checked_before_the_suites(tmp_path, capsys, monkeypatch):

@@ -17,10 +17,9 @@ from oevsim import (
     debt_exhaustion_bound,
     health_factor,
     hf_after_marginal,
-    marginal_repay_total,
-    repay_amount,
 )
 from oevsim._numerics import bisect_root
+from oevsim.lending import _repay
 from oevsim.oracles import random_instances
 
 
@@ -150,10 +149,12 @@ def test_binding_bound_invariant_under_state_scaling():
                 assert v1 == pytest.approx(v0 * s, rel=1e-9)
 
 
-def test_repay_amount_matches_marginal_run_total():
-    # Under the default convention the single-shot write-down equals the
-    # marginal-run total.
-    for inst in random_instances(40, seed=55):
+def test_single_write_down_matches_marginal_run_total():
+    # One EXECUTION_VALUE write-down of size x is what a run of many small
+    # spot-priced liquidations summing to x repays in total: the run lands
+    # far closer to it than one spot-priced write-down of size x does.
+    steps = 1000
+    for inst in random_instances(20, seed=55):
         pos, pool, params = inst.position, inst.pool, inst.params
         x = 0.5 * min(
             bound_collateral(pos, params.bonus),
@@ -161,17 +162,25 @@ def test_repay_amount_matches_marginal_run_total():
         )
         if not (math.isfinite(x) and x > 0.0):
             continue
-        assert repay_amount(pool, x, params.bonus) == pytest.approx(
-            marginal_repay_total(pool, x, params.bonus), rel=1e-12
-        )
+        run, repaid = pool, 0.0
+        for _ in range(steps):
+            repaid += _repay(run.reserve_collateral, run.reserve_debt, run.fee, x / steps,
+                             params.bonus, RepayConvention.SPOT_PRICE)
+            run = run.sell_collateral(x / steps * (1.0 + params.bonus))[1]
+        single, spot = (_repay(pool.reserve_collateral, pool.reserve_debt, pool.fee, x,
+                               params.bonus, convention)
+                        for convention in (RepayConvention.EXECUTION_VALUE,
+                                           RepayConvention.SPOT_PRICE))
+        assert abs(repaid - single) <= 0.01 * abs(spot - single)
 
 
 def test_repay_conventions_ordering():
     pool = PoolState(1000.0, 2_000_000.0, 0.003)
     x = 2.0
-    spot = repay_amount(pool, x, 0.05, RepayConvention.SPOT_PRICE)
-    execv = repay_amount(pool, x, 0.05, RepayConvention.EXECUTION_VALUE)
-    per_bonus = repay_amount(pool, x, 0.05, RepayConvention.EXECUTION_PER_BONUS)
+    spot, execv, per_bonus = (
+        _repay(pool.reserve_collateral, pool.reserve_debt, pool.fee, x, 0.05, convention)
+        for convention in (RepayConvention.SPOT_PRICE, RepayConvention.EXECUTION_VALUE,
+                           RepayConvention.EXECUTION_PER_BONUS))
     assert spot > execv > per_bonus
     assert per_bonus == pytest.approx((1.0 - pool.fee) * execv, rel=1e-14)
 
