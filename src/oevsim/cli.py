@@ -19,7 +19,6 @@ Exit codes: 0 success, 2 config error, 3 infeasible / no threshold,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -47,16 +46,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(header: list[str], rows: list[list], out_path: str | None) -> None:
-    stream = open(out_path, "w", newline="") if out_path else sys.stdout
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    finally:
-        if out_path:
-            stream.close()
+def _write_csv(header: list[str], columns: list[list], out_path: str | None) -> None:
+    """Write a table given as columns, formatting each column in one pass.
+
+    A column of floats alone takes one ``{:.12g}`` map; any other column
+    (``None``, bools, strings, ints) goes through :func:`_fmt`.  No cell
+    holds a comma, a quote or a line break and every table has two or more
+    columns, so no cell needs CSV quoting and the rows are plain joins.
+    """
+    cells = [list(map("{:.12g}".format if set(map(type, col)) == {float} else _fmt, col))
+             for col in columns]
+    text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    if out_path:
+        with open(out_path, "w", newline="") as stream:
+            stream.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _feasible_only(values: np.ndarray, feasible: np.ndarray) -> list:
+    """``values`` as a column with ``None`` (an empty cell) where a buy-back reverts."""
+    return [v if ok else None for v, ok in zip(values.tolist(), feasible.tolist())]
+
+
+def _enum_values(members) -> list[str]:
+    return [m.value for m in members]
 
 
 # ---------------------------------------------------------------------------
@@ -75,45 +89,44 @@ ATK_HEADER = [
 
 
 def run_sweep(cfg: ScenarioConfig) -> tuple[list[str], list[list]]:
-    """Evaluate every sweep point in one batch call; deterministic row order.
+    """Evaluate every sweep point in one batch call; the table as columns, in row order.
 
-    A liquidation sweep is one :func:`best_strategy_batch` call and an
-    attack sweep one :func:`attack.attack_profit_batch` call; both give the
-    scalar functions' bits on every row.  Each point's state and attack
-    bounds are built by the scalar config and bound functions:
+    The states come as columns from :meth:`ScenarioConfig.sweep_columns`.  A
+    liquidation sweep is one :func:`best_strategy_batch` call and an attack
+    sweep one :func:`attack.attack_profit_batch` call; both give the scalar
+    functions' bits on every row, and the CSV columns are their ``.tolist()``
+    columns.  An attack sweep over price, scale or fee still builds each
+    point's position and pool to call the scalar :func:`attack.delta_bounds`:
     ``delta_baddebt_cap`` squares with libm ``pow``, which numpy's ``**2``
     does not reproduce in every last bit.
     """
     if cfg.sweep is None:
         raise ConfigError(["sweep: section required for the sweep command"])
     axis, values = cfg.sweep.axis, cfg.sweep.values()
-    states = cfg.sweep_states(values)
-    cols = np.array([(pos.collateral, pos.debt, pool.reserve_collateral, pool.reserve_debt,
-                      pool.fee) for pos, pool in states])
+    n = len(values)
+    state = cfg.sweep_columns(values)
     if cfg.mode != "attack":
-        res, strategy = best_strategy_batch(*cols.T, cfg.risk, cfg.convention)
-        rows = [[axis, v, hf, pi_liq, pi_last, pi_tot, bind.value, last.value, strat.value, bad]
-                for v, hf, pi_liq, pi_last, pi_tot, bind, last, strat, bad in zip(
-                    values, res.hf_initial.tolist(), res.pi_liq.tolist(), res.pi_last.tolist(),
-                    res.pi_tot.tolist(), res.binding, res.last_binding, strategy,
-                    res.bad_debt.tolist())]
-        return LIQ_HEADER, rows
+        res, strategy = best_strategy_batch(*state, cfg.risk, cfg.convention)
+        return LIQ_HEADER, [[axis] * n, values, res.hf_initial.tolist(), res.pi_liq.tolist(),
+                            res.pi_last.tolist(), res.pi_tot.tolist(), _enum_values(res.binding),
+                            _enum_values(res.last_binding), _enum_values(strategy),
+                            res.bad_debt.tolist()]
 
     if axis == "delta":
         deltas = values
-        bounds = [atk.delta_bounds(*states[0], cfg.risk)] * len(values)
+        bounds = [atk.delta_bounds(*cfg.state_at(), cfg.risk)] * n
     else:
-        deltas = [cfg.attack.delta_min] * len(values)
-        bounds = [atk.delta_bounds(pos, pool, cfg.risk) for pos, pool in states]
-    res = atk.attack_profit_batch(deltas, *cols.T, cfg.risk, cfg.convention)
+        deltas = [cfg.attack.delta_min] * n
+        bounds = [atk.delta_bounds(pos, pool, cfg.risk) for pos, pool in cfg.sweep_states(values)]
+    res = atk.attack_profit_batch(deltas, *state, cfg.risk, cfg.convention)
     # A reverting buy-back has no cost or total: "" in the CSV, as in a single attack.
-    rows = [[axis, v, d, front, pi, cost if ok else None, total if ok else None, ok, trig,
-             bd.trigger, bd.baddebt_cap, bd.no_revert]
-            for v, d, front, pi, cost, total, ok, trig, bd in zip(
-                values, deltas, res.front_proceeds.tolist(), res.liquidation.pi_tot.tolist(),
-                res.buyback_cost.tolist(), res.total_profit.tolist(), res.feasible.tolist(),
-                res.triggered.tolist(), bounds)]
-    return ATK_HEADER, rows
+    return ATK_HEADER, [[axis] * n, values, deltas, res.front_proceeds.tolist(),
+                        res.liquidation.pi_tot.tolist(),
+                        _feasible_only(res.buyback_cost, res.feasible),
+                        _feasible_only(res.total_profit, res.feasible),
+                        res.feasible.tolist(), res.triggered.tolist(),
+                        [bd.trigger for bd in bounds], [bd.baddebt_cap for bd in bounds],
+                        [bd.no_revert for bd in bounds]]
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +153,7 @@ def reproduce_ex1() -> tuple[list[str], list[list]]:
                                 risk, np.repeat([risk.closing_factor, 1.0], len(s)),
                                 np.repeat([1.0, risk.max_liq_fraction], len(s)))
     pi = res.pi_tot.tolist()
-    rows = [list(row) for row in zip(s.tolist(), pi[:len(s)], pi[len(s):])]
-    return ["s", "profit_cf_full", "profit_one_kappa"], rows
+    return ["s", "profit_cf_full", "profit_one_kappa"], [s.tolist(), pi[:len(s)], pi[len(s):]]
 
 
 def reproduce_ex2() -> tuple[list[str], list[list]]:
@@ -159,9 +171,8 @@ def reproduce_ex2() -> tuple[list[str], list[list]]:
     b0 = np.sqrt(2e9 * p)
     coll = hf0 * debt * a0 / (risk.haircut * b0)
     res, _ = best_strategy_batch(coll, debt, a0, b0, 0.0, risk)
-    rows = [[h, pp, pi, binding.value] for h, pp, pi, binding
-            in zip(hf0.tolist(), p.tolist(), res.pi_tot.tolist(), res.binding)]
-    return ["hf0", "p", "pi_tot", "binding"], rows
+    return ["hf0", "p", "pi_tot", "binding"], [hf0.tolist(), p.tolist(), res.pi_tot.tolist(),
+                                               _enum_values(res.binding)]
 
 
 def reproduce_ex3() -> tuple[list[str], list[list]]:
@@ -178,16 +189,13 @@ def reproduce_ex3() -> tuple[list[str], list[list]]:
     prices = np.linspace(1400.0, 2100.0, 281)
     a0, b0 = np.sqrt(2e9 / prices), np.sqrt(2e9 * prices)
     res, _ = best_strategy_batch(position.collateral, position.debt, a0, b0, 0.0, risk)
-    rows = []
-    for p, a, b, hf, pi_liq, pi_last, pi_tot, binding in zip(
-            prices.tolist(), a0.tolist(), b0.tolist(), res.hf_initial.tolist(),
-            res.pi_liq.tolist(), res.pi_last.tolist(), res.pi_tot.tolist(), res.binding):
-        seq = oracles.simulate_liquidation_sequence(
-            position, PoolState(a, b, 0.0), risk, cf_target=1.0, kappa=risk.max_liq_fraction,
-            convention=RepayConvention.SPOT_PRICE,
-        )
-        rows.append([p, hf, pi_liq, pi_last, pi_tot, binding.value, seq.terminator])
-    return ["p", "hf0", "pi_liq", "pi_last", "pi_tot", "binding", "binding_txn"], rows
+    replay = [oracles.simulate_liquidation_sequence(
+        position, PoolState(a, b, 0.0), risk, cf_target=1.0, kappa=risk.max_liq_fraction,
+        convention=RepayConvention.SPOT_PRICE,
+    ).terminator for a, b in zip(a0.tolist(), b0.tolist())]
+    return (["p", "hf0", "pi_liq", "pi_last", "pi_tot", "binding", "binding_txn"],
+            [prices.tolist(), res.hf_initial.tolist(), res.pi_liq.tolist(), res.pi_last.tolist(),
+             res.pi_tot.tolist(), _enum_values(res.binding), replay])
 
 
 def reproduce_ex4() -> tuple[list[str], list[list]]:
@@ -207,10 +215,9 @@ def reproduce_ex4() -> tuple[list[str], list[list]]:
     ))
     res = atk.attack_profit_batch(deltas, position.collateral, position.debt,
                                   pool.reserve_collateral, pool.reserve_debt, pool.fee, risk)
-    rows = [[d, total if ok else None, pi, trig] for d, total, ok, pi, trig in zip(
-        deltas.tolist(), res.total_profit.tolist(), res.feasible.tolist(),
-        res.liquidation.pi_tot.tolist(), res.triggered.tolist())]
-    return ["delta", "total_profit", "liq_profit", "triggered"], rows
+    return (["delta", "total_profit", "liq_profit", "triggered"],
+            [deltas.tolist(), _feasible_only(res.total_profit, res.feasible),
+             res.liquidation.pi_tot.tolist(), res.triggered.tolist()])
 
 
 def reproduce_ex5() -> tuple[list[str], list[list]]:
@@ -232,10 +239,9 @@ def reproduce_ex5() -> tuple[list[str], list[list]]:
     delta = np.concatenate(deltas)
     res = atk.attack_profit_batch(delta, position.collateral, position.debt, 1e4, 2.8e7,
                                   np.array(fee_bps) / 1e4, risk)
-    rows = [[bps, d, total if ok else None, pi, ok] for bps, d, total, ok, pi in zip(
-        fee_bps, delta.tolist(), res.total_profit.tolist(), res.feasible.tolist(),
-        res.liquidation.pi_tot.tolist())]
-    return ["fee_bps", "delta", "total_profit", "liq_profit", "feasible"], rows
+    return (["fee_bps", "delta", "total_profit", "liq_profit", "feasible"],
+            [fee_bps, delta.tolist(), _feasible_only(res.total_profit, res.feasible),
+             res.liquidation.pi_tot.tolist(), res.feasible.tolist()])
 
 
 REPRODUCERS = {
@@ -301,8 +307,7 @@ def _cmd_attack(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    header, rows = run_sweep(cfg)
-    _write_csv(header, rows, args.out)
+    _write_csv(*run_sweep(cfg), args.out)
     return 0
 
 
@@ -326,8 +331,7 @@ def _cmd_fee_threshold(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    header, rows = REPRODUCERS[args.example]()
-    _write_csv(header, rows, args.out)
+    _write_csv(*REPRODUCERS[args.example](), args.out)
     return 0
 
 

@@ -48,13 +48,14 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .amm import PoolState
 from .lending import DEFAULT_CONVENTION, LoanPosition, RepayConvention, RiskParams
 
 SWEEP_AXES = ("price", "pool_scale", "delta", "fee")
-# The state_at keyword each pool axis overrides.
+# The state_columns (and state_at) keyword each pool axis overrides.
 _OVERRIDES = {"price": "price", "pool_scale": "scale", "fee": "fee"}
 
 
@@ -75,22 +76,24 @@ class PoolSpec:
     fee: float = 0.0
     scale: float = 1.0
 
-    def resolve(self, price: float | None = None, scale: float | None = None,
-                fee: float | None = None) -> PoolState:
-        """Concrete pool state, optionally overriding the swept quantity."""
+    def columns(self, price=None, scale=None, fee=None) -> tuple:
+        """Reserves and fee ``(A, B, fee)``; an override may be a column of sweep values.
+
+        The float operations run in the scalar order, and ``sqrt`` and
+        ``+ - * /`` are correctly rounded, so each row has the bits of the
+        same state computed alone.
+        """
         s = self.scale if scale is None else scale
         g = self.fee if fee is None else fee
         if self.liquidity is not None:
             p = self.price if price is None else price
-            a0 = math.sqrt(self.liquidity / p)
-            b0 = math.sqrt(self.liquidity * p)
+            a0, b0 = np.sqrt(self.liquidity / p), np.sqrt(self.liquidity * p)
         else:
             a0, b0 = self.reserve_collateral, self.reserve_debt
             if price is not None:
                 k = a0 * b0
-                a0 = math.sqrt(k / price)
-                b0 = math.sqrt(k * price)
-        return PoolState(a0 * s, b0 * s, g)
+                a0, b0 = np.sqrt(k / price), np.sqrt(k * price)
+        return a0 * s, b0 * s, g
 
 
 @dataclass(frozen=True)
@@ -99,16 +102,12 @@ class PositionSpec:
     collateral: float | None = None
     initial_health_factor: float | None = None
 
-    def resolve(self, pool: PoolState, haircut: float) -> LoanPosition:
+    def columns(self, reserve_collateral, reserve_debt, haircut: float) -> tuple:
+        """Collateral and debt ``(c, b)`` against the pool's reserve columns."""
         if self.collateral is not None:
-            return LoanPosition(self.collateral, self.debt)
-        c = (
-            self.initial_health_factor
-            * self.debt
-            * pool.reserve_collateral
-            / (haircut * pool.reserve_debt)
-        )
-        return LoanPosition(c, self.debt)
+            return self.collateral, self.debt
+        c = self.initial_health_factor * self.debt * reserve_collateral / (haircut * reserve_debt)
+        return c, self.debt
 
 
 @dataclass(frozen=True)
@@ -147,16 +146,40 @@ class ScenarioConfig:
     attack: AttackSpec = field(default_factory=AttackSpec)
     convention: RepayConvention = DEFAULT_CONVENTION
 
+    def state_columns(self, n: int = 1, price=None, scale=None,
+                      fee=None) -> tuple[np.ndarray, ...]:
+        """``n`` rows of (collateral, debt, reserve_collateral, reserve_debt, fee).
+
+        An override may be a column of ``n`` values.  Over- and underflow
+        give inf and 0 without a warning; the constructors and
+        :func:`parse_config` reject such states.
+        """
+        with np.errstate(all="ignore"):
+            a, b, g = self.pool.columns(price, scale, fee)
+            c, d = self.position.columns(a, b, self.risk.haircut)
+        return tuple(np.broadcast_to(np.asarray(v, dtype=float), n) for v in (c, d, a, b, g))
+
     def state_at(self, price: float | None = None, scale: float | None = None,
                  fee: float | None = None) -> tuple[LoanPosition, PoolState]:
-        pool = self.pool.resolve(price=price, scale=scale, fee=fee)
-        return self.position.resolve(pool, self.risk.haircut), pool
+        """Position and pool at one point: row 0 of :meth:`state_columns`."""
+        return _state(*(float(col[0]) for col in self.state_columns(1, price, scale, fee)))
+
+    def sweep_columns(self, values: list[float]) -> tuple[np.ndarray, ...]:
+        """:meth:`state_columns`, one row per sweep value; the delta axis keeps the base state."""
+        if self.sweep.axis == "delta":
+            return self.state_columns(len(values))
+        return self.state_columns(len(values), **{_OVERRIDES[self.sweep.axis]: np.array(values)})
 
     def sweep_states(self, values: list[float]) -> list[tuple[LoanPosition, PoolState]]:
-        """The state at each sweep value; the delta axis keeps the base state."""
-        if self.sweep.axis == "delta":
-            return [self.state_at()] * len(values)
-        return [self.state_at(**{_OVERRIDES[self.sweep.axis]: v}) for v in values]
+        """Each row of :meth:`sweep_columns` as a position and a pool."""
+        return [_state(*row) for row in zip(*(col.tolist() for col in self.sweep_columns(values)))]
+
+
+def _state(c, d, a, b, g) -> tuple[LoanPosition, PoolState]:
+    # The pool is built first, so a reserve out of domain is the error reported
+    # even when the collateral derived from it is out of domain too.
+    pool = PoolState(a, b, g)
+    return LoanPosition(c, d), pool
 
 
 @functools.cache
@@ -334,8 +357,11 @@ def parse_config(data: dict) -> ScenarioConfig:
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read and validate a scenario file."""
     text = Path(path).read_text()
+    # libyaml's parser where PyYAML was built with it; both loaders share the
+    # Python resolver and constructor, so scalars come out typed the same.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError([f"YAML parse error: {exc}"]) from exc
     return parse_config(data if data is not None else {})

@@ -441,8 +441,11 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, conventi
 
     res = gap(root)
     if abs(res) > 0.5 * tol:
-        width = max(root, 1.0) * 1e-12
-        while width <= 0.25 * max(root, 1.0):
+        # A bracket scaled to the root itself: one scaled to max(root, 1)
+        # reaches past the exhaustion point of a root far below 1.
+        scale = root if root > 0.0 else 1.0
+        width = 1e-12 * scale
+        while width <= 0.25 * scale:
             lo, hi = max(root - width, 0.0), root + width
             glo, ghi = gap(lo), gap(hi)
             if (glo > 0.0) != (ghi > 0.0):

@@ -56,7 +56,7 @@ def test_criterion_01_price_regime_switch():
     position = LoanPosition(6.0, 10_000.0)
 
     # Profit is identically zero once the health factor reaches 1.
-    _, rows = reproduce_ex3()
+    rows = list(zip(*reproduce_ex3()[1]))
     gate_ok = all((row[4] == 0.0) == (row[1] >= 1.0) for row in rows)
 
     # The regime change of the liquidation run: collateral-bound below the
@@ -339,7 +339,7 @@ def test_criterion_10_fee_gate_soundness():
 
 
 def test_criterion_11_deep_pools_favor_full_liquidation():
-    _, rows = reproduce_ex1()
+    rows = list(zip(*reproduce_ex1()[1]))
     mid = math.sqrt(0.05 * 100.0)  # geometric midpoint of the sweep
     deep = [(s, full, capped) for s, full, capped in rows if s >= mid]
     violations = [(s, full, capped) for s, full, capped in deep if full < capped]

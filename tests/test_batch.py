@@ -53,7 +53,9 @@ CAUSE_B = (LoanPosition(0.009783424003038013, 0.0001522178433067494),
            RiskParams(0.5521458022613934, 0.01, 0.8520760834790868, 0.4688723566652169))
 CAUSE_B_DELTA = float.fromhex("0x1.3b904db4b9ed5p+5")  # 39.44546071236042
 # A near tie (bounds 1.3e-7 apart) whose root leaves about 2.5e-7 of the debt,
-# just outside the exhaustion window: the health-factor self-check fails.
+# just outside the exhaustion window.  Its health-factor self-check failed
+# while the refine's first bracket was 1e-12*max(root, 1) wide, which for
+# this root of 7.8e-7 reached past the exhaustion point.
 SHORT_OF_WINDOW = (LoanPosition(8.331745663884487e-07, 2.885445894891363e-08),
                    PoolState(3.458330422621055, 0.12771808493794157, 0.0010974388239558678),
                    RiskParams(0.6099749591202599, 0.0663722135511839, 0.7986954779277954,
@@ -235,7 +237,21 @@ def test_batch_matches_scalar_at_the_cause_b_size(convention):
     assert_attack_rows_match([0.0, 1.0, CAUSE_B_DELTA, 50.0], position, pool, params, convention)
 
 
-def test_batch_raises_where_the_scalar_self_check_raises():
+def break_health_factor_check(monkeypatch) -> None:
+    """Make the health factor that the self-checks evaluate infinite.
+
+    With the refine's bracket scaled to the root, no state is known to fail
+    the self-check, and a tighter ``_ROOT_CHECK_TOL`` makes none fail: the
+    refine brackets the crossing to one ulp whatever the tolerance.  An
+    infinite health factor has no crossing to bracket, so the batch's check
+    hands every root to the scalar solver and the scalar check raises.
+    """
+    hf_after = oevsim.lending._hf_after
+    monkeypatch.setattr(oevsim.lending, "_hf_after", lambda *args: hf_after(*args) + math.inf)
+
+
+def test_batch_raises_where_the_scalar_self_check_raises(monkeypatch):
+    break_health_factor_check(monkeypatch)
     position, pool, params = SHORT_OF_WINDOW
     with pytest.raises(RecoveryRootError):
         attack_profit(0.0, position, pool, params)
@@ -313,12 +329,34 @@ def sweep_scenario(mode, axis, convention, position_form, pool_form) -> dict:
     }
 
 
+def reference_state(cfg, value: float) -> tuple[LoanPosition, PoolState]:
+    """The state at one sweep value, from the scenario's fields with math.sqrt."""
+    axis, spec = cfg.sweep.axis, cfg.pool
+    price = value if axis == "price" else None
+    s = value if axis == "pool_scale" else spec.scale
+    fee = value if axis == "fee" else spec.fee
+    if spec.liquidity is not None:
+        p = spec.price if price is None else price
+        a0, b0 = math.sqrt(spec.liquidity / p), math.sqrt(spec.liquidity * p)
+    else:
+        a0, b0 = spec.reserve_collateral, spec.reserve_debt
+        if price is not None:
+            k = a0 * b0
+            a0, b0 = math.sqrt(k / price), math.sqrt(k * price)
+    pool = PoolState(a0 * s, b0 * s, fee)
+    position = cfg.position
+    if position.collateral is not None:
+        return LoanPosition(position.collateral, position.debt), pool
+    c = (position.initial_health_factor * position.debt * pool.reserve_collateral
+         / (cfg.risk.haircut * pool.reserve_debt))
+    return LoanPosition(c, position.debt), pool
+
+
 def reference_rows(cfg) -> list[list]:
     """run_sweep's rows, built point by point from the scalar calls."""
     axis, rows = cfg.sweep.axis, []
     for value in cfg.sweep.values():
-        key = {"price": "price", "pool_scale": "scale", "fee": "fee"}.get(axis)
-        position, pool = cfg.state_at(**({key: value} if key else {}))
+        position, pool = reference_state(cfg, value)
         if cfg.mode == "liquidation":
             res, strat = best_strategy(position, pool, cfg.risk, cfg.convention)
             rows.append([axis, value, res.hf_initial, res.pi_liq, res.pi_last, res.pi_tot,
@@ -344,18 +382,40 @@ def comparable(row: list) -> list:
 @pytest.mark.parametrize("mode,axis", MODE_AXES)
 def test_sweep_rows_match_scalar_calls(mode, axis, convention, position_form, pool_form):
     cfg = parse_config(sweep_scenario(mode, axis, convention, position_form, pool_form))
-    _, rows = run_sweep(cfg)
+    rows = [list(row) for row in zip(*run_sweep(cfg)[1])]
     want = reference_rows(cfg)
     assert [comparable(r) for r in rows] == [comparable(r) for r in want]
     if axis == "delta":
         assert {r[7] for r in rows} == {True, False}
 
 
+@pytest.mark.parametrize("pool_form", ["reserves", "liquidity"])
+@pytest.mark.parametrize("position_form", ["collateral", "initial_health_factor"])
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+@pytest.mark.parametrize("axis, start, stop", [("price", 1000.0, 3000.0),
+                                               ("pool_scale", 0.05, 50.0), ("fee", 1e-4, 0.08)])
+def test_sweep_columns_carry_the_scalar_states_bits(axis, start, stop, spacing, position_form,
+                                                    pool_form):
+    doc = sweep_scenario("liquidation", axis, DEFAULT_CONVENTION, position_form, pool_form)
+    doc["sweep"] = {"axis": axis, "start": start, "stop": stop, "steps": 37, "spacing": spacing}
+    cfg = parse_config(doc)
+    values = cfg.sweep.values()
+    want = [reference_state(cfg, v) for v in values]
+    columns = cfg.sweep_columns(values)
+    fields = [[pos.collateral for pos, _ in want], [pos.debt for pos, _ in want],
+              [pool.reserve_collateral for _, pool in want],
+              [pool.reserve_debt for _, pool in want], [pool.fee for _, pool in want]]
+    assert [[hx(v) for v in col] for col in columns] == [[hx(v) for v in col] for col in fields]
+    assert cfg.sweep_states(values) == want
+    key = {"price": "price", "pool_scale": "scale", "fee": "fee"}[axis]
+    assert [cfg.state_at(**{key: v}) for v in values[::9]] == want[::9]
+
+
 def test_sweep_scenarios_reach_the_fee_gate_both_strategies_and_three_closing_caps():
     def column(axis, position_form, index):
         cfg = parse_config(sweep_scenario("liquidation", axis, DEFAULT_CONVENTION, position_form,
                                           "reserves"))
-        return {row[index] for row in run_sweep(cfg)[1]}
+        return set(run_sweep(cfg)[1][index])
 
     assert "fee_gate" in column("fee", "initial_health_factor", 6)
     assert column("fee", "collateral", 7) == {"none", "kappa_cap", "interior_max"}

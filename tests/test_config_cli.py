@@ -1,13 +1,19 @@
 """Scenario-file validation, CSV contracts, CLI exit codes."""
 
+import csv
+import io
 import math
+import random
+from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oevsim import ConfigError, load_config
-from oevsim.cli import REPRODUCERS, main, run_sweep
+from oevsim.cli import REPRODUCERS, _fmt, _write_csv, main, run_sweep
 from oevsim.config import SWEEP_AXES, parse_config
 from oevsim.engine import best_strategy
 
@@ -103,16 +109,16 @@ sweep:
 
 def test_sweep_row_count_and_determinism(tmp_path):
     cfg = load_config(write(tmp_path, SWEEP))
-    header1, rows1 = run_sweep(cfg)
-    header2, rows2 = run_sweep(cfg)
-    assert len(rows1) == 7
-    assert header1 == header2 and rows1 == rows2
+    header1, cols1 = run_sweep(cfg)
+    header2, cols2 = run_sweep(cfg)
+    assert len(cols1) == len(header1) and all(len(col) == 7 for col in cols1)
+    assert header1 == header2 and cols1 == cols2
 
 
 def test_single_point_sweep_matches_direct_call(tmp_path):
     single = SWEEP.replace("steps: 7", "steps: 1")
     cfg = load_config(write(tmp_path, single))
-    _, rows = run_sweep(cfg)
+    rows = [list(row) for row in zip(*run_sweep(cfg)[1])]
     position, pool = cfg.state_at(price=1400.0)
     res, strat = best_strategy(position, pool, cfg.risk)
     assert rows == [["price", 1400.0, res.hf_initial, res.pi_liq, res.pi_last, res.pi_tot,
@@ -122,10 +128,10 @@ def test_single_point_sweep_matches_direct_call(tmp_path):
 
 
 def test_ex1_header_and_shape_golden():
-    header, rows = REPRODUCERS["ex1"]()
+    header, cols = REPRODUCERS["ex1"]()
     assert header == ["s", "profit_cf_full", "profit_one_kappa"]
-    assert all(len(r) == 3 for r in rows)
-    assert len(rows) == 121
+    assert len(cols) == 3
+    assert all(len(col) == 121 for col in cols)
 
 
 def test_cli_sweep_csv_roundtrip(tmp_path):
@@ -146,30 +152,43 @@ def test_cli_exit_code_on_bad_config(tmp_path):
     assert main(["liquidate", str(tmp_path / "missing.yaml")]) == 2
 
 
-@pytest.mark.parametrize("command, extra, fragment", [
-    ("fee-threshold", "mode: attack\nattack:\n  fee_low: 0.003\n  fee_high: 0.001\n",
-     "fee_low must be < fee_high"),
-    ("sweep", "sweep:\n  axis: price\n  start: -100.0\n  stop: 2000.0\n  steps: 3\n",
-     "price axis values must be > 0"),
-    ("sweep", "sweep:\n  axis: price\n  start: 0.0\n  stop: 2000.0\n  steps: 3\n",
-     "price axis values must be > 0"),
-    ("sweep", "sweep:\n  axis: pool_scale\n  start: 1.0\n  stop: 0.0\n  steps: 3\n",
-     "pool_scale axis values must be > 0"),
-    ("sweep", "mode: attack\nsweep:\n  axis: delta\n  start: -10.0\n  stop: 10.0\n  steps: 3\n",
-     "delta axis values must be >= 0"),
-    ("sweep", "mode: attack\nsweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n"
-     "  steps: 3\nattack:\n  delta_min: -5.0\n", "delta_min/delta_max must be >= 0"),
-    ("attack", "mode: attack\nattack:\n  delta_max: -1.0\n", "delta_min/delta_max must be >= 0"),
-    ("sweep", "mode: attack\nsweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n"
-     "  steps: 3\nattack:\n  delta_min: .nan\n", "attack.delta_min: must be finite, got nan"),
-    ("attack", "mode: attack\nattack:\n  delta_min: 100.0\n  delta_max: 10.0\n",
-     "delta_min must be <= delta_max"),
-    ("sweep", "sweep:\n  axis: price\n  start: 1400.0\n  steps: 3\n", "sweep: missing stop"),
-    ("liquidate", "sweep:\n  axis: price\n  stop: 2000.0\n  steps: 3\n",
-     "sweep: missing start"),
-], ids=["fee_interval", "price_negative", "price_zero", "pool_scale_zero", "delta_negative",
-        "delta_min_negative", "delta_max_negative", "delta_min_nan", "delta_range_empty",
-        "sweep_no_stop", "sweep_no_start"])
+# Test id: (command, scenario text appended to MINIMAL, fragment of the error).
+REJECTIONS = {
+    "fee_interval": (
+        "fee-threshold", "mode: attack\nattack:\n  fee_low: 0.003\n  fee_high: 0.001\n",
+        "fee_low must be < fee_high"),
+    "price_negative": (
+        "sweep", "sweep:\n  axis: price\n  start: -100.0\n  stop: 2000.0\n  steps: 3\n",
+        "price axis values must be > 0"),
+    "price_zero": (
+        "sweep", "sweep:\n  axis: price\n  start: 0.0\n  stop: 2000.0\n  steps: 3\n",
+        "price axis values must be > 0"),
+    "pool_scale_zero": (
+        "sweep", "sweep:\n  axis: pool_scale\n  start: 1.0\n  stop: 0.0\n  steps: 3\n",
+        "pool_scale axis values must be > 0"),
+    "delta_negative": (
+        "sweep", "mode: attack\nsweep:\n  axis: delta\n  start: -10.0\n  stop: 10.0\n  steps: 3\n",
+        "delta axis values must be >= 0"),
+    "delta_min_negative": (
+        "sweep", "mode: attack\nsweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n"
+        "  steps: 3\nattack:\n  delta_min: -5.0\n", "delta_min/delta_max must be >= 0"),
+    "delta_max_negative": (
+        "attack", "mode: attack\nattack:\n  delta_max: -1.0\n",
+        "delta_min/delta_max must be >= 0"),
+    "delta_min_nan": (
+        "sweep", "mode: attack\nsweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n"
+        "  steps: 3\nattack:\n  delta_min: .nan\n", "attack.delta_min: must be finite, got nan"),
+    "delta_range_empty": (
+        "attack", "mode: attack\nattack:\n  delta_min: 100.0\n  delta_max: 10.0\n",
+        "delta_min must be <= delta_max"),
+    "sweep_no_stop": (
+        "sweep", "sweep:\n  axis: price\n  start: 1400.0\n  steps: 3\n", "sweep: missing stop"),
+    "sweep_no_start": (
+        "liquidate", "sweep:\n  axis: price\n  stop: 2000.0\n  steps: 3\n", "sweep: missing start"),
+}
+
+
+@pytest.mark.parametrize("command, extra, fragment", REJECTIONS.values(), ids=REJECTIONS)
 def test_cli_rejects_out_of_domain_config(tmp_path, capsys, command, extra, fragment):
     assert main([command, write(tmp_path, MINIMAL + extra)]) == 2
     assert fragment in capsys.readouterr().err
@@ -247,10 +266,15 @@ attack: {delta_min: 5000.0}
     assert "search               [5000, 8.32333e+06] coarse points=512\n" in capsys.readouterr().out
 
 
-def test_cli_attack_recovery_root_error_exits_5(tmp_path, capsys):
-    # test_batch.py's SHORT_OF_WINDOW state: the zero-size attack's recovery
-    # root leaves a debt share just outside the exhaustion window and fails
-    # its self-check.
+def test_cli_attack_recovery_root_error_exits_5(tmp_path, capsys, monkeypatch):
+    # test_batch.py's SHORT_OF_WINDOW state, whose recovery root now passes
+    # its self-check.  With the health factor the check evaluates made
+    # infinite there is no crossing to bracket, so the check fails (as in
+    # test_batch.break_health_factor_check).
+    import oevsim.lending
+
+    hf_after = oevsim.lending._hf_after
+    monkeypatch.setattr(oevsim.lending, "_hf_after", lambda *args: hf_after(*args) + math.inf)
     cfg = """
 mode: attack
 pool: {reserve_collateral: 3.458330422621055, reserve_debt: 0.12771808493794157,
@@ -333,14 +357,49 @@ def test_cli_verify_rejects_out_of_domain_arguments(capsys, extra):
 
 
 def test_number_formatting_uses_12_significant_digits():
-    from oevsim.cli import _fmt
-
     assert _fmt(1234.56789012345) == "1234.56789012"
     assert _fmt(math.inf) == "inf"
     assert _fmt(-math.inf) == "-inf"
     assert _fmt(math.nan) == _fmt(-math.nan) == "nan"
     assert _fmt(True) == "true"
     assert _fmt(None) == ""
+
+
+def csv_writer_reference(header: list[str], columns: list[list]) -> str:
+    """What csv.writer writes for the rows of ``columns``, each cell formatted by _fmt."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([_fmt(v) for v in row])
+    return out.getvalue()
+
+
+def test_write_csv_matches_the_csv_writer_reference(tmp_path, capsys):
+    rng = random.Random(7)
+    n = 1200
+    block = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308) for _ in range(n)]
+    edges = [math.inf, -math.inf, math.nan, -math.nan, -0.0, 0.0, 5e-324, 1e-5, 1e16,
+             123456789012.5, 0.1 + 0.2]
+    header = ["axis", "value", "cost", "feasible", "binding", "count", "mixed", "edge"]
+    columns = [
+        ["price"] * n,
+        block,
+        [None if i % 7 == 0 else v for i, v in enumerate(block)],
+        [i % 3 == 0 for i in range(n)],
+        [("none", "kappa_cap", "interior_max")[i % 3] for i in range(n)],
+        [10 ** (i % 20) - i for i in range(n)],
+        [i if i % 2 else float(i) * 1e-3 for i in range(n)],
+        [edges[i % len(edges)] for i in range(n)],
+    ]
+    want = csv_writer_reference(header, columns)
+    assert {"inf", "-inf", "nan", "-0", ""} <= set(want.replace("\n", ",").split(","))
+
+    out = tmp_path / "table.csv"
+    _write_csv(header, columns, str(out))
+    assert out.read_bytes() == want.encode()
+    _write_csv(header, columns, None)
+    assert capsys.readouterr().out == want
 
 
 def edit(old, new):
@@ -530,4 +589,71 @@ def test_parse_config_accepts_only_constructible_states(doc):
         return
     cfg.state_at()
     if cfg.sweep is not None:
-        cfg.sweep_states(cfg.sweep.values())
+        c, d, a, b, g = cfg.sweep_columns(cfg.sweep.values())
+        assert np.isfinite([c, d, a, b, g]).all()
+        assert (c >= 0.0).all() and (d >= 0.0).all() and (a > 0.0).all() and (b > 0.0).all()
+        assert ((0.0 <= g) & (g < 1.0)).all()
+
+
+# A sweep end whose derived reserve underflows to 0 or overflows to inf.
+OUT_OF_DOMAIN_ENDS = {
+    "underflow": {"pool": {"reserve_collateral": 1e-200, "reserve_debt": 1.0},
+                  "sweep": {"axis": "pool_scale", "start": 1.0, "stop": 1e-200, "steps": 3,
+                            "spacing": "log"}},
+    "overflow": {"pool": {"reserve_collateral": 1000.0, "reserve_debt": 2e6},
+                 "sweep": {"axis": "price", "start": 1.0, "stop": 1e308, "steps": 3}},
+}
+
+
+@pytest.mark.parametrize("position", [{"debt": 1.0, "collateral": 1.0},
+                                      {"debt": 1.0, "initial_health_factor": 0.9}],
+                         ids=["collateral", "initial_health_factor"])
+@pytest.mark.parametrize("end", OUT_OF_DOMAIN_ENDS)
+def test_cli_rejects_a_derived_state_out_of_domain(tmp_path, capsys, end, position):
+    doc = {**OUT_OF_DOMAIN_ENDS[end], "position": position, "risk": RISK}
+    assert main(["sweep", write(tmp_path, yaml.safe_dump(doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario config:\n  - scenario: derived state out of domain: ")
+    assert err.count("\n") == 2
+
+
+SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
+# Every bundled scenario, the CLI rejection table and YAML 1.1 scalars that
+# the resolver types: exponents without a sign, sexagesimals, hex, booleans.
+LOADER_TEXTS = [path.read_text() for path in SCENARIO_FILES] + [
+    MINIMAL + extra for _, extra, _ in REJECTIONS.values()] + [
+    MINIMAL.replace("fee: 0.003", "fee: 3e-3").replace("debt: 10000.0", "debt: 1e4"),
+    MINIMAL.replace("debt: 10000.0", "debt: 1_000"),
+    MINIMAL.replace("debt: 10000.0", "debt: 0x10"),
+    MINIMAL.replace("debt: 10000.0", "debt: 1:30"),
+    MINIMAL.replace("collateral: 5.5", "collateral: yes"),
+    MINIMAL + "mode: ~\n",
+    "",
+]
+
+
+def outcome(load):
+    try:
+        return load()
+    except ConfigError as exc:
+        return exc.problems
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
+def test_both_yaml_loaders_give_the_pure_python_result(tmp_path, monkeypatch, libyaml):
+    if libyaml and not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert SCENARIO_FILES
+    for text in LOADER_TEXTS:
+        path = write(tmp_path, text)
+        want = outcome(lambda: parse_config(yaml.safe_load(text) or {}))
+        assert outcome(lambda: load_config(path)) == want, text
+
+    malformed = write(tmp_path, MINIMAL + "sweep: {axis: price, start: [1.0\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(malformed)
+    assert len(err.value.problems) == 1
+    assert err.value.problems[0].startswith("YAML parse error: ")
+    assert main(["sweep", malformed]) == 2

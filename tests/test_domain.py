@@ -93,6 +93,13 @@ def assert_liquidation_in_domain(res, position: LoanPosition, pool: PoolState) -
 # health factor: with the exhaustion window at 1e-12 its self-check failed.
 @example((LoanPosition(1.0500000110355002e-08, 1.0000000000000001e-11), PoolState(1.0, 0.001, 0.0),
           RiskParams(0.5, 0.05, 0.05, 0.05), 0.000999999999))
+# A near tie whose root leaves 2.5e-7 of the debt, just outside the
+# exhaustion window: its self-check failed while the refine's first bracket
+# was 1e-12*max(root, 1) wide (test_batch.py's SHORT_OF_WINDOW).
+@example((LoanPosition(8.331745663884487e-07, 2.885445894891363e-08),
+          PoolState(3.458330422621055, 0.12771808493794157, 0.0010974388239558678),
+          RiskParams(0.6099749591202599, 0.0663722135511839, 0.7986954779277954,
+                     0.4947399655985014), 0.0))
 def test_edge_states_stay_in_the_domain(state):
     position, pool, params, delta = state
     liq, _ = best_strategy(position, pool, params)
