@@ -35,6 +35,9 @@ from .engine import best_strategy, best_strategy_batch, run_liquidation_batch
 from .lending import LoanPosition, RecoveryRootError, RepayConvention, RiskParams
 from .amm import PoolState
 
+# One float cell: also "inf", "-inf" and "nan", whatever the NaN's sign.
+_FLOAT = "{:.12g}".format
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -42,19 +45,19 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.12g}"  # also "inf", "-inf" and "nan", whatever the NaN's sign
+        return _FLOAT(value)
     return str(value)
 
 
 def _write_csv(header: list[str], columns: list[list], out_path: str | None) -> None:
     """Write a table given as columns, formatting each column in one pass.
 
-    A column of floats alone takes one ``{:.12g}`` map; any other column
+    A column of floats alone takes one :data:`_FLOAT` map; any other column
     (``None``, bools, strings, ints) goes through :func:`_fmt`.  No cell
     holds a comma, a quote or a line break and every table has two or more
     columns, so no cell needs CSV quoting and the rows are plain joins.
     """
-    cells = [list(map("{:.12g}".format if set(map(type, col)) == {float} else _fmt, col))
+    cells = [list(map(_FLOAT if set(map(type, col)) == {float} else _fmt, col))
              for col in columns]
     text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     if out_path:

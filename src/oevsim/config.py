@@ -81,9 +81,11 @@ class PoolSpec:
 
         The float operations run in the scalar order, and ``sqrt`` and
         ``+ - * /`` are correctly rounded, so each row has the bits of the
-        same state computed alone.
+        same state computed alone.  The scale is a float64, so every result
+        is numpy's and overflow, underflow and division by 0 follow
+        ``np.errstate``.
         """
-        s = self.scale if scale is None else scale
+        s = np.asarray(self.scale if scale is None else scale, dtype=float)
         g = self.fee if fee is None else fee
         if self.liquidity is not None:
             p = self.price if price is None else price

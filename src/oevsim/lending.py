@@ -442,9 +442,10 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, conventi
     res = gap(root)
     if abs(res) > 0.5 * tol:
         # A bracket scaled to the root itself: one scaled to max(root, 1)
-        # reaches past the exhaustion point of a root far below 1.
+        # reaches past the exhaustion point of a root far below 1.  The ulp
+        # floor keeps a subnormal root's width from underflowing to 0.
         scale = root if root > 0.0 else 1.0
-        width = 1e-12 * scale
+        width = max(1e-12 * scale, math.ulp(scale))
         while width <= 0.25 * scale:
             lo, hi = max(root - width, 0.0), root + width
             glo, ghi = gap(lo), gap(hi)

@@ -237,21 +237,8 @@ def test_batch_matches_scalar_at_the_cause_b_size(convention):
     assert_attack_rows_match([0.0, 1.0, CAUSE_B_DELTA, 50.0], position, pool, params, convention)
 
 
-def break_health_factor_check(monkeypatch) -> None:
-    """Make the health factor that the self-checks evaluate infinite.
-
-    With the refine's bracket scaled to the root, no state is known to fail
-    the self-check, and a tighter ``_ROOT_CHECK_TOL`` makes none fail: the
-    refine brackets the crossing to one ulp whatever the tolerance.  An
-    infinite health factor has no crossing to bracket, so the batch's check
-    hands every root to the scalar solver and the scalar check raises.
-    """
-    hf_after = oevsim.lending._hf_after
-    monkeypatch.setattr(oevsim.lending, "_hf_after", lambda *args: hf_after(*args) + math.inf)
-
-
-def test_batch_raises_where_the_scalar_self_check_raises(monkeypatch):
-    break_health_factor_check(monkeypatch)
+@pytest.mark.usefixtures("broken_health_factor_check")
+def test_batch_raises_where_the_scalar_self_check_raises():
     position, pool, params = SHORT_OF_WINDOW
     with pytest.raises(RecoveryRootError):
         attack_profit(0.0, position, pool, params)

@@ -266,15 +266,10 @@ attack: {delta_min: 5000.0}
     assert "search               [5000, 8.32333e+06] coarse points=512\n" in capsys.readouterr().out
 
 
-def test_cli_attack_recovery_root_error_exits_5(tmp_path, capsys, monkeypatch):
-    # test_batch.py's SHORT_OF_WINDOW state, whose recovery root now passes
-    # its self-check.  With the health factor the check evaluates made
-    # infinite there is no crossing to bracket, so the check fails (as in
-    # test_batch.break_health_factor_check).
-    import oevsim.lending
-
-    hf_after = oevsim.lending._hf_after
-    monkeypatch.setattr(oevsim.lending, "_hf_after", lambda *args: hf_after(*args) + math.inf)
+@pytest.mark.usefixtures("broken_health_factor_check")
+def test_cli_attack_recovery_root_error_exits_5(tmp_path, capsys):
+    # test_batch.py's SHORT_OF_WINDOW state, whose recovery root passes its
+    # self-check unless the health factor the check evaluates is broken.
     cfg = """
 mode: attack
 pool: {reserve_collateral: 3.458330422621055, reserve_debt: 0.12771808493794157,
@@ -596,12 +591,20 @@ def test_parse_config_accepts_only_constructible_states(doc):
 
 
 # A sweep end whose derived reserve underflows to 0 or overflows to inf.
+# Each document and the error its first out-of-domain state reports.
 OUT_OF_DOMAIN_ENDS = {
-    "underflow": {"pool": {"reserve_collateral": 1e-200, "reserve_debt": 1.0},
-                  "sweep": {"axis": "pool_scale", "start": 1.0, "stop": 1e-200, "steps": 3,
-                            "spacing": "log"}},
-    "overflow": {"pool": {"reserve_collateral": 1000.0, "reserve_debt": 2e6},
-                 "sweep": {"axis": "price", "start": 1.0, "stop": 1e308, "steps": 3}},
+    "underflow": ({"pool": {"reserve_collateral": 1e-200, "reserve_debt": 1.0},
+                   "sweep": {"axis": "pool_scale", "start": 1.0, "stop": 1e-200, "steps": 3,
+                             "spacing": "log"}},
+                  "reserve_collateral must be > 0, got 0.0"),
+    "overflow": ({"pool": {"reserve_collateral": 1000.0, "reserve_debt": 2e6},
+                  "sweep": {"axis": "price", "start": 1.0, "stop": 1e308, "steps": 3}},
+                 "reserve_debt=inf, fee=0.0) is not finite"),
+    # The base state alone: reserve_debt * scale underflows to 0, and the
+    # collateral derived from it divides by that 0.
+    "base_underflow": ({"pool": {"reserve_collateral": 1.0, "reserve_debt": 1e-200,
+                                 "scale": 1e-200}},
+                       "reserve_debt must be > 0, got 0.0"),
 }
 
 
@@ -610,10 +613,12 @@ OUT_OF_DOMAIN_ENDS = {
                          ids=["collateral", "initial_health_factor"])
 @pytest.mark.parametrize("end", OUT_OF_DOMAIN_ENDS)
 def test_cli_rejects_a_derived_state_out_of_domain(tmp_path, capsys, end, position):
-    doc = {**OUT_OF_DOMAIN_ENDS[end], "position": position, "risk": RISK}
+    doc, reason = OUT_OF_DOMAIN_ENDS[end]
+    doc = {**doc, "position": position, "risk": RISK}
     assert main(["sweep", write(tmp_path, yaml.safe_dump(doc))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid scenario config:\n  - scenario: derived state out of domain: ")
+    assert err.endswith(reason + "\n")
     assert err.count("\n") == 2
 
 

@@ -8,6 +8,7 @@ Liquidations", IMC 2021).
 """
 
 import math
+import signal
 
 import pytest
 from hypothesis import example, given, settings
@@ -134,3 +135,31 @@ def test_underflowing_health_factor_raises_one_value_error(position):
     with pytest.raises(ValueError, match=match):
         simulate_liquidation_sequence(position, pool, params, params.closing_factor,
                                       params.max_liq_fraction)
+
+
+# Its closing roots sit near 2e-320, where 1e-12 of the root underflows:
+# the refine's first bracket was 0 wide and never widened.
+SUBNORMAL_ROOT = (LoanPosition(5.617e-320, 4.1315580598467965e-56),
+                  PoolState(2.261158176774195e-125, 2.3604507266552503e+139, 0.003),
+                  RiskParams(0.6194808574528073, 0.18775295667392683, 0.5788067776509134,
+                             0.9679986501417864))
+
+
+def test_subnormal_root_refine_terminates():
+    position, pool, params = SUBNORMAL_ROOT
+
+    def stop(signum, frame):
+        raise TimeoutError("the recovery-root refine did not terminate")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        liq, _ = best_strategy(position, pool, params)
+        batch, _ = best_strategy_batch([1.0, position.collateral], [0.5, position.debt],
+                                       [1.0, pool.reserve_collateral],
+                                       [1.0, pool.reserve_debt], pool.fee, params)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_liquidation_in_domain(liq, position, pool)
+    assert batch.pi_tot[1] == liq.pi_tot
