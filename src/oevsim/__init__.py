@@ -22,7 +22,6 @@ from .attack import (
     delta_bounds,
     delta_max_no_revert,
     delta_trigger_bound,
-    limiting_profit_nofee,
     optimize_attack,
 )
 from .config import ConfigError, ScenarioConfig, load_config
@@ -33,10 +32,7 @@ from .engine import (
     Strategy,
     best_strategy,
     final_tranche,
-    interior_maximum,
-    marginal_phase_profit,
     run_liquidation,
-    single_shot_profit,
 )
 from .lending import (
     DEFAULT_CONVENTION,
@@ -47,10 +43,7 @@ from .lending import (
     RepayConvention,
     RiskParams,
     bound_closing,
-    bound_collateral,
-    bound_debt,
     compute_bounds,
-    debt_exhaustion_bound,
     health_factor,
     hf_after_marginal,
 )

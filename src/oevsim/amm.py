@@ -50,10 +50,6 @@ class PoolState:
         """Debt asset per unit collateral: reserve_debt / reserve_collateral."""
         return self.reserve_debt / self.reserve_collateral
 
-    def invariant(self) -> float:
-        """Product of the reserves (the pool's liquidity constant k)."""
-        return self.reserve_collateral * self.reserve_debt
-
     def sell_collateral(self, amount_in: float) -> tuple[float, "PoolState"]:
         """Swap ``amount_in`` collateral for debt asset.
 

@@ -133,14 +133,15 @@ def delta_baddebt_cap(position: LoanPosition, pool: PoolState, bonus: float) -> 
     Requires the post-front debt reserve to satisfy
     B1 >= b*(1-fee)*(1+bonus); solving gives
     A0*B0/(b*(1-fee)^2*(1+bonus)) - A0/(1-fee).  Negative values clamp to 0
-    (no attack satisfies the robustness constraint); +inf for zero debt.
+    (no attack satisfies the robustness constraint); +inf for zero debt, and
+    for a debt so small that b*(1-fee)^2*(1+bonus) underflows to 0.
     """
-    if position.debt == 0.0:
+    g = pool.fee
+    den = position.debt * (1.0 - g) ** 2 * (1.0 + bonus)
+    if den == 0.0:
         return math.inf
     a0, b0 = pool.reserve_collateral, pool.reserve_debt
-    g = pool.fee
-    cap = a0 * b0 / (position.debt * (1.0 - g) ** 2 * (1.0 + bonus)) - a0 / (1.0 - g)
-    return max(0.0, cap)
+    return max(0.0, a0 * b0 / den - a0 / (1.0 - g))
 
 
 def delta_max_no_revert(pool: PoolState, collateral: float) -> float:
@@ -167,11 +168,6 @@ def delta_bounds(
         baddebt_cap=delta_baddebt_cap(position, pool, params.bonus),
         no_revert=delta_max_no_revert(pool, position.collateral),
     )
-
-
-def limiting_profit_nofee(pool: PoolState, collateral: float) -> float:
-    """Large-attack profit limit in a fee-free pool: B0*c/(A0 + c)."""
-    return pool.reserve_debt * collateral / (pool.reserve_collateral + collateral)
 
 
 def attack_profit(

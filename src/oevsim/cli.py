@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 config error, 3 infeasible / no threshold,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -370,6 +371,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: main only parses with it, nothing mutates it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oevsim",

@@ -52,10 +52,16 @@ import numpy as np
 import yaml
 
 from .amm import PoolState
-from .lending import DEFAULT_CONVENTION, LoanPosition, RepayConvention, RiskParams
+from .lending import (
+    DEFAULT_CONVENTION,
+    LoanPosition,
+    RepayConvention,
+    RiskParams,
+    health_factor,
+)
 
 SWEEP_AXES = ("price", "pool_scale", "delta", "fee")
-# The state_columns (and state_at) keyword each pool axis overrides.
+# The state_columns keyword each pool axis overrides.
 _OVERRIDES = {"price": "price", "pool_scale": "scale", "fee": "fee"}
 
 
@@ -161,10 +167,9 @@ class ScenarioConfig:
             c, d = self.position.columns(a, b, self.risk.haircut)
         return tuple(np.broadcast_to(np.asarray(v, dtype=float), n) for v in (c, d, a, b, g))
 
-    def state_at(self, price: float | None = None, scale: float | None = None,
-                 fee: float | None = None) -> tuple[LoanPosition, PoolState]:
-        """Position and pool at one point: row 0 of :meth:`state_columns`."""
-        return _state(*(float(col[0]) for col in self.state_columns(1, price, scale, fee)))
+    def state_at(self) -> tuple[LoanPosition, PoolState]:
+        """Position and pool of the base state: row 0 of :meth:`state_columns`."""
+        return _state(*(float(col[0]) for col in self.state_columns()))
 
     def sweep_columns(self, values: list[float]) -> tuple[np.ndarray, ...]:
         """:meth:`state_columns`, one row per sweep value; the delta axis keeps the base state."""
@@ -343,14 +348,16 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError(problems)
     cfg = ScenarioConfig(mode=mode, pool=pool, position=PositionSpec(**pos_raw), risk=risk,
                          sweep=sweep, attack=attack, convention=convention)
-    # Finite inputs can still derive a reserve that underflows to 0 or a state
-    # that overflows.  Every derived number is monotone along a sweep, so the
-    # base point and the sweep's ends stand for every point.
+    # Finite inputs can still derive a reserve that underflows to 0, a state
+    # that overflows, or a reserve_collateral * debt that underflows to 0 (an
+    # undefined health factor).  Every derived number is monotone along a
+    # sweep, so the base point and the sweep's ends stand for every point.
     try:
         for position, state in [cfg.state_at(), *(cfg.sweep_states(ends) if sweep else [])]:
             if not all(map(math.isfinite, (position.collateral, state.reserve_collateral,
                                            state.reserve_debt))):
                 raise ValueError(f"{position} in {state} is not finite")
+            health_factor(position, state, risk.haircut)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError([f"scenario: derived state out of domain: {exc}"]) from None
     return cfg

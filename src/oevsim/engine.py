@@ -54,8 +54,6 @@ from .lending import (
     _traj_factor,
     _x_collateral,
     bound_closing_batch,
-    bound_collateral,
-    bound_debt,
     compute_bounds,
     health_factor,
     trade_multiplier,
@@ -116,40 +114,6 @@ class LiquidationResult:
     kappa: float
 
 
-def single_shot_profit(pool: PoolState, x: float, bonus: float) -> float:
-    """Profit of one liquidation of size x executed in a single swap.
-
-    Sell proceeds of the x*(1+bonus) collateral minus the spot-priced
-    repayment B*x/A:  B*x*u/(A + x*u) - B*x/A.
-    """
-    return _shot_profit(pool.reserve_collateral, pool.reserve_debt,
-                        trade_multiplier(pool.fee, bonus), x)
-
-
-def marginal_phase_profit(pool: PoolState, x_liq: float, bonus: float) -> float:
-    """Closed form for the marginal run's total profit.
-
-    Integrating the per-slice profit (B - y)*(u - 1)/(A + x*u) dx from 0 to
-    x_liq gives B*(u - 1)*x_liq/(A + x_liq*u); its sign is the sign of u - 1.
-    """
-    if x_liq < 0.0:
-        raise ValueError(f"x_liq must be >= 0, got {x_liq}")
-    return _run_profit(pool.reserve_collateral, pool.reserve_debt,
-                       trade_multiplier(pool.fee, bonus), x_liq)
-
-
-def interior_maximum(pool: PoolState, bonus: float) -> float:
-    """Unconstrained maximizer of the single-shot profit from this pool.
-
-    d/dx [B*x*u/(A + x*u) - B*x/A] = 0  at  x = A*(sqrt(u) - 1)/u, which is
-    positive iff u > 1; we clamp at zero otherwise (not trading is optimal).
-    """
-    u = trade_multiplier(pool.fee, bonus)
-    if u <= 1.0:
-        return 0.0
-    return _interior(pool.reserve_collateral, u, math.sqrt)
-
-
 def final_tranche(
     pool_bar: PoolState,
     pos_bar: LoanPosition,
@@ -163,12 +127,16 @@ def final_tranche(
     single-transaction kappa bound; within those the interior optimum wins.
     Returns a zero trade when u <= 1 (the profit would be non-positive).
     """
-    u = trade_multiplier(pool_bar.fee, params.bonus)
+    if not 0.0 < kappa <= 1.0:
+        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+    a, b_res, fee = pool_bar.reserve_collateral, pool_bar.reserve_debt, pool_bar.fee
+    bonus = params.bonus
+    u = trade_multiplier(fee, bonus)
     if u <= 1.0:
         return 0.0, 0.0, LastBinding.NONE
-    x_rem = bound_collateral(pos_bar, params.bonus)
-    x_kb = bound_debt(pos_bar, pool_bar, kappa, params.bonus, convention)
-    x_opt = interior_maximum(pool_bar, params.bonus)
+    x_rem = _x_collateral(pos_bar.collateral, bonus)
+    x_kb = _kappa_cap(kappa * pos_bar.debt, a, b_res, fee, bonus, convention)
+    x_opt = _interior(a, u, math.sqrt)
     if x_rem <= x_kb and x_rem <= x_opt:
         x_last, tag = x_rem, LastBinding.COLLATERAL_REMAINDER
     elif x_kb <= x_opt:
@@ -177,7 +145,7 @@ def final_tranche(
         x_last, tag = x_opt, LastBinding.INTERIOR_MAX
     if x_last <= 0.0:
         return 0.0, 0.0, LastBinding.NONE
-    return x_last, single_shot_profit(pool_bar, x_last, params.bonus), tag
+    return x_last, _shot_profit(a, b_res, u, x_last), tag
 
 
 # Number-level formulas, shared with run_liquidation_batch: each takes floats
@@ -237,12 +205,10 @@ def run_liquidation(
     """
     if not 0.0 < cf_target <= 1.0:
         raise ValueError(f"cf_target must lie in (0, 1], got {cf_target}")
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
 
+    bounds = compute_bounds(position, pool, params, cf_target, kappa, convention)  # checks kappa
     hf0 = health_factor(position, pool, params.haircut)
     u = trade_multiplier(pool.fee, params.bonus)
-    bounds = compute_bounds(position, pool, params, cf_target, kappa, convention)
     x_c, x_b, x_cf = bounds.x_collateral, bounds.x_debt_full, bounds.x_closing
 
     x_liq = pi_liq = x_last = pi_last = 0.0
@@ -268,7 +234,7 @@ def run_liquidation(
 
         c, b = position.collateral, position.debt
         a, b_res = pool.reserve_collateral, pool.reserve_debt
-        pi_liq = marginal_phase_profit(pool, x_liq, params.bonus)
+        pi_liq = _run_profit(a, b_res, u, x_liq)
         repaid = _repay_total(a, b_res, x_liq, u, _traj_factor(pool.fee, convention))
         c_bar, b_bar, a_bar, b_res_bar = _liquidate(a, b_res, c, b, x_liq, u, repaid,
                                                     params.bonus, c, b)

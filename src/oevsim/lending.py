@@ -20,8 +20,8 @@ Three bounds cap any liquidation run from a given state:
 
 * ``x_collateral = c / (1 + bonus)`` -- the borrower runs out of collateral;
 * a debt bound -- the repayment cannot exceed (a fraction ``kappa`` of) the
-  outstanding debt; the per-transaction cap and the exhaustion point of a
-  run of many small liquidations are both provided;
+  outstanding debt; :func:`compute_bounds` reports both the per-transaction
+  cap and the exhaustion point of a run of many small liquidations;
 * a recovery bound ``x_closing`` -- the trade size at which the position's
   health factor climbs back to the threshold, obtained as the smallest
   non-negative root of a quadratic (see :func:`bound_closing`).
@@ -142,46 +142,6 @@ def health_factor(position: LoanPosition, pool: PoolState, haircut: float) -> fl
                position.collateral, position.debt)
 
 
-def bound_collateral(position: LoanPosition, bonus: float) -> float:
-    """Largest liquidation the collateral can pay for: c / (1 + bonus)."""
-    if bonus < 0.0:
-        raise ValueError(f"bonus must be >= 0, got {bonus}")
-    return _x_collateral(position.collateral, bonus)
-
-
-def bound_debt(
-    position: LoanPosition,
-    pool: PoolState,
-    kappa: float,
-    bonus: float,
-    convention: RepayConvention = DEFAULT_CONVENTION,
-) -> float:
-    """Per-transaction cap: largest single x with beta(x) <= kappa * debt.
-
-    kappa*b*A/B under SPOT_PRICE; otherwise beta has the trajectory form
-    m*B*x/(A + x*u) and the cap is :func:`_debt_cap` of kappa*b.
-    """
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    return _kappa_cap(kappa * position.debt, pool.reserve_collateral, pool.reserve_debt,
-                      pool.fee, bonus, convention)
-
-
-def debt_exhaustion_bound(
-    position: LoanPosition,
-    pool: PoolState,
-    bonus: float,
-    convention: RepayConvention = DEFAULT_CONVENTION,
-) -> float:
-    """Cumulative size at which a marginal run has repaid the entire debt.
-
-    Solves m*B*x/(A + x*u) = b with :func:`_debt_cap`; +inf when the pool
-    lacks the debt-asset depth to ever absorb full repayment.
-    """
-    return _debt_cap(position.debt, pool.reserve_collateral, pool.reserve_debt,
-                     trade_multiplier(pool.fee, bonus), _traj_factor(pool.fee, convention))
-
-
 def hf_after_marginal(
     position: LoanPosition,
     pool: PoolState,
@@ -258,9 +218,23 @@ def _hf_after(a, b_res, c, haircut, bonus, x, u, remaining):
 
     ``(A + x*u) ** 2`` is libm ``pow`` on a float and ``x*x`` on an array;
     the two can differ in the last bit, which the batch's residual margin
-    absorbs (see bound_closing_batch).
+    absorbs (see bound_closing_batch).  Where the square overflows, the
+    price divides by ``A + x*u`` twice; where a float square underflows to
+    0, the health factor is undefined and ValueError is raised.
     """
-    price = b_res * a / (a + x * u) ** 2
+    w = a + x * u
+    if isinstance(w, np.ndarray):
+        square = w ** 2
+        price = np.where(square == math.inf, b_res * a / w / w, b_res * a / square)
+    else:
+        try:
+            square = w ** 2
+        except OverflowError:
+            square = math.inf
+        if square == 0.0:
+            raise ValueError(f"health factor undefined: (reserve_collateral + x*u)**2 underflows "
+                             f"to 0 ({a!r} + {x!r} * {u!r})")
+        price = b_res * a / w / w if square == math.inf else b_res * a / square
     return haircut * (c - x * (1.0 + bonus)) * price / remaining
 
 
@@ -393,7 +367,7 @@ def bound_closing(
         if q != 0.0:
             roots.append(-offset / q)
 
-    floor = _root_floor(a, u, bound_collateral(position, bonus))
+    floor = _root_floor(a, u, _x_collateral(position.collateral, bonus))
     root = min((max(r, 0.0) for r in roots if math.isfinite(r) and r >= -floor), default=math.inf)
     if root == math.inf:
         return ClosingBound(math.inf, "none")
@@ -552,11 +526,15 @@ def compute_bounds(
     A health factor above ``cf_target`` shuts the gate, and the recovery bound
     reports 0 instead of solving an ill-conditioned crossing above the threshold.
     """
+    if not 0.0 < kappa <= 1.0:
+        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
     shut = health_factor(position, pool, params.haircut) > cf_target
+    a, b_res, fee, bonus = pool.reserve_collateral, pool.reserve_debt, pool.fee, params.bonus
     return BoundSet(
-        x_collateral=bound_collateral(position, params.bonus),
-        x_debt_full=debt_exhaustion_bound(position, pool, params.bonus, convention),
-        x_debt_kappa=bound_debt(position, pool, kappa, params.bonus, convention),
-        x_closing=0.0 if shut else bound_closing(position, pool, params.haircut, params.bonus,
+        x_collateral=_x_collateral(position.collateral, bonus),
+        x_debt_full=_debt_cap(position.debt, a, b_res, trade_multiplier(fee, bonus),
+                              _traj_factor(fee, convention)),
+        x_debt_kappa=_kappa_cap(kappa * position.debt, a, b_res, fee, bonus, convention),
+        x_closing=0.0 if shut else bound_closing(position, pool, params.haircut, bonus,
                                                  cf_target, convention).x,
     )

@@ -40,9 +40,6 @@ from .lending import (
     _traj_factor,
     _x_collateral,
     bound_closing,
-    bound_collateral,
-    bound_debt,
-    debt_exhaustion_bound,
     health_factor,
     hf_after_marginal,
     trade_multiplier,
@@ -158,8 +155,8 @@ def simulate_liquidation_sequence(
         if steps >= max_steps:
             term = "steps"
             break
-        if steps == 0:
-            bound_debt(position, pool, kappa, ell, convention)  # raises on an invalid kappa
+        if steps == 0 and not 0.0 < kappa <= 1.0:
+            raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
         kb = kappa * b
         x = min(
             step_limit,
@@ -204,17 +201,15 @@ def _best_closing_trade(
     over [0, min(collateral remainder, kappa cap)]; no closed form is used.
     The position must hold debt and collateral, so that cap is positive and finite.
     """
-    cap = min(
-        bound_collateral(position, params.bonus),
-        bound_debt(position, pool, kappa, params.bonus, convention),
-    )
+    a, r = pool.reserve_collateral, pool.reserve_debt
+    cap = min(_x_collateral(position.collateral, params.bonus),
+              _kappa_cap(kappa * position.debt, a, r, pool.fee, params.bonus, convention))
 
     def profit(x: float) -> float:
         return _shot_profit(pool, x, params.bonus)[0]
 
     # The scan is _shot_profit at every grid point, as one array expression
     # that overflows to inf and nan silently, as Python floats do.
-    a, r = pool.reserve_collateral, pool.reserve_debt
     n = max(64, min(1024, grid_n))
     xs = np.linspace(0.0, cap, n + 1)
     with np.errstate(all="ignore"):
@@ -254,7 +249,7 @@ def dp_oracle(
     if position.collateral <= 0.0 or position.debt <= 0.0:
         return 0.0
 
-    span_cap = bound_collateral(position, params.bonus)
+    span_cap = _x_collateral(position.collateral, params.bonus)
     probe = simulate_liquidation_sequence(
         position, pool, params, cf_target, kappa, convention,
         step_limit=span_cap / grid_n, stop_before_crossing=True,
@@ -448,8 +443,9 @@ def random_instances(
         pool = PoolState(a0, b0, fee)
         params = RiskParams(haircut, bonus, closing, kappa)
 
-        x_c = bound_collateral(position, bonus)
-        x_b = debt_exhaustion_bound(position, pool, bonus)
+        x_c = _x_collateral(coll, bonus)
+        # The debt-exhaustion bound of the default convention, whose m is 1.
+        x_b = _debt_cap(debt, a0, b0, trade_multiplier(fee, bonus), 1.0)
         x_cf = bound_closing(position, pool, haircut, bonus, cf_target).x
         finite = [v for v in (x_c, x_b, x_cf) if math.isfinite(v)]
         tied = any(
@@ -506,7 +502,7 @@ def verification_report(
     rng = random.Random(seed + 1)
     general = random_instances(n_instances, seed + 2)
     for inst in general:
-        x_c = bound_collateral(inst.position, inst.params.bonus)
+        x_c = _x_collateral(inst.position.collateral, inst.params.bonus)
         x1 = rng.uniform(0.0, 0.6) * x_c
         x2 = rng.uniform(0.0, 0.6) * (x_c - x1)
         lhs, rhs, holds = subadditivity_check(inst.pool, inst.params.bonus, x1, x2)
@@ -543,10 +539,9 @@ def verification_report(
         inst = Instance(position, pool,
                         RiskParams(haircut, bonus, 0.8, 0.5), cf_target, 0.5)
         cb = bound_closing(position, pool, haircut, bonus, cf_target)
-        hi = min(
-            bound_collateral(position, bonus),
-            debt_exhaustion_bound(position, pool, bonus),
-        ) * (1.0 - 1e-9)
+        # Below the collateral and debt-exhaustion bounds (default convention, m = 1).
+        hi = min(_x_collateral(position.collateral, bonus),
+                 _debt_cap(debt, a0, b0, trade_multiplier(fee, bonus), 1.0)) * (1.0 - 1e-9)
         if not (math.isfinite(cb.x) and 0.0 < cb.x < hi):
             continue
 

@@ -17,7 +17,6 @@ from oevsim import (
     RepayConvention,
     RiskParams,
     attack_profit,
-    bound_collateral,
     critical_fee,
     delta_baddebt_cap,
     delta_max_no_revert,
@@ -25,16 +24,14 @@ from oevsim import (
     health_factor,
     hf_monotonicity_check,
     integral_oracle,
-    interior_maximum,
-    limiting_profit_nofee,
-    marginal_phase_profit,
     run_liquidation,
     simulate_liquidation_sequence,
-    single_shot_profit,
     subadditivity_check,
 )
 from oevsim._numerics import halve
 from oevsim.cli import reproduce_ex1, reproduce_ex3
+from oevsim.engine import _interior, _run_profit, _shot_profit
+from oevsim.lending import _x_collateral, trade_multiplier
 from oevsim.oracles import random_instances
 
 STUDY_RISK = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
@@ -44,6 +41,11 @@ POOL5 = PoolState(10_000.0, 28_000_000.0, 0.003)
 
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
+
+
+def liquidation_value(pool: PoolState, collateral: float) -> float:
+    """Large-attack profit limit in a fee-free pool: B0*c/(A0 + c)."""
+    return pool.reserve_debt * collateral / (pool.reserve_collateral + collateral)
 
 
 def _within(tol_x: float):
@@ -171,7 +173,7 @@ def test_criterion_05_limiting_profit_both_regimes():
     worst_rel = 0.0
     for inst in random_instances(20, seed=550, fees_bps=(0.0,), bonuses=(0.05, 0.10)):
         pool, position = inst.pool, inst.position
-        limit = limiting_profit_nofee(pool, position.collateral)
+        limit = liquidation_value(pool, position.collateral)
         res = attack_profit(1e6 * pool.reserve_collateral, position, pool, inst.params)
         worst_rel = max(worst_rel, abs(res.total_profit - limit) / limit)
     ok_zero = worst_rel <= 0.01
@@ -186,7 +188,7 @@ def test_criterion_05_limiting_profit_both_regimes():
         near = attack_profit(0.99 * ceiling, position, pool, params)
         nearer = attack_profit(0.9999 * ceiling, position, pool, params)
         assert near.feasible and nearer.feasible
-        liq_value = limiting_profit_nofee(pool, position.collateral)
+        liq_value = liquidation_value(pool, position.collateral)
         min_margin = min(min_margin, (near.total_profit - nearer.total_profit) / (10.0 * liq_value))
     ok_pos = min_margin >= 1.0
 
@@ -237,8 +239,10 @@ def test_criterion_07_closed_form_equals_quadrature():
     worst = 0.0
     rng = random.Random(770)
     for inst in random_instances(100, seed=771):
-        x = rng.uniform(0.1, 0.95) * bound_collateral(inst.position, inst.params.bonus)
-        closed = marginal_phase_profit(inst.pool, x, inst.params.bonus)
+        x = rng.uniform(0.1, 0.95) * _x_collateral(inst.position.collateral, inst.params.bonus)
+        pool = inst.pool
+        closed = _run_profit(pool.reserve_collateral, pool.reserve_debt,
+                             trade_multiplier(pool.fee, inst.params.bonus), x)
         quad = integral_oracle(inst.pool, x, inst.params.bonus)
         denom = max(abs(closed), abs(quad), 1e-12)
         worst = max(worst, abs(closed - quad) / denom)
@@ -254,7 +258,7 @@ def test_criterion_08_split_inequalities():
     sub_checked = sub_bad = 0
     while sub_checked < 10_000:
         inst = instances[sub_checked % len(instances)]
-        cap = bound_collateral(inst.position, inst.params.bonus)
+        cap = _x_collateral(inst.position.collateral, inst.params.bonus)
         x1 = rng.uniform(0.0, 0.7) * cap
         x2 = rng.uniform(0.0, 0.7) * (cap - x1)
         _, _, holds = subadditivity_check(inst.pool, inst.params.bonus, x1, x2)
@@ -269,7 +273,7 @@ def test_criterion_08_split_inequalities():
         pos, pool, params = inst.position, inst.pool, inst.params
         if health_factor(pos, pool, params.haircut) > inst.cf_target:
             continue
-        cap = bound_collateral(pos, params.bonus)
+        cap = _x_collateral(pos.collateral, params.bonus)
         x1 = rng.uniform(0.0, 0.35) * cap
         x2 = rng.uniform(0.0, 0.35) * cap
         if pos.debt - (x1 + x2) * pool.spot_price() <= 0.0:
@@ -289,14 +293,15 @@ def test_criterion_09_interior_maximum_stationarity():
     worst = 0.0
     n = 0
     for inst in random_instances(200, seed=990, feasible_only=True):
-        pool, bonus = inst.pool, inst.params.bonus
-        x_opt = interior_maximum(pool, bonus)
+        a, b_res = inst.pool.reserve_collateral, inst.pool.reserve_debt
+        u = trade_multiplier(inst.pool.fee, inst.params.bonus)
+        x_opt = _interior(a, u, math.sqrt) if u > 1.0 else 0.0
         if x_opt <= 0.0:
             continue
         h = 1e-5 * x_opt
-        fd = (single_shot_profit(pool, x_opt + h, bonus)
-              - single_shot_profit(pool, x_opt - h, bonus)) / (2.0 * h)
-        scale = single_shot_profit(pool, x_opt, bonus) / x_opt
+        fd = (_shot_profit(a, b_res, u, x_opt + h)
+              - _shot_profit(a, b_res, u, x_opt - h)) / (2.0 * h)
+        scale = _shot_profit(a, b_res, u, x_opt) / x_opt
         worst = max(worst, abs(fd) / scale)
         n += 1
         if n == 100:

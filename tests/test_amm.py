@@ -19,11 +19,6 @@ def test_spot_price_examples():
     assert PoolState(10_000.0, 28_000_000.0).spot_price() == 2800.0
 
 
-def test_invariant_examples():
-    assert PoolState(1000.0, 2_000_000.0).invariant() == 2e9
-    assert PoolState(1.0, 1.0).invariant() == 1.0
-
-
 def test_sell_zero_is_noop_identity():
     pool = PoolState(1000.0, 2_000_000.0, 0.003)
     out, new = pool.sell_collateral(0.0)
@@ -100,7 +95,8 @@ def test_state_validation():
 def test_product_preserved_by_sell(a, b, fee, amt):
     pool = PoolState(a, b, fee)
     _, new = pool.sell_collateral(amt)
-    assert abs(new.invariant() - pool.invariant()) <= 1e-12 * pool.invariant()
+    k = pool.reserve_collateral * pool.reserve_debt
+    assert abs(new.reserve_collateral * new.reserve_debt - k) <= 1e-12 * k
 
 
 @given(a=reserves, b=reserves, fee=fees, frac=st.floats(min_value=0.0, max_value=0.999))
@@ -108,7 +104,8 @@ def test_product_preserved_by_sell(a, b, fee, amt):
 def test_product_preserved_by_buy(a, b, fee, frac):
     pool = PoolState(a, b, fee)
     _, new = pool.buy_collateral_exact(frac * a)
-    assert abs(new.invariant() - pool.invariant()) <= 1e-12 * pool.invariant()
+    k = pool.reserve_collateral * pool.reserve_debt
+    assert abs(new.reserve_collateral * new.reserve_debt - k) <= 1e-12 * k
 
 
 def test_output_strictly_decreasing_in_fee():

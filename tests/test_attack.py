@@ -19,7 +19,6 @@ from oevsim import (
     delta_max_no_revert,
     delta_trigger_bound,
     health_factor,
-    limiting_profit_nofee,
     optimize_attack,
 )
 from oevsim.oracles import random_instances
@@ -29,6 +28,10 @@ STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=
 # Heavily-used study configuration: deep pool vs a healthy borrower.
 POOL5 = PoolState(10_000.0, 28_000_000.0, 0.003)
 POS5 = LoanPosition(20.12, 32_000.0)
+
+
+def product(pool):
+    return pool.reserve_collateral * pool.reserve_debt
 
 
 def test_sell_proceeds_approach_full_reserve_without_fee():
@@ -49,7 +52,7 @@ def test_attack_profit_tiny_position_in_deep_pool():
     assert res.feasible
     assert math.isfinite(res.liquidation.pi_tot) and res.liquidation.pi_tot >= 0.0
     for after in (res.pool_after_front, res.pool_after_liq):
-        assert after.invariant() == pytest.approx(pool.invariant(), rel=1e-12)
+        assert product(after) == pytest.approx(product(pool), rel=1e-12)
 
 
 def test_trigger_bound_clamps_and_self_checks():
@@ -124,9 +127,9 @@ def test_attack_decomposition_identity_and_reserve_chain():
     assert res.total_profit == pytest.approx(
         res.front_proceeds + res.liq_profit - res.buyback_cost, rel=1e-15
     )
-    k0 = POOL5.invariant()
-    assert res.pool_after_front.invariant() == pytest.approx(k0, rel=1e-12)
-    assert res.pool_after_liq.invariant() == pytest.approx(k0, rel=1e-12)
+    k0 = product(POOL5)
+    assert product(res.pool_after_front) == pytest.approx(k0, rel=1e-12)
+    assert product(res.pool_after_liq) == pytest.approx(k0, rel=1e-12)
 
 
 def test_pure_round_trip_loses_exactly_the_fee_drag():
@@ -166,9 +169,7 @@ def test_profit_non_increasing_in_fee_at_fixed_delta():
 
 def test_no_fee_limit_matches_liquidation_value():
     pool0 = PoolState(1e4, 2.8e7, 0.0)
-    limit = limiting_profit_nofee(pool0, POS5.collateral)
-    assert limit == pytest.approx(2.8e7 * 20.12 / (1e4 + 20.12), rel=1e-14)
-    assert limiting_profit_nofee(pool0, 0.0) == 0.0
+    limit = 2.8e7 * POS5.collateral / (1e4 + POS5.collateral)  # B0*c/(A0 + c)
     # monotone convergence toward the limit as the attack grows; the
     # buy-back leg's A2 - delta cancellation puts a float noise floor of
     # roughly eps * delta / (A0 + c) on the largest sizes
@@ -191,6 +192,15 @@ def test_positive_fee_divergence_near_ceiling():
     beyond = attack_profit(1.01 * ceiling, POS5, POOL5, STD)
     assert not beyond.feasible
     assert beyond.total_profit is None and beyond.buyback_cost is None
+
+
+def test_baddebt_cap_of_a_subnormal_debt_is_infinite():
+    # b*(1-fee)**2*(1+bonus) underflows to 0, which the cap divided by.
+    pos, pool = LoanPosition(1.0, 5e-324), PoolState(1.0, 1.0, 0.5)
+    assert delta_baddebt_cap(pos, pool, STD.bonus) == math.inf
+    out = optimize_attack(pos, pool, STD)
+    assert out.search_hi == pytest.approx(3.0, rel=1e-5)  # the no-revert ceiling binds
+    assert out.delta == 0.0 and out.result.total_profit == 0.0
 
 
 def test_optimizer_finds_nothing_at_30bps():

@@ -36,8 +36,8 @@ from oevsim.lending import (
     RecoveryRootError,
     RepayConvention,
     RiskParams,
-    bound_collateral,
-    debt_exhaustion_bound,
+    _x_collateral,
+    compute_bounds,
 )
 from oevsim.oracles import random_instances
 
@@ -139,9 +139,9 @@ def tied_states():
         pool = PoolState(1000.0, 2e6, fee)
         for rel in (-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6):
             probe = LoanPosition(1.0, 1e4)
-            x_b = debt_exhaustion_bound(probe, pool, params.bonus)
+            x_b = compute_bounds(probe, pool, params, 1.0, 1.0).x_debt_full
             position = LoanPosition(x_b * (1.0 + params.bonus) * (1.0 + rel), 1e4)
-            assert bound_collateral(position, params.bonus) == pytest.approx(x_b, rel=2e-6)
+            assert _x_collateral(position.collateral, params.bonus) == pytest.approx(x_b, rel=2e-6)
             yield position, pool, params
 
 
@@ -394,8 +394,7 @@ def test_sweep_columns_carry_the_scalar_states_bits(axis, start, stop, spacing, 
               [pool.reserve_debt for _, pool in want], [pool.fee for _, pool in want]]
     assert [[hx(v) for v in col] for col in columns] == [[hx(v) for v in col] for col in fields]
     assert cfg.sweep_states(values) == want
-    key = {"price": "price", "pool_scale": "scale", "fee": "fee"}[axis]
-    assert [cfg.state_at(**{key: v}) for v in values[::9]] == want[::9]
+    assert [cfg.sweep_states([v])[0] for v in values[::9]] == want[::9]
 
 
 def test_sweep_scenarios_reach_the_fee_gate_both_strategies_and_three_closing_caps():

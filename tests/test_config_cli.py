@@ -12,7 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oevsim import ConfigError, load_config
+from oevsim import ConfigError, health_factor, load_config
 from oevsim.cli import REPRODUCERS, _fmt, _write_csv, main, run_sweep
 from oevsim.config import SWEEP_AXES, parse_config
 from oevsim.engine import best_strategy
@@ -59,7 +59,7 @@ def test_health_factor_derived_collateral():
     expected = 0.5 * 10000.0 * pool.reserve_collateral / (0.85 * pool.reserve_debt)
     assert position.collateral == pytest.approx(expected, rel=1e-15)
     # liquidity/price construction reproduces the product
-    assert pool.invariant() == pytest.approx(2e9, rel=1e-9)
+    assert pool.reserve_collateral * pool.reserve_debt == pytest.approx(2e9, rel=1e-9)
     assert pool.spot_price() == pytest.approx(2000.0, rel=1e-12)
 
 
@@ -119,7 +119,7 @@ def test_single_point_sweep_matches_direct_call(tmp_path):
     single = SWEEP.replace("steps: 7", "steps: 1")
     cfg = load_config(write(tmp_path, single))
     rows = [list(row) for row in zip(*run_sweep(cfg)[1])]
-    position, pool = cfg.state_at(price=1400.0)
+    [(position, pool)] = cfg.sweep_states([1400.0])
     res, strat = best_strategy(position, pool, cfg.risk)
     assert rows == [["price", 1400.0, res.hf_initial, res.pi_liq, res.pi_last, res.pi_tot,
                      res.binding.value, res.last_binding.value, strat.value, res.bad_debt]]
@@ -582,12 +582,13 @@ def test_parse_config_accepts_only_constructible_states(doc):
         cfg = parse_config(doc)
     except ConfigError:
         return
-    cfg.state_at()
+    health_factor(*cfg.state_at(), cfg.risk.haircut)  # raises where it is undefined
     if cfg.sweep is not None:
         c, d, a, b, g = cfg.sweep_columns(cfg.sweep.values())
         assert np.isfinite([c, d, a, b, g]).all()
         assert (c >= 0.0).all() and (d >= 0.0).all() and (a > 0.0).all() and (b > 0.0).all()
         assert ((0.0 <= g) & (g < 1.0)).all()
+        assert ((d == 0.0) | (a * d > 0.0)).all()  # every health factor is defined
 
 
 # A sweep end whose derived reserve underflows to 0 or overflows to inf.
@@ -620,6 +621,39 @@ def test_cli_rejects_a_derived_state_out_of_domain(tmp_path, capsys, end, positi
     assert err.startswith("invalid scenario config:\n  - scenario: derived state out of domain: ")
     assert err.endswith(reason + "\n")
     assert err.count("\n") == 2
+
+
+# reserve_collateral * debt underflows to 0 at the base state: no health factor.
+UNDEFINED_HEALTH_FACTOR = {"pool": {"reserve_collateral": 1e-200, "reserve_debt": 1.0},
+                           "position": {"debt": 1e-200, "collateral": 1.0}, "risk": RISK}
+
+
+@pytest.mark.parametrize("command", ["liquidate", "attack", "sweep"])
+def test_cli_rejects_an_undefined_health_factor(tmp_path, capsys, command):
+    assert main([command, write(tmp_path, yaml.safe_dump(UNDEFINED_HEALTH_FACTOR))]) == 2
+    assert capsys.readouterr().err == (
+        "invalid scenario config:\n  - scenario: derived state out of domain: health factor "
+        "undefined: reserve_collateral * debt underflows to 0 (1e-200 * 1e-200)\n")
+
+
+def test_cli_liquidates_where_the_price_square_overflows(tmp_path, capsys):
+    # The recovery bound's (A + x*u)**2 overflows; the price divides by A + x*u twice.
+    doc = {"pool": {"reserve_collateral": 1e160, "reserve_debt": 1e-100, "fee": 0.003},
+           "position": {"debt": 1e-120, "collateral": 0.9 * 1e-120 * 1e160 / (0.85 * 1e-100)},
+           "risk": RISK}
+    assert main(["liquidate", write(tmp_path, yaml.safe_dump(doc))]) == 0
+    captured = capsys.readouterr()
+    assert "total profit         4.52157e-122\n" in captured.out and captured.err == ""
+
+
+def test_cli_attack_on_a_subnormal_debt_finds_nothing(tmp_path, capsys):
+    # delta_baddebt_cap's denominator underflows to 0: the cap is +inf.
+    doc = {"pool": {"reserve_collateral": 1.0, "reserve_debt": 1.0, "fee": 0.5},
+           "position": {"debt": 5e-324, "collateral": 1.0}, "risk": RISK}
+    assert main(["attack", write(tmp_path, yaml.safe_dump(doc))]) == 3
+    captured = capsys.readouterr()
+    assert "baddebt_cap=inf" in captured.out
+    assert captured.out.endswith("no profitable attack size found\n") and captured.err == ""
 
 
 SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))

@@ -163,3 +163,40 @@ def test_subnormal_root_refine_terminates():
         signal.signal(signal.SIGALRM, previous)
     assert_liquidation_in_domain(liq, position, pool)
     assert batch.pi_tot[1] == liq.pi_tot
+
+
+# The recovery bound squares A + x*u: at this depth the square overflows,
+# which libm pow raised as OverflowError.
+OVERFLOWING_SQUARE = (LoanPosition(0.9 * 1e-120 * 1e160 / (0.85 * 1e-100), 1e-120),
+                      PoolState(1e160, 1e-100, 0.003), RiskParams(0.85, 0.05, 0.8, 0.5))
+# Here the square underflows to 0, which the price divided by.
+UNDERFLOWING_SQUARE = (LoanPosition(5.40968013807e-312, 0.0001702831402522715),
+                       PoolState(5.521961965644144e-190, 1.329511478343834e+118, 0.01),
+                       RiskParams(0.566, 0.148, 0.391, 0.303))
+
+
+def strategy_batch(position, pool, params):
+    return best_strategy_batch([1.0, position.collateral], [1.0, position.debt],
+                               [1.0, pool.reserve_collateral], [1.0, pool.reserve_debt],
+                               pool.fee, params)
+
+
+def test_overflowing_square_divides_twice():
+    position, pool, params = OVERFLOWING_SQUARE
+    liq, _ = best_strategy(position, pool, params)
+    assert liq.pi_tot == 4.5215697674418605e-122
+    assert_liquidation_in_domain(liq, position, pool)
+    batch, _ = strategy_batch(position, pool, params)
+    assert batch.pi_tot[1] == liq.pi_tot
+    assert attack_profit(0.0, position, pool, params).liq_profit == liq.pi_tot
+
+
+def test_underflowing_square_raises_one_value_error():
+    position, pool, params = UNDERFLOWING_SQUARE
+    match = r"health factor undefined: \(reserve_collateral \+ x\*u\)\*\*2 underflows to 0"
+    with pytest.raises(ValueError, match=match):
+        best_strategy(position, pool, params)
+    with pytest.raises(ValueError, match=match):
+        strategy_batch(position, pool, params)
+    with pytest.raises(ValueError, match=match):
+        attack_profit(0.0, position, pool, params)

@@ -13,14 +13,12 @@ from oevsim import (
     RiskParams,
     Strategy,
     best_strategy,
-    bound_collateral,
     final_tranche,
     health_factor,
-    interior_maximum,
-    marginal_phase_profit,
     run_liquidation,
-    single_shot_profit,
 )
+from oevsim.engine import _run_profit, _shot_profit
+from oevsim.lending import _x_collateral, trade_multiplier
 from oevsim.oracles import integral_oracle, random_instances
 
 STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
@@ -30,36 +28,55 @@ def pool_at(price, liquidity=2e9, fee=0.0):
     return PoolState(math.sqrt(liquidity / price), math.sqrt(liquidity * price), fee)
 
 
+def run_profit(pool, x_liq, bonus):
+    return _run_profit(pool.reserve_collateral, pool.reserve_debt,
+                       trade_multiplier(pool.fee, bonus), x_liq)
+
+
+def shot_profit(pool, x, bonus):
+    return _shot_profit(pool.reserve_collateral, pool.reserve_debt,
+                        trade_multiplier(pool.fee, bonus), x)
+
+
+def product(pool):
+    return pool.reserve_collateral * pool.reserve_debt
+
+
 def test_marginal_phase_profit_zero_cases():
     pool = PoolState(1000.0, 2_000_000.0, 0.003)
-    assert marginal_phase_profit(pool, 0.0, 0.05) == 0.0
+    assert run_profit(pool, 0.0, 0.05) == 0.0
     # fee at bonus parity: (1-fee)*(1+bonus) == 1 kills the margin
     parity = 0.05 / 1.05
     flat = PoolState(1000.0, 2_000_000.0, parity)
     for x in (0.1, 1.0, 3.0):
-        assert marginal_phase_profit(flat, x, 0.05) == pytest.approx(0.0, abs=1e-9)
+        assert run_profit(flat, x, 0.05) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_marginal_phase_profit_sign_tracks_margin():
     pool_pos = PoolState(1000.0, 2_000_000.0, 0.003)
     pool_neg = PoolState(1000.0, 2_000_000.0, 0.06)
-    assert marginal_phase_profit(pool_pos, 1.0, 0.05) > 0.0
-    assert marginal_phase_profit(pool_neg, 1.0, 0.05) < 0.0
+    assert run_profit(pool_pos, 1.0, 0.05) > 0.0
+    assert run_profit(pool_neg, 1.0, 0.05) < 0.0
 
 
 def test_marginal_phase_profit_matches_quadrature():
     for inst in random_instances(50, seed=31):
-        x = 0.8 * bound_collateral(inst.position, inst.params.bonus)
-        closed = marginal_phase_profit(inst.pool, x, inst.params.bonus)
+        x = 0.8 * _x_collateral(inst.position.collateral, inst.params.bonus)
+        closed = run_profit(inst.pool, x, inst.params.bonus)
         quad = integral_oracle(inst.pool, x, inst.params.bonus)
         assert closed == pytest.approx(quad, rel=1e-9, abs=1e-12)
 
 
-def test_interior_maximum_and_tranche_vanish_at_parity():
+def test_tranche_vanishes_at_parity():
     flat = PoolState(1000.0, 2_000_000.0, 0.05 / 1.05)
-    assert interior_maximum(flat, 0.05) == 0.0
     x_last, pi_last, tag = final_tranche(flat, LoanPosition(5.0, 1000.0), STD, 0.5)
     assert (x_last, pi_last, tag) == (0.0, 0.0, LastBinding.NONE)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.5, math.nan])
+def test_final_tranche_rejects_kappa_out_of_range(kappa):
+    with pytest.raises(ValueError, match="kappa must lie in"):
+        final_tranche(pool_at(1800.0), LoanPosition(5.0, 1000.0), STD, kappa)
 
 
 def test_final_tranche_kappa_cap_matches_substitution():
@@ -67,7 +84,7 @@ def test_final_tranche_kappa_cap_matches_substitution():
     pos = LoanPosition(50.0, 200_000.0)  # fat debt so the kappa cap binds
     x_last, pi_last, tag = final_tranche(pool, pos, STD, 0.01)
     assert tag is LastBinding.KAPPA_CAP
-    assert pi_last == pytest.approx(single_shot_profit(pool, x_last, STD.bonus), rel=1e-14)
+    assert pi_last == pytest.approx(shot_profit(pool, x_last, STD.bonus), rel=1e-14)
 
 
 def test_gate_returns_zero_above_threshold():
@@ -108,7 +125,7 @@ def test_profit_decomposition_and_postchecks():
             min(res.bounds.x_collateral, res.bounds.x_debt_full, res.bounds.x_closing)
         )
         # pool product is preserved through every leg
-        assert res.post_pool.invariant() == pytest.approx(pool.invariant(), rel=1e-12)
+        assert product(res.post_pool) == pytest.approx(product(pool), rel=1e-12)
         if res.binding is Binding.COLLATERAL:
             assert res.post_position.collateral == 0.0
             assert res.bad_debt == res.post_position.debt
@@ -152,12 +169,12 @@ def test_sequential_split_beats_lump():
     rng = random.Random(4)
     for inst in random_instances(200, seed=77):
         pool, bonus = inst.pool, inst.params.bonus
-        cap = bound_collateral(inst.position, bonus)
+        cap = _x_collateral(inst.position.collateral, bonus)
         x1 = rng.uniform(0.0, 0.6) * cap
         x2 = rng.uniform(0.0, 0.4) * cap
-        lump = single_shot_profit(pool, x1 + x2, bonus)
+        lump = shot_profit(pool, x1 + x2, bonus)
         _, mid = pool.sell_collateral(x1 * (1.0 + bonus))
-        seq = single_shot_profit(pool, x1, bonus) + single_shot_profit(mid, x2, bonus)
+        seq = shot_profit(pool, x1, bonus) + shot_profit(mid, x2, bonus)
         assert lump <= seq + 1e-12 * max(1.0, abs(lump), abs(seq))
 
 

@@ -27,7 +27,7 @@ from oevsim.attack import attack_profit, optimize_attack
 from oevsim.cli import main
 from oevsim.config import load_config
 from oevsim.engine import best_strategy
-from oevsim.lending import LoanPosition, RepayConvention, RiskParams, bound_collateral
+from oevsim.lending import LoanPosition, RepayConvention, RiskParams, _x_collateral
 from oevsim.oracles import dp_oracle, random_instances, simulate_liquidation_sequence
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -159,7 +159,7 @@ def _walks():
                  + random_instances(12, seed=5151))
     for convention in RepayConvention:
         for inst in instances:
-            cap = bound_collateral(inst.position, inst.params.bonus)
+            cap = _x_collateral(inst.position.collateral, inst.params.bonus)
             for step_limit, stop, max_steps in ((math.inf, False, 200_000),  # greedy
                                                 (cap / 200.0, True, 1_000),  # fine, DP-like
                                                 (cap / 7.0, False, 200_000),  # coarse

@@ -10,11 +10,9 @@ from oevsim import (
     PoolState,
     RepayConvention,
     RiskParams,
+    DEFAULT_CONVENTION,
     bound_closing,
-    bound_collateral,
-    bound_debt,
     compute_bounds,
-    debt_exhaustion_bound,
     health_factor,
     hf_after_marginal,
 )
@@ -30,6 +28,12 @@ def pool_at(price, liquidity=2e9, fee=0.0):
 STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
 
 
+def bounds(pos, pool, bonus, kappa=1.0, convention=DEFAULT_CONVENTION):
+    """compute_bounds at the recovery target 1 under STD's haircut and the given bonus."""
+    return compute_bounds(pos, pool, RiskParams(STD.haircut, bonus, 0.8, 0.5), 1.0, kappa,
+                          convention)
+
+
 def test_health_factor_examples():
     pool = pool_at(2000.0)
     assert health_factor(LoanPosition(6.0, 10_000.0), pool, 0.85) == pytest.approx(1.02)
@@ -40,32 +44,39 @@ def test_health_factor_examples():
 
 
 def test_bound_collateral_examples():
-    assert bound_collateral(LoanPosition(20.12, 1.0), 0.05) == pytest.approx(19.161904761904765)
-    assert bound_collateral(LoanPosition(0.0, 1.0), 0.05) == 0.0
-    assert bound_collateral(LoanPosition(7.5, 1.0), 0.0) == 7.5
+    pool = PoolState(1000.0, 2_000_000.0, 0.0)
+    assert bounds(LoanPosition(20.12, 1.0), pool, 0.05).x_collateral == pytest.approx(
+        19.161904761904765)
+    assert bounds(LoanPosition(0.0, 1.0), pool, 0.05).x_collateral == 0.0
+    assert bounds(LoanPosition(7.5, 1.0), pool, 0.0).x_collateral == 7.5
 
 
 def test_bound_debt_examples():
     pos = LoanPosition(6.0, 10_000.0)
     pool = PoolState(1000.0, 2_000_000.0, 0.0)
-    assert bound_debt(pos, pool, 1.0, 0.05) == pytest.approx(1e7 / (2e6 - 10_500.0), rel=1e-14)
-    assert bound_debt(LoanPosition(6.0, 0.0), pool, 1.0, 0.05) == 0.0
+    assert bounds(pos, pool, 0.05).x_debt_kappa == pytest.approx(1e7 / (2e6 - 10_500.0),
+                                                                 rel=1e-14)
+    assert bounds(LoanPosition(6.0, 0.0), pool, 0.05).x_debt_kappa == 0.0
     # kappa*b*(1-fee)*(1+bonus) >= B: the pool cannot absorb the repayment
     shallow = PoolState(1000.0, 500.0, 0.0)
-    assert bound_debt(LoanPosition(6.0, 10_000.0), shallow, 1.0, 0.05) == math.inf
+    assert bounds(LoanPosition(6.0, 10_000.0), shallow, 0.05).x_debt_kappa == math.inf
 
 
 def test_bound_debt_kappa_versus_full():
     pos = LoanPosition(6.0, 10_000.0)
     pool = PoolState(1000.0, 2_000_000.0, 0.003)
     for conv in RepayConvention:
-        kb = bound_debt(pos, pool, 0.5, 0.05, conv)
-        xb = debt_exhaustion_bound(pos, pool, 0.05, conv)
-        assert kb <= xb
+        b = bounds(pos, pool, 0.05, 0.5, conv)
+        assert b.x_debt_kappa <= b.x_debt_full
     # kappa = 1 single shot equals the run's exhaustion point (default convention)
-    assert bound_debt(pos, pool, 1.0, 0.05) == pytest.approx(
-        debt_exhaustion_bound(pos, pool, 0.05), rel=1e-14
-    )
+    b = bounds(pos, pool, 0.05)
+    assert b.x_debt_kappa == pytest.approx(b.x_debt_full, rel=1e-14)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.5, math.nan])
+def test_compute_bounds_rejects_kappa_out_of_range(kappa):
+    with pytest.raises(ValueError, match="kappa must lie in"):
+        bounds(LoanPosition(6.0, 10_000.0), pool_at(1800.0), 0.05, kappa)
 
 
 def test_bound_closing_defining_property():
@@ -82,9 +93,8 @@ def test_bound_closing_no_recovery_is_infinite():
     pos = LoanPosition(6.0, 10_000.0)
     pool = pool_at(900.0)
     cb = bound_closing(pos, pool, 0.85, 0.05, cf_target=1.0)
-    x_c = bound_collateral(pos, 0.05)
-    x_b = debt_exhaustion_bound(pos, pool, 0.05)
-    assert cb.x > min(x_c, x_b)  # cannot bind before collateral/debt run out
+    b = bounds(pos, pool, 0.05)
+    assert cb.x > min(b.x_collateral, b.x_debt_full)  # cannot bind before collateral/debt run out
 
 
 def test_bound_closing_matches_bisection_on_random_instances():
@@ -105,10 +115,8 @@ def test_bound_closing_matches_bisection_on_random_instances():
         pos = LoanPosition(hf0 * debt * a0 / (haircut * b0), debt)
 
         cb = bound_closing(pos, pool, haircut, bonus, cf_target)
-        hi = min(
-            bound_collateral(pos, bonus),
-            debt_exhaustion_bound(pos, pool, bonus),
-        ) * (1.0 - 1e-9)
+        b = bounds(pos, pool, bonus)
+        hi = min(b.x_collateral, b.x_debt_full) * (1.0 - 1e-9)
         if not (math.isfinite(cb.x) and 0.0 < cb.x < hi):
             continue
 
@@ -125,7 +133,8 @@ def test_bound_closing_matches_bisection_on_random_instances():
 def test_trajectory_hf_strictly_increasing_when_trade_profitable():
     pos = LoanPosition(6.0, 10_000.0)
     pool = pool_at(1800.0)  # u = 1.05 > 1
-    hi = min(bound_collateral(pos, 0.05), debt_exhaustion_bound(pos, pool, 0.05))
+    b = bounds(pos, pool, 0.05)
+    hi = min(b.x_collateral, b.x_debt_full)
     xs = [hi * i / 400.0 for i in range(400)]
     vals = [hf_after_marginal(pos, pool, 0.85, 0.05, x) for x in xs]
     assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -156,10 +165,8 @@ def test_single_write_down_matches_marginal_run_total():
     steps = 1000
     for inst in random_instances(20, seed=55):
         pos, pool, params = inst.position, inst.pool, inst.params
-        x = 0.5 * min(
-            bound_collateral(pos, params.bonus),
-            bound_debt(pos, pool, 1.0, params.bonus),
-        )
+        b = bounds(pos, pool, params.bonus)
+        x = 0.5 * min(b.x_collateral, b.x_debt_kappa)
         if not (math.isfinite(x) and x > 0.0):
             continue
         run, repaid = pool, 0.0

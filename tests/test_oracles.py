@@ -10,17 +10,17 @@ from oevsim import (
     PoolState,
     RepayConvention,
     RiskParams,
-    bound_collateral,
     dp_oracle,
     health_factor,
     hf_monotonicity_check,
     integral_oracle,
-    marginal_phase_profit,
     run_liquidation,
     simulate_liquidation_sequence,
     subadditivity_check,
     verification_report,
 )
+from oevsim.engine import _run_profit
+from oevsim.lending import _x_collateral, trade_multiplier
 from oevsim.oracles import Instance, random_instances
 
 STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
@@ -85,9 +85,11 @@ def test_integral_oracle_trivial_cases():
 
 def test_integral_oracle_matches_closed_form():
     for inst in random_instances(40, seed=2024):
-        x = 0.9 * bound_collateral(inst.position, inst.params.bonus)
+        x = 0.9 * _x_collateral(inst.position.collateral, inst.params.bonus)
         got = integral_oracle(inst.pool, x, inst.params.bonus)
-        want = marginal_phase_profit(inst.pool, x, inst.params.bonus)
+        pool = inst.pool
+        want = _run_profit(pool.reserve_collateral, pool.reserve_debt,
+                           trade_multiplier(pool.fee, inst.params.bonus), x)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
@@ -100,7 +102,7 @@ def test_subadditivity_zero_split_is_equality():
 def test_subadditivity_random_batch():
     rng = random.Random(5)
     for inst in random_instances(300, seed=41):
-        cap = bound_collateral(inst.position, inst.params.bonus)
+        cap = _x_collateral(inst.position.collateral, inst.params.bonus)
         x1 = rng.uniform(0.0, 0.7) * cap
         x2 = rng.uniform(0.0, 0.7) * (cap - x1)
         lhs, rhs, holds = subadditivity_check(inst.pool, inst.params.bonus, x1, x2)
@@ -110,7 +112,8 @@ def test_subadditivity_random_batch():
 def test_zero_fee_zero_bonus_marginal_run_is_profitless():
     # Degenerate economics: the marginal run nets exactly nothing.
     pool = PoolState(1000.0, 2_000_000.0, 0.0)
-    assert marginal_phase_profit(pool, 4.0, 0.0) == 0.0
+    assert _run_profit(pool.reserve_collateral, pool.reserve_debt,
+                       trade_multiplier(pool.fee, 0.0), 4.0) == 0.0
     assert integral_oracle(pool, 4.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -127,7 +130,7 @@ def test_hf_monotonicity_random_batch():
     count = 0
     for inst in random_instances(400, seed=43):
         pos, pool, params = inst.position, inst.pool, inst.params
-        cap = bound_collateral(pos, params.bonus)
+        cap = _x_collateral(pos.collateral, params.bonus)
         x1 = rng.uniform(0.0, 0.4) * cap
         x2 = rng.uniform(0.0, 0.4) * cap
         spot = pool.spot_price()
@@ -165,7 +168,7 @@ def test_sequence_simulator_raises_what_the_state_constructors_raise():
     with pytest.raises(ValueError, match="reserve_debt must be > 0"):
         simulate_liquidation_sequence(LoanPosition(1e10, 1e100),
                                       PoolState(1e-200, 1e-120, 0.003), STD, 1.0, 1.0)
-    # bound_debt's kappa check runs at the first transaction, not behind a shut gate.
+    # The walk's kappa check runs at the first transaction, not behind a shut gate.
     pos = LoanPosition(6.0, 10_000.0)
     for kappa in (0.0, 1.5, math.nan):
         with pytest.raises(ValueError, match="kappa must lie in"):
