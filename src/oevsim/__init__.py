@@ -18,10 +18,7 @@ from .attack import (
     OptimizeOutcome,
     attack_profit,
     critical_fee,
-    delta_baddebt_cap,
     delta_bounds,
-    delta_max_no_revert,
-    delta_trigger_bound,
     optimize_attack,
 )
 from .config import ConfigError, ScenarioConfig, load_config

@@ -33,12 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import golden_max, halve
+from ._numerics import golden_max, halve, pmax
 from .amm import PoolState, _buy, _require_reserves, _sell
 from .engine import (
     LiquidationBatch,
     LiquidationResult,
     Strategy,
+    _columns,
     best_strategy,
     best_strategy_batch,
 )
@@ -111,63 +112,32 @@ class AttackResult:
     strategy: Strategy
 
 
-def delta_trigger_bound(
-    position: LoanPosition, pool: PoolState, haircut: float
-) -> float:
-    """Smallest front-run sale driving the health factor down to 1.
+def delta_bounds_batch(collateral, debt, reserve_collateral, reserve_debt, fee,
+                       params: RiskParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:class:`DeltaBounds` of every row, as three float64 columns.
 
-    Solving haircut*B1*c/(A1*b) = 1 with A1 = A0 + delta*(1-fee) and
-    B1 = A0*B0/A1 gives (sqrt(haircut*c*A0*B0/b) - A0)/(1-fee), clamped at
-    zero when the position is already liquidatable.  +inf for zero debt.
+    The positions and pools are columns that broadcast together.  After a
+    front-run of delta, A1 = A0 + delta*(1-fee) and B1 = A0*B0/A1.  The
+    trigger solves haircut*B1*c/(A1*b) = 1, the cap B1 = b*(1-fee)*(1+bonus),
+    and the no-revert ceiling is (A0 + (1-fee)*c)/fee.  A zero denominator
+    gives +inf; the trigger and the cap clamp at 0 as ``max(0.0, .)`` does.
+    ``np.float_power`` squares with libm ``pow``, as ``** 2`` does on a float.
     """
-    if position.debt == 0.0:
-        return math.inf
-    a0, b0 = pool.reserve_collateral, pool.reserve_debt
-    target_a1 = math.sqrt(haircut * position.collateral * a0 * b0 / position.debt)
-    return max(0.0, (target_a1 - a0) / (1.0 - pool.fee))
+    c, b, a0, b0, g = _columns(collateral, debt, reserve_collateral, reserve_debt, fee)
+    with np.errstate(all="ignore"):
+        target_a1 = np.sqrt(params.haircut * c * a0 * b0 / b)
+        trigger = np.where(b == 0.0, math.inf, pmax(0.0, (target_a1 - a0) / (1.0 - g)))
+        den = b * np.float_power(1.0 - g, 2.0) * (1.0 + params.bonus)
+        cap = np.where(den == 0.0, math.inf, pmax(0.0, a0 * b0 / den - a0 / (1.0 - g)))
+        no_revert = np.where(g == 0.0, math.inf, (a0 + (1.0 - g) * c) / g)
+    return trigger, cap, no_revert
 
 
-def delta_baddebt_cap(position: LoanPosition, pool: PoolState, bonus: float) -> float:
-    """Largest attack leaving the pool able to cover the debt being unwound.
-
-    Requires the post-front debt reserve to satisfy
-    B1 >= b*(1-fee)*(1+bonus); solving gives
-    A0*B0/(b*(1-fee)^2*(1+bonus)) - A0/(1-fee).  Negative values clamp to 0
-    (no attack satisfies the robustness constraint); +inf for zero debt, and
-    for a debt so small that b*(1-fee)^2*(1+bonus) underflows to 0.
-    """
-    g = pool.fee
-    den = position.debt * (1.0 - g) ** 2 * (1.0 + bonus)
-    if den == 0.0:
-        return math.inf
-    a0, b0 = pool.reserve_collateral, pool.reserve_debt
-    return max(0.0, a0 * b0 / den - a0 / (1.0 - g))
-
-
-def delta_max_no_revert(pool: PoolState, collateral: float) -> float:
-    """Largest attack whose buy-back leg can still execute.
-
-    In the large-attack regime the liquidation pushes the borrower's whole
-    collateral into the pool, so the post-liquidation reserve is
-    A0 + (1-fee)*delta + (1-fee)*c and the buy-back needs it to be at least
-    delta.  That bounds delta by (A0 + (1-fee)*c)/fee for fee > 0 and not
-    at all for fee == 0.
-    """
-    if collateral < 0.0:
-        raise ValueError(f"collateral must be >= 0, got {collateral}")
-    if pool.fee == 0.0:
-        return math.inf
-    return (pool.reserve_collateral + (1.0 - pool.fee) * collateral) / pool.fee
-
-
-def delta_bounds(
-    position: LoanPosition, pool: PoolState, params: RiskParams
-) -> DeltaBounds:
-    return DeltaBounds(
-        trigger=delta_trigger_bound(position, pool, params.haircut),
-        baddebt_cap=delta_baddebt_cap(position, pool, params.bonus),
-        no_revert=delta_max_no_revert(pool, position.collateral),
-    )
+def delta_bounds(position: LoanPosition, pool: PoolState, params: RiskParams) -> DeltaBounds:
+    """The bounds of one state: row 0 of :func:`delta_bounds_batch`."""
+    cols = delta_bounds_batch(position.collateral, position.debt, pool.reserve_collateral,
+                              pool.reserve_debt, pool.fee, params)
+    return DeltaBounds(*(float(col[0]) for col in cols))
 
 
 def attack_profit(

@@ -97,12 +97,9 @@ def run_sweep(cfg: ScenarioConfig) -> tuple[list[str], list[list]]:
 
     The states come as columns from :meth:`ScenarioConfig.sweep_columns`.  A
     liquidation sweep is one :func:`best_strategy_batch` call and an attack
-    sweep one :func:`attack.attack_profit_batch` call; both give the scalar
-    functions' bits on every row, and the CSV columns are their ``.tolist()``
-    columns.  An attack sweep over price, scale or fee still builds each
-    point's position and pool to call the scalar :func:`attack.delta_bounds`:
-    ``delta_baddebt_cap`` squares with libm ``pow``, which numpy's ``**2``
-    does not reproduce in every last bit.
+    sweep one :func:`attack.attack_profit_batch` and one
+    :func:`attack.delta_bounds_batch` call; all give the scalar functions'
+    bits on every row, and the CSV columns are their ``.tolist()`` columns.
     """
     if cfg.sweep is None:
         raise ConfigError(["sweep: section required for the sweep command"])
@@ -116,21 +113,16 @@ def run_sweep(cfg: ScenarioConfig) -> tuple[list[str], list[list]]:
                             _enum_values(res.last_binding), _enum_values(strategy),
                             res.bad_debt.tolist()]
 
-    if axis == "delta":
-        deltas = values
-        bounds = [atk.delta_bounds(*cfg.state_at(), cfg.risk)] * n
-    else:
-        deltas = [cfg.attack.delta_min] * n
-        bounds = [atk.delta_bounds(pos, pool, cfg.risk) for pos, pool in cfg.sweep_states(values)]
+    deltas = values if axis == "delta" else [cfg.attack.delta_min] * n
     res = atk.attack_profit_batch(deltas, *state, cfg.risk, cfg.convention)
+    bounds = atk.delta_bounds_batch(*state, cfg.risk)
     # A reverting buy-back has no cost or total: "" in the CSV, as in a single attack.
     return ATK_HEADER, [[axis] * n, values, deltas, res.front_proceeds.tolist(),
                         res.liquidation.pi_tot.tolist(),
                         _feasible_only(res.buyback_cost, res.feasible),
                         _feasible_only(res.total_profit, res.feasible),
                         res.feasible.tolist(), res.triggered.tolist(),
-                        [bd.trigger for bd in bounds], [bd.baddebt_cap for bd in bounds],
-                        [bd.no_revert for bd in bounds]]
+                        *(col.tolist() for col in bounds)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +204,7 @@ def reproduce_ex4() -> tuple[list[str], list[list]]:
     position = LoanPosition(6.0, 1e4)
     p0 = 1.05 * position.debt / (risk.haircut * position.collateral)
     pool = PoolState(math.sqrt(2e9 / p0), math.sqrt(2e9 * p0), 0.0)
-    trigger = atk.delta_trigger_bound(position, pool, risk.haircut)
+    trigger = atk.delta_bounds(position, pool, risk).trigger
     deltas = np.array(sorted(
         set(np.linspace(0.0, 30000.0, 361))
         | {trigger * (1.0 - 1e-9), trigger * (1.0 + 1e-9)}
@@ -236,9 +228,8 @@ def reproduce_ex5() -> tuple[list[str], list[list]]:
     fee_bps, deltas = [], []
     for bps in (0.0, 10.0, 17.0, 30.0):
         pool = PoolState(1e4, 2.8e7, bps / 1e4)
-        cap = atk.delta_baddebt_cap(position, pool, risk.bonus)
-        ceiling = atk.delta_max_no_revert(pool, position.collateral)
-        deltas.append(np.geomspace(1.0, 0.999 * min(cap, ceiling), 301))
+        bounds = atk.delta_bounds(position, pool, risk)
+        deltas.append(np.geomspace(1.0, 0.999 * min(bounds.baddebt_cap, bounds.no_revert), 301))
         fee_bps += [bps] * 301
     delta = np.concatenate(deltas)
     res = atk.attack_profit_batch(delta, position.collateral, position.debt, 1e4, 2.8e7,

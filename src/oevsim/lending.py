@@ -154,12 +154,13 @@ def hf_after_marginal(
 
     Collateral falls by x*(1+bonus), the pool absorbs x*u collateral, the
     marked price becomes B*A/(A + x*u)**2 and the position's debt falls by
-    the trajectory repayment m*B*x/(A + x*u).
+    the trajectory repayment m*B*x/(A + x*u).  +inf once the run has repaid
+    the whole debt, as for any debt-free position.
     """
     a, b_res = pool.reserve_collateral, pool.reserve_debt
     u = trade_multiplier(pool.fee, bonus)
     remaining = position.debt - _repay_total(a, b_res, x, u, _traj_factor(pool.fee, convention))
-    if remaining == 0.0:
+    if remaining <= 0.0:
         return math.inf
     return _hf_after(a, b_res, position.collateral, haircut, bonus, x, u, remaining)
 
@@ -216,15 +217,15 @@ def _kappa_cap(kb, a, b_res, fee, bonus, convention):
 def _hf_after(a, b_res, c, haircut, bonus, x, u, remaining):
     """Health factor after a marginal run of size x that leaves ``remaining`` debt.
 
-    ``(A + x*u) ** 2`` is libm ``pow`` on a float and ``x*x`` on an array;
-    the two can differ in the last bit, which the batch's residual margin
-    absorbs (see bound_closing_batch).  Where the square overflows, the
-    price divides by ``A + x*u`` twice; where a float square underflows to
-    0, the health factor is undefined and ValueError is raised.
+    The square is libm ``pow`` on both paths: ``** 2`` on a float and
+    ``np.float_power`` on an array (numpy's ``** 2`` multiplies, which
+    differs in the last bit).  Where the square overflows, the price divides
+    by ``A + x*u`` twice; where a float square underflows to 0, the health
+    factor is undefined and ValueError is raised.
     """
     w = a + x * u
     if isinstance(w, np.ndarray):
-        square = w ** 2
+        square = np.float_power(w, 2.0)
         price = np.where(square == math.inf, b_res * a / w / w, b_res * a / square)
     else:
         try:
@@ -453,10 +454,8 @@ def bound_closing_batch(c, b, a, b_res, fee, haircut, bonus, cf, convention):
     cannot settle is handed to :func:`bound_closing` itself, whose
     self-checks then run and may raise: the linear branch, a debt that is
     not positive, a debt-exhaustion root that fails the polynomial check,
-    and a health-factor residual above a quarter of the scalar tolerance.
-    Below that margin the scalar path accepts the root unrefined too: its
-    residual can differ only in the last bit, because it squares with libm
-    ``pow`` where numpy multiplies.
+    and a health-factor residual above half the tolerance, which the scalar
+    path would refine.
     """
     with np.errstate(all="ignore"):
         u = trade_multiplier(fee, bonus)
@@ -487,7 +486,7 @@ def bound_closing_batch(c, b, a, b_res, fee, haircut, bonus, cf, convention):
         residual, limit = _poly_check(quad, root)
         gap = _hf_after(a, b_res, c, haircut, bonus, root, u, remaining) - cf
         settled = np.where(_exhausted(c, b, root, bonus, remaining), ~(residual > limit),
-                           abs(gap) <= 0.25 * _hf_tol(cf))
+                           abs(gap) <= 0.5 * _hf_tol(cf))
         x = np.where(found, root, math.inf)
         fallback = (b <= 0.0) | (lead == 0.0) | (found & ~settled)
     for i in np.flatnonzero(fallback).tolist():

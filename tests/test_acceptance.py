@@ -18,8 +18,7 @@ from oevsim import (
     RiskParams,
     attack_profit,
     critical_fee,
-    delta_baddebt_cap,
-    delta_max_no_revert,
+    delta_bounds,
     dp_oracle,
     health_factor,
     hf_monotonicity_check,
@@ -101,8 +100,8 @@ def test_criterion_01_price_regime_switch():
 
 def test_criterion_02_fee_deterrence_all_sizes():
     t0 = time.monotonic()
-    cap = delta_baddebt_cap(POS5, POOL5, STUDY_RISK.bonus)
-    ceiling = delta_max_no_revert(POOL5, POS5.collateral)
+    bounds = delta_bounds(POS5, POOL5, STUDY_RISK)
+    cap, ceiling = bounds.baddebt_cap, bounds.no_revert
     hi = 0.999 * cap
     lo = hi * 1e-8
     n_grid = 2000
@@ -184,7 +183,7 @@ def test_criterion_05_limiting_profit_both_regimes():
                                  bonuses=(0.05, 0.10)):
         pool, position = inst.pool, inst.position
         params = inst.params
-        ceiling = delta_max_no_revert(pool, position.collateral)
+        ceiling = delta_bounds(position, pool, params).no_revert
         near = attack_profit(0.99 * ceiling, position, pool, params)
         nearer = attack_profit(0.9999 * ceiling, position, pool, params)
         assert near.feasible and nearer.feasible

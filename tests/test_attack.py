@@ -14,10 +14,7 @@ from oevsim import (
     RiskParams,
     attack_profit,
     critical_fee,
-    delta_baddebt_cap,
     delta_bounds,
-    delta_max_no_revert,
-    delta_trigger_bound,
     health_factor,
     optimize_attack,
 )
@@ -60,9 +57,9 @@ def test_trigger_bound_clamps_and_self_checks():
     pos_low = LoanPosition(6.0, 10_000.0)
     pool = PoolState(1000.0, 2_000_000.0, 0.0)  # HF = 1.02 > 1
     deep = PoolState(1000.0, 1_000_000.0, 0.0)  # HF = 0.51
-    assert delta_trigger_bound(pos_low, deep, 0.85) == 0.0
+    assert delta_bounds(pos_low, deep, STD).trigger == 0.0
 
-    trig = delta_trigger_bound(pos_low, pool, 0.85)
+    trig = delta_bounds(pos_low, pool, STD).trigger
     assert trig > 0.0
     _, pool1 = pool.sell_collateral(trig)
     assert health_factor(pos_low, pool1, 0.85) == pytest.approx(1.0, abs=1e-9)
@@ -70,7 +67,7 @@ def test_trigger_bound_clamps_and_self_checks():
 
 def test_trigger_self_check_on_random_instances():
     for inst in random_instances(60, seed=913, hf_range=(1.01, 2.0)):
-        trig = delta_trigger_bound(inst.position, inst.pool, inst.params.haircut)
+        trig = delta_bounds(inst.position, inst.pool, inst.params).trigger
         if not (trig > 0.0 and math.isfinite(trig)):
             continue
         _, pool1 = inst.pool.sell_collateral(trig)
@@ -80,7 +77,7 @@ def test_trigger_self_check_on_random_instances():
 
 
 def test_baddebt_cap_self_check_and_limits():
-    cap = delta_baddebt_cap(POS5, POOL5, STD.bonus)
+    cap = delta_bounds(POS5, POOL5, STD).baddebt_cap
     _, pool1 = POOL5.sell_collateral(cap)
     assert pool1.reserve_debt == pytest.approx(
         POS5.debt * (1.0 - POOL5.fee) * (1.0 + STD.bonus), rel=1e-9
@@ -89,21 +86,21 @@ def test_baddebt_cap_self_check_and_limits():
     expected = 1e4 * 2.8e7 / (32_000.0 * 0.997**2 * 1.05) - 1e4 / 0.997
     assert cap == pytest.approx(expected, rel=1e-12)
     # vanishing debt frees the cap entirely
-    tiny = delta_baddebt_cap(LoanPosition(20.0, 1e-9), POOL5, STD.bonus)
+    tiny = delta_bounds(LoanPosition(20.0, 1e-9), POOL5, STD).baddebt_cap
     assert tiny > 1e14
-    assert delta_baddebt_cap(LoanPosition(20.0, 0.0), POOL5, STD.bonus) == math.inf
+    assert delta_bounds(LoanPosition(20.0, 0.0), POOL5, STD).baddebt_cap == math.inf
 
 
 def test_no_revert_ceiling():
-    assert delta_max_no_revert(PoolState(1e4, 2.8e7, 0.0), 20.12) == math.inf
-    ceiling = delta_max_no_revert(POOL5, 20.12)
+    assert delta_bounds(POS5, PoolState(1e4, 2.8e7, 0.0), STD).no_revert == math.inf
+    ceiling = delta_bounds(POS5, POOL5, STD).no_revert
     assert ceiling == pytest.approx((1e4 + 0.997 * 20.12) / 0.003, rel=1e-14)
 
 
 def test_no_revert_boundary_is_sharp():
     # Walk the three legs by hand with the full collateral liquidated and
     # check the buy-back reverts just above the ceiling, not just below.
-    ceiling = delta_max_no_revert(POOL5, POS5.collateral)
+    ceiling = delta_bounds(POS5, POOL5, STD).no_revert
     for delta, ok in ((ceiling * (1 - 1e-9), True), (ceiling * (1 + 1e-9), False)):
         _, pool1 = POOL5.sell_collateral(delta)
         _, pool2 = pool1.sell_collateral(POS5.collateral)  # x_c*(1+bonus) == c
@@ -151,7 +148,7 @@ def test_trigger_jump_in_liquidation_component():
     pos = LoanPosition(6.0, 10_000.0)
     p0 = 1.05 * pos.debt / (STD.haircut * pos.collateral)
     pool = PoolState(math.sqrt(2e9 / p0), math.sqrt(2e9 * p0), 0.0)
-    trig = delta_trigger_bound(pos, pool, STD.haircut)
+    trig = delta_bounds(pos, pool, STD).trigger
     below = attack_profit(trig * (1 - 1e-6), pos, pool, STD)
     above = attack_profit(trig * (1 + 1e-6), pos, pool, STD)
     assert below.liq_profit == 0.0 and below.total_profit == pytest.approx(0.0, abs=1e-6)
@@ -184,7 +181,7 @@ def test_no_fee_limit_matches_liquidation_value():
 
 
 def test_positive_fee_divergence_near_ceiling():
-    ceiling = delta_max_no_revert(POOL5, POS5.collateral)
+    ceiling = delta_bounds(POS5, POOL5, STD).no_revert
     near = attack_profit(0.99 * ceiling, POS5, POOL5, STD)
     nearer = attack_profit(0.9999 * ceiling, POS5, POOL5, STD)
     assert near.feasible and nearer.feasible
@@ -197,7 +194,7 @@ def test_positive_fee_divergence_near_ceiling():
 def test_baddebt_cap_of_a_subnormal_debt_is_infinite():
     # b*(1-fee)**2*(1+bonus) underflows to 0, which the cap divided by.
     pos, pool = LoanPosition(1.0, 5e-324), PoolState(1.0, 1.0, 0.5)
-    assert delta_baddebt_cap(pos, pool, STD.bonus) == math.inf
+    assert delta_bounds(pos, pool, STD).baddebt_cap == math.inf
     out = optimize_attack(pos, pool, STD)
     assert out.search_hi == pytest.approx(3.0, rel=1e-5)  # the no-revert ceiling binds
     assert out.delta == 0.0 and out.result.total_profit == 0.0

@@ -7,7 +7,8 @@ debt and the post-pool reserves, and the flags and both bindings.  Rows the
 masks cannot settle go to the scalar ``bound_closing``; the bundled attack
 grid needs none, and a row whose self-check fails makes the batch raise as
 the scalar call does.  ``cli.run_sweep``, one batch call per sweep, is
-compared with rows built point by point from the scalar calls.
+compared with rows built point by point from the scalar calls, and
+``delta_bounds_batch`` with the scalar float formulas it replaced.
 """
 
 import math
@@ -25,6 +26,7 @@ from oevsim.attack import (
     attack_profit,
     attack_profit_batch,
     delta_bounds,
+    delta_bounds_batch,
     optimize_attack,
 )
 from oevsim.cli import main, run_sweep
@@ -37,6 +39,8 @@ from oevsim.lending import (
     RepayConvention,
     RiskParams,
     _x_collateral,
+    bound_closing,
+    bound_closing_batch,
     compute_bounds,
 )
 from oevsim.oracles import random_instances
@@ -64,6 +68,62 @@ SHORT_OF_WINDOW = (LoanPosition(8.331745663884487e-07, 2.885445894891363e-08),
 
 def hx(value) -> str:
     return float(value).hex()
+
+
+def delta_bounds_reference(position, pool, params) -> tuple[float, float, float]:
+    """The trigger, bad-debt cap and no-revert ceiling as scalar float formulas.
+
+    The cap squares with a float's ``** 2``, which is libm ``pow``.
+    """
+    a0, b0, g = pool.reserve_collateral, pool.reserve_debt, pool.fee
+    c, b = position.collateral, position.debt
+    trigger = (math.inf if b == 0.0 else
+               max(0.0, (math.sqrt(params.haircut * c * a0 * b0 / b) - a0) / (1.0 - g)))
+    den = b * (1.0 - g) ** 2 * (1.0 + params.bonus)
+    cap = math.inf if den == 0.0 else max(0.0, a0 * b0 / den - a0 / (1.0 - g))
+    no_revert = math.inf if g == 0.0 else (a0 + (1.0 - g) * c) / g
+    return trigger, cap, no_revert
+
+
+# Doubles whose product x*x (numpy's x**2) is one ulp away from libm pow(x, 2).
+SQUARES_APART = [float.fromhex(h) for h in ("0x1.c6f59452b5c02p-1", "0x1.fca4a5264cf14p-1",
+                                            "0x1.b9b651e8ac460p-5")]
+
+
+def test_float_power_squares_as_libm_pow():
+    # The batch path squares with np.float_power to get a float's ** 2 bits.
+    # A numpy whose float_power stops calling libm pow fails here by name.
+    rng = np.random.default_rng(17)
+    draws = rng.uniform(0.5, 1.0, 10_000) * np.exp2(rng.integers(-40, 40, 10_000))
+    x = [*SQUARES_APART, *draws.tolist()]
+    want = [hx(v ** 2) for v in x]
+    assert [hx(v) for v in np.float_power(np.array(x), 2.0)] == want
+    assert all(hx(v * v) != w for v, w in zip(SQUARES_APART, want))
+    assert sum(hx(v * v) != w for v, w in zip(x, want)) > len(SQUARES_APART)
+
+
+def test_delta_bounds_batch_matches_the_scalar_formulas():
+    rng = np.random.default_rng(23)
+    n = 2000
+    c, b = 10.0 ** rng.uniform(-12, 12, n), 10.0 ** rng.uniform(-12, 12, n)
+    a0, b0 = 10.0 ** rng.uniform(-6, 12, n), 10.0 ** rng.uniform(-6, 12, n)
+    fee = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 0.1, n))
+    # Edge rows: zero debt, zero fee, zero collateral, a subnormal debt whose
+    # cap denominator underflows to 0, and fees whose 1 - fee is a square apart.
+    edges = [(5.0, 0.0, 1e3, 2e6, 0.003), (5.0, 1e4, 1e3, 2e6, 0.0), (0.0, 1e4, 1e3, 2e6, 0.003),
+             (1.0, 5e-324, 1.0, 1.0, 0.5), (0.0, 0.0, 1.0, 1.0, 0.0),
+             *((6.0, 1e4, 1e3, 2e6, 1.0 - x) for x in SQUARES_APART[:2])]
+    cols = [np.concatenate([col, edge]) for col, edge in zip((c, b, a0, b0, fee), zip(*edges))]
+    for params in (RiskParams(0.85, 0.05, 0.8, 0.5), RiskParams(0.31, 0.0, 0.5, 1.0),
+                   RiskParams(1.0, 0.17, 1.0, 0.2)):
+        got = delta_bounds_batch(*cols, params)
+        rows = [(LoanPosition(ci, bi), PoolState(ai, bri, gi))
+                for ci, bi, ai, bri, gi in zip(*(col.tolist() for col in cols))]
+        want = [delta_bounds_reference(position, pool, params) for position, pool in rows]
+        assert [[hx(v) for v in col] for col in got] == [[hx(v) for v in col] for col in zip(*want)]
+        for position, pool in rows[-len(edges):]:
+            assert tuple(vars(delta_bounds(position, pool, params)).values()) == \
+                delta_bounds_reference(position, pool, params)
 
 
 def search_hi(position, pool, params) -> float:
@@ -249,6 +309,26 @@ def test_batch_raises_where_the_scalar_self_check_raises():
     assert raised.value.convention is RepayConvention.EXECUTION_VALUE
 
 
+def test_refine_takes_no_debt_exhaustion_pole_for_a_crossing(monkeypatch):
+    # The health factor goes to +inf as a run repays the whole debt, and
+    # stays +inf past that point, so the gap's jump there is no crossing.
+    # Shifted up by 1.0, the health factor never comes down to cf_target 1.0.
+    position, pool, params = SHORT_OF_WINDOW
+    args = (position, pool, params.haircut, params.bonus, 1.0)
+    assert bound_closing(*args).x == 7.813165449634398e-07
+    hf_after = oevsim.lending._hf_after
+    monkeypatch.setattr(oevsim.lending, "_hf_after", lambda *a: hf_after(*a) + 1.0)
+    with pytest.raises(RecoveryRootError) as raised:
+        bound_closing(*args)
+    assert raised.value.check == "self-check"
+    assert raised.value.residual == pytest.approx(1.0, abs=1e-8)
+    columns = [np.array([v]) for v in (position.collateral, position.debt,
+                                       pool.reserve_collateral, pool.reserve_debt, pool.fee, 1.0)]
+    with pytest.raises(RecoveryRootError):
+        bound_closing_batch(*columns[:5], params.haircut, params.bonus, columns[5],
+                            DEFAULT_CONVENTION)
+
+
 def test_batch_raises_where_a_scalar_pool_is_invalid():
     # An infinite sale leaves a debt reserve of 0, which PoolState rejects.
     position, pool = LoanPosition(5.0, 0.0), PoolState(1000.0, 2e6, 0.0)
@@ -350,11 +430,10 @@ def reference_rows(cfg) -> list[list]:
                          res.binding.value, res.last_binding.value, strat.value, res.bad_debt])
             continue
         delta = value if axis == "delta" else cfg.attack.delta_min
-        bounds = delta_bounds(position, pool, cfg.risk)
         res = attack_profit(delta, position, pool, cfg.risk, cfg.convention)
         rows.append([axis, value, res.delta, res.front_proceeds, res.liq_profit,
                      res.buyback_cost, res.total_profit, res.feasible, res.triggered,
-                     bounds.trigger, bounds.baddebt_cap, bounds.no_revert])
+                     *delta_bounds_reference(position, pool, cfg.risk)])
     return rows
 
 

@@ -647,7 +647,7 @@ def test_cli_liquidates_where_the_price_square_overflows(tmp_path, capsys):
 
 
 def test_cli_attack_on_a_subnormal_debt_finds_nothing(tmp_path, capsys):
-    # delta_baddebt_cap's denominator underflows to 0: the cap is +inf.
+    # The bad-debt cap's denominator underflows to 0: the cap is +inf.
     doc = {"pool": {"reserve_collateral": 1.0, "reserve_debt": 1.0, "fee": 0.5},
            "position": {"debt": 5e-324, "collateral": 1.0}, "risk": RISK}
     assert main(["attack", write(tmp_path, yaml.safe_dump(doc))]) == 3
