@@ -38,28 +38,41 @@ from .amm import PoolState
 
 # One float cell: also "inf", "-inf" and "nan", whatever the NaN's sign.
 _FLOAT = "{:.12g}".format
+_BOOL = {True: "true", False: "false"}
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _BOOL[value]
     if isinstance(value, float):
         return _FLOAT(value)
     return str(value)
 
 
+def _cells(column: list):
+    """The cells of one column as :func:`_fmt` formats them, in one pass where it can."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return map(_FLOAT, column)
+    if kinds == {str}:
+        return column
+    if kinds == {bool}:
+        return map(_BOOL.__getitem__, column)
+    return map(_fmt, column)
+
+
 def _write_csv(header: list[str], columns: list[list], out_path: str | None) -> None:
     """Write a table given as columns, formatting each column in one pass.
 
-    A column of floats alone takes one :data:`_FLOAT` map; any other column
-    (``None``, bools, strings, ints) goes through :func:`_fmt`.  No cell
-    holds a comma, a quote or a line break and every table has two or more
-    columns, so no cell needs CSV quoting and the rows are plain joins.
+    A column of floats, strings or bools alone takes one map (strings pass
+    as they are); a mixed column (``None`` cells, ints) goes through
+    :func:`_fmt`.  No cell holds a comma, a quote or a line break and every
+    table has two or more columns, so no cell needs CSV quoting and the rows
+    are plain joins.
     """
-    cells = [list(map(_FLOAT if set(map(type, col)) == {float} else _fmt, col))
-             for col in columns]
+    cells = [_cells(col) for col in columns]
     text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     if out_path:
         with open(out_path, "w", newline="") as stream:

@@ -525,15 +525,30 @@ def compute_bounds(
     A health factor above ``cf_target`` shuts the gate, and the recovery bound
     reports 0 instead of solving an ill-conditioned crossing above the threshold.
     """
+    return _bounds_and_hf(position, pool, params, cf_target, kappa, convention)[0]
+
+
+def _bounds_and_hf(
+    position: LoanPosition,
+    pool: PoolState,
+    params: RiskParams,
+    cf_target: float,
+    kappa: float,
+    convention: RepayConvention,
+) -> tuple[BoundSet, float]:
+    """:func:`compute_bounds` and the health factor its gate read, evaluated once.
+
+    kappa is checked before the health factor, so its error comes first.
+    """
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    shut = health_factor(position, pool, params.haircut) > cf_target
+    hf = health_factor(position, pool, params.haircut)
     a, b_res, fee, bonus = pool.reserve_collateral, pool.reserve_debt, pool.fee, params.bonus
     return BoundSet(
         x_collateral=_x_collateral(position.collateral, bonus),
         x_debt_full=_debt_cap(position.debt, a, b_res, trade_multiplier(fee, bonus),
                               _traj_factor(fee, convention)),
         x_debt_kappa=_kappa_cap(kappa * position.debt, a, b_res, fee, bonus, convention),
-        x_closing=0.0 if shut else bound_closing(position, pool, params.haircut, bonus,
-                                                 cf_target, convention).x,
-    )
+        x_closing=0.0 if hf > cf_target else bound_closing(position, pool, params.haircut, bonus,
+                                                           cf_target, convention).x,
+    ), hf

@@ -47,6 +47,13 @@ from .lending import (
 
 _EXHAUST_EPS = 1e-11
 
+# The walk runs plain steps as columns once this many scalar steps in a row
+# were plain, in chunks that start at _CHUNK_MIN rows and double to _CHUNK_MAX
+# while every row is plain (see simulate_liquidation_sequence).
+_PLAIN_STEPS = 8
+_CHUNK_MIN = 32
+_CHUNK_MAX = 4096
+
 # Defaults of the verification suites: DP grid size, engine-vs-DP relative
 # tolerance and instance seed.
 GRID_N = 10_000
@@ -102,6 +109,18 @@ def simulate_liquidation_sequence(
     ("closing_factor"), debt exhausted, collateral exhausted, a gate that
     was already shut at entry ("gate"), the step budget ("steps"), or a
     transaction cap that is not positive ("stalled").
+
+    Runs of plain steps -- ``step_limit`` under both caps, leaving a state
+    the walk goes on from with the gate open -- are computed as float64
+    columns once the last ``_PLAIN_STEPS`` steps were plain.  The columns
+    carry the bits of the one-step-at-a-time walk: collateral, debt, reserve
+    ``a``, profit and cumulative size change by one addition per step, and
+    ``np.add.accumulate`` adds one element at a time, in order, so each is
+    one accumulate seeded with the current state.  The debt reserve
+    ``a*r/a_next`` is a plain float loop, and everything else is pointwise,
+    where numpy rounds each ``+ - * /`` as a Python float does.  The first
+    step that is not plain (a cap, a crossing, exhaustion, the budget) runs
+    scalar, as does every greedy walk.
     """
     theta, ell, fee = params.haircut, params.bonus, pool.fee
     c_eps = _EXHAUST_EPS * max(position.collateral, 1.0)
@@ -129,7 +148,8 @@ def simulate_liquidation_sequence(
                     else _repay_total(a, r, size, u, m))
         dpi = proceeds - r / a * size
         c_n, b_n = c - amount, b - beta
-        c_next, b_next = max(c_n, 0.0), max(b_n, 0.0)
+        # max(c_n, 0.0) and max(b_n, 0.0) as the builtin picks them, without its call.
+        c_next, b_next = 0.0 if 0.0 > c_n else c_n, 0.0 if 0.0 > b_n else b_n
         if not (c_next >= 0.0 and b_next >= 0.0):
             LoanPosition(c_next, b_next)  # raises on a NaN
         if b_n <= b_eps or c_n <= c_eps:
@@ -142,6 +162,10 @@ def simulate_liquidation_sequence(
     profit = 0.0
     cum_x = 0.0
     steps = 0
+    # The plain steps ahead run as columns from step chunk_at on, which is
+    # _PLAIN_STEPS after the last step that was not plain.
+    chunking = 0.0 < step_limit < math.inf
+    chunk_at, chunk = _PLAIN_STEPS, _CHUNK_MIN
     while True:
         if b <= b_eps:
             term = "debt"
@@ -157,6 +181,18 @@ def simulate_liquidation_sequence(
             break
         if steps == 0 and not 0.0 < kappa <= 1.0:
             raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+        if steps >= chunk_at and chunking and max_steps - steps >= _CHUNK_MIN:
+            n = min(chunk, max_steps - steps)
+            k, state = _plain_run(n, c, b, a, r, profit, cum_x, step_limit, fee, params,
+                                  convention, cf_target, kappa, c_eps, b_eps)
+            if k:
+                c, b, a, r, hf, profit, cum_x = state
+                steps += k
+            if k == n:
+                chunk = min(2 * chunk, _CHUNK_MAX)
+                continue
+            # The next step is not plain: the scalar step takes it.
+            chunk_at, chunk = steps + 1 + _PLAIN_STEPS, _CHUNK_MIN
         kb = kappa * b
         x = min(
             step_limit,
@@ -179,12 +215,67 @@ def simulate_liquidation_sequence(
             profit += dpi
             cum_x += x
             steps += 1
+            if x != step_limit:
+                chunk_at = steps + _PLAIN_STEPS
         if crossing:
             term = "closing_factor"
             break
 
     return SequenceOutcome(profit, term, steps, cum_x, LoanPosition(c, b),
                            PoolState(a, r, fee))
+
+
+def _plain_run(n: int, c: float, b: float, a: float, r: float, profit: float, cum_x: float,
+               step_limit: float, fee: float, params: RiskParams, convention: RepayConvention,
+               cf_target: float, kappa: float, c_eps: float, b_eps: float):
+    """How many of the walk's next ``n`` steps are plain, and the state after them.
+
+    A plain step takes ``step_limit`` under both caps and leaves a state that
+    the walk goes on from with the gate open.  Returns ``(k, state)``: the
+    first k steps are plain and ``state`` is (c, b, a, r, hf, profit, cum_x)
+    after them, or None when k is 0.
+    """
+    theta, ell = params.haircut, params.bonus
+    amount = step_limit * (1.0 + ell)
+    with np.errstate(all="ignore"):
+        fixed = np.empty((3, n + 1))
+        fixed[:, 0] = a, c, cum_x
+        # a moves by amm._sell's net inflow, the same every step.
+        fixed[:, 1:] = (amount * (1.0 - fee),), (-amount,), (step_limit,)
+        a_col, c_col, x_col = np.add.accumulate(fixed, axis=1, out=fixed)
+        # The debt reserve a*r/a_next is the one recurrence no accumulate forms.
+        a_list = a_col.tolist()
+        r_list = [r]
+        for a_pre, a_post in zip(a_list, a_list[1:]):
+            r = a_pre * r / a_post
+            r_list.append(r)
+        r_col = np.array(r_list)
+        a_pre, r_pre, a_post, r_post = a_col[:-1], r_col[:-1], a_col[1:], r_col[1:]
+        # Debt falls by each step's write-down; profit rises as _step prices it.
+        moved = np.empty((2, n + 1))
+        moved[:, 0] = b, profit
+        np.negative(_repay(a_pre, r_pre, fee, step_limit, ell, convention), out=moved[0, 1:])
+        np.subtract(_sell(a_pre, r_pre, fee, amount)[0], r_pre / a_pre * step_limit,
+                    out=moved[1, 1:])
+        b_col, p_col = np.add.accumulate(moved, axis=1, out=moved)
+        cap = _kappa_cap(kappa * b_col[:-1], a_pre, r_pre, fee, ell, convention)
+        c_post, b_post = c_col[1:], b_col[1:]
+        hf_post = _hf(theta, a_post, r_post, c_post, b_post)
+        # c_post > c_eps keeps step_limit under the collateral cap, so only the
+        # kappa cap is compared (a NaN cap goes to the scalar step); a_post > 0
+        # holds as a only grows.
+        plain = hf_post <= cf_target
+        plain &= cap >= step_limit
+        plain &= r_post > 0.0
+        plain &= c_post > c_eps
+        plain &= b_post > b_eps
+    k = int(plain.argmin())
+    if plain[k]:
+        k = n
+    if k == 0:
+        return 0, None
+    return k, (float(c_col[k]), float(b_col[k]), a_list[k], r_list[k], float(hf_post[k - 1]),
+               float(p_col[k]), float(x_col[k]))
 
 
 def _best_closing_trade(

@@ -376,7 +376,7 @@ def test_write_csv_matches_the_csv_writer_reference(tmp_path, capsys):
     block = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308) for _ in range(n)]
     edges = [math.inf, -math.inf, math.nan, -math.nan, -0.0, 0.0, 5e-324, 1e-5, 1e16,
              123456789012.5, 0.1 + 0.2]
-    header = ["axis", "value", "cost", "feasible", "binding", "count", "mixed", "edge"]
+    header = ["axis", "value", "cost", "feasible", "binding", "count", "mixed", "edge", "empty"]
     columns = [
         ["price"] * n,
         block,
@@ -386,6 +386,7 @@ def test_write_csv_matches_the_csv_writer_reference(tmp_path, capsys):
         [10 ** (i % 20) - i for i in range(n)],
         [i if i % 2 else float(i) * 1e-3 for i in range(n)],
         [edges[i % len(edges)] for i in range(n)],
+        [None] * n,
     ]
     want = csv_writer_reference(header, columns)
     assert {"inf", "-inf", "nan", "-0", ""} <= set(want.replace("\n", ",").split(","))

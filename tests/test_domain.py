@@ -20,6 +20,8 @@ from oevsim import (
     RiskParams,
     attack_profit,
     best_strategy,
+    compute_bounds,
+    run_liquidation,
     simulate_liquidation_sequence,
 )
 from oevsim.engine import best_strategy_batch
@@ -135,6 +137,13 @@ def test_underflowing_health_factor_raises_one_value_error(position):
     with pytest.raises(ValueError, match=match):
         simulate_liquidation_sequence(position, pool, params, params.closing_factor,
                                       params.max_liq_fraction)
+
+
+def test_kappa_error_comes_before_the_underflow_error():
+    position, params = LoanPosition(6.0, 1e-320), RiskParams(0.85, 0.05, 0.8, 0.5)
+    for call in (compute_bounds, run_liquidation):
+        with pytest.raises(ValueError, match="kappa must lie in"):
+            call(position, UNDERFLOW_POOL, params, 1.0, 1.5)
 
 
 # Its closing roots sit near 2e-320, where 1e-12 of the root underflows:

@@ -193,3 +193,16 @@ def test_gate_soundness_margin():
     res = run_liquidation(pos, pool_at(1500.0, fee=parity * (1 - 1e-3)), STD, 1.0, 0.5)
     assert res.pi_tot > 0.0
     assert health_factor(pos, pool_at(1500.0), STD.haircut) < 1.0
+
+
+def test_run_liquidation_evaluates_the_health_factor_once(monkeypatch):
+    import oevsim.engine
+    import oevsim.lending
+
+    calls = []
+    for module in (oevsim.engine, oevsim.lending):
+        monkeypatch.setattr(module, "health_factor",
+                            lambda *args: calls.append(1) or health_factor(*args))
+    res = run_liquidation(LoanPosition(6.0, 10_000.0), pool_at(1820.0), STD, 1.0, 0.5)
+    assert res.binding is Binding.CLOSING_FACTOR and res.hf_initial < 1.0
+    assert len(calls) == 1

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from oevsim import (
@@ -19,9 +20,20 @@ from oevsim import (
     subadditivity_check,
     verification_report,
 )
+from oevsim._numerics import halve
+from oevsim.amm import _sell
 from oevsim.engine import _run_profit
-from oevsim.lending import _x_collateral, trade_multiplier
-from oevsim.oracles import Instance, random_instances
+from oevsim.lending import (
+    _debt_cap,
+    _hf,
+    _kappa_cap,
+    _repay,
+    _repay_total,
+    _traj_factor,
+    _x_collateral,
+    trade_multiplier,
+)
+from oevsim.oracles import _EXHAUST_EPS, Instance, SequenceOutcome, random_instances
 
 STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
 
@@ -218,3 +230,158 @@ def test_verification_report_smoke():
     assert all(rec["passed"] for rec in records), [r for r in records if not r["passed"]]
     checks = {rec["check"] for rec in records}
     assert "engine_vs_dp" in checks and "integral_vs_closed_form" in checks
+
+
+def walk_reference(position, pool, params, cf_target, kappa, convention, step_limit,
+                   stop_before_crossing, max_steps):
+    """simulate_liquidation_sequence as one scalar transaction per loop iteration."""
+    theta, ell, fee = params.haircut, params.bonus, pool.fee
+    c_eps = _EXHAUST_EPS * max(position.collateral, 1.0)
+    b_eps = _EXHAUST_EPS * max(position.debt, 1.0)
+    one_plus = 1.0 + ell
+    spot = convention is RepayConvention.SPOT_PRICE
+    u, m = trade_multiplier(fee, ell), _traj_factor(fee, convention)
+
+    def step_at(c, b, a, r, size):
+        amount = size * one_plus
+        if amount == 0.0:
+            proceeds, a_n, r_n, beta = 0.0, a, r, 0.0
+        else:
+            proceeds, a_n, r_n = _sell(a, r, fee, amount)
+            if not (a_n > 0.0 and r_n > 0.0):
+                PoolState(a_n, r_n, fee)
+            beta = (_repay(a, r, fee, size, ell, convention) if spot
+                    else _repay_total(a, r, size, u, m))
+        dpi = proceeds - r / a * size
+        c_n, b_n = c - amount, b - beta
+        c_next, b_next = max(c_n, 0.0), max(b_n, 0.0)
+        if not (c_next >= 0.0 and b_next >= 0.0):
+            LoanPosition(c_next, b_next)
+        if b_n <= b_eps or c_n <= c_eps:
+            return dpi, c_next, b_next, a_n, r_n, -math.inf
+        return dpi, c_next, b_next, a_n, r_n, _hf(theta, a_n, r_n, c_next, b_next)
+
+    c, b = position.collateral, position.debt
+    a, r = pool.reserve_collateral, pool.reserve_debt
+    hf = health_factor(position, pool, theta)
+    profit = cum_x = 0.0
+    steps = 0
+    while True:
+        if b <= b_eps:
+            term = "debt"
+            break
+        if c <= c_eps:
+            term = "collateral"
+            break
+        if hf > cf_target:
+            term = "closing_factor" if steps > 0 else "gate"
+            break
+        if steps >= max_steps:
+            term = "steps"
+            break
+        if steps == 0 and not 0.0 < kappa <= 1.0:
+            raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+        kb = kappa * b
+        x = min(step_limit, _x_collateral(c, ell),
+                _kappa_cap(kb, a, r, fee, ell, convention) if spot else _debt_cap(kb, a, r, u, m))
+        if not x > 0.0:
+            term = "stalled"
+            break
+        step = step_at(c, b, a, r, x)
+        crossing = stop_before_crossing and step[5] > cf_target
+        if crossing:
+            x, _ = halve(lambda size: not step_at(c, b, a, r, size)[5] > cf_target, 0.0, x,
+                         lambda lo, hi: hi - lo <= 1e-15 * max(1.0, hi), 200)
+            step = step_at(c, b, a, r, x)
+        if x > 0.0:
+            dpi, c, b, a, r, hf = step
+            profit += dpi
+            cum_x += x
+            steps += 1
+        if crossing:
+            term = "closing_factor"
+            break
+    return SequenceOutcome(profit, term, steps, cum_x, LoanPosition(c, b), PoolState(a, r, fee))
+
+
+def outcome_bits(out: SequenceOutcome) -> tuple:
+    pos, pool = out.post_position, out.post_pool
+    return (out.terminator, out.steps, *(v.hex() for v in (
+        out.profit, out.cumulative_x, pos.collateral, pos.debt,
+        pool.reserve_collateral, pool.reserve_debt, pool.fee)))
+
+
+def test_cumsum_is_sequential_subtraction():
+    # The walk's columns rest on add.accumulate adding one row element at a time.
+    rng = np.random.default_rng(31)
+    draws = rng.uniform(0.5, 1.0, 10_000) * np.exp2(rng.integers(-40, 40, 10_000))
+    seeds, moves = draws[:2], draws[2:].reshape(2, -1)
+    want = []
+    for seed, row in zip(seeds.tolist(), moves.tolist()):
+        acc = [seed]
+        for v in row:
+            acc.append(acc[-1] - v)
+        want.append([v.hex() for v in acc])
+    cols = np.concatenate([seeds[:, None], -moves], axis=1)
+    assert [[v.hex() for v in row] for row in np.add.accumulate(cols, axis=1).tolist()] == want
+    assert [v.hex() for v in np.cumsum(cols[0]).tolist()] == want[0]
+
+
+# Two feasible states: in steps of cap/20000, GATE_WALK crosses the gate after about
+# 16,000 of them, and DRAIN_WALK never shuts it and runs out of collateral.
+DRAIN_WALK, _, _, _, _, GATE_WALK = random_instances(6, seed=77, feasible_only=True)
+
+
+def walk_pair(inst, convention, step_limit, stop, max_steps, cf_target=None, kappa=None):
+    args = (inst.position, inst.pool, inst.params,
+            inst.cf_target if cf_target is None else cf_target,
+            inst.kappa if kappa is None else kappa, convention, step_limit, stop, max_steps)
+    return simulate_liquidation_sequence(*args), walk_reference(*args)
+
+
+def span(inst):
+    return _x_collateral(inst.position.collateral, inst.params.bonus)
+
+
+@pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
+def test_long_walks_match_the_scalar_walk(convention):
+    got, want = walk_pair(GATE_WALK, convention, span(GATE_WALK) / 20_000, True, 40_000)
+    assert outcome_bits(got) == outcome_bits(want)
+    assert got.terminator == "closing_factor" and got.steps > 16_000
+
+
+@pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("max_steps", [1025, 2100, 4097])
+def test_a_step_budget_inside_a_run_matches_the_scalar_walk(convention, max_steps):
+    got, want = walk_pair(DRAIN_WALK, convention, span(DRAIN_WALK) / 20_000, True, max_steps)
+    assert outcome_bits(got) == outcome_bits(want)
+    assert got.terminator == "steps" and got.steps == max_steps
+
+
+@pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("kappa, share", [(0.01, 0.9), (0.001, 0.95)])
+def test_a_kappa_cap_binding_after_a_plain_run_matches_the_scalar_walk(convention, kappa, share):
+    # The step starts just under the kappa cap, which shrinks with the debt
+    # until it binds after dozens of plain steps.
+    pool = DRAIN_WALK.pool
+    cap0 = _kappa_cap(kappa * DRAIN_WALK.position.debt, pool.reserve_collateral, pool.reserve_debt,
+                      pool.fee, DRAIN_WALK.params.bonus, convention)
+    got, want = walk_pair(DRAIN_WALK, convention, share * cap0, False, 40_000, kappa=kappa)
+    assert outcome_bits(got) == outcome_bits(want)
+    assert got.cumulative_x < got.steps * share * cap0 * (1.0 - 1e-3)
+
+
+@pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("case", ["over_gate", "collateral", "debt"])
+def test_walk_ends_match_the_scalar_walk(convention, case):
+    # Without stop_before_crossing, GATE_WALK takes the step that crosses the
+    # gate, and with a gate that never shuts it repays the whole debt.
+    inst, cf_target = {"over_gate": (GATE_WALK, None), "collateral": (DRAIN_WALK, None),
+                       "debt": (GATE_WALK, math.inf)}[case]
+    got, want = walk_pair(inst, convention, span(inst) / 5_000, False, 40_000, cf_target=cf_target)
+    assert outcome_bits(got) == outcome_bits(want)
+    assert got.terminator == {"over_gate": "closing_factor"}.get(case, case)
+    assert got.steps > 4_000
+    if case == "over_gate":
+        assert health_factor(got.post_position, got.post_pool, inst.params.haircut) > inst.cf_target
+
