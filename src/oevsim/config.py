@@ -350,14 +350,23 @@ def parse_config(data: dict) -> ScenarioConfig:
                          sweep=sweep, attack=attack, convention=convention)
     # Finite inputs can still derive a reserve that underflows to 0, a state
     # that overflows, or a reserve_collateral * debt that underflows to 0 (an
-    # undefined health factor).  Every derived number is monotone along a
-    # sweep, so the base point and the sweep's ends stand for every point.
+    # undefined health factor).  A finite state can still overflow the pool
+    # invariant A*B, which every swap divides, or both products of its health
+    # factor, which is then NaN; those are checked once every state is finite.
+    # Every derived number is monotone along a sweep, so the base point and the
+    # sweep's ends stand for every point.
     try:
-        for position, state in [cfg.state_at(), *(cfg.sweep_states(ends) if sweep else [])]:
+        states = [cfg.state_at(), *(cfg.sweep_states(ends) if sweep else [])]
+        for position, state in states:
             if not all(map(math.isfinite, (position.collateral, state.reserve_collateral,
                                            state.reserve_debt))):
                 raise ValueError(f"{position} in {state} is not finite")
             health_factor(position, state, risk.haircut)
+        for position, state in states:
+            if not math.isfinite(state.reserve_collateral * state.reserve_debt):
+                raise ValueError(f"reserve product of {state} is not finite")
+            if math.isnan(health_factor(position, state, risk.haircut)):
+                raise ValueError(f"health factor of {position} in {state} is nan")
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError([f"scenario: derived state out of domain: {exc}"]) from None
     return cfg

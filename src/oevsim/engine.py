@@ -46,7 +46,6 @@ from .lending import (
     LoanPosition,
     RepayConvention,
     RiskParams,
-    _bounds_and_hf,
     _debt_cap,
     _hf,
     _kappa_cap,
@@ -55,6 +54,7 @@ from .lending import (
     _traj_factor,
     _x_collateral,
     bound_closing_batch,
+    compute_bounds,
     health_factor,
     trade_multiplier,
 )
@@ -201,13 +201,13 @@ def run_liquidation(
     unchanged, tagged by what stopped the run before it began: no
     collateral, no debt, a shut health gate (HF > cf_target), or the fee
     gate.  Otherwise the marginal run and, after a recovery, the closing
-    trade execute.  The bounds and the gate's health factor come from the
-    helper behind ``compute_bounds``, which checks kappa first.
+    trade execute.  The bounds and the gate's health factor come from
+    ``compute_bounds``, which checks kappa first.
     """
     if not 0.0 < cf_target <= 1.0:
         raise ValueError(f"cf_target must lie in (0, 1], got {cf_target}")
 
-    bounds, hf0 = _bounds_and_hf(position, pool, params, cf_target, kappa, convention)
+    bounds, hf0 = compute_bounds(position, pool, params, cf_target, kappa, convention)
     u = trade_multiplier(pool.fee, params.bonus)
     x_c, x_b, x_cf = bounds.x_collateral, bounds.x_debt_full, bounds.x_closing
 

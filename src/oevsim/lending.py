@@ -519,26 +519,14 @@ def compute_bounds(
     cf_target: float,
     kappa: float,
     convention: RepayConvention = DEFAULT_CONVENTION,
-) -> BoundSet:
-    """Evaluate all bounds of the current state against a given threshold pair.
-
-    A health factor above ``cf_target`` shuts the gate, and the recovery bound
-    reports 0 instead of solving an ill-conditioned crossing above the threshold.
-    """
-    return _bounds_and_hf(position, pool, params, cf_target, kappa, convention)[0]
-
-
-def _bounds_and_hf(
-    position: LoanPosition,
-    pool: PoolState,
-    params: RiskParams,
-    cf_target: float,
-    kappa: float,
-    convention: RepayConvention,
 ) -> tuple[BoundSet, float]:
-    """:func:`compute_bounds` and the health factor its gate read, evaluated once.
+    """All bounds of the current state against a threshold pair, and the health factor.
 
-    kappa is checked before the health factor, so its error comes first.
+    Returns ``(bounds, hf)``, where ``hf`` is the health factor the gate read.
+    A health factor above ``cf_target`` shuts the gate, and the recovery bound
+    reports 0 instead of solving an ill-conditioned crossing above the
+    threshold.  kappa is checked before the health factor, so its error
+    comes first.
     """
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")

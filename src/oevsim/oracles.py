@@ -32,14 +32,11 @@ from .lending import (
     LoanPosition,
     RepayConvention,
     RiskParams,
-    _debt_cap,
     _hf,
     _kappa_cap,
     _repay,
-    _repay_total,
-    _traj_factor,
     _x_collateral,
-    bound_closing,
+    compute_bounds,
     health_factor,
     hf_after_marginal,
     trade_multiplier,
@@ -61,14 +58,23 @@ TOL_REL = 1e-3
 SEED = 20240811
 
 
-def _shot_profit(pool: PoolState, x: float, bonus: float) -> tuple[float, PoolState]:
-    """One liquidation transaction priced purely through the AMM.
+def _trade(a, r, fee, x, bonus):
+    """Profit and post reserves of one liquidation transaction priced purely through the AMM.
 
     Proceeds come from actually selling x*(1+bonus) into the pool; the
-    protocol is repaid the pre-trade spot value of the x units claimed.
+    protocol is repaid the pre-trade spot value B/A*x of the x units claimed.
+    Takes floats or numpy arrays.  On floats a zero size leaves the pool as
+    it is, and post reserves that are not > 0 raise PoolState's error; array
+    rows are all priced as they are, unchecked.
     """
-    proceeds, pool_next = pool.sell_collateral(x * (1.0 + bonus))
-    return proceeds - pool.spot_price() * x, pool_next
+    proceeds, a_n, r_n = _sell(a, r, fee, x * (1.0 + bonus))
+    if isinstance(a_n, np.ndarray):
+        return proceeds - r / a * x, a_n, r_n
+    if x == 0.0:  # the no-op sale
+        return 0.0, a, r
+    if not (a_n > 0.0 and r_n > 0.0):
+        PoolState(a_n, r_n, fee)  # raises its reserve error
+    return proceeds - r / a * x, a_n, r_n
 
 
 @dataclass(frozen=True)
@@ -129,32 +135,68 @@ def simulate_liquidation_sequence(
     # and r) and calls the number-level formulas that the LoanPosition and
     # PoolState functions call, so every step has their bits.  It checks what
     # their constructors check and builds one on failure, to raise its error.
-    one_plus = 1.0 + ell
-    spot = convention is RepayConvention.SPOT_PRICE
-    u, m = trade_multiplier(fee, ell), _traj_factor(fee, convention)
 
     def _step(c: float, b: float, a: float, r: float, size: float):
         """(profit, post collateral and debt clamped at 0, post reserves, post HF)
         of one transaction; the HF is -inf once debt or collateral is exhausted,
         which is not a gate crossing."""
-        amount = size * one_plus
-        if amount == 0.0:  # the no-op sale repays nothing
-            proceeds, a_n, r_n, beta = 0.0, a, r, 0.0
-        else:
-            proceeds, a_n, r_n = _sell(a, r, fee, amount)
-            if not (a_n > 0.0 and r_n > 0.0):
-                PoolState(a_n, r_n, fee)  # raises its reserve error
-            beta = (_repay(a, r, fee, size, ell, convention) if spot
-                    else _repay_total(a, r, size, u, m))
-        dpi = proceeds - r / a * size
-        c_n, b_n = c - amount, b - beta
-        # max(c_n, 0.0) and max(b_n, 0.0) as the builtin picks them, without its call.
-        c_next, b_next = 0.0 if 0.0 > c_n else c_n, 0.0 if 0.0 > b_n else b_n
+        dpi, a_n, r_n = _trade(a, r, fee, size, ell)
+        c_n, b_n = c - size * (1.0 + ell), b - _repay(a, r, fee, size, ell, convention)
+        c_next, b_next = max(c_n, 0.0), max(b_n, 0.0)
         if not (c_next >= 0.0 and b_next >= 0.0):
             LoanPosition(c_next, b_next)  # raises on a NaN
         if b_n <= b_eps or c_n <= c_eps:
             return dpi, c_next, b_next, a_n, r_n, -math.inf
         return dpi, c_next, b_next, a_n, r_n, _hf(theta, a_n, r_n, c_next, b_next)
+
+    def _plain_run(n: int, c: float, b: float, a: float, r: float, profit: float,
+                   cum_x: float):
+        """How many of the next ``n`` steps are plain, and the state after them.
+
+        A plain step takes ``step_limit`` under both caps and leaves a state
+        that the walk goes on from with the gate open.  Returns ``(k, state)``:
+        the first k steps are plain and ``state`` is (c, b, a, r, hf, profit,
+        cum_x) after them, or None when k is 0.
+        """
+        amount = step_limit * (1.0 + ell)
+        with np.errstate(all="ignore"):
+            fixed = np.empty((3, n + 1))
+            fixed[:, 0] = a, c, cum_x
+            # a moves by amm._sell's net inflow, the same every step.
+            fixed[:, 1:] = (amount * (1.0 - fee),), (-amount,), (step_limit,)
+            a_col, c_col, x_col = np.add.accumulate(fixed, axis=1, out=fixed)
+            # The debt reserve a*r/a_next is the one recurrence no accumulate forms.
+            a_list = a_col.tolist()
+            r_list = [r]
+            for a_pre, a_post in zip(a_list, a_list[1:]):
+                r = a_pre * r / a_post
+                r_list.append(r)
+            r_col = np.array(r_list)
+            a_pre, r_pre, a_post, r_post = a_col[:-1], r_col[:-1], a_col[1:], r_col[1:]
+            # Debt falls by each step's write-down; profit rises as _step prices it.
+            moved = np.empty((2, n + 1))
+            moved[:, 0] = b, profit
+            np.negative(_repay(a_pre, r_pre, fee, step_limit, ell, convention), out=moved[0, 1:])
+            moved[1, 1:] = _trade(a_pre, r_pre, fee, step_limit, ell)[0]
+            b_col, p_col = np.add.accumulate(moved, axis=1, out=moved)
+            cap = _kappa_cap(kappa * b_col[:-1], a_pre, r_pre, fee, ell, convention)
+            c_post, b_post = c_col[1:], b_col[1:]
+            hf_post = _hf(theta, a_post, r_post, c_post, b_post)
+            # c_post > c_eps keeps step_limit under the collateral cap, so only the
+            # kappa cap is compared (a NaN cap goes to the scalar step); a_post > 0
+            # holds as a only grows.
+            plain = hf_post <= cf_target
+            plain &= cap >= step_limit
+            plain &= r_post > 0.0
+            plain &= c_post > c_eps
+            plain &= b_post > b_eps
+        k = int(plain.argmin())
+        if plain[k]:
+            k = n
+        if k == 0:
+            return 0, None
+        return k, (float(c_col[k]), float(b_col[k]), a_list[k], r_list[k],
+                   float(hf_post[k - 1]), float(p_col[k]), float(x_col[k]))
 
     c, b = position.collateral, position.debt
     a, r = pool.reserve_collateral, pool.reserve_debt
@@ -182,9 +224,9 @@ def simulate_liquidation_sequence(
         if steps == 0 and not 0.0 < kappa <= 1.0:
             raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
         if steps >= chunk_at and chunking and max_steps - steps >= _CHUNK_MIN:
-            n = min(chunk, max_steps - steps)
-            k, state = _plain_run(n, c, b, a, r, profit, cum_x, step_limit, fee, params,
-                                  convention, cf_target, kappa, c_eps, b_eps)
+            # An int length: a float step budget leaves max_steps - steps a float.
+            n = int(min(chunk, max_steps - steps))
+            k, state = _plain_run(n, c, b, a, r, profit, cum_x)
             if k:
                 c, b, a, r, hf, profit, cum_x = state
                 steps += k
@@ -193,12 +235,8 @@ def simulate_liquidation_sequence(
                 continue
             # The next step is not plain: the scalar step takes it.
             chunk_at, chunk = steps + 1 + _PLAIN_STEPS, _CHUNK_MIN
-        kb = kappa * b
-        x = min(
-            step_limit,
-            _x_collateral(c, ell),
-            _kappa_cap(kb, a, r, fee, ell, convention) if spot else _debt_cap(kb, a, r, u, m),
-        )
+        x = min(step_limit, _x_collateral(c, ell),
+                _kappa_cap(kappa * b, a, r, fee, ell, convention))
         if not x > 0.0:
             term = "stalled"  # defensive; caps are positive whenever c, b are
             break
@@ -225,59 +263,6 @@ def simulate_liquidation_sequence(
                            PoolState(a, r, fee))
 
 
-def _plain_run(n: int, c: float, b: float, a: float, r: float, profit: float, cum_x: float,
-               step_limit: float, fee: float, params: RiskParams, convention: RepayConvention,
-               cf_target: float, kappa: float, c_eps: float, b_eps: float):
-    """How many of the walk's next ``n`` steps are plain, and the state after them.
-
-    A plain step takes ``step_limit`` under both caps and leaves a state that
-    the walk goes on from with the gate open.  Returns ``(k, state)``: the
-    first k steps are plain and ``state`` is (c, b, a, r, hf, profit, cum_x)
-    after them, or None when k is 0.
-    """
-    theta, ell = params.haircut, params.bonus
-    amount = step_limit * (1.0 + ell)
-    with np.errstate(all="ignore"):
-        fixed = np.empty((3, n + 1))
-        fixed[:, 0] = a, c, cum_x
-        # a moves by amm._sell's net inflow, the same every step.
-        fixed[:, 1:] = (amount * (1.0 - fee),), (-amount,), (step_limit,)
-        a_col, c_col, x_col = np.add.accumulate(fixed, axis=1, out=fixed)
-        # The debt reserve a*r/a_next is the one recurrence no accumulate forms.
-        a_list = a_col.tolist()
-        r_list = [r]
-        for a_pre, a_post in zip(a_list, a_list[1:]):
-            r = a_pre * r / a_post
-            r_list.append(r)
-        r_col = np.array(r_list)
-        a_pre, r_pre, a_post, r_post = a_col[:-1], r_col[:-1], a_col[1:], r_col[1:]
-        # Debt falls by each step's write-down; profit rises as _step prices it.
-        moved = np.empty((2, n + 1))
-        moved[:, 0] = b, profit
-        np.negative(_repay(a_pre, r_pre, fee, step_limit, ell, convention), out=moved[0, 1:])
-        np.subtract(_sell(a_pre, r_pre, fee, amount)[0], r_pre / a_pre * step_limit,
-                    out=moved[1, 1:])
-        b_col, p_col = np.add.accumulate(moved, axis=1, out=moved)
-        cap = _kappa_cap(kappa * b_col[:-1], a_pre, r_pre, fee, ell, convention)
-        c_post, b_post = c_col[1:], b_col[1:]
-        hf_post = _hf(theta, a_post, r_post, c_post, b_post)
-        # c_post > c_eps keeps step_limit under the collateral cap, so only the
-        # kappa cap is compared (a NaN cap goes to the scalar step); a_post > 0
-        # holds as a only grows.
-        plain = hf_post <= cf_target
-        plain &= cap >= step_limit
-        plain &= r_post > 0.0
-        plain &= c_post > c_eps
-        plain &= b_post > b_eps
-    k = int(plain.argmin())
-    if plain[k]:
-        k = n
-    if k == 0:
-        return 0, None
-    return k, (float(c_col[k]), float(b_col[k]), a_list[k], r_list[k], float(hf_post[k - 1]),
-               float(p_col[k]), float(x_col[k]))
-
-
 def _best_closing_trade(
     position: LoanPosition,
     pool: PoolState,
@@ -297,17 +282,15 @@ def _best_closing_trade(
               _kappa_cap(kappa * position.debt, a, r, pool.fee, params.bonus, convention))
 
     def profit(x: float) -> float:
-        return _shot_profit(pool, x, params.bonus)[0]
+        return _trade(a, r, pool.fee, x, params.bonus)[0]
 
-    # The scan is _shot_profit at every grid point, as one array expression
-    # that overflows to inf and nan silently, as Python floats do.
-    n = max(64, min(1024, grid_n))
+    # The scan prices every grid point at once, overflowing to inf and nan
+    # silently, as Python floats do.
+    n = int(max(64, min(1024, grid_n)))
     xs = np.linspace(0.0, cap, n + 1)
     with np.errstate(all="ignore"):
-        amounts = xs * (1.0 + params.bonus)
-        proceeds, a_n, r_n = _sell(a, r, pool.fee, amounts)
-        vals = proceeds - r / a * xs
-    _require_reserves(a_n, r_n, amounts != 0.0)
+        vals, a_n, r_n = _trade(a, r, pool.fee, xs, params.bonus)
+    _require_reserves(a_n, r_n, xs != 0.0)
     k = int(np.argmax(vals))
     lo = float(xs[max(k - 1, 0)])
     hi = float(xs[min(k + 1, n)])
@@ -401,9 +384,10 @@ def subadditivity_check(
     """
     if x1 < 0.0 or x2 < 0.0:
         raise ValueError("split sizes must be >= 0")
-    lhs, _ = _shot_profit(pool, x1 + x2, bonus)
-    p1, pool_mid = _shot_profit(pool, x1, bonus)
-    p2, _ = _shot_profit(pool_mid, x2, bonus)
+    a, r, fee = pool.reserve_collateral, pool.reserve_debt, pool.fee
+    lhs = _trade(a, r, fee, x1 + x2, bonus)[0]
+    p1, a_mid, r_mid = _trade(a, r, fee, x1, bonus)
+    p2 = _trade(a_mid, r_mid, fee, x2, bonus)[0]
     rhs = p1 + p2
     slack = 1e-12 * max(1.0, abs(lhs), abs(rhs))
     return lhs, rhs, lhs <= rhs + slack
@@ -534,11 +518,9 @@ def random_instances(
         pool = PoolState(a0, b0, fee)
         params = RiskParams(haircut, bonus, closing, kappa)
 
-        x_c = _x_collateral(coll, bonus)
-        # The debt-exhaustion bound of the default convention, whose m is 1.
-        x_b = _debt_cap(debt, a0, b0, trade_multiplier(fee, bonus), 1.0)
-        x_cf = bound_closing(position, pool, haircut, bonus, cf_target).x
-        finite = [v for v in (x_c, x_b, x_cf) if math.isfinite(v)]
+        bounds, _ = compute_bounds(position, pool, params, cf_target, kappa)
+        finite = [v for v in (bounds.x_collateral, bounds.x_debt_full, bounds.x_closing)
+                  if math.isfinite(v)]
         tied = any(
             abs(p - q) <= 1e-9 * max(abs(p), abs(q), 1e-300)
             for i, p in enumerate(finite)
@@ -629,11 +611,11 @@ def verification_report(
         )
         inst = Instance(position, pool,
                         RiskParams(haircut, bonus, 0.8, 0.5), cf_target, 0.5)
-        cb = bound_closing(position, pool, haircut, bonus, cf_target)
-        # Below the collateral and debt-exhaustion bounds (default convention, m = 1).
-        hi = min(_x_collateral(position.collateral, bonus),
-                 _debt_cap(debt, a0, b0, trade_multiplier(fee, bonus), 1.0)) * (1.0 - 1e-9)
-        if not (math.isfinite(cb.x) and 0.0 < cb.x < hi):
+        bounds, _ = compute_bounds(position, pool, inst.params, cf_target, inst.kappa)
+        closed = bounds.x_closing
+        # Below the collateral and debt-exhaustion bounds.
+        hi = min(bounds.x_collateral, bounds.x_debt_full) * (1.0 - 1e-9)
+        if not (math.isfinite(closed) and 0.0 < closed < hi):
             continue
 
         def gap(x):
@@ -642,9 +624,9 @@ def verification_report(
         if gap(hi) <= 0.0:
             continue
         root = bisect_root(gap, 0.0, hi, tol_x=1e-14)
-        rerr = abs(root - cb.x) / max(abs(root), 1e-300)
+        rerr = abs(root - closed) / max(abs(root), 1e-300)
         add("recovery_bound_vs_bisection", inst, rerr <= 1e-8,
-            closed=cb.x, bisection=root, rel_err=rerr)
+            closed=closed, bisection=root, rel_err=rerr)
         checked += 1
 
     return records

@@ -199,7 +199,7 @@ def tied_states():
         pool = PoolState(1000.0, 2e6, fee)
         for rel in (-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6):
             probe = LoanPosition(1.0, 1e4)
-            x_b = compute_bounds(probe, pool, params, 1.0, 1.0).x_debt_full
+            x_b = compute_bounds(probe, pool, params, 1.0, 1.0)[0].x_debt_full
             position = LoanPosition(x_b * (1.0 + params.bonus) * (1.0 + rel), 1e4)
             assert _x_collateral(position.collateral, params.bonus) == pytest.approx(x_b, rel=2e-6)
             yield position, pool, params

@@ -453,6 +453,14 @@ SWEEP_EXTRA = "sweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n  steps: 
     (edit("reserve_collateral: 1000.0", "reserve_collateral: 1.0e+300")
      .replace("reserve_debt: 2.0e6", "reserve_debt: 1.0e+300") + SWEEP_EXTRA,
      "scenario: derived state out of domain: LoanPosition(collateral=5.5,"),
+    (edit("reserve_collateral: 1000.0", "reserve_collateral: 3.0e+305")
+     .replace("reserve_debt: 2.0e6", "reserve_debt: 3.0e+305")
+     .replace("debt: 10000.0", "debt: 1.0e+10").replace("collateral: 5.5", "collateral: 1.0e+10"),
+     "scenario: derived state out of domain: reserve product of PoolState("),
+    (edit("reserve_collateral: 1000.0", "reserve_collateral: 1.0e+100")
+     .replace("reserve_debt: 2.0e6", "reserve_debt: 1.0e+200")
+     .replace("debt: 10000.0", "debt: 1.0e+300").replace("collateral: 5.5", "collateral: 1.0e+200"),
+     "scenario: derived state out of domain: health factor of LoanPosition("),
     (MINIMAL + "convention: midpoint\n", "convention: must be one of"),
 ], ids=["section_not_mapping", "unknown_section_key", "number_type", "bool_not_number",
         "integer_type", "string_type", "top_level_not_mapping", "yaml_syntax", "both_pool_forms",
@@ -460,7 +468,8 @@ SWEEP_EXTRA = "sweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n  steps: 
         "scale_zero", "debt_negative", "debt_missing", "collateral_negative", "hf_negative",
         "risk_key_missing", "risk_params_rejected", "bad_spacing", "log_start_zero",
         "fee_axis_stop_one", "fee_axis_start_negative", "fee_high_one", "fee_low_negative",
-        "fee_high_nan", "reserve_underflow", "reserve_overflow", "bad_convention"])
+        "fee_high_nan", "reserve_underflow", "reserve_overflow", "reserve_product_overflow",
+        "health_factor_nan", "bad_convention"])
 def test_cli_rejects_every_config_problem(tmp_path, capsys, text, fragment):
     assert main(["liquidate", write(tmp_path, text)]) == 2
     out = capsys.readouterr()
@@ -572,6 +581,10 @@ RISK = {"haircut": 0.85, "bonus": 0.05, "closing_factor": 0.8, "max_liq_fraction
 
 @settings(max_examples=200, deadline=None)
 @given(scenarios())
+# A valid state whose reserve_collateral * debt overflows: every health factor is 0.
+@example({"pool": {"reserve_collateral": 1e300, "reserve_debt": 1e-10},
+          "position": {"debt": 1e10, "collateral": 0.0}, "risk": RISK,
+          "sweep": {"axis": "pool_scale", "start": 1.0, "stop": 2.0, "steps": 2}})
 # Finite inputs whose reserve underflows to 0, at the base point and at a sweep end.
 @example({"pool": {"liquidity": 1e-300, "price": 1e300},
           "position": {"debt": 1.0, "collateral": 1.0}, "risk": RISK})
@@ -589,7 +602,8 @@ def test_parse_config_accepts_only_constructible_states(doc):
         assert np.isfinite([c, d, a, b, g]).all()
         assert (c >= 0.0).all() and (d >= 0.0).all() and (a > 0.0).all() and (b > 0.0).all()
         assert ((0.0 <= g) & (g < 1.0)).all()
-        assert ((d == 0.0) | (a * d > 0.0)).all()  # every health factor is defined
+        with np.errstate(over="ignore"):  # a * d may overflow to inf, which is > 0
+            assert ((d == 0.0) | (a * d > 0.0)).all()  # every health factor is defined
 
 
 # A sweep end whose derived reserve underflows to 0 or overflows to inf.

@@ -15,6 +15,7 @@ from oevsim import (
     compute_bounds,
     health_factor,
     hf_after_marginal,
+    run_liquidation,
 )
 from oevsim._numerics import bisect_root
 from oevsim.lending import _repay
@@ -31,7 +32,7 @@ STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=
 def bounds(pos, pool, bonus, kappa=1.0, convention=DEFAULT_CONVENTION):
     """compute_bounds at the recovery target 1 under STD's haircut and the given bonus."""
     return compute_bounds(pos, pool, RiskParams(STD.haircut, bonus, 0.8, 0.5), 1.0, kappa,
-                          convention)
+                          convention)[0]
 
 
 def test_health_factor_examples():
@@ -140,12 +141,23 @@ def test_trajectory_hf_strictly_increasing_when_trade_profitable():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("price", [1500.0, 2000.0], ids=["gate_open", "gate_shut"])
+def test_compute_bounds_returns_the_health_factor_its_gate_read(convention, price):
+    pos, pool = LoanPosition(6.0, 10_000.0), pool_at(price, fee=0.003)
+    bounds, hf = compute_bounds(pos, pool, STD, 1.0, 0.5, convention)
+    assert hf.hex() == health_factor(pos, pool, STD.haircut).hex()
+    assert (bounds.x_closing == 0.0) == (hf > 1.0) == (price == 2000.0)
+    res = run_liquidation(pos, pool, STD, 1.0, 0.5, convention)
+    assert (res.bounds, res.hf_initial) == (bounds, hf)
+
+
 def test_binding_bound_invariant_under_state_scaling():
     pos = LoanPosition(6.0, 10_000.0)
     pool = pool_at(1800.0)
-    base = compute_bounds(pos, pool, STD, cf_target=1.0, kappa=0.5)
+    base, _ = compute_bounds(pos, pool, STD, cf_target=1.0, kappa=0.5)
     for s in (0.01, 3.0, 250.0):
-        scaled = compute_bounds(
+        scaled, _ = compute_bounds(
             LoanPosition(pos.collateral * s, pos.debt * s),
             PoolState(pool.reserve_collateral * s, pool.reserve_debt * s, pool.fee),
             STD, cf_target=1.0, kappa=0.5,

@@ -49,6 +49,13 @@ def test_dp_gate_zero_regardless_of_grid():
         assert dp_oracle(pos, pool, STD, 1.0, 0.5, grid) == 0.0
 
 
+@pytest.mark.parametrize("grid_n", [1e4, 100.0])
+def test_a_float_grid_gives_the_bits_of_its_integer(grid_n):
+    for inst in random_instances(3, 1000, feasible_only=True):
+        args = (inst.position, inst.pool, inst.params, inst.cf_target, inst.kappa)
+        assert dp_oracle(*args, grid_n).hex() == dp_oracle(*args, int(grid_n)).hex()
+
+
 def test_dp_returns_zero_when_fee_kills_the_margin():
     pos = LoanPosition(6.0, 10_000.0)
     pool = pool_at(1500.0, fee=0.06)  # above bonus parity
@@ -105,10 +112,13 @@ def test_integral_oracle_matches_closed_form():
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-def test_subadditivity_zero_split_is_equality():
-    pool = PoolState(1000.0, 2_000_000.0, 0.003)
-    lhs, rhs, holds = subadditivity_check(pool, 0.05, 2.5, 0.0)
-    assert holds and lhs == pytest.approx(rhs, rel=1e-15)
+@pytest.mark.parametrize("x1, x2", [(2.5, 0.0), (0.0, 2.5)], ids=["second_zero", "first_zero"])
+def test_subadditivity_zero_split_is_equality(x1, x2):
+    # A zero leg leaves the pool as it is; a sale of 0 would move reserve_debt
+    # to A*B/A, an ulp off B on this pool.
+    pool = PoolState(1234.5, 2_000_000.3, 0.003)
+    lhs, rhs, holds = subadditivity_check(pool, 0.05, x1, x2)
+    assert holds and rhs.hex() == lhs.hex()
 
 
 def test_subadditivity_random_batch():
