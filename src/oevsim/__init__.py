@@ -8,7 +8,7 @@ fee level at which every attack becomes unprofitable.  Brute-force oracles
 closed form.
 """
 
-from .amm import InsufficientReservesError, PoolState
+from .amm import InsufficientReservesError, PoolState, ReserveUnderflowError
 from .attack import (
     AttackResult,
     CriticalFeeResult,

@@ -30,6 +30,16 @@ class InsufficientReservesError(ValueError):
     """Requested buy amount meets or exceeds the pool's collateral reserve."""
 
 
+class ReserveUnderflowError(ValueError):
+    """A computed pool reserve is not > 0: it underflowed to 0 or is NaN.
+
+    Raised where a swap or liquidation leg leaves such a reserve, for
+    instance a liquidation sale of a huge position into a tiny pool.  The
+    message is the one :class:`PoolState` gives for that reserve, such as
+    ``reserve_debt must be > 0, got 0.0``.
+    """
+
+
 @dataclass(frozen=True)
 class PoolState:
     """Immutable CPMM state: reserves of both assets plus the swap fee."""
@@ -39,10 +49,8 @@ class PoolState:
     fee: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.reserve_collateral > 0.0:
-            raise ValueError(f"reserve_collateral must be > 0, got {self.reserve_collateral}")
-        if not self.reserve_debt > 0.0:
-            raise ValueError(f"reserve_debt must be > 0, got {self.reserve_debt}")
+        if not (self.reserve_collateral > 0.0 and self.reserve_debt > 0.0):
+            _check_reserves(self.reserve_collateral, self.reserve_debt, ValueError)
         if not 0.0 <= self.fee < 1.0:
             raise ValueError(f"fee must lie in [0, 1), got {self.fee}")
 
@@ -58,12 +66,8 @@ class PoolState:
         a*(1-fee))``; the product is preserved by construction.  A zero-size
         swap is a no-op returning the pool unchanged.
         """
-        if amount_in < 0.0:
-            raise ValueError(f"swap input must be >= 0, got {amount_in}")
-        if amount_in == 0.0:
-            return 0.0, self
-        out, new_a, new_b = _sell(self.reserve_collateral, self.reserve_debt, self.fee, amount_in)
-        return out, PoolState(new_a, new_b, self.fee)
+        out, new_a, new_b = _sale(self.reserve_collateral, self.reserve_debt, self.fee, amount_in)
+        return out, self if amount_in == 0.0 else PoolState(new_a, new_b, self.fee)
 
     def buy_collateral_exact(self, amount_out: float) -> tuple[float, "PoolState"]:
         """Buy exactly ``amount_out`` collateral, paying in the debt asset.
@@ -76,16 +80,9 @@ class PoolState:
         strictly below the collateral reserve; that request could never
         execute on chain and is treated as a reverting transaction.
         """
-        if amount_out < 0.0:
-            raise ValueError(f"buy amount must be >= 0, got {amount_out}")
-        if amount_out == 0.0:
-            return 0.0, self
-        if amount_out >= self.reserve_collateral:
-            raise InsufficientReservesError(
-                f"cannot buy {amount_out} with only {self.reserve_collateral} in reserve"
-            )
-        cost, new_a, new_b = _buy(self.reserve_collateral, self.reserve_debt, self.fee, amount_out)
-        return cost, PoolState(new_a, new_b, self.fee)
+        cost, new_a, new_b = _purchase(self.reserve_collateral, self.reserve_debt, self.fee,
+                                       amount_out)
+        return cost, self if amount_out == 0.0 else PoolState(new_a, new_b, self.fee)
 
 
 # Number-level swap legs, shared by the PoolState methods, the engine's pool
@@ -106,16 +103,50 @@ def _sell(a, b, fee, amount_in):
     return b * a_eff / new_a, new_a, a * b / new_a
 
 
-def _require_reserves(a, b, rows) -> None:
-    """Raise PoolState's error for the first of ``rows`` whose computed reserves are not > 0.
+def _check_reserves(a, b, error=ReserveUnderflowError) -> None:
+    """Raise ``error`` unless both reserves are > 0 (a reserve that underflowed to 0 or is NaN)."""
+    if not a > 0.0:
+        raise error(f"reserve_collateral must be > 0, got {a}")
+    if not b > 0.0:
+        raise error(f"reserve_debt must be > 0, got {b}")
 
-    The batch path builds no PoolState, so it checks here what the scalar
-    path's constructor checks: a reserve that underflowed to 0 or is NaN.
-    """
+
+def _require_reserves(a, b, rows) -> None:
+    """:func:`_check_reserves` on the first of ``rows`` whose computed reserves are not > 0."""
     bad = rows & ~((a > 0.0) & (b > 0.0))
     if bad.any():
         i = int(bad.argmax())
-        PoolState(float(a[i]), float(b[i]))
+        _check_reserves(float(a[i]), float(b[i]))
+
+
+def _sale(a, b, fee, amount_in):
+    """:meth:`PoolState.sell_collateral` over floats: proceeds and post reserves.
+
+    A zero size leaves the reserves as they are; post reserves that are not
+    > 0 raise :class:`ReserveUnderflowError`.
+    """
+    if amount_in < 0.0:
+        raise ValueError(f"swap input must be >= 0, got {amount_in}")
+    if amount_in == 0.0:
+        return 0.0, a, b
+    out, new_a, new_b = _sell(a, b, fee, amount_in)
+    if not (new_a > 0.0 and new_b > 0.0):
+        _check_reserves(new_a, new_b)
+    return out, new_a, new_b
+
+
+def _purchase(a, b, fee, amount_out):
+    """:meth:`PoolState.buy_collateral_exact` over floats: cost and post reserves."""
+    if amount_out < 0.0:
+        raise ValueError(f"buy amount must be >= 0, got {amount_out}")
+    if amount_out == 0.0:
+        return 0.0, a, b
+    if amount_out >= a:
+        raise InsufficientReservesError(f"cannot buy {amount_out} with only {a} in reserve")
+    cost, new_a, new_b = _buy(a, b, fee, amount_out)
+    if not (new_a > 0.0 and new_b > 0.0):
+        _check_reserves(new_a, new_b)
+    return cost, new_a, new_b
 
 
 def _buy(a, b, fee, amount_out):

@@ -34,11 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import golden_max, halve, pmax
-from .amm import PoolState, _buy, _require_reserves, _sell
+from .amm import PoolState, _buy, _purchase, _require_reserves, _sale, _sell
 from .engine import (
     LiquidationBatch,
     LiquidationResult,
     Strategy,
+    _best_run,
     _columns,
     best_strategy,
     best_strategy_batch,
@@ -153,22 +154,50 @@ def attack_profit(
     post-front state, and its post-trade pool is reused directly as the
     buy-back venue, so reserve bookkeeping cannot drift between modules.
     """
-    if delta < 0.0:
-        raise ValueError(f"attack size must be >= 0, got {delta}")
-    proceeds, pool1 = pool.sell_collateral(delta)
-    liq, strat = best_strategy(position, pool1, params, convention)
-    pool2 = liq.post_pool
-    triggered = liq.hf_initial <= 1.0
+    def liquidate(a1: float, b1: float):
+        pool1 = pool if delta == 0.0 else PoolState(a1, b1, pool.fee)
+        liq, strat = best_strategy(position, pool1, params, convention)
+        pool2 = liq.post_pool
+        return (pool1, liq, strat), liq.pi_tot, pool2.reserve_collateral, pool2.reserve_debt
 
-    feasible = delta < pool2.reserve_collateral
-    cost = pool2.buy_collateral_exact(delta)[0] if feasible else None
+    proceeds, (pool1, liq, strat), cost, total = _sandwich(
+        delta, pool.reserve_collateral, pool.reserve_debt, pool.fee, liquidate)
     return AttackResult(
         delta=delta, front_proceeds=proceeds, liq_profit=liq.pi_tot,
-        buyback_cost=cost, total_profit=proceeds + liq.pi_tot - cost if feasible else None,
-        feasible=feasible, triggered=triggered,
-        pool_after_front=pool1, pool_after_liq=pool2,
+        buyback_cost=cost, total_profit=total, feasible=cost is not None,
+        triggered=liq.hf_initial <= 1.0,
+        pool_after_front=pool1, pool_after_liq=liq.post_pool,
         liquidation=liq, strategy=strat,
     )
+
+
+def _sandwich(delta, a, b_res, fee, liquidate):
+    """:func:`attack_profit`'s legs over floats: (proceeds, liquidation, cost, total).
+
+    ``liquidate(a1, b1)`` runs the strategy selector on the post-front
+    reserves and returns (liquidation, its profit, post reserves a2, b2).
+    The cost and the total are None where the buy-back reverts (delta >= a2).
+    A leg that leaves a reserve not > 0 raises
+    :class:`~oevsim.amm.ReserveUnderflowError`.
+    """
+    if delta < 0.0:
+        raise ValueError(f"attack size must be >= 0, got {delta}")
+    proceeds, a1, b1 = _sale(a, b_res, fee, delta)
+    liq, pi_tot, a2, b2 = liquidate(a1, b1)
+    if not delta < a2:
+        return proceeds, liq, None, None
+    cost = _purchase(a2, b2, fee, delta)[0]
+    return proceeds, liq, cost, proceeds + pi_tot - cost
+
+
+def _sandwich_total(delta, c, b, a, b_res, fee, params, convention) -> float:
+    """``attack_profit(...).total_profit``, or -inf where the buy-back reverts, from floats."""
+    def liquidate(a1: float, b1: float):
+        pi_tot, *_, a2, b2 = _best_run(c, b, a1, b1, fee, params, convention)
+        return None, pi_tot, a2, b2
+
+    total = _sandwich(delta, a, b_res, fee, liquidate)[3]
+    return -math.inf if total is None else total
 
 
 @dataclass(frozen=True)
@@ -255,9 +284,12 @@ def optimize_attack(
 
     The coarse grid (up to ``_COARSE_POINTS + 2`` sizes) is evaluated as one
     :func:`attack_profit_batch` call, which gives the scalar path's bits.
-    The zero-size attack, the best grid point (re-evaluated to build the
-    returned :class:`AttackResult`) and the golden-section steps are scalar
-    :func:`attack_profit` calls: one at a time, a batch would cost more.
+    The golden-section steps need only each size's total profit: they run
+    the sandwich on floats (``_sandwich_total``, with the bits of
+    :func:`attack_profit`), one at a time, as a batch would cost more.  Only
+    the zero-size attack, the best grid point and a better refined point
+    are :func:`attack_profit` calls, which build the returned
+    :class:`AttackResult`.
     """
     bounds = delta_bounds(position, pool, params)
     lo = max(0.0, delta_range[0])
@@ -288,9 +320,11 @@ def optimize_attack(
     lo_b = grid[idx - 1] if idx > 0 else max(lo, d_best * 0.5)
     hi_b = grid[idx + 1] if idx + 1 < len(grid) else hi
 
+    c, b, a, b_res, fee = (position.collateral, position.debt, pool.reserve_collateral,
+                           pool.reserve_debt, pool.fee)
+
     def profit_of(d: float) -> float:
-        r = evaluate(d)
-        return r.total_profit if r.feasible else -math.inf
+        return _sandwich_total(d, c, b, a, b_res, fee, params, convention)
 
     d_ref, p_ref = golden_max(profit_of, lo_b, hi_b, tol=1e-10)
     if p_ref > r_best.total_profit and d_ref > 0.0:
@@ -346,7 +380,8 @@ def critical_fee(
     the smallest fee found with g <= 0.
 
     Each probe is one :func:`optimize_attack` call, so its coarse grid runs
-    as one batch and only the golden-section steps run point by point.
+    as one batch and only the golden-section steps run point by point, on
+    floats.
     """
     if not 0.0 <= fee_low < fee_high < 1.0:
         raise ValueError(f"need 0 <= fee_low < fee_high < 1, got [{fee_low}, {fee_high}]")

@@ -13,7 +13,9 @@ CSV output is deterministic: fixed column order, 12 significant digits,
 
 Exit codes: 0 success, 2 config error, 3 infeasible / no threshold,
 4 verification failure, 5 a recovery-bound root that failed its self-check
-(``lending.RecoveryRootError``; one stderr line with the state that fails).
+(``lending.RecoveryRootError``; one stderr line with the state that fails),
+6 a pool reserve that a swap or liquidation leg leaves at 0 or NaN
+(``amm.ReserveUnderflowError``; one stderr line naming the reserve).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import oracles
 from .config import ConfigError, ScenarioConfig, load_config
 from .engine import best_strategy, best_strategy_batch, run_liquidation_batch
 from .lending import LoanPosition, RecoveryRootError, RepayConvention, RiskParams
-from .amm import PoolState
+from .amm import PoolState, ReserveUnderflowError
 
 # One float cell: also "inf", "-inf" and "nan", whatever the NaN's sign.
 _FLOAT = "{:.12g}".format
@@ -426,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecoveryRootError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 5
+    except ReserveUnderflowError as exc:
+        print(f"{args.command}: reserve underflow: {exc}", file=sys.stderr)
+        return 6
     except OSError as exc:
         # A config or output file that cannot be read or written.
         config_missing = (isinstance(exc, FileNotFoundError)

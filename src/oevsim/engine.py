@@ -35,18 +35,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from ._numerics import pmax
-from .amm import PoolState, _require_reserves, _sell
+from .amm import PoolState, _check_reserves, _require_reserves, _sell
 from .lending import (
     DEFAULT_CONVENTION,
     BoundSet,
     LoanPosition,
     RepayConvention,
     RiskParams,
+    _bounds,
+    _check_position,
+    _closing_root,
     _debt_cap,
+    _health,
     _hf,
     _kappa_cap,
     _repay,
@@ -55,7 +60,6 @@ from .lending import (
     _x_collateral,
     bound_closing_batch,
     compute_bounds,
-    health_factor,
     trade_multiplier,
 )
 
@@ -129,13 +133,18 @@ def final_tranche(
     """
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    a, b_res, fee = pool_bar.reserve_collateral, pool_bar.reserve_debt, pool_bar.fee
-    bonus = params.bonus
-    u = trade_multiplier(fee, bonus)
+    fee = pool_bar.fee
+    return _tranche(pool_bar.reserve_collateral, pool_bar.reserve_debt, pos_bar.collateral,
+                    pos_bar.debt, trade_multiplier(fee, params.bonus),
+                    _traj_factor(fee, convention), params.bonus, kappa, convention)
+
+
+def _tranche(a, b_res, c, b, u, m, bonus, kappa, convention):
+    """:func:`final_tranche` over floats, with the state's ``u`` and ``m``."""
     if u <= 1.0:
         return 0.0, 0.0, LastBinding.NONE
-    x_rem = _x_collateral(pos_bar.collateral, bonus)
-    x_kb = _kappa_cap(kappa * pos_bar.debt, a, b_res, fee, bonus, convention)
+    x_rem = _x_collateral(c, bonus)
+    x_kb = _kappa_cap(kappa * b, a, b_res, u, m, convention)
     x_opt = _interior(a, u, math.sqrt)
     if x_rem <= x_kb and x_rem <= x_opt:
         x_last, tag = x_rem, LastBinding.COLLATERAL_REMAINDER
@@ -208,15 +217,49 @@ def run_liquidation(
         raise ValueError(f"cf_target must lie in (0, 1], got {cf_target}")
 
     bounds, hf0 = compute_bounds(position, pool, params, cf_target, kappa, convention)
-    u = trade_multiplier(pool.fee, params.bonus)
-    x_c, x_b, x_cf = bounds.x_collateral, bounds.x_debt_full, bounds.x_closing
+    fee = pool.fee
+    c, b = position.collateral, position.debt
+    a, b_res = pool.reserve_collateral, pool.reserve_debt
+    (pi_tot, x_liq, binding, pi_liq, x_last, last_binding, pi_last,
+     c_post, b_post, a_post, b_res_post) = _liquidation(
+        c, b, a, b_res, trade_multiplier(fee, params.bonus), _traj_factor(fee, convention),
+        params.bonus, cf_target, convention,
+        (bounds.x_collateral, bounds.x_debt_full, bounds.x_debt_kappa, bounds.x_closing, hf0),
+        _final_tranche_at, fee, params, kappa, convention)
+    return LiquidationResult(
+        x_liq=x_liq, binding=binding, pi_liq=pi_liq,
+        x_last=x_last, last_binding=last_binding, pi_last=pi_last, pi_tot=pi_tot,
+        post_position=(position if (c_post, b_post) == (c, b) else LoanPosition(c_post, b_post)),
+        post_pool=(pool if (a_post, b_res_post) == (a, b_res)
+                   else PoolState(a_post, b_res_post, fee)),
+        bad_debt=b_post if c_post == 0.0 and b_post > 0.0 else 0.0,
+        bounds=bounds, hf_initial=hf0, cf_target=cf_target, kappa=kappa,
+    )
 
+
+def _final_tranche_at(a, b_res, c, b, fee, params, kappa, convention):
+    """:func:`final_tranche` of the post-run state given as floats."""
+    return final_tranche(PoolState(a, b_res, fee), LoanPosition(c, b), params, kappa, convention)
+
+
+def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, convention, bounds, tranche, *args):
+    """:func:`run_liquidation` over floats: (pi_tot, x_liq, binding, pi_liq, x_last,
+    last_binding, pi_last, then the post-state c, b, a, b_res).
+
+    ``bounds`` is the state's BoundSet fields and health factor, as
+    ``lending._bounds`` returns them, and ``tranche(a, b_res, c, b, *args)``
+    sizes the closing trade from the post-run state as :func:`final_tranche`
+    does; ``u`` and ``m`` are the state's trade multiplier and trajectory
+    factor.  Every post-run and post-trade state is checked as the PoolState
+    and LoanPosition constructors check it, but a reserve that is not > 0
+    raises :class:`~oevsim.amm.ReserveUnderflowError`.
+    """
+    x_c, x_b, _, x_cf, hf0 = bounds
     x_liq = pi_liq = x_last = pi_last = 0.0
     last_binding = LastBinding.NONE
-    pos_bar, pool_bar = position, pool
-    if position.collateral == 0.0:
+    if c == 0.0:
         binding = Binding.COLLATERAL
-    elif position.debt == 0.0:
+    elif b == 0.0:
         binding = Binding.DEBT
     elif hf0 > cf_target:
         binding = Binding.CLOSING_FACTOR
@@ -232,33 +275,40 @@ def run_liquidation(
         else:
             x_liq, binding = x_cf, Binding.CLOSING_FACTOR
 
-        c, b = position.collateral, position.debt
-        a, b_res = pool.reserve_collateral, pool.reserve_debt
+        c0, b0 = c, b
         pi_liq = _run_profit(a, b_res, u, x_liq)
-        repaid = _repay_total(a, b_res, x_liq, u, _traj_factor(pool.fee, convention))
-        c_bar, b_bar, a_bar, b_res_bar = _liquidate(a, b_res, c, b, x_liq, u, repaid,
-                                                    params.bonus, c, b)
-        pool_bar = PoolState(a_bar, b_res_bar, pool.fee)
-        pos_bar = LoanPosition(c_bar, b_bar)
+        repaid = _repay_total(a, b_res, x_liq, u, m)
+        c, b, a, b_res = _liquidate(a, b_res, c, b, x_liq, u, repaid, bonus, c, b)
+        if not (a > 0.0 and b_res > 0.0 and c >= 0.0 and b >= 0.0):
+            _check_reserves(a, b_res)
+            _check_position(c, b)
 
         if binding is Binding.CLOSING_FACTOR and x_cf < x_c and x_cf < x_b:
-            x_last, pi_last, last_binding = final_tranche(pool_bar, pos_bar, params, kappa, convention)
+            x_last, pi_last, last_binding = tranche(a, b_res, c, b, *args)
             if x_last > 0.0:
-                c_bar, b_bar, a_bar, b_res_bar = _liquidate(
-                    a_bar, b_res_bar, c_bar, b_bar, x_last, u,
-                    _repay(a_bar, b_res_bar, pool.fee, x_last, params.bonus, convention),
-                    params.bonus, max(c, 1.0), max(b, 1.0))
-                pos_bar = LoanPosition(c_bar, b_bar)
-                pool_bar = PoolState(a_bar, b_res_bar, pool.fee)
+                c, b, a, b_res = _liquidate(a, b_res, c, b, x_last, u,
+                                            _repay(a, b_res, x_last, u, m, convention),
+                                            bonus, max(c0, 1.0), max(b0, 1.0))
+                if not (c >= 0.0 and b >= 0.0 and a > 0.0 and b_res > 0.0):
+                    _check_position(c, b)
+                    _check_reserves(a, b_res)
+    return (pi_liq + pi_last, x_liq, binding, pi_liq, x_last, last_binding, pi_last,
+            c, b, a, b_res)
 
-    bad_debt = pos_bar.debt if pos_bar.collateral == 0.0 and pos_bar.debt > 0.0 else 0.0
-    return LiquidationResult(
-        x_liq=x_liq, binding=binding, pi_liq=pi_liq,
-        x_last=x_last, last_binding=last_binding, pi_last=pi_last,
-        pi_tot=pi_liq + pi_last,
-        post_position=pos_bar, post_pool=pool_bar, bad_debt=bad_debt,
-        bounds=bounds, hf_initial=hf0, cf_target=cf_target, kappa=kappa,
-    )
+
+def _best_of(run, params: RiskParams, pi_tot):
+    """The better of ``run(closing_factor, 1)`` and ``run(1, kappa)``, and its Strategy.
+
+    ``pi_tot`` reads a run's total profit; ties go to the first pair.
+    """
+    full = run(params.closing_factor, 1.0)
+    capped = run(1.0, params.max_liq_fraction)
+    if pi_tot(full) >= pi_tot(capped):
+        return full, Strategy.CF_FULL
+    return capped, Strategy.ONE_KAPPA
+
+
+_RESULT_PI_TOT, _RUN_PI_TOT = attrgetter("pi_tot"), itemgetter(0)
 
 
 def best_strategy(
@@ -268,11 +318,30 @@ def best_strategy(
     convention: RepayConvention = DEFAULT_CONVENTION,
 ) -> tuple[LiquidationResult, Strategy]:
     """max{L(closing_factor, 1), L(1, kappa)}; ties go to the first pair."""
-    full = run_liquidation(position, pool, params, params.closing_factor, 1.0, convention)
-    capped = run_liquidation(position, pool, params, 1.0, params.max_liq_fraction, convention)
-    if full.pi_tot >= capped.pi_tot:
-        return full, Strategy.CF_FULL
-    return capped, Strategy.ONE_KAPPA
+    return _best_of(lambda cf_target, kappa: run_liquidation(position, pool, params, cf_target,
+                                                             kappa, convention),
+                    params, _RESULT_PI_TOT)
+
+
+def _best_run(c, b, a, b_res, fee, params: RiskParams, convention: RepayConvention) -> tuple:
+    """The :func:`_liquidation` tuple that :func:`best_strategy` picks, built from floats alone.
+
+    Each pair runs the float paths of compute_bounds, bound_closing and
+    final_tranche.  The threshold pairs come from a RiskParams, so
+    run_liquidation's range check of cf_target cannot fail and is left out.
+    """
+    haircut, bonus = params.haircut, params.bonus
+    u, m = trade_multiplier(fee, bonus), _traj_factor(fee, convention)
+
+    def run(cf_target: float, kappa: float) -> tuple:
+        bounds = _bounds(
+            c, b, a, b_res, u, m, params, cf_target, kappa, convention,
+            lambda: _closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf_target,
+                                  convention)[0])
+        return _liquidation(c, b, a, b_res, u, m, bonus, cf_target, convention, bounds,
+                            _tranche, u, m, bonus, kappa, convention)
+
+    return _best_of(run, params, _RUN_PI_TOT)[0]
 
 
 # The batch path: run_liquidation and best_strategy over float64 columns.
@@ -332,8 +401,7 @@ def run_liquidation_batch(
         undefined = (b != 0.0) & (a * b == 0.0)
         if undefined.any():
             i = int(undefined.argmax())
-            health_factor(LoanPosition(float(c[i]), float(b[i])),
-                          PoolState(float(a[i]), float(b_res[i])), params.haircut)  # raises
+            _health(params.haircut, float(a[i]), float(b_res[i]), float(c[i]), float(b[i]))  # raises
         hf0 = np.where(b == 0.0, math.inf, _hf(params.haircut, a, b_res, c, b))
         u = trade_multiplier(fee, bonus)
         m = _traj_factor(fee, convention)
@@ -364,7 +432,7 @@ def run_liquidation_batch(
         # final_tranche on the rows whose run stopped at the recovery bound.
         tranche = ~idle & (binding == _CLOSING_FACTOR) & (x_cf < x_c) & (x_cf < x_b)
         x_rem = _x_collateral(c_bar, bonus)
-        x_kb = _kappa_cap(kappa * b_bar, a_bar, b_res_bar, fee, bonus, convention)
+        x_kb = _kappa_cap(kappa * b_bar, a_bar, b_res_bar, u, m, convention)
         x_opt = _interior(a_bar, u, np.sqrt)
         by_rem = (x_rem <= x_kb) & (x_rem <= x_opt)
         by_kb = ~by_rem & (x_kb <= x_opt)
@@ -375,7 +443,7 @@ def run_liquidation_batch(
                                                  np.where(by_kb, _KAPPA_CAP, _INTERIOR_MAX)), _NONE)
         c_fin, b_fin, a_fin, b_res_fin = _liquidate(
             a_bar, b_res_bar, c_bar, b_bar, x_last, u,
-            _repay(a_bar, b_res_bar, fee, x_last, bonus, convention), bonus,
+            _repay(a_bar, b_res_bar, x_last, u, m, convention), bonus,
             pmax(c, 1.0), pmax(b, 1.0))
         trade = tranche & (x_last > 0.0)
         _require_reserves(a_fin, b_res_fin, trade)

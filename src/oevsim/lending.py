@@ -57,10 +57,16 @@ class LoanPosition:
     debt: float
 
     def __post_init__(self) -> None:
-        if not self.collateral >= 0.0:
-            raise ValueError(f"collateral must be >= 0, got {self.collateral}")
-        if not self.debt >= 0.0:
-            raise ValueError(f"debt must be >= 0, got {self.debt}")
+        if not (self.collateral >= 0.0 and self.debt >= 0.0):
+            _check_position(self.collateral, self.debt)
+
+
+def _check_position(c, b) -> None:
+    """Raise ValueError unless collateral and debt are >= 0 (a NaN fails)."""
+    if not c >= 0.0:
+        raise ValueError(f"collateral must be >= 0, got {c}")
+    if not b >= 0.0:
+        raise ValueError(f"debt must be >= 0, got {b}")
 
 
 @dataclass(frozen=True)
@@ -133,13 +139,8 @@ def health_factor(position: LoanPosition, pool: PoolState, haircut: float) -> fl
 
     Raises ValueError when ``A * b`` underflows to 0 for a positive debt.
     """
-    if position.debt == 0.0:
-        return math.inf
-    if pool.reserve_collateral * position.debt == 0.0:
-        raise ValueError(f"health factor undefined: reserve_collateral * debt underflows to 0 "
-                         f"({pool.reserve_collateral!r} * {position.debt!r})")
-    return _hf(haircut, pool.reserve_collateral, pool.reserve_debt,
-               position.collateral, position.debt)
+    return _health(haircut, pool.reserve_collateral, pool.reserve_debt,
+                   position.collateral, position.debt)
 
 
 def hf_after_marginal(
@@ -176,6 +177,16 @@ def _hf(haircut, a, b_res, c, b):
     return haircut * b_res * c / (a * b)
 
 
+def _health(haircut, a, b_res, c, b):
+    """:func:`health_factor` over floats."""
+    if b == 0.0:
+        return math.inf
+    if a * b == 0.0:
+        raise ValueError(f"health factor undefined: reserve_collateral * debt underflows to 0 "
+                         f"({a!r} * {b!r})")
+    return _hf(haircut, a, b_res, c, b)
+
+
 def _x_collateral(c, bonus):
     return c / (1.0 + bonus)
 
@@ -185,11 +196,14 @@ def _repay_total(a, b_res, x, u, m):
     return m * b_res * x / (a + x * u)
 
 
-def _repay(a, b_res, fee, x, bonus, convention):
-    """Write-down beta(x) of one transaction: B*x/A under SPOT_PRICE, else the trajectory total."""
+def _repay(a, b_res, x, u, m, convention):
+    """Write-down beta(x) of one transaction: B*x/A under SPOT_PRICE, else the trajectory total.
+
+    ``u`` and ``m`` are the state's trade multiplier and trajectory factor.
+    """
     if convention is RepayConvention.SPOT_PRICE:
         return b_res * x / a
-    return _repay_total(a, b_res, x, trade_multiplier(fee, bonus), _traj_factor(fee, convention))
+    return _repay_total(a, b_res, x, u, m)
 
 
 def _debt_cap(debt, a, b_res, u, m):
@@ -207,11 +221,11 @@ def _debt_cap(debt, a, b_res, u, m):
     return debt * a / den
 
 
-def _kappa_cap(kb, a, b_res, fee, bonus, convention):
+def _kappa_cap(kb, a, b_res, u, m, convention):
     """Largest single x with beta(x) <= kb: kb*A/B under SPOT_PRICE, else the debt cap of kb."""
     if convention is RepayConvention.SPOT_PRICE:
         return kb * a / b_res
-    return _debt_cap(kb, a, b_res, trade_multiplier(fee, bonus), _traj_factor(fee, convention))
+    return _debt_cap(kb, a, b_res, u, m)
 
 
 def _hf_after(a, b_res, c, haircut, bonus, x, u, remaining):
@@ -345,13 +359,23 @@ def bound_closing(
     against the defining equation to 1e-9; a root that fails raises
     :class:`RecoveryRootError`.
     """
-    a, b_res = pool.reserve_collateral, pool.reserve_debt
-    b = position.debt
+    fee = pool.fee
+    return ClosingBound(*_closing_root(
+        position.collateral, position.debt, pool.reserve_collateral, pool.reserve_debt, fee,
+        trade_multiplier(fee, bonus), _traj_factor(fee, convention), haircut, bonus, cf_target,
+        convention))
+
+
+def _closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention):
+    """:func:`bound_closing` over floats: the root and its branch.
+
+    ``u`` and ``m`` are the trade multiplier and trajectory factor of ``fee``
+    and ``convention``.  A position and a pool are built only for a root that
+    takes the refine fallback or raises :class:`RecoveryRootError`.
+    """
     if b <= 0.0:
-        return ClosingBound(math.inf, "none")
-    u = trade_multiplier(pool.fee, bonus)
-    m = _traj_factor(pool.fee, convention)
-    quad = _closing_quadratic(a, b_res, position.collateral, b, u, m, haircut, bonus, cf_target)
+        return math.inf, "none"
+    quad = _closing_quadratic(a, b_res, c, b, u, m, haircut, bonus, cf)
     lead, linear, offset = quad
 
     roots: list[float]
@@ -362,16 +386,20 @@ def bound_closing(
         branch = "quadratic"
         disc = _discriminant(quad)
         if disc < 0.0:
-            return ClosingBound(math.inf, "none")
+            return math.inf, "none"
         q = _citardauq(linear, math.sqrt(disc), math.copysign)
         roots = [q / lead]
         if q != 0.0:
             roots.append(-offset / q)
 
-    floor = _root_floor(a, u, _x_collateral(position.collateral, bonus))
-    root = min((max(r, 0.0) for r in roots if math.isfinite(r) and r >= -floor), default=math.inf)
+    # The smallest admissible root clamped at 0, the first of equals as min() picks it.
+    floor = _root_floor(a, u, _x_collateral(c, bonus))
+    root = math.inf
+    for r in roots:
+        if math.isfinite(r) and r >= -floor and max(r, 0.0) < root:
+            root = max(r, 0.0)
     if root == math.inf:
-        return ClosingBound(math.inf, "none")
+        return math.inf, "none"
 
     for _ in range(2):  # Newton polish against float cancellation
         d = _poly_slope(quad, root)
@@ -382,40 +410,41 @@ def bound_closing(
             break
         root -= step
     root = max(root, 0.0)
-
-    root = _refine_and_verify_closing_root(position, pool, haircut, bonus, cf_target, convention,
-                                           root, quad)
-    return ClosingBound(root, branch)
+    return _refine_and_verify_closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf,
+                                           convention, root, quad), branch
 
 
-def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, convention, root, quad):
+def _refine_and_verify_closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention,
+                                    root, quad):
     """Defining-property self-check: the returned root must satisfy HF == cf.
 
     The polynomial's coefficients can lose digits in extreme states, so
     when the residual of the defining equation exceeds the tolerance the
     root is re-bisected on the health-factor gap itself; a root no nearby
-    sign change brackets must meet the tolerance as it is.
+    sign change brackets must meet the tolerance as it is.  The re-bisection
+    evaluates the gap through :func:`hf_after_marginal`, so a traced run
+    sees each fallback as more than one call of it.
     """
-    remaining = position.debt - _repay_total(pool.reserve_collateral, pool.reserve_debt, root,
-                                             trade_multiplier(pool.fee, bonus),
-                                             _traj_factor(pool.fee, convention))
-    if _exhausted(position.collateral, position.debt, root, bonus, remaining):
+    remaining = b - _repay_total(a, b_res, root, u, m)
+    if _exhausted(c, b, root, bonus, remaining):
         # Root sits at (or beyond) debt or collateral exhaustion, where HF
         # cannot be resolved to the tolerance; fall back to the polynomial
         # residual at a matching scale.
         residual, limit = _poly_check(quad, root)
         if residual > limit:
-            raise RecoveryRootError("polynomial self-check", position, pool, cf, convention,
-                                    residual)
+            raise RecoveryRootError("polynomial self-check", LoanPosition(c, b),
+                                    PoolState(a, b_res, fee), cf, convention, residual)
         return root
 
     tol = _hf_tol(cf)
-
-    def gap(x: float) -> float:
-        return hf_after_marginal(position, pool, haircut, bonus, x, convention) - cf
-
-    res = gap(root)
+    # Not exhausted, so remaining is not <= 0: this is hf_after_marginal(root).
+    res = _hf_after(a, b_res, c, haircut, bonus, root, u, remaining) - cf
     if abs(res) > 0.5 * tol:
+        position, pool = LoanPosition(c, b), PoolState(a, b_res, fee)
+
+        def gap(x: float) -> float:
+            return hf_after_marginal(position, pool, haircut, bonus, x, convention) - cf
+
         # A bracket scaled to the root itself: one scaled to max(root, 1)
         # reaches past the exhaustion point of a root far below 1.  The ulp
         # floor keeps a subnormal root's width from underflowing to 0.
@@ -436,7 +465,8 @@ def _refine_and_verify_closing_root(position, pool, haircut, bonus, cf, conventi
                 return 0.5 * (lo + hi)
             width *= 8.0
     if abs(res) > tol:
-        raise RecoveryRootError("self-check", position, pool, cf, convention, res)
+        raise RecoveryRootError("self-check", LoanPosition(c, b), PoolState(a, b_res, fee), cf,
+                                convention, res)
     return root
 
 
@@ -528,15 +558,26 @@ def compute_bounds(
     threshold.  kappa is checked before the health factor, so its error
     comes first.
     """
+    fee = pool.fee
+    x_c, x_b, x_kb, x_cf, hf = _bounds(
+        position.collateral, position.debt, pool.reserve_collateral, pool.reserve_debt,
+        trade_multiplier(fee, params.bonus), _traj_factor(fee, convention), params, cf_target,
+        kappa, convention,
+        lambda: bound_closing(position, pool, params.haircut, params.bonus, cf_target,
+                              convention).x)
+    return BoundSet(x_c, x_b, x_kb, x_cf), hf
+
+
+def _bounds(c, b, a, b_res, u, m, params, cf_target, kappa, convention, closing):
+    """:func:`compute_bounds` over floats: the four BoundSet fields, then the health factor.
+
+    ``closing()`` solves the recovery bound; it is called only when the gate
+    is open.  :func:`compute_bounds` passes :func:`bound_closing`, the float
+    path :func:`_closing_root`.
+    """
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    hf = health_factor(position, pool, params.haircut)
-    a, b_res, fee, bonus = pool.reserve_collateral, pool.reserve_debt, pool.fee, params.bonus
-    return BoundSet(
-        x_collateral=_x_collateral(position.collateral, bonus),
-        x_debt_full=_debt_cap(position.debt, a, b_res, trade_multiplier(fee, bonus),
-                              _traj_factor(fee, convention)),
-        x_debt_kappa=_kappa_cap(kappa * position.debt, a, b_res, fee, bonus, convention),
-        x_closing=0.0 if hf > cf_target else bound_closing(position, pool, params.haircut, bonus,
-                                                           cf_target, convention).x,
-    ), hf
+    hf = _health(params.haircut, a, b_res, c, b)
+    return (_x_collateral(c, params.bonus), _debt_cap(b, a, b_res, u, m),
+            _kappa_cap(kappa * b, a, b_res, u, m, convention),
+            0.0 if hf > cf_target else closing(), hf)

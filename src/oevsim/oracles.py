@@ -25,16 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import bisect_root, golden_max, halve
-from .amm import PoolState, _require_reserves, _sell
+from .amm import PoolState, _check_reserves, _require_reserves, _sell
 from .engine import run_liquidation
 from .lending import (
     DEFAULT_CONVENTION,
     LoanPosition,
     RepayConvention,
     RiskParams,
+    _check_position,
     _hf,
     _kappa_cap,
     _repay,
+    _traj_factor,
     _x_collateral,
     compute_bounds,
     health_factor,
@@ -64,8 +66,9 @@ def _trade(a, r, fee, x, bonus):
     Proceeds come from actually selling x*(1+bonus) into the pool; the
     protocol is repaid the pre-trade spot value B/A*x of the x units claimed.
     Takes floats or numpy arrays.  On floats a zero size leaves the pool as
-    it is, and post reserves that are not > 0 raise PoolState's error; array
-    rows are all priced as they are, unchecked.
+    it is, and post reserves that are not > 0 raise
+    :class:`~oevsim.amm.ReserveUnderflowError`; array rows are all priced as
+    they are, unchecked.
     """
     proceeds, a_n, r_n = _sell(a, r, fee, x * (1.0 + bonus))
     if isinstance(a_n, np.ndarray):
@@ -73,7 +76,7 @@ def _trade(a, r, fee, x, bonus):
     if x == 0.0:  # the no-op sale
         return 0.0, a, r
     if not (a_n > 0.0 and r_n > 0.0):
-        PoolState(a_n, r_n, fee)  # raises its reserve error
+        _check_reserves(a_n, r_n)
     return proceeds - r / a * x, a_n, r_n
 
 
@@ -129,6 +132,7 @@ def simulate_liquidation_sequence(
     scalar, as does every greedy walk.
     """
     theta, ell, fee = params.haircut, params.bonus, pool.fee
+    u, m = trade_multiplier(fee, ell), _traj_factor(fee, convention)
     c_eps = _EXHAUST_EPS * max(position.collateral, 1.0)
     b_eps = _EXHAUST_EPS * max(position.debt, 1.0)
     # The walk carries the state as floats (collateral c, debt b, reserves a
@@ -141,10 +145,10 @@ def simulate_liquidation_sequence(
         of one transaction; the HF is -inf once debt or collateral is exhausted,
         which is not a gate crossing."""
         dpi, a_n, r_n = _trade(a, r, fee, size, ell)
-        c_n, b_n = c - size * (1.0 + ell), b - _repay(a, r, fee, size, ell, convention)
+        c_n, b_n = c - size * (1.0 + ell), b - _repay(a, r, size, u, m, convention)
         c_next, b_next = max(c_n, 0.0), max(b_n, 0.0)
         if not (c_next >= 0.0 and b_next >= 0.0):
-            LoanPosition(c_next, b_next)  # raises on a NaN
+            _check_position(c_next, b_next)  # raises on a NaN
         if b_n <= b_eps or c_n <= c_eps:
             return dpi, c_next, b_next, a_n, r_n, -math.inf
         return dpi, c_next, b_next, a_n, r_n, _hf(theta, a_n, r_n, c_next, b_next)
@@ -176,10 +180,10 @@ def simulate_liquidation_sequence(
             # Debt falls by each step's write-down; profit rises as _step prices it.
             moved = np.empty((2, n + 1))
             moved[:, 0] = b, profit
-            np.negative(_repay(a_pre, r_pre, fee, step_limit, ell, convention), out=moved[0, 1:])
+            np.negative(_repay(a_pre, r_pre, step_limit, u, m, convention), out=moved[0, 1:])
             moved[1, 1:] = _trade(a_pre, r_pre, fee, step_limit, ell)[0]
             b_col, p_col = np.add.accumulate(moved, axis=1, out=moved)
-            cap = _kappa_cap(kappa * b_col[:-1], a_pre, r_pre, fee, ell, convention)
+            cap = _kappa_cap(kappa * b_col[:-1], a_pre, r_pre, u, m, convention)
             c_post, b_post = c_col[1:], b_col[1:]
             hf_post = _hf(theta, a_post, r_post, c_post, b_post)
             # c_post > c_eps keeps step_limit under the collateral cap, so only the
@@ -236,7 +240,7 @@ def simulate_liquidation_sequence(
             # The next step is not plain: the scalar step takes it.
             chunk_at, chunk = steps + 1 + _PLAIN_STEPS, _CHUNK_MIN
         x = min(step_limit, _x_collateral(c, ell),
-                _kappa_cap(kappa * b, a, r, fee, ell, convention))
+                _kappa_cap(kappa * b, a, r, u, m, convention))
         if not x > 0.0:
             term = "stalled"  # defensive; caps are positive whenever c, b are
             break
@@ -279,7 +283,8 @@ def _best_closing_trade(
     """
     a, r = pool.reserve_collateral, pool.reserve_debt
     cap = min(_x_collateral(position.collateral, params.bonus),
-              _kappa_cap(kappa * position.debt, a, r, pool.fee, params.bonus, convention))
+              _kappa_cap(kappa * position.debt, a, r, trade_multiplier(pool.fee, params.bonus),
+                         _traj_factor(pool.fee, convention), convention))
 
     def profit(x: float) -> float:
         return _trade(a, r, pool.fee, x, params.bonus)[0]

@@ -1,6 +1,7 @@
 """Sandwich attack legs, feasibility bounds, limiting behavior, optimizer."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from oevsim import (
     critical_fee,
     delta_bounds,
     health_factor,
+    load_config,
     optimize_attack,
 )
 from oevsim.oracles import random_instances
@@ -225,6 +227,22 @@ def test_optimizer_refinement_never_loses(monkeypatch):
     coarse = optimize_attack(POS5, pool, STD)
     assert fine.result.total_profit >= coarse.result.total_profit * (1 - 1e-9)
     assert coarse.result.total_profit > 0.0
+
+
+def test_golden_section_steps_build_no_attack_result(monkeypatch):
+    # The steps read only the total profit; the zero-size attack, the best grid
+    # point and a better refined point are the attack_profit calls left.
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    cfg = load_config(scenarios / "attack_delta_sweep.yaml")
+    position, pool = cfg.state_at()
+    sizes = []
+    attack_profit = oevsim.attack.attack_profit
+    monkeypatch.setattr(oevsim.attack, "attack_profit",
+                        lambda *args: sizes.append(args[0]) or attack_profit(*args))
+    out = optimize_attack(position, pool, cfg.risk, (cfg.attack.delta_min, cfg.attack.delta_max),
+                          cfg.convention)
+    assert out.coarse_points > 0
+    assert len(sizes) <= 3
 
 
 def test_optimize_attack_through_near_equal_exhaustion_bounds():

@@ -286,6 +286,26 @@ risk: {haircut: 0.6099749591202599, bonus: 0.0663722135511839, closing_factor: 0
     assert "LoanPosition(collateral=8.331745663884487e-07" in out.err
 
 
+# The liquidation sale of a debt of 3e143 into a pool of 8e-85 collateral and
+# 2e-135 debt asset leaves a debt reserve of exactly 0.
+RESERVE_UNDERFLOW = """
+mode: attack
+convention: execution_per_bonus
+pool: {reserve_collateral: 8.376768473521796e-85, reserve_debt: 1.741852207761701e-135, fee: 0.0}
+position: {debt: 3.1079094409569596e+143, initial_health_factor: 0.0006158444937192295}
+risk: {haircut: 0.2197507022640751, bonus: 0.37563875698734817,
+       closing_factor: 0.6843701205367683, max_liq_fraction: 0.2400993706964124}
+"""
+
+
+@pytest.mark.parametrize("command", ["liquidate", "attack"])
+def test_cli_reserve_underflow_exits_6(tmp_path, capsys, command):
+    assert main([command, write(tmp_path, RESERVE_UNDERFLOW)]) == 6
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{command}: reserve underflow: reserve_debt must be > 0, got 0.0\n"
+
+
 def test_cli_verify_report_path_checked_before_the_suites(tmp_path, capsys, monkeypatch):
     from oevsim import oracles
 

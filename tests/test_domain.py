@@ -17,13 +17,17 @@ from hypothesis import strategies as st
 from oevsim import (
     LoanPosition,
     PoolState,
+    RecoveryRootError,
+    RepayConvention,
     RiskParams,
     attack_profit,
     best_strategy,
     compute_bounds,
+    delta_bounds,
     run_liquidation,
     simulate_liquidation_sequence,
 )
+from oevsim.attack import _sandwich_total
 from oevsim.engine import best_strategy_batch
 
 
@@ -116,6 +120,53 @@ def test_edge_states_stay_in_the_domain(state):
         assert res.total_profit == res.front_proceeds + res.liq_profit - res.buyback_cost
     else:
         assert res.total_profit is None
+
+
+def attack_total(delta, position, pool, params, convention):
+    """``attack_profit(...).total_profit``, or -inf where the buy-back reverts."""
+    res = attack_profit(delta, position, pool, params, convention)
+    return res.total_profit if res.feasible else -math.inf
+
+
+def float_total(delta, position, pool, params, convention):
+    return _sandwich_total(delta, position.collateral, position.debt, pool.reserve_collateral,
+                           pool.reserve_debt, pool.fee, params, convention)
+
+
+def outcome(total, *args):
+    """The total as hex, or the type of the error it raised."""
+    try:
+        return total(*args).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(edge_states(), st.sampled_from(list(RepayConvention)))
+def test_golden_section_steps_have_the_bits_of_attack_profit(state, convention):
+    # optimize_attack's golden-section steps read the total from the float path.
+    position, pool, params, delta = state
+    ceiling = delta_bounds(position, pool, params).no_revert
+    sizes = [0.0, delta] + [scale * k for scale in (ceiling, pool.reserve_collateral)
+                            if math.isfinite(scale) for k in (0.5, 1.0 - 1e-12, 1.0, 1.5)]
+    for size in sizes:
+        args = (size, position, pool, params, convention)
+        assert outcome(float_total, *args) == outcome(attack_total, *args), size
+
+
+@pytest.mark.usefixtures("broken_health_factor_check")
+def test_golden_section_steps_raise_the_recovery_root_error_of_attack_profit():
+    position, pool, params = (LoanPosition(8.331745663884487e-07, 2.885445894891363e-08),
+                              PoolState(3.458330422621055, 0.12771808493794157,
+                                        0.0010974388239558678),
+                              RiskParams(0.6099749591202599, 0.0663722135511839,
+                                         0.7986954779277954, 0.4947399655985014))
+    args = (0.0, position, pool, params, RepayConvention.EXECUTION_VALUE)
+    with pytest.raises(RecoveryRootError) as want:
+        attack_total(*args)
+    with pytest.raises(RecoveryRootError) as got:
+        float_total(*args)
+    assert got.value.args == want.value.args
 
 
 # A*b underflows to 0 although both constructors accept the state.

@@ -196,13 +196,12 @@ def test_gate_soundness_margin():
 
 
 def test_run_liquidation_evaluates_the_health_factor_once(monkeypatch):
-    import oevsim.engine
     import oevsim.lending
 
+    # health_factor and compute_bounds' gate both evaluate it through _health.
+    health = oevsim.lending._health
     calls = []
-    for module in (oevsim.engine, oevsim.lending):
-        monkeypatch.setattr(module, "health_factor",
-                            lambda *args: calls.append(1) or health_factor(*args))
+    monkeypatch.setattr(oevsim.lending, "_health", lambda *args: calls.append(1) or health(*args))
     res = run_liquidation(LoanPosition(6.0, 10_000.0), pool_at(1820.0), STD, 1.0, 0.5)
     assert res.binding is Binding.CLOSING_FACTOR and res.hf_initial < 1.0
     assert len(calls) == 1

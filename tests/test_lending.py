@@ -18,7 +18,7 @@ from oevsim import (
     run_liquidation,
 )
 from oevsim._numerics import bisect_root
-from oevsim.lending import _repay
+from oevsim.lending import _repay, _traj_factor, trade_multiplier
 from oevsim.oracles import random_instances
 
 
@@ -183,11 +183,13 @@ def test_single_write_down_matches_marginal_run_total():
             continue
         run, repaid = pool, 0.0
         for _ in range(steps):
-            repaid += _repay(run.reserve_collateral, run.reserve_debt, run.fee, x / steps,
-                             params.bonus, RepayConvention.SPOT_PRICE)
+            repaid += _repay(run.reserve_collateral, run.reserve_debt, x / steps,
+                             trade_multiplier(run.fee, params.bonus), 1.0,
+                             RepayConvention.SPOT_PRICE)
             run = run.sell_collateral(x / steps * (1.0 + params.bonus))[1]
-        single, spot = (_repay(pool.reserve_collateral, pool.reserve_debt, pool.fee, x,
-                               params.bonus, convention)
+        single, spot = (_repay(pool.reserve_collateral, pool.reserve_debt, x,
+                               trade_multiplier(pool.fee, params.bonus),
+                               _traj_factor(pool.fee, convention), convention)
                         for convention in (RepayConvention.EXECUTION_VALUE,
                                            RepayConvention.SPOT_PRICE))
         assert abs(repaid - single) <= 0.01 * abs(spot - single)
@@ -197,7 +199,8 @@ def test_repay_conventions_ordering():
     pool = PoolState(1000.0, 2_000_000.0, 0.003)
     x = 2.0
     spot, execv, per_bonus = (
-        _repay(pool.reserve_collateral, pool.reserve_debt, pool.fee, x, 0.05, convention)
+        _repay(pool.reserve_collateral, pool.reserve_debt, x, trade_multiplier(pool.fee, 0.05),
+               _traj_factor(pool.fee, convention), convention)
         for convention in (RepayConvention.SPOT_PRICE, RepayConvention.EXECUTION_VALUE,
                            RepayConvention.EXECUTION_PER_BONUS))
     assert spot > execv > per_bonus

@@ -260,7 +260,7 @@ def walk_reference(position, pool, params, cf_target, kappa, convention, step_li
             proceeds, a_n, r_n = _sell(a, r, fee, amount)
             if not (a_n > 0.0 and r_n > 0.0):
                 PoolState(a_n, r_n, fee)
-            beta = (_repay(a, r, fee, size, ell, convention) if spot
+            beta = (_repay(a, r, size, u, m, convention) if spot
                     else _repay_total(a, r, size, u, m))
         dpi = proceeds - r / a * size
         c_n, b_n = c - amount, b - beta
@@ -293,7 +293,7 @@ def walk_reference(position, pool, params, cf_target, kappa, convention, step_li
             raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
         kb = kappa * b
         x = min(step_limit, _x_collateral(c, ell),
-                _kappa_cap(kb, a, r, fee, ell, convention) if spot else _debt_cap(kb, a, r, u, m))
+                _kappa_cap(kb, a, r, u, m, convention) if spot else _debt_cap(kb, a, r, u, m))
         if not x > 0.0:
             term = "stalled"
             break
@@ -375,7 +375,8 @@ def test_a_kappa_cap_binding_after_a_plain_run_matches_the_scalar_walk(conventio
     # until it binds after dozens of plain steps.
     pool = DRAIN_WALK.pool
     cap0 = _kappa_cap(kappa * DRAIN_WALK.position.debt, pool.reserve_collateral, pool.reserve_debt,
-                      pool.fee, DRAIN_WALK.params.bonus, convention)
+                      trade_multiplier(pool.fee, DRAIN_WALK.params.bonus),
+                      _traj_factor(pool.fee, convention), convention)
     got, want = walk_pair(DRAIN_WALK, convention, share * cap0, False, 40_000, kappa=kappa)
     assert outcome_bits(got) == outcome_bits(want)
     assert got.cumulative_x < got.steps * share * cap0 * (1.0 - 1e-3)
