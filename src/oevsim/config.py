@@ -49,7 +49,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .amm import PoolState
 from .lending import (
@@ -373,8 +372,14 @@ def parse_config(data: dict) -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Read and validate a scenario file."""
-    text = Path(path).read_text()
+    """Read and validate a scenario file, which must be UTF-8 text."""
+    # Imported here, so the commands that read no scenario never load yaml.
+    import yaml
+
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"scenario file is not UTF-8 text: {exc}"]) from None
     # libyaml's parser where PyYAML was built with it; both loaders share the
     # Python resolver and constructor, so scalars come out typed the same.
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)

@@ -17,7 +17,6 @@ engine's closed-form profit as the step count grows.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -463,6 +462,8 @@ class Instance:
 
     def digest(self) -> str:
         """Stable short hash identifying the instance in reports."""
+        import hashlib  # only verify hashes instances, so start-up does not load it
+
         payload = "|".join(
             format(v, ".17g")
             for v in (

@@ -152,6 +152,13 @@ def test_cli_exit_code_on_bad_config(tmp_path):
     assert main(["liquidate", str(tmp_path / "missing.yaml")]) == 2
 
 
+def test_cli_rejects_a_scenario_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["liquidate", str(path)]) == 2
+    assert "scenario file is not UTF-8 text" in capsys.readouterr().err
+
+
 # Test id: (command, scenario text appended to MINIMAL, fragment of the error).
 REJECTIONS = {
     "fee_interval": (
