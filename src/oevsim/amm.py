@@ -17,8 +17,7 @@ and buying exactly ``d`` collateral costs
 which requires ``d < A``; asking for the entire reserve (or more) models a
 reverting transaction.
 
-All operations are pure: they return a new ``PoolState`` and never mutate,
-so they are safe to call concurrently.
+All operations are pure: they return a new ``PoolState`` and never mutate.
 """
 
 from __future__ import annotations

@@ -177,11 +177,9 @@ def _sandwich(delta, a, b_res, fee, liquidate):
     ``liquidate(a1, b1)`` runs the strategy selector on the post-front
     reserves and returns (liquidation, its profit, post reserves a2, b2).
     The cost and the total are None where the buy-back reverts (delta >= a2).
-    A leg that leaves a reserve not > 0 raises
-    :class:`~oevsim.amm.ReserveUnderflowError`.
+    The swaps own the checks: a negative size raises ``ValueError`` and a leg
+    that leaves a reserve not > 0 :class:`~oevsim.amm.ReserveUnderflowError`.
     """
-    if delta < 0.0:
-        raise ValueError(f"attack size must be >= 0, got {delta}")
     proceeds, a1, b1 = _sale(a, b_res, fee, delta)
     liq, pi_tot, a2, b2 = liquidate(a1, b1)
     if not delta < a2:
@@ -282,43 +280,23 @@ def optimize_attack(
     ``coarse_points`` 0, and so does an unbounded one: its ceiling is inf
     only for a debt-free position in a fee-free pool, where no size gains.
 
-    The coarse grid (up to ``_COARSE_POINTS + 2`` sizes) is evaluated as one
-    :func:`attack_profit_batch` call, which gives the scalar path's bits.
-    The golden-section steps need only each size's total profit: they run
-    the sandwich on floats (``_sandwich_total``, with the bits of
-    :func:`attack_profit`), one at a time, as a batch would cost more.  Only
-    the zero-size attack, the best grid point and a better refined point
-    are :func:`attack_profit` calls, which build the returned
-    :class:`AttackResult`.
+    The search compares sizes by their total profit only: the coarse grid
+    (up to ``_COARSE_POINTS + 2`` sizes) is one :func:`attack_profit_batch`
+    call, and the zero-size attack and the golden-section steps run the
+    sandwich on floats (``_sandwich_total``), one at a time, as a batch would
+    cost more.  All three give the bits of :func:`attack_profit`, which is
+    called once, for the returned size.
     """
     bounds = delta_bounds(position, pool, params)
     lo = max(0.0, delta_range[0])
     hi = min(bounds.baddebt_cap, bounds.no_revert * (1.0 - GUARD_BAND), delta_range[1])
 
-    def evaluate(d: float) -> AttackResult:
-        return attack_profit(d, position, pool, params, convention)
+    def outcome(delta: float, points: int, best_positive: float) -> OptimizeOutcome:
+        result = attack_profit(delta, position, pool, params, convention)
+        return OptimizeOutcome(delta, result, points, max(hi, 0.0), best_positive)
 
-    zero = evaluate(0.0)
     if hi <= 0.0 or hi < lo or hi == math.inf:
-        return OptimizeOutcome(0.0, zero, 0, max(hi, 0.0), -math.inf)
-
-    grid = _coarse_grid(bounds, lo, hi, _COARSE_POINTS)
-    coarse = attack_profit_batch(grid, position.collateral, position.debt,
-                                 pool.reserve_collateral, pool.reserve_debt, pool.fee,
-                                 params, convention)
-    feasible = [(d, p) for d, p, ok in zip(grid, coarse.total_profit.tolist(),
-                                           coarse.feasible.tolist()) if ok]
-    best_positive = max((p for d, p in feasible if d > 0.0), default=-math.inf)
-    if not feasible:
-        return OptimizeOutcome(0.0, zero, len(grid), hi, best_positive)
-
-    d_best = max(feasible, key=lambda dp: dp[1])[0]
-    r_best = evaluate(d_best)
-
-    # Golden refinement between the coarse neighbours of the best point.
-    idx = grid.index(d_best)
-    lo_b = grid[idx - 1] if idx > 0 else max(lo, d_best * 0.5)
-    hi_b = grid[idx + 1] if idx + 1 < len(grid) else hi
+        return outcome(0.0, 0, -math.inf)
 
     c, b, a, b_res, fee = (position.collateral, position.debt, pool.reserve_collateral,
                            pool.reserve_debt, pool.fee)
@@ -326,23 +304,38 @@ def optimize_attack(
     def profit_of(d: float) -> float:
         return _sandwich_total(d, c, b, a, b_res, fee, params, convention)
 
+    p_zero = profit_of(0.0)
+    grid = _coarse_grid(bounds, lo, hi)
+    coarse = attack_profit_batch(grid, c, b, a, b_res, fee, params, convention)
+    feasible = [(d, p) for d, p, ok in zip(grid, coarse.total_profit.tolist(),
+                                           coarse.feasible.tolist()) if ok]
+    best_positive = max((p for d, p in feasible if d > 0.0), default=-math.inf)
+    if not feasible:
+        return outcome(0.0, len(grid), best_positive)
+
+    d_best, p_best = max(feasible, key=lambda dp: dp[1])
+
+    # Golden refinement between the coarse neighbours of the best point.
+    idx = grid.index(d_best)
+    lo_b = grid[idx - 1] if idx > 0 else max(lo, d_best * 0.5)
+    hi_b = grid[idx + 1] if idx + 1 < len(grid) else hi
     d_ref, p_ref = golden_max(profit_of, lo_b, hi_b, tol=1e-10)
-    if p_ref > r_best.total_profit and d_ref > 0.0:
-        d_best, r_best = d_ref, evaluate(d_ref)
-    best_positive = max(best_positive, r_best.total_profit if d_best > 0.0 else -math.inf)
+    if p_ref > p_best and d_ref > 0.0:
+        d_best, p_best = d_ref, p_ref
+        best_positive = max(best_positive, p_ref)
 
-    if zero.total_profit >= r_best.total_profit:
-        return OptimizeOutcome(0.0, zero, len(grid), hi, best_positive)
-    return OptimizeOutcome(d_best, r_best, len(grid), hi, best_positive)
+    if p_zero >= p_best:
+        return outcome(0.0, len(grid), best_positive)
+    return outcome(d_best, len(grid), best_positive)
 
 
-def _coarse_grid(bounds: DeltaBounds, lo: float, hi: float, points: int) -> list[float]:
+def _coarse_grid(bounds: DeltaBounds, lo: float, hi: float) -> list[float]:
     """Sorted attack sizes in [lo, hi]: the trigger, a point just past it, and a log grid."""
     grid: list[float] = []
     if bounds.trigger < hi and math.isfinite(bounds.trigger):
         grid.extend([bounds.trigger, bounds.trigger * (1.0 + 1e-9) + 1e-12])
     g_lo = max(lo, hi * 1e-7)
-    grid.extend(float(d) for d in np.geomspace(g_lo, hi, points))
+    grid.extend(float(d) for d in np.geomspace(g_lo, hi, _COARSE_POINTS))
     return sorted(d for d in grid if lo <= d <= hi)
 
 
@@ -386,14 +379,12 @@ def critical_fee(
     if not 0.0 <= fee_low < fee_high < 1.0:
         raise ValueError(f"need 0 <= fee_low < fee_high < 1, got [{fee_low}, {fee_high}]")
 
-    shape = (pool.reserve_collateral, pool.reserve_debt)
     profit_floor = 1e-12 * pool.reserve_debt
     trace: list[tuple[float, float]] = []
 
     def g(fee: float) -> float:
-        test_pool = PoolState(shape[0], shape[1], fee)
-        out = optimize_attack(position, test_pool, params, convention=convention)
-        val = out.best_positive_profit
+        at_fee = PoolState(pool.reserve_collateral, pool.reserve_debt, fee)
+        val = optimize_attack(position, at_fee, params, convention=convention).best_positive_profit
         trace.append((fee, val))
         return val
 

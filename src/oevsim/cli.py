@@ -29,9 +29,9 @@ import sys
 import numpy as np
 
 from . import attack as atk
-# Eager although only verify (and its parser's defaults) and reproduce ex3 use
-# it: the benchmark's tracer (perfbench/tracing.py Tracer.install) looks
-# oevsim.oracles up in sys.modules right after importing this module.
+# Only verify (and its parser's defaults) and reproduce ex3 use it; importing
+# it lazily would not keep it out of start-up, since oevsim/__init__.py
+# re-exports the oracles and so loads them before this module.
 from . import oracles
 from .config import ConfigError, ScenarioConfig, load_config
 from .engine import best_strategy, best_strategy_batch, run_liquidation_batch
@@ -126,7 +126,7 @@ ATK_HEADER = [
 def run_sweep(cfg: ScenarioConfig) -> tuple[list[str], list[list]]:
     """Evaluate every sweep point in one batch call; the table as columns, in row order.
 
-    The states come as columns from :meth:`ScenarioConfig.sweep_columns`.  A
+    The states come as columns from :meth:`ScenarioConfig.columns`.  A
     liquidation sweep is one :func:`best_strategy_batch` call and an attack
     sweep one :func:`attack.attack_profit_batch` and one
     :func:`attack.delta_bounds_batch` call; all give the scalar functions'
@@ -136,7 +136,7 @@ def run_sweep(cfg: ScenarioConfig) -> tuple[list[str], list[list]]:
         raise ConfigError(["sweep: section required for the sweep command"])
     axis, values = cfg.sweep.axis, cfg.sweep.values()
     n = len(values)
-    state = cfg.sweep_columns(values)
+    state = cfg.columns(values)
     if cfg.mode != "attack":
         res, strategy = best_strategy_batch(*state, cfg.risk, cfg.convention)
         return LIQ_HEADER, [[axis] * n, values, res.hf_initial.tolist(), res.pi_liq.tolist(),

@@ -37,7 +37,8 @@ health factor stays pinned while a sweep moves the pool.  The spec dataclasses
 below are the schema: a section's keys, types and required keys (those without
 a default) are its dataclass's fields.  Numbers must be finite (``.inf`` only
 for ``attack.delta_max``), sweep domains are checked on the computed points,
-and every violation is reported, not just the first.
+and every violation is reported, not just the first; a key repeated at the
+top level or in a section is reported in their place.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ from .lending import (
 )
 
 SWEEP_AXES = ("price", "pool_scale", "delta", "fee")
-# The state_columns keyword each pool axis overrides.
-_OVERRIDES = {"price": "price", "pool_scale": "scale", "fee": "fee"}
 
 
 class ConfigError(ValueError):
@@ -81,8 +80,8 @@ class PoolSpec:
     fee: float = 0.0
     scale: float = 1.0
 
-    def columns(self, price=None, scale=None, fee=None) -> tuple:
-        """Reserves and fee ``(A, B, fee)``; an override may be a column of sweep values.
+    def columns(self, price=None, pool_scale=None, fee=None) -> tuple:
+        """Reserves and fee ``(A, B, fee)``; an override, named as its axis, may be a column.
 
         The float operations run in the scalar order, and ``sqrt`` and
         ``+ - * /`` are correctly rounded, so each row has the bits of the
@@ -90,7 +89,7 @@ class PoolSpec:
         is numpy's and overflow, underflow and division by 0 follow
         ``np.errstate``.
         """
-        s = np.asarray(self.scale if scale is None else scale, dtype=float)
+        s = np.asarray(self.scale if pool_scale is None else pool_scale, dtype=float)
         g = self.fee if fee is None else fee
         if self.liquidity is not None:
             p = self.price if price is None else price
@@ -153,32 +152,26 @@ class ScenarioConfig:
     attack: AttackSpec = field(default_factory=AttackSpec)
     convention: RepayConvention = DEFAULT_CONVENTION
 
-    def state_columns(self, n: int = 1, price=None, scale=None,
-                      fee=None) -> tuple[np.ndarray, ...]:
-        """``n`` rows of (collateral, debt, reserve_collateral, reserve_debt, fee).
+    def columns(self, values: list[float] | None = None) -> tuple[np.ndarray, ...]:
+        """Columns (collateral, debt, reserve_collateral, reserve_debt, fee).
 
-        An override may be a column of ``n`` values.  Over- and underflow
-        give inf and 0 without a warning; the constructors and
+        The base state as one row, or one row per sweep value, which overrides
+        the sweep axis (the delta axis repeats the base state).  Over- and
+        underflow give inf and 0 without a warning; the constructors and
         :func:`parse_config` reject such states.
         """
+        override = {}
+        if values is not None and self.sweep.axis != "delta":
+            override = {self.sweep.axis: np.array(values)}
         with np.errstate(all="ignore"):
-            a, b, g = self.pool.columns(price, scale, fee)
+            a, b, g = self.pool.columns(**override)
             c, d = self.position.columns(a, b, self.risk.haircut)
+        n = 1 if values is None else len(values)
         return tuple(np.broadcast_to(np.asarray(v, dtype=float), n) for v in (c, d, a, b, g))
 
     def state_at(self) -> tuple[LoanPosition, PoolState]:
-        """Position and pool of the base state: row 0 of :meth:`state_columns`."""
-        return _state(*(float(col[0]) for col in self.state_columns()))
-
-    def sweep_columns(self, values: list[float]) -> tuple[np.ndarray, ...]:
-        """:meth:`state_columns`, one row per sweep value; the delta axis keeps the base state."""
-        if self.sweep.axis == "delta":
-            return self.state_columns(len(values))
-        return self.state_columns(len(values), **{_OVERRIDES[self.sweep.axis]: np.array(values)})
-
-    def sweep_states(self, values: list[float]) -> list[tuple[LoanPosition, PoolState]]:
-        """Each row of :meth:`sweep_columns` as a position and a pool."""
-        return [_state(*row) for row in zip(*(col.tolist() for col in self.sweep_columns(values)))]
+        """Position and pool of the base state: the one row of :meth:`columns`."""
+        return _state(*(float(col[0]) for col in self.columns()))
 
 
 def _state(c, d, a, b, g) -> tuple[LoanPosition, PoolState]:
@@ -355,7 +348,8 @@ def parse_config(data: dict) -> ScenarioConfig:
     # Every derived number is monotone along a sweep, so the base point and the
     # sweep's ends stand for every point.
     try:
-        states = [cfg.state_at(), *(cfg.sweep_states(ends) if sweep else [])]
+        end_states = map(_state, *(col.tolist() for col in cfg.columns(ends))) if sweep else ()
+        states = [cfg.state_at(), *end_states]
         for position, state in states:
             if not all(map(math.isfinite, (position.collateral, state.reserve_collateral,
                                            state.reserve_debt))):
@@ -371,8 +365,22 @@ def parse_config(data: dict) -> ScenarioConfig:
     return cfg
 
 
+def _repeated_keys(node, where: str = "top level", depth: int = 2) -> list[str]:
+    """One problem per key repeated at the top level or in a section of the composed
+    document ``node``, whose mappings would keep only the last value."""
+    import yaml
+
+    if depth == 0 or not isinstance(node, yaml.MappingNode):
+        return []
+    names = [key.value for key, _ in node.value]
+    problems = [f"{where}: duplicate key '{k}'" for i, k in enumerate(names) if k in names[:i]]
+    for key, value in node.value:
+        problems += _repeated_keys(value, key.value, depth - 1)
+    return problems
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Read and validate a scenario file, which must be UTF-8 text."""
+    """Read and validate a scenario file, which must be UTF-8 text that repeats no key."""
     # Imported here, so the commands that read no scenario never load yaml.
     import yaml
 
@@ -382,9 +390,16 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError([f"scenario file is not UTF-8 text: {exc}"]) from None
     # libyaml's parser where PyYAML was built with it; both loaders share the
     # Python resolver and constructor, so scalars come out typed the same.
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    # These are yaml.load's steps, keeping the node tree for _repeated_keys.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
     try:
-        data = yaml.load(text, Loader=loader)
+        document = loader.get_single_node()
+        data = None if document is None else loader.construct_document(document)
     except yaml.YAMLError as exc:
         raise ConfigError([f"YAML parse error: {exc}"]) from exc
+    finally:
+        loader.dispose()
+    repeats = _repeated_keys(document)
+    if repeats:
+        raise ConfigError(repeats)
     return parse_config(data if data is not None else {})

@@ -26,8 +26,7 @@ program; small sequential liquidations dominate lump sums):
 Production protocols expose two such threshold pairs, (closing_factor, 1)
 and (1, kappa); :func:`best_strategy` picks the more profitable one.
 
-Pure functions over immutable values throughout; grid evaluations can run
-concurrently without shared state.
+Pure functions over immutable values throughout.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import bisect_root, golden_max, halve
-from .amm import PoolState, _check_reserves, _require_reserves, _sell
+from .amm import PoolState, _require_reserves, _sale, _sell
 from .engine import run_liquidation
 from .lending import (
     DEFAULT_CONVENTION,
@@ -64,18 +64,12 @@ def _trade(a, r, fee, x, bonus):
 
     Proceeds come from actually selling x*(1+bonus) into the pool; the
     protocol is repaid the pre-trade spot value B/A*x of the x units claimed.
-    Takes floats or numpy arrays.  On floats a zero size leaves the pool as
-    it is, and post reserves that are not > 0 raise
-    :class:`~oevsim.amm.ReserveUnderflowError`; array rows are all priced as
-    they are, unchecked.
+    Takes floats or numpy arrays.  A float sale is :func:`~oevsim.amm._sale`, which
+    owns the zero-size no-op and the checks (a negative size, a post reserve
+    not > 0); array rows are all priced as they are, unchecked.
     """
-    proceeds, a_n, r_n = _sell(a, r, fee, x * (1.0 + bonus))
-    if isinstance(a_n, np.ndarray):
-        return proceeds - r / a * x, a_n, r_n
-    if x == 0.0:  # the no-op sale
-        return 0.0, a, r
-    if not (a_n > 0.0 and r_n > 0.0):
-        _check_reserves(a_n, r_n)
+    sale = _sell if isinstance(a, np.ndarray) or isinstance(x, np.ndarray) else _sale
+    proceeds, a_n, r_n = sale(a, r, fee, x * (1.0 + bonus))
     return proceeds - r / a * x, a_n, r_n
 
 

@@ -229,20 +229,35 @@ def test_optimizer_refinement_never_loses(monkeypatch):
     assert coarse.result.total_profit > 0.0
 
 
-def test_golden_section_steps_build_no_attack_result(monkeypatch):
-    # The steps read only the total profit; the zero-size attack, the best grid
-    # point and a better refined point are the attack_profit calls left.
-    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
-    cfg = load_config(scenarios / "attack_delta_sweep.yaml")
-    position, pool = cfg.state_at()
+@pytest.fixture
+def attack_sizes(monkeypatch):
+    """The size of each ``attack_profit`` call the attack module makes."""
     sizes = []
     attack_profit = oevsim.attack.attack_profit
     monkeypatch.setattr(oevsim.attack, "attack_profit",
                         lambda *args: sizes.append(args[0]) or attack_profit(*args))
+    return sizes
+
+
+BUNDLED_ATTACK = Path(__file__).resolve().parent.parent / "scenarios" / "attack_delta_sweep.yaml"
+
+
+def test_golden_section_steps_build_no_attack_result(attack_sizes):
+    # The search compares floats; only the returned size is an attack_profit call.
+    cfg = load_config(BUNDLED_ATTACK)
+    position, pool = cfg.state_at()
     out = optimize_attack(position, pool, cfg.risk, (cfg.attack.delta_min, cfg.attack.delta_max),
                           cfg.convention)
     assert out.coarse_points > 0
-    assert len(sizes) <= 3
+    assert attack_sizes == [out.delta]
+
+
+def test_critical_fee_builds_one_attack_result_per_probe(attack_sizes):
+    cfg = load_config(BUNDLED_ATTACK)
+    position, pool = cfg.state_at()
+    res = critical_fee(position, pool, cfg.risk, cfg.attack.fee_low, cfg.attack.fee_high,
+                       cfg.convention)
+    assert len(attack_sizes) == len(res.trace) > 0
 
 
 def test_optimize_attack_through_near_equal_exhaustion_bounds():

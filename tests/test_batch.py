@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 import yaml
 
+import oevsim.attack
 import oevsim.lending
 from oevsim.amm import PoolState
 from oevsim.attack import (
@@ -139,7 +140,9 @@ def probe_deltas(position, pool, params, coarse_points) -> list[float]:
         deltas += [bounds.trigger * (1.0 - 1e-9), bounds.trigger, bounds.trigger * (1.0 + 1e-9)]
     hi = search_hi(position, pool, params)
     if 0.0 < hi < math.inf:
-        deltas += _coarse_grid(bounds, 0.0, hi, coarse_points)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oevsim.attack, "_COARSE_POINTS", coarse_points)
+            deltas += _coarse_grid(bounds, 0.0, hi)
     if math.isfinite(bounds.no_revert):
         deltas += [bounds.no_revert * 1.01, bounds.no_revert * 10.0]
     else:
@@ -344,7 +347,7 @@ def test_bundled_attack_grid_needs_no_scalar_fallback(monkeypatch):
     position, pool = load_config(BUNDLED).state_at()
     params = load_config(BUNDLED).risk
     grid = _coarse_grid(delta_bounds(position, pool, params), 0.0,
-                        search_hi(position, pool, params), 512)
+                        search_hi(position, pool, params))
     assert len(grid) == 514
 
     def fallback(*args, **kwargs):
@@ -455,6 +458,12 @@ def test_sweep_rows_match_scalar_calls(mode, axis, convention, position_form, po
         assert {r[7] for r in rows} == {True, False}
 
 
+def states_of(columns) -> list[tuple[LoanPosition, PoolState]]:
+    """Each row of state columns as a position and a pool."""
+    return [(LoanPosition(c, d), PoolState(a, b, g))
+            for c, d, a, b, g in zip(*(col.tolist() for col in columns))]
+
+
 @pytest.mark.parametrize("pool_form", ["reserves", "liquidity"])
 @pytest.mark.parametrize("position_form", ["collateral", "initial_health_factor"])
 @pytest.mark.parametrize("spacing", ["linear", "log"])
@@ -467,13 +476,13 @@ def test_sweep_columns_carry_the_scalar_states_bits(axis, start, stop, spacing, 
     cfg = parse_config(doc)
     values = cfg.sweep.values()
     want = [reference_state(cfg, v) for v in values]
-    columns = cfg.sweep_columns(values)
+    columns = cfg.columns(values)
     fields = [[pos.collateral for pos, _ in want], [pos.debt for pos, _ in want],
               [pool.reserve_collateral for _, pool in want],
               [pool.reserve_debt for _, pool in want], [pool.fee for _, pool in want]]
     assert [[hx(v) for v in col] for col in columns] == [[hx(v) for v in col] for col in fields]
-    assert cfg.sweep_states(values) == want
-    assert [cfg.sweep_states([v])[0] for v in values[::9]] == want[::9]
+    assert states_of(columns) == want
+    assert [states_of(cfg.columns([v]))[0] for v in values[::9]] == want[::9]
 
 
 def test_sweep_scenarios_reach_the_fee_gate_both_strategies_and_three_closing_caps():

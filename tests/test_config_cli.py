@@ -12,7 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oevsim import ConfigError, health_factor, load_config
+from oevsim import ConfigError, LoanPosition, PoolState, health_factor, load_config
 from oevsim.cli import REPRODUCERS, _fmt, _write_csv, main, run_sweep
 from oevsim.config import SWEEP_AXES, parse_config
 from oevsim.engine import best_strategy
@@ -119,7 +119,8 @@ def test_single_point_sweep_matches_direct_call(tmp_path):
     single = SWEEP.replace("steps: 7", "steps: 1")
     cfg = load_config(write(tmp_path, single))
     rows = [list(row) for row in zip(*run_sweep(cfg)[1])]
-    [(position, pool)] = cfg.sweep_states([1400.0])
+    c, d, a, b, g = (float(col[0]) for col in cfg.columns([1400.0]))
+    position, pool = LoanPosition(c, d), PoolState(a, b, g)
     res, strat = best_strategy(position, pool, cfg.risk)
     assert rows == [["price", 1400.0, res.hf_initial, res.pi_liq, res.pi_last, res.pi_tot,
                      res.binding.value, res.last_binding.value, strat.value, res.bad_debt]]
@@ -434,6 +435,8 @@ def edit(old, new):
 POOL_KP = edit("  reserve_collateral: 1000.0\n  reserve_debt: 2.0e6\n",
                "  liquidity: 2.0e9\n  price: 2000.0\n")
 SWEEP_EXTRA = "sweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n  steps: 3\n"
+# A valid file but for the repeat; YAML alone would keep the last value, 0.9.
+REPEATED_FEE = edit("  fee: 0.003\n", "  fee: 0.0\n  fee: 0.9\n")
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -489,6 +492,7 @@ SWEEP_EXTRA = "sweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n  steps: 
      .replace("debt: 10000.0", "debt: 1.0e+300").replace("collateral: 5.5", "collateral: 1.0e+200"),
      "scenario: derived state out of domain: health factor of LoanPosition("),
     (MINIMAL + "convention: midpoint\n", "convention: must be one of"),
+    (REPEATED_FEE, "  - pool: duplicate key 'fee'\n"),
 ], ids=["section_not_mapping", "unknown_section_key", "number_type", "bool_not_number",
         "integer_type", "string_type", "top_level_not_mapping", "yaml_syntax", "both_pool_forms",
         "half_reserves", "half_liquidity_price", "liquidity_zero", "price_negative",
@@ -496,7 +500,7 @@ SWEEP_EXTRA = "sweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n  steps: 
         "risk_key_missing", "risk_params_rejected", "bad_spacing", "log_start_zero",
         "fee_axis_stop_one", "fee_axis_start_negative", "fee_high_one", "fee_low_negative",
         "fee_high_nan", "reserve_underflow", "reserve_overflow", "reserve_product_overflow",
-        "health_factor_nan", "bad_convention"])
+        "health_factor_nan", "bad_convention", "repeated_key"])
 def test_cli_rejects_every_config_problem(tmp_path, capsys, text, fragment):
     assert main(["liquidate", write(tmp_path, text)]) == 2
     out = capsys.readouterr()
@@ -625,7 +629,7 @@ def test_parse_config_accepts_only_constructible_states(doc):
         return
     health_factor(*cfg.state_at(), cfg.risk.haircut)  # raises where it is undefined
     if cfg.sweep is not None:
-        c, d, a, b, g = cfg.sweep_columns(cfg.sweep.values())
+        c, d, a, b, g = cfg.columns(cfg.sweep.values())
         assert np.isfinite([c, d, a, b, g]).all()
         assert (c >= 0.0).all() and (d >= 0.0).all() and (a > 0.0).all() and (b > 0.0).all()
         assert ((0.0 <= g) & (g < 1.0)).all()
@@ -738,3 +742,7 @@ def test_both_yaml_loaders_give_the_pure_python_result(tmp_path, monkeypatch, li
     assert len(err.value.problems) == 1
     assert err.value.problems[0].startswith("YAML parse error: ")
     assert main(["sweep", malformed]) == 2
+
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, REPEATED_FEE))
+    assert err.value.problems == ["pool: duplicate key 'fee'"]

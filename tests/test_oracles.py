@@ -33,7 +33,7 @@ from oevsim.lending import (
     _x_collateral,
     trade_multiplier,
 )
-from oevsim.oracles import _EXHAUST_EPS, Instance, SequenceOutcome, random_instances
+from oevsim.oracles import _EXHAUST_EPS, Instance, SequenceOutcome, _trade, random_instances
 
 STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
 
@@ -119,6 +119,15 @@ def test_subadditivity_zero_split_is_equality(x1, x2):
     pool = PoolState(1234.5, 2_000_000.3, 0.003)
     lhs, rhs, holds = subadditivity_check(pool, 0.05, x1, x2)
     assert holds and rhs.hex() == lhs.hex()
+
+
+def test_a_float_trade_sells_as_the_amm_does():
+    # A float transaction is amm._sale's sale: a zero size is a no-op and a
+    # negative one raises.
+    a, r = 1234.5, 2_000_000.3
+    assert _trade(a, r, 0.003, 0.0, 0.05) == (0.0, a, r)
+    with pytest.raises(ValueError, match="swap input must be >= 0"):
+        _trade(a, r, 0.003, -1.0, 0.05)
 
 
 def test_subadditivity_random_batch():
