@@ -154,48 +154,35 @@ def attack_profit(
     post-front state, and its post-trade pool is reused directly as the
     buy-back venue, so reserve bookkeeping cannot drift between modules.
     """
-    def liquidate(a1: float, b1: float):
-        pool1 = pool if delta == 0.0 else PoolState(a1, b1, pool.fee)
-        liq, strat = best_strategy(position, pool1, params, convention)
-        pool2 = liq.post_pool
-        return (pool1, liq, strat), liq.pi_tot, pool2.reserve_collateral, pool2.reserve_debt
-
-    proceeds, (pool1, liq, strat), cost, total = _sandwich(
-        delta, pool.reserve_collateral, pool.reserve_debt, pool.fee, liquidate)
+    fee = pool.fee
+    proceeds, a1, b1 = _sale(pool.reserve_collateral, pool.reserve_debt, fee, delta)
+    pool1 = pool if delta == 0.0 else PoolState(a1, b1, fee)
+    liq, strat = best_strategy(position, pool1, params, convention)
+    pool2 = liq.post_pool
+    cost = _buyback(pool2.reserve_collateral, pool2.reserve_debt, fee, delta)
     return AttackResult(
-        delta=delta, front_proceeds=proceeds, liq_profit=liq.pi_tot,
-        buyback_cost=cost, total_profit=total, feasible=cost is not None,
-        triggered=liq.hf_initial <= 1.0,
-        pool_after_front=pool1, pool_after_liq=liq.post_pool,
+        delta=delta, front_proceeds=proceeds, liq_profit=liq.pi_tot, buyback_cost=cost,
+        total_profit=None if cost is None else proceeds + liq.pi_tot - cost,
+        feasible=cost is not None, triggered=liq.hf_initial <= 1.0,
+        pool_after_front=pool1, pool_after_liq=pool2,
         liquidation=liq, strategy=strat,
     )
 
 
-def _sandwich(delta, a, b_res, fee, liquidate):
-    """:func:`attack_profit`'s legs over floats: (proceeds, liquidation, cost, total).
+def _buyback(a2, b2, fee, delta):
+    """Cost of buying ``delta`` back from reserves (a2, b2); None where it reverts (delta >= a2).
 
-    ``liquidate(a1, b1)`` runs the strategy selector on the post-front
-    reserves and returns (liquidation, its profit, post reserves a2, b2).
-    The cost and the total are None where the buy-back reverts (delta >= a2).
-    The swaps own the checks: a negative size raises ``ValueError`` and a leg
-    that leaves a reserve not > 0 :class:`~oevsim.amm.ReserveUnderflowError`.
+    The swap owns its checks, as the front-run's ``amm._sale`` does.
     """
-    proceeds, a1, b1 = _sale(a, b_res, fee, delta)
-    liq, pi_tot, a2, b2 = liquidate(a1, b1)
-    if not delta < a2:
-        return proceeds, liq, None, None
-    cost = _purchase(a2, b2, fee, delta)[0]
-    return proceeds, liq, cost, proceeds + pi_tot - cost
+    return _purchase(a2, b2, fee, delta)[0] if delta < a2 else None
 
 
 def _sandwich_total(delta, c, b, a, b_res, fee, params, convention) -> float:
     """``attack_profit(...).total_profit``, or -inf where the buy-back reverts, from floats."""
-    def liquidate(a1: float, b1: float):
-        pi_tot, *_, a2, b2 = _best_run(c, b, a1, b1, fee, params, convention)
-        return None, pi_tot, a2, b2
-
-    total = _sandwich(delta, a, b_res, fee, liquidate)[3]
-    return -math.inf if total is None else total
+    proceeds, a1, b1 = _sale(a, b_res, fee, delta)
+    pi_tot, *_, a2, b2 = _best_run(c, b, a1, b1, fee, params, convention)
+    cost = _buyback(a2, b2, fee, delta)
+    return -math.inf if cost is None else proceeds + pi_tot - cost
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,8 @@ from .lending import (
 )
 
 SWEEP_AXES = ("price", "pool_scale", "delta", "fee")
+# The resolved tag of a YAML 1.1 merge key, ``<<``.
+_MERGE_TAG = "tag:yaml.org,2002:merge"
 
 
 class ConfigError(ValueError):
@@ -367,15 +369,25 @@ def parse_config(data: dict) -> ScenarioConfig:
 
 def _repeated_keys(node, where: str = "top level", depth: int = 2) -> list[str]:
     """One problem per key repeated at the top level or in a section of the composed
-    document ``node``, whose mappings would keep only the last value."""
+    document ``node``, whose mappings would keep only the last value.
+
+    A mapping's own keys are counted, not those of a merge key (``<<``), which
+    its own keys may override; each mapping a merge key brings in is checked
+    in turn.  Construction flattens the merged keys into the mapping, so this
+    runs on the node tree before it.
+    """
     import yaml
 
     if depth == 0 or not isinstance(node, yaml.MappingNode):
         return []
-    names = [key.value for key, _ in node.value]
+    names = [key.value for key, _ in node.value if key.tag != _MERGE_TAG]
     problems = [f"{where}: duplicate key '{k}'" for i, k in enumerate(names) if k in names[:i]]
     for key, value in node.value:
-        problems += _repeated_keys(value, key.value, depth - 1)
+        if key.tag != _MERGE_TAG:
+            problems += _repeated_keys(value, key.value, depth - 1)
+        else:
+            for source in value.value if isinstance(value, yaml.SequenceNode) else [value]:
+                problems += _repeated_keys(source, where, depth)
     return problems
 
 
@@ -394,12 +406,12 @@ def load_config(path: str | Path) -> ScenarioConfig:
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
     try:
         document = loader.get_single_node()
+        repeats = _repeated_keys(document)
         data = None if document is None else loader.construct_document(document)
     except yaml.YAMLError as exc:
         raise ConfigError([f"YAML parse error: {exc}"]) from exc
     finally:
         loader.dispose()
-    repeats = _repeated_keys(document)
     if repeats:
         raise ConfigError(repeats)
     return parse_config(data if data is not None else {})

@@ -48,7 +48,6 @@ from .lending import (
     RiskParams,
     _bounds,
     _check_position,
-    _closing_root,
     _debt_cap,
     _health,
     _hf,
@@ -222,9 +221,8 @@ def run_liquidation(
     (pi_tot, x_liq, binding, pi_liq, x_last, last_binding, pi_last,
      c_post, b_post, a_post, b_res_post) = _liquidation(
         c, b, a, b_res, trade_multiplier(fee, params.bonus), _traj_factor(fee, convention),
-        params.bonus, cf_target, convention,
-        (bounds.x_collateral, bounds.x_debt_full, bounds.x_debt_kappa, bounds.x_closing, hf0),
-        _final_tranche_at, fee, params, kappa, convention)
+        params.bonus, cf_target, kappa, convention,
+        (bounds.x_collateral, bounds.x_debt_full, bounds.x_debt_kappa, bounds.x_closing, hf0))
     return LiquidationResult(
         x_liq=x_liq, binding=binding, pi_liq=pi_liq,
         x_last=x_last, last_binding=last_binding, pi_last=pi_last, pi_tot=pi_tot,
@@ -236,22 +234,16 @@ def run_liquidation(
     )
 
 
-def _final_tranche_at(a, b_res, c, b, fee, params, kappa, convention):
-    """:func:`final_tranche` of the post-run state given as floats."""
-    return final_tranche(PoolState(a, b_res, fee), LoanPosition(c, b), params, kappa, convention)
-
-
-def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, convention, bounds, tranche, *args):
+def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, bounds):
     """:func:`run_liquidation` over floats: (pi_tot, x_liq, binding, pi_liq, x_last,
     last_binding, pi_last, then the post-state c, b, a, b_res).
 
     ``bounds`` is the state's BoundSet fields and health factor, as
-    ``lending._bounds`` returns them, and ``tranche(a, b_res, c, b, *args)``
-    sizes the closing trade from the post-run state as :func:`final_tranche`
-    does; ``u`` and ``m`` are the state's trade multiplier and trajectory
-    factor.  Every post-run and post-trade state is checked as the PoolState
-    and LoanPosition constructors check it, but a reserve that is not > 0
-    raises :class:`~oevsim.amm.ReserveUnderflowError`.
+    ``lending._bounds`` returns them; ``u`` and ``m`` are the state's trade
+    multiplier and trajectory factor.  :func:`_tranche` sizes the closing
+    trade from the post-run state.  Every post-run and post-trade state is
+    checked as the PoolState and LoanPosition constructors check it, but a
+    reserve that is not > 0 raises :class:`~oevsim.amm.ReserveUnderflowError`.
     """
     x_c, x_b, _, x_cf, hf0 = bounds
     x_liq = pi_liq = x_last = pi_last = 0.0
@@ -283,7 +275,8 @@ def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, convention, bounds, tra
             _check_position(c, b)
 
         if binding is Binding.CLOSING_FACTOR and x_cf < x_c and x_cf < x_b:
-            x_last, pi_last, last_binding = tranche(a, b_res, c, b, *args)
+            x_last, pi_last, last_binding = _tranche(a, b_res, c, b, u, m, bonus, kappa,
+                                                     convention)
             if x_last > 0.0:
                 c, b, a, b_res = _liquidate(a, b_res, c, b, x_last, u,
                                             _repay(a, b_res, x_last, u, m, convention),
@@ -325,20 +318,16 @@ def best_strategy(
 def _best_run(c, b, a, b_res, fee, params: RiskParams, convention: RepayConvention) -> tuple:
     """The :func:`_liquidation` tuple that :func:`best_strategy` picks, built from floats alone.
 
-    Each pair runs the float paths of compute_bounds, bound_closing and
-    final_tranche.  The threshold pairs come from a RiskParams, so
-    run_liquidation's range check of cf_target cannot fail and is left out.
+    Each pair runs the float paths of compute_bounds and run_liquidation.
+    The threshold pairs come from a RiskParams, so run_liquidation's range
+    check of cf_target cannot fail and is left out.
     """
-    haircut, bonus = params.haircut, params.bonus
+    bonus = params.bonus
     u, m = trade_multiplier(fee, bonus), _traj_factor(fee, convention)
 
     def run(cf_target: float, kappa: float) -> tuple:
-        bounds = _bounds(
-            c, b, a, b_res, u, m, params, cf_target, kappa, convention,
-            lambda: _closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf_target,
-                                  convention)[0])
-        return _liquidation(c, b, a, b_res, u, m, bonus, cf_target, convention, bounds,
-                            _tranche, u, m, bonus, kappa, convention)
+        bounds = _bounds(c, b, a, b_res, fee, u, m, params, cf_target, kappa, convention)
+        return _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, bounds)
 
     return _best_of(run, params, _RUN_PI_TOT)[0]
 

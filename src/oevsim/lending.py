@@ -158,12 +158,18 @@ def hf_after_marginal(
     the trajectory repayment m*B*x/(A + x*u).  +inf once the run has repaid
     the whole debt, as for any debt-free position.
     """
-    a, b_res = pool.reserve_collateral, pool.reserve_debt
-    u = trade_multiplier(pool.fee, bonus)
-    remaining = position.debt - _repay_total(a, b_res, x, u, _traj_factor(pool.fee, convention))
+    fee = pool.fee
+    return _hf_marginal(pool.reserve_collateral, pool.reserve_debt, position.collateral,
+                        position.debt, trade_multiplier(fee, bonus), _traj_factor(fee, convention),
+                        haircut, bonus, x)
+
+
+def _hf_marginal(a, b_res, c, b, u, m, haircut, bonus, x):
+    """:func:`hf_after_marginal` over floats, with the state's ``u`` and ``m``."""
+    remaining = b - _repay_total(a, b_res, x, u, m)
     if remaining <= 0.0:
         return math.inf
-    return _hf_after(a, b_res, position.collateral, haircut, bonus, x, u, remaining)
+    return _hf_after(a, b_res, c, haircut, bonus, x, u, remaining)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +428,8 @@ def _refine_and_verify_closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, c
     when the residual of the defining equation exceeds the tolerance the
     root is re-bisected on the health-factor gap itself; a root no nearby
     sign change brackets must meet the tolerance as it is.  The re-bisection
-    evaluates the gap through :func:`hf_after_marginal`, so a traced run
-    sees each fallback as more than one call of it.
+    evaluates the gap on floats (:func:`_hf_marginal`); a position and a pool
+    are built only to raise :class:`RecoveryRootError`.
     """
     remaining = b - _repay_total(a, b_res, root, u, m)
     if _exhausted(c, b, root, bonus, remaining):
@@ -437,13 +443,11 @@ def _refine_and_verify_closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, c
         return root
 
     tol = _hf_tol(cf)
-    # Not exhausted, so remaining is not <= 0: this is hf_after_marginal(root).
+    # Not exhausted, so remaining is not <= 0: this is _hf_marginal(root).
     res = _hf_after(a, b_res, c, haircut, bonus, root, u, remaining) - cf
     if abs(res) > 0.5 * tol:
-        position, pool = LoanPosition(c, b), PoolState(a, b_res, fee)
-
         def gap(x: float) -> float:
-            return hf_after_marginal(position, pool, haircut, bonus, x, convention) - cf
+            return _hf_marginal(a, b_res, c, b, u, m, haircut, bonus, x) - cf
 
         # A bracket scaled to the root itself: one scaled to max(root, 1)
         # reaches past the exhaustion point of a root far below 1.  The ulp
@@ -560,24 +564,23 @@ def compute_bounds(
     """
     fee = pool.fee
     x_c, x_b, x_kb, x_cf, hf = _bounds(
-        position.collateral, position.debt, pool.reserve_collateral, pool.reserve_debt,
+        position.collateral, position.debt, pool.reserve_collateral, pool.reserve_debt, fee,
         trade_multiplier(fee, params.bonus), _traj_factor(fee, convention), params, cf_target,
-        kappa, convention,
-        lambda: bound_closing(position, pool, params.haircut, params.bonus, cf_target,
-                              convention).x)
+        kappa, convention)
     return BoundSet(x_c, x_b, x_kb, x_cf), hf
 
 
-def _bounds(c, b, a, b_res, u, m, params, cf_target, kappa, convention, closing):
+def _bounds(c, b, a, b_res, fee, u, m, params, cf_target, kappa, convention):
     """:func:`compute_bounds` over floats: the four BoundSet fields, then the health factor.
 
-    ``closing()`` solves the recovery bound; it is called only when the gate
-    is open.  :func:`compute_bounds` passes :func:`bound_closing`, the float
-    path :func:`_closing_root`.
+    ``u`` and ``m`` are the trade multiplier and trajectory factor of ``fee``
+    and ``convention``.  The recovery bound is solved (:func:`_closing_root`)
+    only when the gate is open.
     """
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
     hf = _health(params.haircut, a, b_res, c, b)
+    x_cf = 0.0 if hf > cf_target else _closing_root(
+        c, b, a, b_res, fee, u, m, params.haircut, params.bonus, cf_target, convention)[0]
     return (_x_collateral(c, params.bonus), _debt_cap(b, a, b_res, u, m),
-            _kappa_cap(kappa * b, a, b_res, u, m, convention),
-            0.0 if hf > cf_target else closing(), hf)
+            _kappa_cap(kappa * b, a, b_res, u, m, convention), x_cf, hf)

@@ -437,11 +437,16 @@ POOL_KP = edit("  reserve_collateral: 1000.0\n  reserve_debt: 2.0e6\n",
 SWEEP_EXTRA = "sweep:\n  axis: price\n  start: 1400.0\n  stop: 2000.0\n  steps: 3\n"
 # A valid file but for the repeat; YAML alone would keep the last value, 0.9.
 REPEATED_FEE = edit("  fee: 0.003\n", "  fee: 0.0\n  fee: 0.9\n")
+# A YAML 1.1 merge key whose bonus the section overrides: valid, bonus 0.06.
+RISK_BLOCK = "risk:\n  haircut: 0.85\n  bonus: 0.05\n  closing_factor: 0.8\n  max_liq_fraction: 0.5\n"
+MERGED_RISK = edit(RISK_BLOCK, "risk: {<<: {haircut: 0.85, bonus: 0.05, closing_factor: 0.8, "
+                               "max_liq_fraction: 0.5}, bonus: 0.06}\n")
+# The section's own bonus given twice beside the merge key: one repeat.
+MERGED_REPEAT = MERGED_RISK.replace("bonus: 0.06}", "bonus: 0.06, bonus: 0.07}")
 
 
 @pytest.mark.parametrize("text, fragment", [
-    (edit("risk:\n  haircut: 0.85\n  bonus: 0.05\n  closing_factor: 0.8\n  max_liq_fraction: 0.5\n",
-          "risk: [0.85, 0.05]\n"), "risk: expected a mapping, got list"),
+    (edit(RISK_BLOCK, "risk: [0.85, 0.05]\n"), "risk: expected a mapping, got list"),
     (edit("  bonus: 0.05\n", "  bonus: 0.05\n  penalty: 0.1\n"), "risk: unknown key 'penalty'"),
     (edit("reserve_debt: 2.0e6", "reserve_debt: lots"),
      "pool.reserve_debt: expected a number, got 'lots'"),
@@ -493,6 +498,7 @@ REPEATED_FEE = edit("  fee: 0.003\n", "  fee: 0.0\n  fee: 0.9\n")
      "scenario: derived state out of domain: health factor of LoanPosition("),
     (MINIMAL + "convention: midpoint\n", "convention: must be one of"),
     (REPEATED_FEE, "  - pool: duplicate key 'fee'\n"),
+    (MERGED_REPEAT, "invalid scenario config:\n  - risk: duplicate key 'bonus'\n"),
 ], ids=["section_not_mapping", "unknown_section_key", "number_type", "bool_not_number",
         "integer_type", "string_type", "top_level_not_mapping", "yaml_syntax", "both_pool_forms",
         "half_reserves", "half_liquidity_price", "liquidity_zero", "price_negative",
@@ -500,7 +506,7 @@ REPEATED_FEE = edit("  fee: 0.003\n", "  fee: 0.0\n  fee: 0.9\n")
         "risk_key_missing", "risk_params_rejected", "bad_spacing", "log_start_zero",
         "fee_axis_stop_one", "fee_axis_start_negative", "fee_high_one", "fee_low_negative",
         "fee_high_nan", "reserve_underflow", "reserve_overflow", "reserve_product_overflow",
-        "health_factor_nan", "bad_convention", "repeated_key"])
+        "health_factor_nan", "bad_convention", "repeated_key", "repeated_key_beside_merge"])
 def test_cli_rejects_every_config_problem(tmp_path, capsys, text, fragment):
     assert main(["liquidate", write(tmp_path, text)]) == 2
     out = capsys.readouterr()
@@ -713,6 +719,7 @@ LOADER_TEXTS = [path.read_text() for path in SCENARIO_FILES] + [
     MINIMAL.replace("debt: 10000.0", "debt: 1:30"),
     MINIMAL.replace("collateral: 5.5", "collateral: yes"),
     MINIMAL + "mode: ~\n",
+    MERGED_RISK,
     "",
 ]
 
@@ -746,3 +753,11 @@ def test_both_yaml_loaders_give_the_pure_python_result(tmp_path, monkeypatch, li
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, REPEATED_FEE))
     assert err.value.problems == ["pool: duplicate key 'fee'"]
+
+    # A key that overrides a merged one is no repeat; a key given twice beside
+    # the merge key, or inside the merged mapping, is one.
+    assert load_config(write(tmp_path, MERGED_RISK)).risk.bonus == 0.06
+    for text in (MERGED_REPEAT, MERGED_RISK.replace("bonus: 0.05,", "bonus: 0.05, bonus: 0.04,")):
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, text))
+        assert err.value.problems == ["risk: duplicate key 'bonus'"]

@@ -1,10 +1,14 @@
 """Two-phase liquidation engine: gates, profits, tranche, strategy selection."""
 
+import dataclasses
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import oevsim.engine
+import oevsim.lending
 from oevsim import (
     Binding,
     LastBinding,
@@ -17,9 +21,14 @@ from oevsim import (
     health_factor,
     run_liquidation,
 )
+from oevsim.attack import attack_profit
+from oevsim.config import load_config
 from oevsim.engine import _run_profit, _shot_profit
 from oevsim.lending import _x_collateral, trade_multiplier
 from oevsim.oracles import integral_oracle, random_instances
+
+from test_batch import SHORT_OF_WINDOW
+from test_domain import SUBNORMAL_ROOT
 
 STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
 
@@ -205,3 +214,61 @@ def test_run_liquidation_evaluates_the_health_factor_once(monkeypatch):
     res = run_liquidation(LoanPosition(6.0, 10_000.0), pool_at(1820.0), STD, 1.0, 0.5)
     assert res.binding is Binding.CLOSING_FACTOR and res.hf_initial < 1.0
     assert len(calls) == 1
+
+
+def bits(value):
+    """``value`` with ``.hex()`` of every float, through dataclasses, tuples and lists."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return {f.name: bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [bits(v) for v in value]
+    return value
+
+
+SCENARIO_STATES = [
+    (*cfg.state_at(), cfg.risk, cfg.convention)
+    for cfg in map(load_config, sorted(Path(__file__).resolve().parent.parent
+                                       .joinpath("scenarios").glob("*.yaml")))
+] + [(*SHORT_OF_WINDOW, oevsim.lending.DEFAULT_CONVENTION),
+     (*SUBNORMAL_ROOT, oevsim.lending.DEFAULT_CONVENTION)]
+
+
+def scalar_chain(position, pool, params, convention):
+    """best_strategy, run_liquidation of both pairs, and attack_profit at three sizes."""
+    runs = [run_liquidation(position, pool, params, cf, kappa, convention)
+            for cf, kappa in ((params.closing_factor, 1.0), (1.0, params.max_liq_fraction))]
+    attacks = [attack_profit(delta * pool.reserve_collateral, position, pool, params, convention)
+               for delta in (0.0, 1e-3, 0.1)]
+    return best_strategy(position, pool, params, convention), runs, attacks
+
+
+def test_scalar_chain_skips_the_public_leaves(monkeypatch):
+    # The float rules call each other: compute_bounds solves the recovery bound
+    # and run_liquidation sizes the closing trade without their public wrappers.
+    unpatched = [scalar_chain(*state) for state in SCENARIO_STATES]
+    # The states reach the recovery bound and the closing trade.
+    assert any(run.last_binding is not LastBinding.NONE for _, runs, _ in unpatched for run in runs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scalar chain called a public leaf")
+
+    monkeypatch.setattr(oevsim.lending, "bound_closing", refuse)
+    monkeypatch.setattr(oevsim.engine, "final_tranche", refuse)
+    assert [bits(scalar_chain(*state)) for state in SCENARIO_STATES] == bits(unpatched)
+
+
+def test_recovery_root_refine_builds_no_state(monkeypatch):
+    # SHORT_OF_WINDOW's root takes the refine, which bisects the gap on floats.
+    position, pool, params = SHORT_OF_WINDOW
+    built, gaps = [], []
+    for cls in (LoanPosition, PoolState):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+    hf_marginal = oevsim.lending._hf_marginal
+    monkeypatch.setattr(oevsim.lending, "_hf_marginal",
+                        lambda *args: gaps.append(args) or hf_marginal(*args))
+    bound = oevsim.lending.bound_closing(position, pool, params.haircut, params.bonus, 1.0)
+    assert bound.x == 7.813165449634398e-07
+    assert built == []
+    assert len(gaps) == 16
