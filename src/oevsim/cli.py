@@ -39,15 +39,14 @@ from .lending import LoanPosition, RecoveryRootError, RepayConvention, RiskParam
 from .amm import PoolState, ReserveUnderflowError
 
 
-def __getattr__(name: str):
-    # PEP 562.  oevsim starts no process pool, but the benchmark harness reads
-    # and replaces cli.ProcessPoolExecutor (perfbench/run.py count_pool_starts,
-    # perfbench/tracing.py Tracer.install).  Importing it on that first read
-    # keeps concurrent.futures and multiprocessing out of every command's start-up.
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+class ProcessPoolExecutor:
+    """A placeholder that oevsim never instantiates: it starts no process pool.
+
+    The benchmark harness subclasses it and assigns the subclass back, to
+    count pool starts (perfbench/run.py count_pool_starts, perfbench/tracing.py
+    Tracer.install).  A class of its own keeps concurrent.futures and
+    multiprocessing out of the process that reads it.
+    """
 
 
 # One float cell: also "inf", "-inf" and "nan", whatever the NaN's sign.
@@ -255,18 +254,14 @@ def reproduce_ex5() -> tuple[list[str], list[list]]:
     attack size stays profitable.
     """
     risk = _study_risk()
-    position = LoanPosition(20.12, 32000.0)
-    fee_bps, deltas = [], []
-    for bps in (0.0, 10.0, 17.0, 30.0):
-        pool = PoolState(1e4, 2.8e7, bps / 1e4)
-        bounds = atk.delta_bounds(position, pool, risk)
-        deltas.append(np.geomspace(1.0, 0.999 * min(bounds.baddebt_cap, bounds.no_revert), 301))
-        fee_bps += [bps] * 301
-    delta = np.concatenate(deltas)
-    res = atk.attack_profit_batch(delta, position.collateral, position.debt, 1e4, 2.8e7,
-                                  np.array(fee_bps) / 1e4, risk)
+    levels = np.array([0.0, 10.0, 17.0, 30.0])
+    _, cap, no_revert = atk.delta_bounds_batch(20.12, 32000.0, 1e4, 2.8e7, levels / 1e4, risk)
+    delta = np.concatenate([np.geomspace(1.0, 0.999 * hi, 301)
+                            for hi in np.minimum(cap, no_revert).tolist()])
+    fee_bps = np.repeat(levels, 301)
+    res = atk.attack_profit_batch(delta, 20.12, 32000.0, 1e4, 2.8e7, fee_bps / 1e4, risk)
     return (["fee_bps", "delta", "total_profit", "liq_profit", "feasible"],
-            [fee_bps, delta.tolist(), _feasible_only(res.total_profit, res.feasible),
+            [fee_bps.tolist(), delta.tolist(), _feasible_only(res.total_profit, res.feasible),
              res.liquidation.pi_tot.tolist(), res.feasible.tolist()])
 
 

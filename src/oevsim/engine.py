@@ -127,7 +127,7 @@ def final_tranche(
 
     Admissible sizes are capped by the remaining collateral and by the
     single-transaction kappa bound; within those the interior optimum wins.
-    Returns a zero trade when u <= 1 (the profit would be non-positive).
+    Returns a zero trade when u <= 1, where the interior optimum is <= 0.
     """
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
@@ -139,8 +139,6 @@ def final_tranche(
 
 def _tranche(a, b_res, c, b, u, m, bonus, kappa, convention):
     """:func:`final_tranche` over floats, with the state's ``u`` and ``m``."""
-    if u <= 1.0:
-        return 0.0, 0.0, LastBinding.NONE
     x_rem = _x_collateral(c, bonus)
     x_kb = _kappa_cap(kappa * b, a, b_res, u, m, convention)
     x_opt = _interior(a, u, math.sqrt)
@@ -319,8 +317,9 @@ def _best_run(c, b, a, b_res, fee, params: RiskParams, convention: RepayConventi
     """The :func:`_liquidation` tuple that :func:`best_strategy` picks, built from floats alone.
 
     Each pair runs the float paths of compute_bounds and run_liquidation.
-    The threshold pairs come from a RiskParams, so run_liquidation's range
-    check of cf_target cannot fail and is left out.
+    The threshold pairs come from a RiskParams, so the range checks of
+    cf_target (run_liquidation's) and kappa (compute_bounds') cannot fail
+    and are left out.
     """
     bonus = params.bonus
     u, m = trade_multiplier(fee, bonus), _traj_factor(fee, convention)

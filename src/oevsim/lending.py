@@ -376,8 +376,8 @@ def _closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention):
     """:func:`bound_closing` over floats: the root and its branch.
 
     ``u`` and ``m`` are the trade multiplier and trajectory factor of ``fee``
-    and ``convention``.  A position and a pool are built only for a root that
-    takes the refine fallback or raises :class:`RecoveryRootError`.
+    and ``convention``.  A position and a pool are built only to raise
+    :class:`RecoveryRootError`.
     """
     if b <= 0.0:
         return math.inf, "none"
@@ -559,9 +559,11 @@ def compute_bounds(
     Returns ``(bounds, hf)``, where ``hf`` is the health factor the gate read.
     A health factor above ``cf_target`` shuts the gate, and the recovery bound
     reports 0 instead of solving an ill-conditioned crossing above the
-    threshold.  kappa is checked before the health factor, so its error
-    comes first.
+    threshold.  This is where kappa is checked, before the health factor, so
+    its error comes first.
     """
+    if not 0.0 < kappa <= 1.0:
+        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
     fee = pool.fee
     x_c, x_b, x_kb, x_cf, hf = _bounds(
         position.collateral, position.debt, pool.reserve_collateral, pool.reserve_debt, fee,
@@ -574,11 +576,10 @@ def _bounds(c, b, a, b_res, fee, u, m, params, cf_target, kappa, convention):
     """:func:`compute_bounds` over floats: the four BoundSet fields, then the health factor.
 
     ``u`` and ``m`` are the trade multiplier and trajectory factor of ``fee``
-    and ``convention``.  The recovery bound is solved (:func:`_closing_root`)
-    only when the gate is open.
+    and ``convention``; ``kappa`` lies in (0, 1], as :func:`compute_bounds`
+    checks.  The recovery bound is solved (:func:`_closing_root`) only when
+    the gate is open.
     """
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
     hf = _health(params.haircut, a, b_res, c, b)
     x_cf = 0.0 if hf > cf_target else _closing_root(
         c, b, a, b_res, fee, u, m, params.haircut, params.bonus, cf_target, convention)[0]

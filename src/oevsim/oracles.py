@@ -312,15 +312,11 @@ def dp_oracle(
     pass locates the span so the second pass spends its budget where the
     process actually runs.  Phase two, entered only if the gate is still
     open, takes one numerically optimized closing trade.  The value of not
-    participating (zero) is always available.
+    participating (zero) is always available: a shut gate or an empty side
+    ends the walk before its first transaction.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    if health_factor(position, pool, params.haircut) > cf_target:
-        return 0.0
-    if position.collateral <= 0.0 or position.debt <= 0.0:
-        return 0.0
-
     span_cap = _x_collateral(position.collateral, params.bonus)
     probe = simulate_liquidation_sequence(
         position, pool, params, cf_target, kappa, convention,

@@ -1,9 +1,11 @@
 """Fixtures shared by the test modules."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
+import oevsim.attack
 import oevsim.lending
 
 
@@ -19,3 +21,18 @@ def broken_health_factor_check(monkeypatch) -> None:
     """
     hf_after = oevsim.lending._hf_after
     monkeypatch.setattr(oevsim.lending, "_hf_after", lambda *args: hf_after(*args) + math.inf)
+
+
+@pytest.fixture
+def non_monotone_fee_profile(monkeypatch) -> None:
+    """Make the best attack profit on fees in [0, 0.003] turn non-positive, then positive.
+
+    ``critical_fee`` probes 0, 0.0005, ..., 0.003; with ``optimize_attack``
+    replaced, they read +, +, 0, 0, +, +, 0.
+    """
+    def optimize_attack(position, pool, params, convention):
+        fee = pool.fee
+        positive = fee < 0.00075 or 0.00175 < fee < 0.00275
+        return SimpleNamespace(best_positive_profit=1.0 if positive else 0.0)
+
+    monkeypatch.setattr(oevsim.attack, "optimize_attack", optimize_attack)

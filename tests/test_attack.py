@@ -287,6 +287,11 @@ def test_critical_fee_requires_sign_change():
         critical_fee(LoanPosition(0.0, 32_000.0), POOL5, STD, 0.0, 0.003)
 
 
+def test_critical_fee_refuses_a_non_monotone_profile(non_monotone_fee_profile):
+    with pytest.raises(NonMonotoneFeeProfileError, match="recovered after turning non-positive"):
+        critical_fee(POS5, POOL5, STD, 0.0, 0.003)
+
+
 def test_critical_fee_trace_brackets_result():
     res = critical_fee(POS5, POOL5, STD, 0.0, 0.003)
     lo, hi = res.bracket

@@ -193,6 +193,7 @@ REJECTIONS = {
         "sweep", "sweep:\n  axis: price\n  start: 1400.0\n  steps: 3\n", "sweep: missing stop"),
     "sweep_no_start": (
         "liquidate", "sweep:\n  axis: price\n  stop: 2000.0\n  steps: 3\n", "sweep: missing start"),
+    "sweep_section_missing": ("sweep", "", "sweep: section required for the sweep command"),
 }
 
 
@@ -342,16 +343,28 @@ def test_cli_output_in_missing_directory(tmp_path, capsys, command):
     assert "config not found" not in err
 
 
-def test_cli_fee_threshold_no_threshold_exit(tmp_path, capsys):
+BUNDLED_ATTACK = (Path(__file__).resolve().parent.parent / "scenarios"
+                  / "attack_delta_sweep.yaml").read_text()
+# Test id: (scenario text, whether the fee profile is non-monotone, fragment of the error).
+NO_THRESHOLD = {
     # Interval entirely above bonus parity: liquidation never profitable.
-    cfg = MINIMAL + """
-mode: attack
-attack:
-  fee_low: 0.08
-  fee_high: 0.09
-"""
-    assert main(["fee-threshold", write(tmp_path, cfg, "thr.yaml")]) == 3
-    assert "no threshold" in capsys.readouterr().err
+    "above_parity": (MINIMAL + "mode: attack\nattack:\n  fee_low: 0.08\n  fee_high: 0.09\n",
+                     False, "not profitable at the low end"),
+    # g(0.0005) is about 22277: the attack still pays at the high end.
+    "profitable_at_high_end": (BUNDLED_ATTACK.replace("fee_high: 0.003", "fee_high: 0.0005"),
+                               False, "still profitable at the high end"),
+    "non_monotone": (BUNDLED_ATTACK, True, "recovered after turning non-positive"),
+}
+
+
+@pytest.mark.parametrize("text, non_monotone, fragment", NO_THRESHOLD.values(), ids=NO_THRESHOLD)
+def test_cli_fee_threshold_no_threshold_exit(tmp_path, capsys, request, text, non_monotone,
+                                             fragment):
+    if non_monotone:
+        request.getfixturevalue("non_monotone_fee_profile")
+    assert main(["fee-threshold", write(tmp_path, text, "thr.yaml")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("no threshold: ") and fragment in err
 
 
 def test_cli_reproduce_writes_csv(tmp_path):
@@ -362,12 +375,21 @@ def test_cli_reproduce_writes_csv(tmp_path):
     assert len(lines) == 282
 
 
-def test_cli_verify_small_run(tmp_path, capsys):
+def test_cli_verify_small_run(tmp_path, capsys, monkeypatch):
     report = tmp_path / "report.jsonl"
     code = main(["verify", "--instances", "4", "--seed", "3", "--report", str(report)])
     assert code == 0
     assert "verification passed" in capsys.readouterr().out
     assert report.exists() and len(report.read_text().strip().splitlines()) >= 8
+    # One failing record fails the run: exit 4.
+    from oevsim import oracles
+
+    monkeypatch.setattr(oracles, "verification_report",
+                        lambda **kwargs: [{"check": "engine_vs_dp", "passed": False}])
+    assert main(["verify", "--instances", "1"]) == 4
+    out = capsys.readouterr()
+    assert "engine_vs_dp" in out.out and "0/1 passed" in out.out
+    assert out.err == "verification FAILED: 1 checks\n"
 
 
 @pytest.mark.parametrize("extra", [["--instances", "0"], ["--instances", "-2"],

@@ -77,9 +77,11 @@ def test_marginal_phase_profit_matches_quadrature():
 
 
 def test_tranche_vanishes_at_parity():
-    flat = PoolState(1000.0, 2_000_000.0, 0.05 / 1.05)
-    x_last, pi_last, tag = final_tranche(flat, LoanPosition(5.0, 1000.0), STD, 0.5)
-    assert (x_last, pi_last, tag) == (0.0, 0.0, LastBinding.NONE)
+    # At bonus parity and above it, where every trade loses.
+    for fee in (0.05 / 1.05, 0.06, 0.5):
+        flat = PoolState(1000.0, 2_000_000.0, fee)
+        x_last, pi_last, tag = final_tranche(flat, LoanPosition(5.0, 1000.0), STD, 0.5)
+        assert (x_last, pi_last, tag) == (0.0, 0.0, LastBinding.NONE)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.5, math.nan])

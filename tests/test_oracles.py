@@ -43,10 +43,13 @@ def pool_at(price, liquidity=2e9, fee=0.0):
 
 
 def test_dp_gate_zero_regardless_of_grid():
-    pos = LoanPosition(6.0, 10_000.0)
-    pool = pool_at(2000.0)  # HF above 1
-    for grid in (2, 100, 5000):
-        assert dp_oracle(pos, pool, STD, 1.0, 0.5, grid) == 0.0
+    # HF above 1, then an empty side: the walk ends before its first transaction.
+    cases = [(LoanPosition(6.0, 10_000.0), pool_at(2000.0))]
+    cases += [(pos, pool_at(1500.0)) for pos in (LoanPosition(0.0, 1e4), LoanPosition(6.0, 0.0),
+                                                  LoanPosition(0.0, 0.0))]
+    for pos, pool in cases:
+        for grid in (2, 100, 5000):
+            assert dp_oracle(pos, pool, STD, 1.0, 0.5, grid) == 0.0
 
 
 @pytest.mark.parametrize("grid_n", [1e4, 100.0])
