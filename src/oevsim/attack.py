@@ -294,18 +294,17 @@ def optimize_attack(
     p_zero = profit_of(0.0)
     grid = _coarse_grid(bounds, lo, hi)
     coarse = attack_profit_batch(grid, c, b, a, b_res, fee, params, convention)
-    feasible = [(d, p) for d, p, ok in zip(grid, coarse.total_profit.tolist(),
-                                           coarse.feasible.tolist()) if ok]
-    best_positive = max((p for d, p in feasible if d > 0.0), default=-math.inf)
-    if not feasible:
+    total = np.where(coarse.feasible, coarse.total_profit, -math.inf)
+    best_positive = float(total.max(where=grid > 0.0, initial=-math.inf))
+    if not coarse.feasible.any():
         return outcome(0.0, len(grid), best_positive)
 
-    d_best, p_best = max(feasible, key=lambda dp: dp[1])
+    idx = int(total.argmax())  # the first best size, as max() picks it
+    d_best, p_best = float(grid[idx]), float(total[idx])
 
     # Golden refinement between the coarse neighbours of the best point.
-    idx = grid.index(d_best)
-    lo_b = grid[idx - 1] if idx > 0 else max(lo, d_best * 0.5)
-    hi_b = grid[idx + 1] if idx + 1 < len(grid) else hi
+    lo_b = float(grid[idx - 1]) if idx > 0 else max(lo, d_best * 0.5)
+    hi_b = float(grid[idx + 1]) if idx + 1 < len(grid) else hi
     d_ref, p_ref = golden_max(profit_of, lo_b, hi_b, tol=1e-10)
     if p_ref > p_best and d_ref > 0.0:
         d_best, p_best = d_ref, p_ref
@@ -316,14 +315,13 @@ def optimize_attack(
     return outcome(d_best, len(grid), best_positive)
 
 
-def _coarse_grid(bounds: DeltaBounds, lo: float, hi: float) -> list[float]:
-    """Sorted attack sizes in [lo, hi]: the trigger, a point just past it, and a log grid."""
-    grid: list[float] = []
-    if bounds.trigger < hi and math.isfinite(bounds.trigger):
-        grid.extend([bounds.trigger, bounds.trigger * (1.0 + 1e-9) + 1e-12])
-    g_lo = max(lo, hi * 1e-7)
-    grid.extend(float(d) for d in np.geomspace(g_lo, hi, _COARSE_POINTS))
-    return sorted(d for d in grid if lo <= d <= hi)
+def _coarse_grid(bounds: DeltaBounds, lo: float, hi: float) -> np.ndarray:
+    """Sorted float64 sizes in [lo, hi]: a log grid, the trigger and a point just past it."""
+    grid = np.geomspace(max(lo, hi * 1e-7), hi, _COARSE_POINTS)
+    if bounds.trigger < hi:  # hi is finite, so a trigger below it is too
+        grid = np.append(grid, (bounds.trigger, bounds.trigger * (1.0 + 1e-9) + 1e-12))
+    grid.sort()
+    return grid[(lo <= grid) & (grid <= hi)]
 
 
 @dataclass(frozen=True)

@@ -220,7 +220,7 @@ def run_liquidation(
      c_post, b_post, a_post, b_res_post) = _liquidation(
         c, b, a, b_res, trade_multiplier(fee, params.bonus), _traj_factor(fee, convention),
         params.bonus, cf_target, kappa, convention,
-        (bounds.x_collateral, bounds.x_debt_full, bounds.x_debt_kappa, bounds.x_closing, hf0))
+        (bounds.x_collateral, bounds.x_debt_full, bounds.x_closing, hf0))
     return LiquidationResult(
         x_liq=x_liq, binding=binding, pi_liq=pi_liq,
         x_last=x_last, last_binding=last_binding, pi_last=pi_last, pi_tot=pi_tot,
@@ -236,14 +236,15 @@ def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, boun
     """:func:`run_liquidation` over floats: (pi_tot, x_liq, binding, pi_liq, x_last,
     last_binding, pi_last, then the post-state c, b, a, b_res).
 
-    ``bounds`` is the state's BoundSet fields and health factor, as
-    ``lending._bounds`` returns them; ``u`` and ``m`` are the state's trade
-    multiplier and trajectory factor.  :func:`_tranche` sizes the closing
-    trade from the post-run state.  Every post-run and post-trade state is
+    ``bounds`` is (x_collateral, x_debt_full, x_closing, hf), as ``lending._bounds``
+    returns it; ``u`` and ``m`` are the state's trade multiplier and trajectory
+    factor.  The binding alone gates the closing trade, which :func:`_tranche`
+    sizes from the post-run state.  Every post-run and post-trade state is
     checked as the PoolState and LoanPosition constructors check it, but a
-    reserve that is not > 0 raises :class:`~oevsim.amm.ReserveUnderflowError`.
+    reserve that is not > 0 (a NaN recovery bound leaves NaN reserves) raises
+    :class:`~oevsim.amm.ReserveUnderflowError`.
     """
-    x_c, x_b, _, x_cf, hf0 = bounds
+    x_c, x_b, x_cf, hf0 = bounds
     x_liq = pi_liq = x_last = pi_last = 0.0
     last_binding = LastBinding.NONE
     if c == 0.0:
@@ -256,7 +257,7 @@ def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, boun
         # Fee at or above bonus parity: every trade loses, participation is optional.
         binding = Binding.FEE_GATE
     else:
-        # Tie priority: collateral > debt > closing factor (reporting only).
+        # Tie priority: collateral > debt > closing factor, the last only strictly below both.
         if x_c <= x_b and x_c <= x_cf:
             x_liq, binding = x_c, Binding.COLLATERAL
         elif x_b <= x_cf:
@@ -272,7 +273,7 @@ def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, boun
             _check_reserves(a, b_res)
             _check_position(c, b)
 
-        if binding is Binding.CLOSING_FACTOR and x_cf < x_c and x_cf < x_b:
+        if binding is Binding.CLOSING_FACTOR:
             x_last, pi_last, last_binding = _tranche(a, b_res, c, b, u, m, bonus, kappa,
                                                      convention)
             if x_last > 0.0:
@@ -325,7 +326,7 @@ def _best_run(c, b, a, b_res, fee, params: RiskParams, convention: RepayConventi
     u, m = trade_multiplier(fee, bonus), _traj_factor(fee, convention)
 
     def run(cf_target: float, kappa: float) -> tuple:
-        bounds = _bounds(c, b, a, b_res, fee, u, m, params, cf_target, kappa, convention)
+        bounds = _bounds(c, b, a, b_res, fee, u, m, params, cf_target, convention)
         return _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, bounds)
 
     return _best_of(run, params, _RUN_PI_TOT)[0]
@@ -416,23 +417,23 @@ def run_liquidation_batch(
             a, b_res, c, b, x_liq, u, _repay_total(a, b_res, x_liq, u, m), bonus, c, b)
         _require_reserves(a_bar, b_res_bar, ~idle)
 
-        # final_tranche on the rows whose run stopped at the recovery bound.
-        tranche = ~idle & (binding == _CLOSING_FACTOR) & (x_cf < x_c) & (x_cf < x_b)
+        # final_tranche on the rows whose run stopped at the recovery bound; their
+        # reserves passed _require_reserves, so x_last is not NaN.
+        tranche = ~idle & (binding == _CLOSING_FACTOR)
         x_rem = _x_collateral(c_bar, bonus)
         x_kb = _kappa_cap(kappa * b_bar, a_bar, b_res_bar, u, m, convention)
         x_opt = _interior(a_bar, u, np.sqrt)
         by_rem = (x_rem <= x_kb) & (x_rem <= x_opt)
         by_kb = ~by_rem & (x_kb <= x_opt)
         x_last = np.where(by_rem, x_rem, np.where(by_kb, x_kb, x_opt))
-        closes = tranche & ~(x_last <= 0.0)
-        pi_last = np.where(closes, _shot_profit(a_bar, b_res_bar, u, x_last), 0.0)
-        last_binding = np.where(closes, np.where(by_rem, _REMAINDER,
+        trade = tranche & (x_last > 0.0)
+        pi_last = np.where(trade, _shot_profit(a_bar, b_res_bar, u, x_last), 0.0)
+        last_binding = np.where(trade, np.where(by_rem, _REMAINDER,
                                                  np.where(by_kb, _KAPPA_CAP, _INTERIOR_MAX)), _NONE)
         c_fin, b_fin, a_fin, b_res_fin = _liquidate(
             a_bar, b_res_bar, c_bar, b_bar, x_last, u,
             _repay(a_bar, b_res_bar, x_last, u, m, convention), bonus,
             pmax(c, 1.0), pmax(b, 1.0))
-        trade = tranche & (x_last > 0.0)
         _require_reserves(a_fin, b_res_fin, trade)
         post_c = np.where(trade, c_fin, np.where(idle, c, c_bar))
         post_b = np.where(trade, b_fin, np.where(idle, b, b_bar))

@@ -560,28 +560,25 @@ def compute_bounds(
     A health factor above ``cf_target`` shuts the gate, and the recovery bound
     reports 0 instead of solving an ill-conditioned crossing above the
     threshold.  This is where kappa is checked, before the health factor, so
-    its error comes first.
+    its error comes first, and the one place ``x_debt_kappa`` is computed (no run reads it).
     """
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    fee = pool.fee
-    x_c, x_b, x_kb, x_cf, hf = _bounds(
-        position.collateral, position.debt, pool.reserve_collateral, pool.reserve_debt, fee,
-        trade_multiplier(fee, params.bonus), _traj_factor(fee, convention), params, cf_target,
-        kappa, convention)
-    return BoundSet(x_c, x_b, x_kb, x_cf), hf
+    c, b, a, b_res, fee = (position.collateral, position.debt, pool.reserve_collateral,
+                           pool.reserve_debt, pool.fee)
+    u, m = trade_multiplier(fee, params.bonus), _traj_factor(fee, convention)
+    x_c, x_b, x_cf, hf = _bounds(c, b, a, b_res, fee, u, m, params, cf_target, convention)
+    return BoundSet(x_c, x_b, _kappa_cap(kappa * b, a, b_res, u, m, convention), x_cf), hf
 
 
-def _bounds(c, b, a, b_res, fee, u, m, params, cf_target, kappa, convention):
-    """:func:`compute_bounds` over floats: the four BoundSet fields, then the health factor.
+def _bounds(c, b, a, b_res, fee, u, m, params, cf_target, convention):
+    """The bounds a run reads: (x_collateral, x_debt_full, x_closing, hf), from floats.
 
     ``u`` and ``m`` are the trade multiplier and trajectory factor of ``fee``
-    and ``convention``; ``kappa`` lies in (0, 1], as :func:`compute_bounds`
-    checks.  The recovery bound is solved (:func:`_closing_root`) only when
-    the gate is open.
+    and ``convention``.  The recovery bound is solved (:func:`_closing_root`)
+    only when the gate is open.
     """
     hf = _health(params.haircut, a, b_res, c, b)
     x_cf = 0.0 if hf > cf_target else _closing_root(
         c, b, a, b_res, fee, u, m, params.haircut, params.bonus, cf_target, convention)[0]
-    return (_x_collateral(c, params.bonus), _debt_cap(b, a, b_res, u, m),
-            _kappa_cap(kappa * b, a, b_res, u, m, convention), x_cf, hf)
+    return _x_collateral(c, params.bonus), _debt_cap(b, a, b_res, u, m), x_cf, hf

@@ -110,7 +110,8 @@ def simulate_liquidation_sequence(
     The terminator records which constraint ended the run: the health gate
     ("closing_factor"), debt exhausted, collateral exhausted, a gate that
     was already shut at entry ("gate"), the step budget ("steps"), or a
-    transaction cap that is not positive ("stalled").
+    transaction cap that is not positive ("stalled").  With no transaction
+    made, the post-state is the caller's ``position`` and ``pool`` objects.
 
     Runs of plain steps -- ``step_limit`` under both caps, leaving a state
     the walk goes on from with the gate open -- are computed as float64
@@ -256,8 +257,8 @@ def simulate_liquidation_sequence(
             term = "closing_factor"
             break
 
-    return SequenceOutcome(profit, term, steps, cum_x, LoanPosition(c, b),
-                           PoolState(a, r, fee))
+    post = (position, pool) if steps == 0 else (LoanPosition(c, b), PoolState(a, r, fee))
+    return SequenceOutcome(profit, term, steps, cum_x, *post)
 
 
 def _best_closing_trade(

@@ -277,6 +277,16 @@ def test_optimizer_empty_range_returns_zero_attack():
     assert out.delta == 0.0 and out.result.total_profit == 0.0
 
 
+def test_optimizer_returns_the_zero_attack_when_every_coarse_size_reverts():
+    # The range is the top 0.1 % under the no-revert ceiling, which counts all
+    # the collateral as sold into the pool; at a 6 % fee the fee gate sells none
+    # of it, so the buy-back reverts at every coarse size.
+    pool = PoolState(1e4, 2.8e7, 0.06)
+    out = optimize_attack(POS5, pool, STD, delta_range=(1e4 / 0.06 * 1.001, math.inf))
+    assert out.delta == 0.0 and out.coarse_points == 512
+    assert out.best_positive_profit == -math.inf
+
+
 def test_critical_fee_requires_sign_change():
     # Interval entirely above bonus parity: liquidation itself never pays.
     parity = STD.bonus / (1.0 + STD.bonus)

@@ -142,7 +142,7 @@ def probe_deltas(position, pool, params, coarse_points) -> list[float]:
     if 0.0 < hi < math.inf:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oevsim.attack, "_COARSE_POINTS", coarse_points)
-            deltas += _coarse_grid(bounds, 0.0, hi)
+            deltas += _coarse_grid(bounds, 0.0, hi).tolist()
     if math.isfinite(bounds.no_revert):
         deltas += [bounds.no_revert * 1.01, bounds.no_revert * 10.0]
     else:

@@ -8,6 +8,7 @@ Liquidations", IMC 2021).
 """
 
 import math
+import re
 import signal
 
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oevsim import (
+    Binding,
+    LastBinding,
     LoanPosition,
     PoolState,
     RecoveryRootError,
@@ -23,12 +26,16 @@ from oevsim import (
     attack_profit,
     best_strategy,
     compute_bounds,
+    critical_fee,
     delta_bounds,
+    hf_monotonicity_check,
+    integral_oracle,
     run_liquidation,
     simulate_liquidation_sequence,
+    subadditivity_check,
 )
-from oevsim.attack import _sandwich_total
-from oevsim.engine import best_strategy_batch
+from oevsim.attack import _sandwich_total, attack_profit_batch
+from oevsim.engine import best_strategy_batch, run_liquidation_batch
 
 
 def lerp(r: float, lo: float, hi: float) -> float:
@@ -89,6 +96,11 @@ def pool_kept(before: PoolState, after: PoolState) -> bool:
 def assert_liquidation_in_domain(res, position: LoanPosition, pool: PoolState) -> None:
     assert math.isfinite(res.pi_tot) and res.pi_tot >= 0.0
     assert res.pi_tot == res.pi_liq + res.pi_last
+    # A closing trade follows only a run stopped by a recovery bound strictly below the others.
+    if res.last_binding is not LastBinding.NONE:
+        assert res.binding is Binding.CLOSING_FACTOR
+        bounds = res.bounds
+        assert bounds.x_closing < min(bounds.x_collateral, bounds.x_debt_full)
     assert res.post_position.collateral <= position.collateral
     assert res.post_position.debt <= position.debt
     assert pool_kept(pool, res.post_pool)
@@ -260,3 +272,34 @@ def test_underflowing_square_raises_one_value_error():
         strategy_batch(position, pool, params)
     with pytest.raises(ValueError, match=match):
         attack_profit(0.0, position, pool, params)
+
+
+# A liquidatable position (HF 0.85*1500*6/1e4 = 0.765) in a pool at 1500.
+INPUT_POSITION, INPUT_POOL = LoanPosition(6.0, 10_000.0), PoolState(1e6, 1.5e9, 0.003)
+INPUT_PARAMS = RiskParams(0.85, 0.05, 0.8, 0.5)
+INPUT_ROW = (6.0, 10_000.0, 1e6, 1.5e9, 0.003, INPUT_PARAMS)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: critical_fee(INPUT_POSITION, INPUT_POOL, INPUT_PARAMS, 0.003, 0.003),
+                 "need 0 <= fee_low < fee_high < 1, got [0.003, 0.003]", id="critical_fee"),
+    pytest.param(lambda: attack_profit_batch([1.0, -2.0], *INPUT_ROW),
+                 "attack size must be >= 0, got -2.0", id="attack_profit_batch"),
+    pytest.param(lambda: run_liquidation(INPUT_POSITION, INPUT_POOL, INPUT_PARAMS, 0.0, 0.5),
+                 "cf_target must lie in (0, 1], got 0.0", id="run_liquidation_cf_zero"),
+    pytest.param(lambda: run_liquidation(INPUT_POSITION, INPUT_POOL, INPUT_PARAMS, 1.5, 0.5),
+                 "cf_target must lie in (0, 1], got 1.5", id="run_liquidation_cf_high"),
+    pytest.param(lambda: run_liquidation_batch(*INPUT_ROW, [1.0, 1.5], 0.5),
+                 "cf_target must lie in (0, 1], got 1.5", id="run_liquidation_batch_cf"),
+    pytest.param(lambda: run_liquidation_batch(*INPUT_ROW, 1.0, [0.5, 0.0]),
+                 "kappa must lie in (0, 1], got 0.0", id="run_liquidation_batch_kappa"),
+    pytest.param(lambda: integral_oracle(INPUT_POOL, -1.0, 0.05),
+                 "x_liq must be >= 0, got -1.0", id="integral_oracle"),
+    pytest.param(lambda: subadditivity_check(INPUT_POOL, 0.05, 1.0, -1.0),
+                 "split sizes must be >= 0", id="subadditivity_check"),
+    pytest.param(lambda: hf_monotonicity_check(INPUT_POSITION, INPUT_POOL, 0.85, 0.05, 4.0, 4.0),
+                 "split repays more than the outstanding debt", id="hf_monotonicity_check"),
+])
+def test_documented_input_errors_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

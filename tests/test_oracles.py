@@ -11,6 +11,7 @@ from oevsim import (
     PoolState,
     RepayConvention,
     RiskParams,
+    compute_bounds,
     dp_oracle,
     health_factor,
     hf_monotonicity_check,
@@ -181,8 +182,13 @@ def test_hf_monotonicity_random_batch():
 
 def test_sequence_simulator_gate_and_terminators():
     pos = LoanPosition(6.0, 10_000.0)
-    shut = simulate_liquidation_sequence(pos, pool_at(2000.0), STD, 1.0, 0.5)
-    assert shut.terminator == "gate" and shut.profit == 0.0 and shut.steps == 0
+    # A walk that makes no transaction hands back the caller's objects.
+    for entry, pool, term in ((pos, pool_at(2000.0), "gate"),
+                              (LoanPosition(0.0, 1e4), pool_at(1500.0), "collateral"),
+                              (LoanPosition(6.0, 0.0), pool_at(1500.0), "debt")):
+        idle = simulate_liquidation_sequence(entry, pool, STD, 1.0, 0.5)
+        assert idle.terminator == term and idle.profit == 0.0 and idle.steps == 0
+        assert idle.post_position is entry and idle.post_pool is pool
 
     low = simulate_liquidation_sequence(
         pos, pool_at(1700.0), STD, 1.0, 0.5, RepayConvention.SPOT_PRICE
@@ -370,6 +376,20 @@ def test_long_walks_match_the_scalar_walk(convention):
     got, want = walk_pair(GATE_WALK, convention, span(GATE_WALK) / 20_000, True, 40_000)
     assert outcome_bits(got) == outcome_bits(want)
     assert got.terminator == "closing_factor" and got.steps > 16_000
+
+
+@pytest.mark.parametrize("convention", [RepayConvention.EXECUTION_VALUE,
+                                        RepayConvention.EXECUTION_PER_BONUS],
+                         ids=lambda c: c.value)
+def test_a_chunk_with_no_plain_row_hands_the_step_to_the_scalar_walk(convention):
+    # In steps of x_closing/8.5 the first chunk starts after 8 plain steps, and
+    # its first row already crosses the gate.
+    inst = GATE_WALK
+    bounds, _ = compute_bounds(inst.position, inst.pool, inst.params, inst.cf_target, 1.0,
+                               convention)
+    got, want = walk_pair(inst, convention, bounds.x_closing / 8.5, True, 40_000, kappa=1.0)
+    assert outcome_bits(got) == outcome_bits(want)
+    assert got.terminator == "closing_factor" and got.steps == 9
 
 
 @pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
