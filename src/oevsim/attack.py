@@ -235,11 +235,12 @@ def attack_profit_batch(
 
 @dataclass(frozen=True)
 class OptimizeOutcome:
-    """Best attack found, with the search resolution on record.
+    """Best attack found, with the search that found it on record.
 
     ``best_positive_profit`` tracks the best profit over strictly positive
     sizes only (it is -inf when no positive size was feasible); the headline
     ``result`` may be the zero-size attack when nothing beats doing nothing.
+    The search ran on [``search_lo``, ``search_hi``], capped by ``bounds``.
     """
 
     delta: float
@@ -247,6 +248,8 @@ class OptimizeOutcome:
     coarse_points: int
     search_hi: float
     best_positive_profit: float
+    bounds: DeltaBounds
+    search_lo: float
 
 
 def optimize_attack(
@@ -280,7 +283,7 @@ def optimize_attack(
 
     def outcome(delta: float, points: int, best_positive: float) -> OptimizeOutcome:
         result = attack_profit(delta, position, pool, params, convention)
-        return OptimizeOutcome(delta, result, points, max(hi, 0.0), best_positive)
+        return OptimizeOutcome(delta, result, points, max(hi, 0.0), best_positive, bounds, lo)
 
     if hi <= 0.0 or hi < lo or hi == math.inf:
         return outcome(0.0, 0, -math.inf)

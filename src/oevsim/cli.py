@@ -304,15 +304,14 @@ def _cmd_attack(args) -> int:
     d_range = (cfg.attack.delta_min, cfg.attack.delta_max)
     out = atk.optimize_attack(position, pool, cfg.risk, delta_range=d_range,
                               convention=cfg.convention)
-    if d_range[0] > out.search_hi:
+    if out.search_lo > out.search_hi:
         print(f"attack: delta range [{d_range[0]:.6g}, {d_range[1]:.6g}] lies above "
               f"the search ceiling {out.search_hi:.6g}", file=sys.stderr)
         return 3
-    bounds = atk.delta_bounds(position, pool, cfg.risk)
-    res = out.result
+    bounds, res = out.bounds, out.result
     print(f"delta bounds         trigger={bounds.trigger:.6g} "
           f"baddebt_cap={bounds.baddebt_cap:.6g} no_revert={bounds.no_revert:.6g}")
-    print(f"search               [{max(0.0, d_range[0]):.6g}, {out.search_hi:.6g}] "
+    print(f"search               [{out.search_lo:.6g}, {out.search_hi:.6g}] "
           f"coarse points={out.coarse_points}")
     print(f"best attack          delta={out.delta:.6g}")
     print(f"  front proceeds     {res.front_proceeds:.6g}")
@@ -335,14 +334,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_fee_threshold(args) -> int:
     cfg = load_config(args.config)
     position, pool = cfg.state_at()
-    try:
-        res = atk.critical_fee(
-            position, pool, cfg.risk, cfg.attack.fee_low, cfg.attack.fee_high,
-            convention=cfg.convention,
-        )
-    except (atk.NoThresholdError, atk.NonMonotoneFeeProfileError) as exc:
-        print(f"no threshold: {exc}", file=sys.stderr)
-        return 3
+    res = atk.critical_fee(position, pool, cfg.risk, cfg.attack.fee_low, cfg.attack.fee_high,
+                           convention=cfg.convention)
     print("fee_bps,best_positive_profit")
     for fee, profit in res.trace:
         print(f"{fee * 1e4:.6g},{profit:.6g}")
@@ -438,6 +431,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except (atk.NoThresholdError, atk.NonMonotoneFeeProfileError) as exc:
+        print(f"no threshold: {exc}", file=sys.stderr)
+        return 3
     except RecoveryRootError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 5

@@ -10,7 +10,6 @@ parameters, and optionally a sweep axis and attack settings:
       # reserve_collateral: 1000 # ... or explicit reserves
       # reserve_debt: 2.0e6
       fee: 0.0
-      scale: 1.0                 # optional depth multiplier
     position:
       debt: 10000.0
       collateral: 6.0            # or: initial_health_factor: 0.5
@@ -80,18 +79,17 @@ class PoolSpec:
     liquidity: float | None = None
     price: float | None = None
     fee: float = 0.0
-    scale: float = 1.0
 
     def columns(self, price=None, pool_scale=None, fee=None) -> tuple:
         """Reserves and fee ``(A, B, fee)``; an override, named as its axis, may be a column.
 
         The float operations run in the scalar order, and ``sqrt`` and
         ``+ - * /`` are correctly rounded, so each row has the bits of the
-        same state computed alone.  The scale is a float64, so every result
-        is numpy's and overflow, underflow and division by 0 follow
-        ``np.errstate``.
+        same state computed alone.  The scale (1.0 without a ``pool_scale``)
+        is a float64, so every result is numpy's and overflow, underflow and
+        division by 0 follow ``np.errstate``.
         """
-        s = np.asarray(self.scale if pool_scale is None else pool_scale, dtype=float)
+        s = np.asarray(1.0 if pool_scale is None else pool_scale, dtype=float)
         g = self.fee if fee is None else fee
         if self.liquidity is not None:
             p = self.price if price is None else price
@@ -276,8 +274,6 @@ def parse_config(data: dict) -> ScenarioConfig:
     # A range check skips a value that _take already reported as not finite.
     if math.isfinite(pool.fee) and not 0.0 <= pool.fee < 1.0:
         problems.append(f"pool.fee: must lie in [0, 1), got {pool.fee}")
-    if pool.scale <= 0.0:
-        problems.append(f"pool.scale: must be > 0, got {pool.scale}")
 
     pos_raw = _take(data.get("position"), "position", PositionSpec, problems)
     if ("collateral" in pos_raw) == ("initial_health_factor" in pos_raw):

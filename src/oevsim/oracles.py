@@ -411,7 +411,8 @@ def hf_monotonicity_check(
     sequential variant at the post-second-leg price.  Selling only lowers
     the pool price, so the sequential denominator is larger and its
     numerator smaller, keeping HF(lump) >= HF(sequential).  The price chain
-    B0/A0 >= B1/A1 >= B2/A2 is verified alongside.
+    B0/A0 >= B1/A1 >= B2/A2 is verified alongside.  A split that overdraws
+    the debt or the collateral raises ``ValueError``.
     """
     a0, b0 = pool.reserve_collateral, pool.reserve_debt
     u = trade_multiplier(pool.fee, bonus)
@@ -429,6 +430,8 @@ def hf_monotonicity_check(
     debt_seq = b - x1 * p0 - x2 * p1
     if debt_lump <= 0.0 or debt_seq <= 0.0:
         raise ValueError("split repays more than the outstanding debt")
+    if coll_left < 0.0:
+        raise ValueError("split claims more collateral than the position holds")
     hf_lump = haircut * coll_left * p1 / debt_lump
     hf_seq = haircut * coll_left * p2 / debt_seq
     slack = 1e-12 * max(1.0, abs(hf_lump), abs(hf_seq))

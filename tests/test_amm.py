@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oevsim import InsufficientReservesError, PoolState
+from oevsim import InsufficientReservesError, PoolState, ReserveUnderflowError
 
 reserves = st.floats(min_value=1e-3, max_value=1e12, allow_nan=False, allow_infinity=False)
 fees = st.floats(min_value=0.0, max_value=0.2, exclude_max=False)
@@ -69,6 +69,12 @@ def test_buy_at_or_above_reserve_reverts():
         pool.buy_collateral_exact(1000.0)
     with pytest.raises(InsufficientReservesError):
         pool.buy_collateral_exact(1001.0)
+
+
+def test_buy_that_underflows_the_debt_reserve_raises():
+    # A*B = 1e-400 underflows to 0, so the debt reserve after the buy is 0.
+    with pytest.raises(ReserveUnderflowError, match=r"^reserve_debt must be > 0, got 0\.0$"):
+        PoolState(1e-200, 1e-200).buy_collateral_exact(5e-201)
 
 
 def test_negative_amounts_rejected():

@@ -277,6 +277,30 @@ def test_optimizer_empty_range_returns_zero_attack():
     assert out.delta == 0.0 and out.result.total_profit == 0.0
 
 
+README_POOL = PoolState(10_000.0, 28_000_000.0, 0.0)  # POOL5 without its fee
+
+
+@pytest.mark.parametrize("pool", [POOL5, README_POOL], ids=["30bps", "no_fee"])
+@pytest.mark.parametrize("delta_min", [-5.0, 0.0, 5000.0, 1e12],
+                         ids=["negative", "zero", "inside", "above_ceiling"])
+def test_optimizer_records_the_bounds_and_interval_it_searched(pool, delta_min):
+    out = optimize_attack(POS5, pool, STD, delta_range=(delta_min, math.inf))
+    assert out.bounds == delta_bounds(POS5, pool, STD)
+    assert out.search_lo == max(0.0, delta_min)
+    assert (out.search_lo > out.search_hi) == (delta_min == 1e12)
+
+
+def test_optimizer_on_a_zero_width_range_evaluates_that_size(monkeypatch):
+    brackets = []
+    golden_max = oevsim.attack.golden_max
+    monkeypatch.setattr(oevsim.attack, "golden_max", lambda f, lo, hi, tol:
+                        brackets.append((lo, hi)) or golden_max(f, lo, hi, tol))
+    out = optimize_attack(POS5, README_POOL, STD, delta_range=(5000.0, 5000.0))
+    assert brackets == [(5000.0, 5000.0)]
+    assert out.delta == 5000.0
+    assert out.result.total_profit == attack_profit(5000.0, POS5, README_POOL, STD).total_profit > 0
+
+
 def test_optimizer_returns_the_zero_attack_when_every_coarse_size_reverts():
     # The range is the top 0.1 % under the no-revert ceiling, which counts all
     # the collateral as sold into the pool; at a 6 % fee the fee gate sells none

@@ -403,7 +403,7 @@ def reference_state(cfg, value: float) -> tuple[LoanPosition, PoolState]:
     """The state at one sweep value, from the scenario's fields with math.sqrt."""
     axis, spec = cfg.sweep.axis, cfg.pool
     price = value if axis == "price" else None
-    s = value if axis == "pool_scale" else spec.scale
+    s = value if axis == "pool_scale" else 1.0
     fee = value if axis == "fee" else spec.fee
     if spec.liquidity is not None:
         p = spec.price if price is None else price

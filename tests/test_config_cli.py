@@ -12,6 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oevsim.attack
 from oevsim import ConfigError, LoanPosition, PoolState, health_factor, load_config
 from oevsim.cli import REPRODUCERS, _fmt, _write_csv, main, run_sweep
 from oevsim.config import SWEEP_AXES, parse_config
@@ -263,16 +264,67 @@ def test_cli_fee_threshold_debt_free_position_exits_3(tmp_path, capsys):
     assert "no threshold: attack is not profitable at the low end of the interval" in err
 
 
-def test_cli_attack_search_line_starts_at_delta_min(tmp_path, capsys):
-    cfg = """
+BUNDLED_ATTACK = (Path(__file__).resolve().parent.parent / "scenarios"
+                  / "attack_delta_sweep.yaml").read_text()
+
+
+@pytest.fixture
+def no_bounds_after_the_search(monkeypatch):
+    """Make ``delta_bounds`` raise once ``optimize_attack`` has returned."""
+    optimize_attack = oevsim.attack.optimize_attack
+
+    def bounds_again(*args):
+        raise AssertionError("delta_bounds called after the search")
+
+    def search(*args, **kwargs):
+        out = optimize_attack(*args, **kwargs)
+        monkeypatch.setattr(oevsim.attack, "delta_bounds", bounds_again)
+        return out
+
+    monkeypatch.setattr(oevsim.attack, "optimize_attack", search)
+
+
+ATTACK_STDOUT = {
+    "bundled": (3, """\
+delta bounds         trigger=2239.56 baddebt_cap=8.37353e+06 no_revert=3.34002e+06
+search               [0, 3.34002e+06] coarse points=514
+best attack          delta=0
+  front proceeds     0
+  liquidation profit 0
+  buy-back cost      0
+  total profit       0
+  triggered=False feasible=True strategy=cf_full
+no profitable attack size found
+"""),
+    "delta_min_5000": (0, """\
+delta bounds         trigger=2232.85 baddebt_cap=8.32333e+06 no_revert=inf
+search               [5000, 8.32333e+06] coarse points=512
+best attack          delta=8.32333e+06
+  front proceeds     2.79664e+07
+  liquidation profit 0.00386303
+  buy-back cost      27910177.2015
+  total profit       56222.802306
+  triggered=True feasible=True strategy=cf_full
+"""),
+}
+ATTACK_TEXTS = {
+    "bundled": BUNDLED_ATTACK,
+    "delta_min_5000": """
 mode: attack
 pool: {reserve_collateral: 10000.0, reserve_debt: 2.8e+7, fee: 0.0}
 position: {debt: 32000.0, collateral: 20.12}
 risk: {haircut: 0.85, bonus: 0.05, closing_factor: 0.8, max_liq_fraction: 0.5}
 attack: {delta_min: 5000.0}
-"""
-    assert main(["attack", write(tmp_path, cfg)]) == 0
-    assert "search               [5000, 8.32333e+06] coarse points=512\n" in capsys.readouterr().out
+""",
+}
+
+
+@pytest.mark.usefixtures("no_bounds_after_the_search")
+@pytest.mark.parametrize("scenario", sorted(ATTACK_STDOUT))
+def test_cli_attack_prints_the_bounds_of_its_search(tmp_path, capsys, scenario):
+    code, stdout = ATTACK_STDOUT[scenario]
+    assert main(["attack", write(tmp_path, ATTACK_TEXTS[scenario])]) == code
+    assert capsys.readouterr() == (stdout, "")
 
 
 @pytest.mark.usefixtures("broken_health_factor_check")
@@ -343,8 +395,6 @@ def test_cli_output_in_missing_directory(tmp_path, capsys, command):
     assert "config not found" not in err
 
 
-BUNDLED_ATTACK = (Path(__file__).resolve().parent.parent / "scenarios"
-                  / "attack_delta_sweep.yaml").read_text()
 # Test id: (scenario text, whether the fee profile is non-monotone, fragment of the error).
 NO_THRESHOLD = {
     # Interval entirely above bonus parity: liquidation never profitable.
@@ -486,7 +536,8 @@ MERGED_REPEAT = MERGED_RISK.replace("bonus: 0.06}", "bonus: 0.06, bonus: 0.07}")
     (POOL_KP.replace("  price: 2000.0\n", ""), "liquidity and price must be given together"),
     (POOL_KP.replace("liquidity: 2.0e9", "liquidity: 0.0"), "liquidity and price must be > 0"),
     (POOL_KP.replace("price: 2000.0", "price: -2000.0"), "liquidity and price must be > 0"),
-    (edit("  fee: 0.003\n", "  fee: 0.003\n  scale: 0.0\n"), "pool.scale: must be > 0"),
+    # A pool's size is its reserves or its liquidity; pool_scale is a sweep axis only.
+    (edit("  fee: 0.003\n", "  fee: 0.003\n  scale: 2.0\n"), "pool: unknown key 'scale'"),
     (edit("debt: 10000.0", "debt: -1.0"), "position.debt: must be >= 0"),
     (edit("  debt: 10000.0\n", ""), "position: missing debt"),
     (edit("collateral: 5.5", "collateral: -5.5"), "position.collateral: must be >= 0"),
@@ -524,7 +575,7 @@ MERGED_REPEAT = MERGED_RISK.replace("bonus: 0.06}", "bonus: 0.06, bonus: 0.07}")
 ], ids=["section_not_mapping", "unknown_section_key", "number_type", "bool_not_number",
         "integer_type", "string_type", "top_level_not_mapping", "yaml_syntax", "both_pool_forms",
         "half_reserves", "half_liquidity_price", "liquidity_zero", "price_negative",
-        "scale_zero", "debt_negative", "debt_missing", "collateral_negative", "hf_negative",
+        "scale_unknown", "debt_negative", "debt_missing", "collateral_negative", "hf_negative",
         "risk_key_missing", "risk_params_rejected", "bad_spacing", "log_start_zero",
         "fee_axis_stop_one", "fee_axis_start_negative", "fee_high_one", "fee_low_negative",
         "fee_high_nan", "reserve_underflow", "reserve_overflow", "reserve_product_overflow",
@@ -541,8 +592,6 @@ def test_cli_rejects_every_config_problem(tmp_path, capsys, text, fragment):
      "pool.reserve_collateral: must be finite, got nan"),
     ("liquidate", edit("reserve_debt: 2.0e6", "reserve_debt: .inf"),
      "pool.reserve_debt: must be finite, got inf"),
-    ("liquidate", edit("  fee: 0.003\n", "  fee: 0.003\n  scale: .nan\n"),
-     "pool.scale: must be finite, got nan"),
     ("liquidate", edit("debt: 10000.0", "debt: .nan"), "position.debt: must be finite, got nan"),
     ("liquidate", edit("debt: 10000.0", "debt: .inf"), "position.debt: must be finite, got inf"),
     ("liquidate", edit("collateral: 5.5", "collateral: .nan"),
@@ -565,7 +614,7 @@ def test_cli_rejects_every_config_problem(tmp_path, capsys, text, fragment):
      "attack.delta_min: must be finite, got nan"),
     ("attack", MINIMAL + "mode: attack\nattack:\n  delta_max: .nan\n",
      "attack.delta_max: must be finite, got nan"),
-], ids=["reserve_collateral_nan", "reserve_debt_inf", "scale_nan", "debt_nan", "debt_inf",
+], ids=["reserve_collateral_nan", "reserve_debt_inf", "debt_nan", "debt_inf",
         "collateral_nan", "hf_nan", "bonus_nan", "sweep_stop_inf", "sweep_start_neg_inf",
         "delta_min_inf", "fee_nan", "fee_low_nan", "fee_high_inf", "delta_min_nan",
         "delta_max_nan"])
@@ -601,9 +650,9 @@ VALID_SCENARIOS = st.fixed_dictionaries({
     "pool": st.one_of(
         st.fixed_dictionaries({"reserve_collateral": st.floats(1.0, 1e6),
                                "reserve_debt": st.floats(1.0, 1e9)},
-                              optional={"fee": st.floats(0.0, 0.1), "scale": st.floats(0.1, 10.0)}),
+                              optional={"fee": st.floats(0.0, 0.1)}),
         st.fixed_dictionaries({"liquidity": st.floats(1.0, 1e12), "price": st.floats(1.0, 1e4)},
-                              optional={"fee": st.floats(0.0, 0.1), "scale": st.floats(0.1, 10.0)}),
+                              optional={"fee": st.floats(0.0, 0.1)}),
     ),
     "position": st.one_of(
         st.fixed_dictionaries({"debt": st.floats(0.0, 1e6), "collateral": st.floats(0.0, 1e3)}),
@@ -675,10 +724,9 @@ OUT_OF_DOMAIN_ENDS = {
     "overflow": ({"pool": {"reserve_collateral": 1000.0, "reserve_debt": 2e6},
                   "sweep": {"axis": "price", "start": 1.0, "stop": 1e308, "steps": 3}},
                  "reserve_debt=inf, fee=0.0) is not finite"),
-    # The base state alone: reserve_debt * scale underflows to 0, and the
-    # collateral derived from it divides by that 0.
-    "base_underflow": ({"pool": {"reserve_collateral": 1.0, "reserve_debt": 1e-200,
-                                 "scale": 1e-200}},
+    # The base state alone: liquidity * price underflows to 0 under the
+    # square root, and the collateral derived from that reserve divides by 0.
+    "base_underflow": ({"pool": {"liquidity": 1e-300, "price": 1e-300}},
                        "reserve_debt must be > 0, got 0.0"),
 }
 

@@ -299,6 +299,11 @@ INPUT_ROW = (6.0, 10_000.0, 1e6, 1.5e9, 0.003, INPUT_PARAMS)
                  "split sizes must be >= 0", id="subadditivity_check"),
     pytest.param(lambda: hf_monotonicity_check(INPUT_POSITION, INPUT_POOL, 0.85, 0.05, 4.0, 4.0),
                  "split repays more than the outstanding debt", id="hf_monotonicity_check"),
+    # (4 + 4) * 1.05 collateral claimed from 6, against a debt the split does not repay.
+    pytest.param(lambda: hf_monotonicity_check(LoanPosition(6.0, 1e6), INPUT_POOL, 0.85, 0.05,
+                                               4.0, 4.0),
+                 "split claims more collateral than the position holds",
+                 id="hf_monotonicity_check_collateral"),
 ])
 def test_documented_input_errors_raise_their_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -104,7 +104,7 @@ def test_verify_report_bytes_match_reference(tmp_path, capsys):
     assert sha256(report.read_bytes()) == VERIFY_REPORT_SHA256
 
 
-ENGINE_SHA256 = "f1cb5bdc4208dcc7fa8dbcb88a8fb0f58ad2a83d0b0405646d834f8adaad9c9c"
+ENGINE_SHA256 = "4a8031e259a468b51b5e2a8b7478f111b2380623169665961c3cf4d3a953556d"
 
 
 def _fields(value, name: str = ""):

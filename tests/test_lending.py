@@ -98,6 +98,18 @@ def test_bound_closing_no_recovery_is_infinite():
     assert cb.x > min(b.x_collateral, b.x_debt_full)  # cannot bind before collateral/debt run out
 
 
+def test_bound_closing_of_a_debt_free_position_is_none():
+    cb = bound_closing(LoanPosition(5.0, 0.0), pool_at(1800.0, fee=0.003), 0.85, 0.05, 1.0)
+    assert (cb.x, cb.branch) == (math.inf, "none")
+
+
+def test_bisect_root_returns_an_exact_endpoint_and_needs_a_sign_change():
+    assert bisect_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    assert bisect_root(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+    with pytest.raises(ValueError, match=r"^no sign change on \[-1\.0, 1\.0\]: f\(lo\)=2\.0"):
+        bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
 def test_bound_closing_matches_bisection_on_random_instances():
     # Near-threshold draws make the recovery bound the binding one, so the
     # crossing lies inside the feasible interval where bisection can see it.
