@@ -230,7 +230,8 @@ def attack_profit_batch(
         _require_reserves(a3, b3, sold & feasible)
         front = np.where(sold, proceeds, 0.0)
         cost = np.where(feasible, np.where(sold, cost, 0.0), np.nan)
-    return AttackBatch(front, cost, front + liq.pi_tot - cost, feasible, liq.hf_initial <= 1.0, liq)
+        total = front + liq.pi_tot - cost
+    return AttackBatch(front, cost, total, feasible, liq.hf_initial <= 1.0, liq)
 
 
 @dataclass(frozen=True)
@@ -319,12 +320,14 @@ def optimize_attack(
 
 
 def _coarse_grid(bounds: DeltaBounds, lo: float, hi: float) -> np.ndarray:
-    """Sorted float64 sizes in [lo, hi]: a log grid, the trigger and a point just past it."""
+    """Sorted distinct sizes in [lo, hi]: a log grid, the trigger and a point just past it."""
     grid = np.geomspace(max(lo, hi * 1e-7), hi, _COARSE_POINTS)
     if bounds.trigger < hi:  # hi is finite, so a trigger below it is too
         grid = np.append(grid, (bounds.trigger, bounds.trigger * (1.0 + 1e-9) + 1e-12))
     grid.sort()
-    return grid[(lo <= grid) & (grid <= hi)]
+    keep = (lo <= grid) & (grid <= hi)
+    keep[1:] &= grid[1:] != grid[:-1]  # np.unique would import numpy.ma
+    return grid[keep]
 
 
 @dataclass(frozen=True)

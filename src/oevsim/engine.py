@@ -47,7 +47,6 @@ from .lending import (
     RepayConvention,
     RiskParams,
     _bounds,
-    _check_position,
     _debt_cap,
     _health,
     _hf,
@@ -239,10 +238,11 @@ def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, boun
     ``bounds`` is (x_collateral, x_debt_full, x_closing, hf), as ``lending._bounds``
     returns it; ``u`` and ``m`` are the state's trade multiplier and trajectory
     factor.  The binding alone gates the closing trade, which :func:`_tranche`
-    sizes from the post-run state.  Every post-run and post-trade state is
-    checked as the PoolState and LoanPosition constructors check it, but a
-    reserve that is not > 0 (a NaN recovery bound leaves NaN reserves) raises
-    :class:`~oevsim.amm.ReserveUnderflowError`.
+    sizes from the post-run state.  After each leg a reserve that is not > 0
+    (a NaN recovery bound leaves NaN reserves) raises
+    :class:`~oevsim.amm.ReserveUnderflowError`.  The post collateral and debt
+    need no check: they are clamped at 0, and a NaN needs a NaN size or a
+    repayment over an overflowed ``a + x*u``, which is the new reserve.
     """
     x_c, x_b, x_cf, hf0 = bounds
     x_liq = pi_liq = x_last = pi_last = 0.0
@@ -269,9 +269,8 @@ def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, boun
         pi_liq = _run_profit(a, b_res, u, x_liq)
         repaid = _repay_total(a, b_res, x_liq, u, m)
         c, b, a, b_res = _liquidate(a, b_res, c, b, x_liq, u, repaid, bonus, c, b)
-        if not (a > 0.0 and b_res > 0.0 and c >= 0.0 and b >= 0.0):
+        if not (a > 0.0 and b_res > 0.0):
             _check_reserves(a, b_res)
-            _check_position(c, b)
 
         if binding is Binding.CLOSING_FACTOR:
             x_last, pi_last, last_binding = _tranche(a, b_res, c, b, u, m, bonus, kappa,
@@ -280,8 +279,7 @@ def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, boun
                 c, b, a, b_res = _liquidate(a, b_res, c, b, x_last, u,
                                             _repay(a, b_res, x_last, u, m, convention),
                                             bonus, max(c0, 1.0), max(b0, 1.0))
-                if not (c >= 0.0 and b >= 0.0 and a > 0.0 and b_res > 0.0):
-                    _check_position(c, b)
+                if not (a > 0.0 and b_res > 0.0):
                     _check_reserves(a, b_res)
     return (pi_liq + pi_last, x_liq, binding, pi_liq, x_last, last_binding, pi_last,
             c, b, a, b_res)

@@ -31,7 +31,6 @@ from .lending import (
     LoanPosition,
     RepayConvention,
     RiskParams,
-    _check_position,
     _hf,
     _kappa_cap,
     _repay,
@@ -93,7 +92,6 @@ def simulate_liquidation_sequence(
     kappa: float,
     convention: RepayConvention = DEFAULT_CONVENTION,
     step_limit: float = math.inf,
-    stop_before_crossing: bool = False,
     max_steps: int = 200_000,
 ) -> SequenceOutcome:
     """Run liquidation transactions until a constraint closes the process.
@@ -101,10 +99,11 @@ def simulate_liquidation_sequence(
     Each transaction takes ``min(step_limit, collateral remainder,
     single-transaction kappa cap)`` and is admissible while the current
     health factor sits at or below ``cf_target``.  With ``step_limit=inf``
-    every transaction is maximal (the greedy transactional policy); small
-    ``step_limit`` values approximate the marginal run.  With
-    ``stop_before_crossing`` a transaction whose post-state health factor
-    would exceed the gate is not taken (the caller optimizes that closing
+    every transaction is maximal (the greedy transactional policy) and the
+    walk takes the transaction that crosses the gate.  A finite
+    ``step_limit`` approximates the marginal run, which ends on the
+    crossing: a step whose post-state health factor would exceed the gate
+    is cut, by bisection, to land on it (the caller optimizes the closing
     trade separately, as the dynamic program does).
 
     The terminator records which constraint ended the run: the health gate
@@ -131,8 +130,10 @@ def simulate_liquidation_sequence(
     b_eps = _EXHAUST_EPS * max(position.debt, 1.0)
     # The walk carries the state as floats (collateral c, debt b, reserves a
     # and r) and calls the number-level formulas that the LoanPosition and
-    # PoolState functions call, so every step has their bits.  It checks what
-    # their constructors check and builds one on failure, to raise its error.
+    # PoolState functions call, so every step has their bits.  The swap checks
+    # its reserves; the clamps keep c and b >= 0, and a NaN in either follows
+    # a NaN size or a reserve that overflowed, so the returned LoanPosition
+    # is the only position check.
 
     def _step(c: float, b: float, a: float, r: float, size: float):
         """(profit, post collateral and debt clamped at 0, post reserves, post HF)
@@ -141,8 +142,6 @@ def simulate_liquidation_sequence(
         dpi, a_n, r_n = _trade(a, r, fee, size, ell)
         c_n, b_n = c - size * (1.0 + ell), b - _repay(a, r, size, u, m, convention)
         c_next, b_next = max(c_n, 0.0), max(b_n, 0.0)
-        if not (c_next >= 0.0 and b_next >= 0.0):
-            _check_position(c_next, b_next)  # raises on a NaN
         if b_n <= b_eps or c_n <= c_eps:
             return dpi, c_next, b_next, a_n, r_n, -math.inf
         return dpi, c_next, b_next, a_n, r_n, _hf(theta, a_n, r_n, c_next, b_next)
@@ -202,9 +201,10 @@ def simulate_liquidation_sequence(
     profit = 0.0
     cum_x = 0.0
     steps = 0
-    # The plain steps ahead run as columns from step chunk_at on, which is
-    # _PLAIN_STEPS after the last step that was not plain.
-    chunking = 0.0 < step_limit < math.inf
+    # A fine walk runs the plain steps ahead as columns from step chunk_at on,
+    # which is _PLAIN_STEPS after the last step that was not plain, and ends
+    # on the gate crossing.
+    fine = step_limit < math.inf
     chunk_at, chunk = _PLAIN_STEPS, _CHUNK_MIN
     while True:
         if b <= b_eps:
@@ -221,7 +221,7 @@ def simulate_liquidation_sequence(
             break
         if steps == 0 and not 0.0 < kappa <= 1.0:
             raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-        if steps >= chunk_at and chunking and max_steps - steps >= _CHUNK_MIN:
+        if steps >= chunk_at and fine and max_steps - steps >= _CHUNK_MIN:
             # An int length: a float step budget leaves max_steps - steps a float.
             n = int(min(chunk, max_steps - steps))
             k, state = _plain_run(n, c, b, a, r, profit, cum_x)
@@ -239,7 +239,7 @@ def simulate_liquidation_sequence(
             term = "stalled"  # defensive; caps are positive whenever c, b are
             break
         step = _step(c, b, a, r, x)
-        crossing = stop_before_crossing and step[5] > cf_target
+        crossing = fine and step[5] > cf_target
         if crossing:
             # Land exactly on the crossing with one bisected partial step,
             # so the walk's end state does not depend on the step phase.
@@ -321,15 +321,13 @@ def dp_oracle(
     span_cap = _x_collateral(position.collateral, params.bonus)
     probe = simulate_liquidation_sequence(
         position, pool, params, cf_target, kappa, convention,
-        step_limit=span_cap / grid_n, stop_before_crossing=True,
-        max_steps=grid_n + 8,
+        step_limit=span_cap / grid_n, max_steps=grid_n + 8,
     )
     span = max(probe.cumulative_x, span_cap / grid_n)
 
     run = simulate_liquidation_sequence(
         position, pool, params, cf_target, kappa, convention,
-        step_limit=span / grid_n, stop_before_crossing=True,
-        max_steps=4 * grid_n + 64,
+        step_limit=span / grid_n, max_steps=4 * grid_n + 64,
     )
     total = run.profit
     end_pos, end_pool = run.post_position, run.post_pool
@@ -388,14 +386,6 @@ def subadditivity_check(
     return lhs, rhs, lhs <= rhs + slack
 
 
-@dataclass(frozen=True)
-class HFMonotonicityOutcome:
-    hf_lump: float
-    hf_sequential: float
-    holds: bool
-    price_chain_ok: bool
-
-
 def hf_monotonicity_check(
     position: LoanPosition,
     pool: PoolState,
@@ -403,16 +393,19 @@ def hf_monotonicity_check(
     bonus: float,
     x1: float,
     x2: float,
-) -> HFMonotonicityOutcome:
+) -> tuple[float, float, bool]:
     """Sequential execution restores health no faster than a lump.
 
     Both health factors price the repayment legs at the pre-trade spot of
     each leg; the lump marks collateral at the post-first-leg price, the
     sequential variant at the post-second-leg price.  Selling only lowers
     the pool price, so the sequential denominator is larger and its
-    numerator smaller, keeping HF(lump) >= HF(sequential).  The price chain
-    B0/A0 >= B1/A1 >= B2/A2 is verified alongside.  A split that overdraws
-    the debt or the collateral raises ``ValueError``.
+    numerator smaller, keeping HF(lump) >= HF(sequential).
+
+    Returns (hf_lump, hf_sequential, holds) where holds checks that
+    inequality within 1e-12 of the HF scale and the price chain
+    B0/A0 >= B1/A1 >= B2/A2 behind it.  A split that overdraws the debt or
+    the collateral raises ``ValueError``.
     """
     a0, b0 = pool.reserve_collateral, pool.reserve_debt
     u = trade_multiplier(pool.fee, bonus)
@@ -435,7 +428,7 @@ def hf_monotonicity_check(
     hf_lump = haircut * coll_left * p1 / debt_lump
     hf_seq = haircut * coll_left * p2 / debt_seq
     slack = 1e-12 * max(1.0, abs(hf_lump), abs(hf_seq))
-    return HFMonotonicityOutcome(hf_lump, hf_seq, hf_lump >= hf_seq - slack, chain_ok)
+    return hf_lump, hf_seq, chain_ok and hf_lump >= hf_seq - slack
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +581,10 @@ def verification_report(
             hf0 <= inst.cf_target
             and inst.position.debt - (y1 + y2) * inst.pool.spot_price() > 0.0
         ):
-            out = hf_monotonicity_check(
+            hf_lump, hf_seq, holds = hf_monotonicity_check(
                 inst.position, inst.pool, inst.params.haircut, inst.params.bonus, y1, y2
             )
-            add("hf_sequential_dominance", inst, out.holds and out.price_chain_ok,
-                hf_lump=out.hf_lump, hf_sequential=out.hf_sequential)
+            add("hf_sequential_dominance", inst, holds, hf_lump=hf_lump, hf_sequential=hf_seq)
 
     # Recovery bound vs an independent bisection: near-threshold states make
     # the recovery bound the binding one, so the crossing is observable.

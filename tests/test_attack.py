@@ -301,6 +301,12 @@ def test_optimizer_on_a_zero_width_range_evaluates_that_size(monkeypatch):
     assert out.result.total_profit == attack_profit(5000.0, POS5, README_POOL, STD).total_profit > 0
 
 
+def test_optimizer_on_a_zero_width_range_counts_one_coarse_point():
+    # geomspace(5000, 5000, 512) returns 5000 at both of its exact ends.
+    out = optimize_attack(POS5, README_POOL, STD, delta_range=(5000.0, 5000.0))
+    assert out.coarse_points == 1
+
+
 def test_optimizer_returns_the_zero_attack_when_every_coarse_size_reverts():
     # The range is the top 0.1 % under the no-revert ceiling, which counts all
     # the collateral as sold into the pool; at a 6 % fee the fee gate sells none

@@ -306,16 +306,29 @@ best attack          delta=8.32333e+06
   total profit       56222.802306
   triggered=True feasible=True strategy=cf_full
 """),
+    "zero_width_5000": (0, """\
+delta bounds         trigger=2232.85 baddebt_cap=8.32333e+06 no_revert=inf
+search               [5000, 5000] coarse points=1
+best attack          delta=5000
+  front proceeds     9.33333e+06
+  liquidation profit 1190.7
+  buy-back cost      9302115.13637
+  total profit       32408.8961302
+  triggered=True feasible=True strategy=cf_full
+"""),
 }
-ATTACK_TEXTS = {
-    "bundled": BUNDLED_ATTACK,
-    "delta_min_5000": """
+DELTA_MIN_5000 = """
 mode: attack
 pool: {reserve_collateral: 10000.0, reserve_debt: 2.8e+7, fee: 0.0}
 position: {debt: 32000.0, collateral: 20.12}
 risk: {haircut: 0.85, bonus: 0.05, closing_factor: 0.8, max_liq_fraction: 0.5}
 attack: {delta_min: 5000.0}
-""",
+"""
+ATTACK_TEXTS = {
+    "bundled": BUNDLED_ATTACK,
+    "delta_min_5000": DELTA_MIN_5000,
+    "zero_width_5000": DELTA_MIN_5000.replace("{delta_min: 5000.0}",
+                                              "{delta_min: 5000.0, delta_max: 5000.0}"),
 }
 
 

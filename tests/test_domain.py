@@ -36,6 +36,7 @@ from oevsim import (
 )
 from oevsim.attack import _sandwich_total, attack_profit_batch
 from oevsim.engine import best_strategy_batch, run_liquidation_batch
+from oevsim.lending import _x_collateral
 
 
 def lerp(r: float, lo: float, hi: float) -> float:
@@ -308,3 +309,60 @@ INPUT_ROW = (6.0, 10_000.0, 1e6, 1.5e9, 0.003, INPUT_PARAMS)
 def test_documented_input_errors_raise_their_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@st.composite
+def full_range_states(draw):
+    """(position, pool, params, attack size, convention) with c, b, A and B log-uniform
+    in [1e-300, 1e300] and the attack size log-uniform within 1e±3 of A."""
+    (r_c, r_b, r_a, r_r, r_delta, r_free, r_fee, r_bonus, r_haircut, r_cf,
+     r_kappa) = draw(st.tuples(*[st.floats(0.0, 1.0)] * 11))
+    c, b, a0, b0 = (10.0 ** lerp(r, -300.0, 300.0) for r in (r_c, r_b, r_a, r_r))
+    fee = 0.0 if r_free < 0.2 else 10.0 ** lerp(r_fee, 0.0, 2.0) / 1e4
+    params = RiskParams(lerp(r_haircut, 0.5, 0.95), lerp(r_bonus, 0.05, 0.15),
+                        lerp(r_cf, 0.05, 1.0), lerp(r_kappa, 0.05, 1.0))
+    return (LoanPosition(c, b), PoolState(a0, b0, fee), params,
+            a0 * 10.0 ** lerp(r_delta, -3.0, 3.0), draw(st.sampled_from(list(RepayConvention))))
+
+
+def returned_or_raised(call):
+    """``call()``, or the type and text of the error it raised, which is never a
+    position check: the engine and the walk compute only valid positions."""
+    try:
+        return call()
+    except (ValueError, ArithmeticError) as exc:
+        assert not re.match("(collateral|debt) must be >= 0", str(exc)), exc
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(full_range_states())
+def test_scalar_and_batch_paths_return_or_raise_alike_at_full_float_range(state):
+    position, pool, params, delta, convention = state
+    row = (position.collateral, position.debt, pool.reserve_collateral, pool.reserve_debt,
+           pool.fee, params, convention)
+
+    def scalar_strategy():
+        liq, strategy = best_strategy(position, pool, params, convention)
+        return liq.pi_tot.hex(), strategy
+
+    def batch_strategy():
+        liq, strategies = best_strategy_batch(*row)
+        return float(liq.pi_tot[0]).hex(), strategies[0]
+
+    def scalar_attack():
+        res = attack_profit(delta, position, pool, params, convention)
+        return res.feasible, res.total_profit.hex() if res.feasible else None
+
+    def batch_attack():
+        res = attack_profit_batch(delta, *row)
+        feasible = bool(res.feasible[0])
+        return feasible, float(res.total_profit[0]).hex() if feasible else None
+
+    assert returned_or_raised(scalar_strategy) == returned_or_raised(batch_strategy)
+    assert returned_or_raised(scalar_attack) == returned_or_raised(batch_attack)
+    cap = _x_collateral(position.collateral, params.bonus)
+    for step_limit in (math.inf, cap / 200.0):  # greedy, and a fine walk ending on the crossing
+        returned_or_raised(lambda: simulate_liquidation_sequence(
+            position, pool, params, params.closing_factor, params.max_liq_fraction, convention,
+            step_limit, max_steps=1_000))

@@ -150,23 +150,23 @@ def test_engine_results_are_bit_exact():
     assert digest == ENGINE_SHA256
 
 
-WALK_SHA256 = "63a23ccf5c3100f22badb288cd69a52443f495d7632b675f7f217fc85e206e89"
+WALK_SHA256 = "5981134d461d57b9c4f9325f9c239138807eeb6777b4b0870f95cfcb357d69ae"
 
 
 def _walks():
-    """Walk outcomes over random states, every convention and four step policies."""
+    """Walk outcomes over random states, every convention and four step sizes."""
     instances = (random_instances(12, seed=5150, feasible_only=True)
                  + random_instances(12, seed=5151))
     for convention in RepayConvention:
         for inst in instances:
             cap = _x_collateral(inst.position.collateral, inst.params.bonus)
-            for step_limit, stop, max_steps in ((math.inf, False, 200_000),  # greedy
-                                                (cap / 200.0, True, 1_000),  # fine, DP-like
-                                                (cap / 7.0, False, 200_000),  # coarse
-                                                (cap / 1e3, True, 25)):  # step budget binds
+            for step_limit, max_steps in ((math.inf, 200_000),  # greedy
+                                          (cap / 200.0, 1_000),  # fine, DP-like
+                                          (cap / 7.0, 200_000),  # coarse
+                                          (cap / 1e3, 25)):  # step budget binds
                 yield simulate_liquidation_sequence(
                     inst.position, inst.pool, inst.params, inst.cf_target, inst.kappa,
-                    convention, step_limit, stop, max_steps)
+                    convention, step_limit, max_steps)
     # reproduce ex3's replay (greedy, kappa 0.5, spot-priced write-downs), and at
     # kappa 1 the first trade of a state near the gate repays the whole debt.
     for kappa in (0.5, 1.0):

@@ -155,9 +155,9 @@ def test_zero_fee_zero_bonus_marginal_run_is_profitless():
 def test_hf_monotonicity_zero_split_and_chain():
     pos = LoanPosition(6.0, 10_000.0)
     pool = pool_at(1500.0)
-    out = hf_monotonicity_check(pos, pool, 0.85, 0.05, 1.0, 0.0)
-    assert out.holds and out.price_chain_ok
-    assert out.hf_lump == pytest.approx(out.hf_sequential, rel=1e-15)
+    hf_lump, hf_seq, holds = hf_monotonicity_check(pos, pool, 0.85, 0.05, 1.0, 0.0)
+    assert holds
+    assert hf_lump == pytest.approx(hf_seq, rel=1e-15)
 
 
 def test_hf_monotonicity_random_batch():
@@ -174,8 +174,9 @@ def test_hf_monotonicity_random_batch():
         hf_mid = health_factor(pos, pool, params.haircut)
         if hf_mid > inst.cf_target:
             continue
-        out = hf_monotonicity_check(pos, pool, params.haircut, params.bonus, x1, x2)
-        assert out.holds and out.price_chain_ok
+        hf_lump, hf_seq, holds = hf_monotonicity_check(pos, pool, params.haircut, params.bonus,
+                                                       x1, x2)
+        assert holds, (inst.digest(), hf_lump, hf_seq)
         count += 1
     assert count >= 150
 
@@ -360,11 +361,13 @@ def test_cumsum_is_sequential_subtraction():
 DRAIN_WALK, _, _, _, _, GATE_WALK = random_instances(6, seed=77, feasible_only=True)
 
 
-def walk_pair(inst, convention, step_limit, stop, max_steps, cf_target=None, kappa=None):
+def walk_pair(inst, convention, step_limit, max_steps, cf_target=None, kappa=None):
+    """The walk and its reference, which ends on the crossing when the step is finite."""
     args = (inst.position, inst.pool, inst.params,
             inst.cf_target if cf_target is None else cf_target,
-            inst.kappa if kappa is None else kappa, convention, step_limit, stop, max_steps)
-    return simulate_liquidation_sequence(*args), walk_reference(*args)
+            inst.kappa if kappa is None else kappa, convention, step_limit)
+    return (simulate_liquidation_sequence(*args, max_steps=max_steps),
+            walk_reference(*args, step_limit < math.inf, max_steps))
 
 
 def span(inst):
@@ -373,7 +376,7 @@ def span(inst):
 
 @pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
 def test_long_walks_match_the_scalar_walk(convention):
-    got, want = walk_pair(GATE_WALK, convention, span(GATE_WALK) / 20_000, True, 40_000)
+    got, want = walk_pair(GATE_WALK, convention, span(GATE_WALK) / 20_000, 40_000)
     assert outcome_bits(got) == outcome_bits(want)
     assert got.terminator == "closing_factor" and got.steps > 16_000
 
@@ -387,7 +390,7 @@ def test_a_chunk_with_no_plain_row_hands_the_step_to_the_scalar_walk(convention)
     inst = GATE_WALK
     bounds, _ = compute_bounds(inst.position, inst.pool, inst.params, inst.cf_target, 1.0,
                                convention)
-    got, want = walk_pair(inst, convention, bounds.x_closing / 8.5, True, 40_000, kappa=1.0)
+    got, want = walk_pair(inst, convention, bounds.x_closing / 8.5, 40_000, kappa=1.0)
     assert outcome_bits(got) == outcome_bits(want)
     assert got.terminator == "closing_factor" and got.steps == 9
 
@@ -395,7 +398,7 @@ def test_a_chunk_with_no_plain_row_hands_the_step_to_the_scalar_walk(convention)
 @pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
 @pytest.mark.parametrize("max_steps", [1025, 2100, 4097])
 def test_a_step_budget_inside_a_run_matches_the_scalar_walk(convention, max_steps):
-    got, want = walk_pair(DRAIN_WALK, convention, span(DRAIN_WALK) / 20_000, True, max_steps)
+    got, want = walk_pair(DRAIN_WALK, convention, span(DRAIN_WALK) / 20_000, max_steps)
     assert outcome_bits(got) == outcome_bits(want)
     assert got.terminator == "steps" and got.steps == max_steps
 
@@ -409,7 +412,7 @@ def test_a_kappa_cap_binding_after_a_plain_run_matches_the_scalar_walk(conventio
     cap0 = _kappa_cap(kappa * DRAIN_WALK.position.debt, pool.reserve_collateral, pool.reserve_debt,
                       trade_multiplier(pool.fee, DRAIN_WALK.params.bonus),
                       _traj_factor(pool.fee, convention), convention)
-    got, want = walk_pair(DRAIN_WALK, convention, share * cap0, False, 40_000, kappa=kappa)
+    got, want = walk_pair(DRAIN_WALK, convention, share * cap0, 40_000, kappa=kappa)
     assert outcome_bits(got) == outcome_bits(want)
     assert got.cumulative_x < got.steps * share * cap0 * (1.0 - 1e-3)
 
@@ -417,14 +420,14 @@ def test_a_kappa_cap_binding_after_a_plain_run_matches_the_scalar_walk(conventio
 @pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
 @pytest.mark.parametrize("case", ["over_gate", "collateral", "debt"])
 def test_walk_ends_match_the_scalar_walk(convention, case):
-    # Without stop_before_crossing, GATE_WALK takes the step that crosses the
-    # gate, and with a gate that never shuts it repays the whole debt.
+    # GATE_WALK's finite steps end on the gate crossing, and with a gate that
+    # never shuts it repays the whole debt.
     inst, cf_target = {"over_gate": (GATE_WALK, None), "collateral": (DRAIN_WALK, None),
                        "debt": (GATE_WALK, math.inf)}[case]
-    got, want = walk_pair(inst, convention, span(inst) / 5_000, False, 40_000, cf_target=cf_target)
+    got, want = walk_pair(inst, convention, span(inst) / 5_000, 40_000, cf_target=cf_target)
     assert outcome_bits(got) == outcome_bits(want)
     assert got.terminator == {"over_gate": "closing_factor"}.get(case, case)
     assert got.steps > 4_000
     if case == "over_gate":
-        assert health_factor(got.post_position, got.post_pool, inst.params.haircut) > inst.cf_target
+        assert health_factor(got.post_position, got.post_pool, inst.params.haircut) <= inst.cf_target
 
