@@ -385,22 +385,17 @@ def critical_fee(
     probes.append(fee_high)
     values = [(f, g(f)) for f in probes]
 
-    if values[0][1] <= profit_floor:
+    profitable = [v > profit_floor for _, v in values]
+    if not profitable[0]:
         raise NoThresholdError("attack is not profitable at the low end of the interval", values)
-    if values[-1][1] > profit_floor:
+    if profitable[-1]:
         raise NoThresholdError("attack is still profitable at the high end of the interval", values)
-    seen_nonpositive = False
-    for _, val in values:
-        if val <= profit_floor:
-            seen_nonpositive = True
-        elif seen_nonpositive:
-            raise NonMonotoneFeeProfileError(
-                "best-attack profit recovered after turning non-positive; "
-                f"probe table: {values}"
-            )
+    k = profitable.index(False)
+    if any(profitable[k:]):
+        raise NonMonotoneFeeProfileError(
+            f"best-attack profit recovered after turning non-positive; probe table: {values}")
 
-    lo = max(f for f, v in values if v > profit_floor)
-    hi = min(f for f, v in values if v <= profit_floor)
+    lo, hi = probes[k - 1], probes[k]
     if hi - lo > _FEE_TOL:
         lo, hi = halve(lambda fee: g(fee) > profit_floor, lo, hi,
                        lambda lo, hi: hi - lo <= _FEE_TOL)

@@ -174,12 +174,9 @@ def reproduce_ex1() -> tuple[list[str], list[list]]:
     debt = 1e4
     coll = debt * 1000.0 / (risk.haircut * 2e6) - 0.35
     s = np.geomspace(0.05, 100.0, 121)
-    # Rows 0..120 run the pair (closing_factor, 1), rows 121..241 (1, kappa).
-    res = run_liquidation_batch(coll, debt, np.tile(1000.0 * s, 2), np.tile(2e6 * s, 2), 0.003,
-                                risk, np.repeat([risk.closing_factor, 1.0], len(s)),
-                                np.repeat([1.0, risk.max_liq_fraction], len(s)))
-    pi = res.pi_tot.tolist()
-    return ["s", "profit_cf_full", "profit_one_kappa"], [s.tolist(), pi[:len(s)], pi[len(s):]]
+    full, capped = run_liquidation_batch(coll, debt, 1000.0 * s, 2e6 * s, 0.003, risk)
+    return (["s", "profit_cf_full", "profit_one_kappa"],
+            [s.tolist(), full.pi_tot.tolist(), capped.pi_tot.tolist()])
 
 
 def reproduce_ex2() -> tuple[list[str], list[list]]:

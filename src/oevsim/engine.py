@@ -365,23 +365,24 @@ def _columns(*values) -> list[np.ndarray]:
 
 def run_liquidation_batch(
     collateral, debt, reserve_collateral, reserve_debt, fee,
-    params: RiskParams, cf_target, kappa,
+    params: RiskParams,
     convention: RepayConvention = DEFAULT_CONVENTION,
-) -> LiquidationBatch:
-    """:func:`run_liquidation` of every row, with the same bits.
+) -> tuple[LiquidationBatch, LiquidationBatch]:
+    """:func:`run_liquidation` of every row on both of ``params``' threshold pairs.
 
-    The position, pool and threshold columns broadcast against each other.
-    Branches are masks over the scalar path's formulas.  A recovery bound
-    the masks cannot settle is solved by the scalar ``bound_closing`` (see
-    :func:`~oevsim.lending.bound_closing_batch`), so its self-check raises
-    here as in a loop of :func:`run_liquidation` calls.
+    Returns ``(full, capped)``: the rows of ``(closing_factor, 1)`` and of
+    ``(1, max_liq_fraction)``, with the scalar calls' bits, from one pass over
+    twice the rows.  The position and pool columns broadcast against each
+    other.  Branches are masks over the scalar path's formulas.  A recovery
+    bound the masks cannot settle is solved by the scalar ``bound_closing``
+    (see :func:`~oevsim.lending.bound_closing_batch`), so its self-check
+    raises here as in a loop of :func:`run_liquidation` calls.
     """
-    c, b, a, b_res, fee, cf, kappa = _columns(collateral, debt, reserve_collateral, reserve_debt,
-                                              fee, cf_target, kappa)
-    for name, col in (("cf_target", cf), ("kappa", kappa)):
-        bad = ~((0.0 < col) & (col <= 1.0))
-        if bad.any():
-            raise ValueError(f"{name} must lie in (0, 1], got {col[bad][0]}")
+    cols = _columns(collateral, debt, reserve_collateral, reserve_debt, fee)
+    c, b, a, b_res, fee = (np.concatenate([v, v]) for v in cols)
+    n = len(c) // 2
+    cf = np.repeat([params.closing_factor, 1.0], n)
+    kappa = np.repeat([1.0, params.max_liq_fraction], n)
     bonus = params.bonus
     with np.errstate(all="ignore"):
         undefined = (b != 0.0) & (a * b == 0.0)
@@ -435,7 +436,7 @@ def run_liquidation_batch(
         _require_reserves(a_fin, b_res_fin, trade)
         post_c = np.where(trade, c_fin, np.where(idle, c, c_bar))
         post_b = np.where(trade, b_fin, np.where(idle, b, b_bar))
-        return LiquidationBatch(
+        both = LiquidationBatch(
             pi_liq=pi_liq,
             pi_last=pi_last,
             pi_tot=pi_liq + pi_last,
@@ -446,6 +447,9 @@ def run_liquidation_batch(
             post_reserve_collateral=np.where(trade, a_fin, np.where(idle, a, a_bar)),
             post_reserve_debt=np.where(trade, b_res_fin, np.where(idle, b_res, b_res_bar)),
         )
+    fields = vars(both).values()
+    return (LiquidationBatch(*(col[:n] for col in fields)),
+            LiquidationBatch(*(col[n:] for col in fields)))
 
 
 def best_strategy_batch(
@@ -455,16 +459,11 @@ def best_strategy_batch(
 ) -> tuple[LiquidationBatch, np.ndarray]:
     """:func:`best_strategy` of every row, with the same bits.
 
-    Returns the chosen results and the :class:`Strategy` of each row.  Both
-    threshold pairs run in one :func:`run_liquidation_batch` call of twice
-    the rows; ties go to the first pair.
+    Returns the chosen results and the :class:`Strategy` of each row: the
+    better half of :func:`run_liquidation_batch`, ties going to the first pair.
     """
-    cols = _columns(collateral, debt, reserve_collateral, reserve_debt, fee)
-    n = len(cols[0])
-    both = run_liquidation_batch(
-        *(np.concatenate([v, v]) for v in cols), params,
-        np.repeat([params.closing_factor, 1.0], n), np.repeat([1.0, params.max_liq_fraction], n),
-        convention)
-    first = both.pi_tot[:n] >= both.pi_tot[n:]
-    return (LiquidationBatch(*(np.where(first, col[:n], col[n:]) for col in vars(both).values())),
-            _STRATEGIES[np.where(first, 0, 1)])
+    full, capped = run_liquidation_batch(collateral, debt, reserve_collateral, reserve_debt, fee,
+                                         params, convention)
+    first = full.pi_tot >= capped.pi_tot
+    chosen = (np.where(first, f, k) for f, k in zip(vars(full).values(), vars(capped).values()))
+    return LiquidationBatch(*chosen), _STRATEGIES[np.where(first, 0, 1)]

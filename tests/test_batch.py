@@ -279,19 +279,22 @@ def test_attack_batch_matches_scalar_on_edge_states(states, convention):
         assert_attack_rows_match(deltas, position, pool, params, convention)
 
 
+@pytest.mark.parametrize("closing_factor, max_liq_fraction",
+                         [(0.05, 1.0), (0.6, 0.9), (0.8, 0.5), (1.0, 0.05)])
 @pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.value)
-def test_run_liquidation_batch_matches_scalar_per_threshold_pair(convention):
+def test_run_liquidation_batch_matches_scalar_per_threshold_pair(closing_factor, max_liq_fraction,
+                                                                 convention):
     instances = random_instances(40, seed=21, fees_bps=FEES_BPS, hf_range=(0.01, 1.2))
-    cf = np.array([0.6, 0.8, 1.0, 0.05] * 10)
-    kappa = np.array([1.0, 0.5, 0.2, 0.05, 0.9] * 8)
-    batch = run_liquidation_batch(
+    base = instances[0].params
+    params = RiskParams(base.haircut, base.bonus, closing_factor, max_liq_fraction)
+    halves = run_liquidation_batch(
         [i.position.collateral for i in instances], [i.position.debt for i in instances],
         [i.pool.reserve_collateral for i in instances], [i.pool.reserve_debt for i in instances],
-        [i.pool.fee for i in instances], instances[0].params, cf, kappa, convention)
-    for k, inst in enumerate(instances):
-        res = run_liquidation(inst.position, inst.pool, instances[0].params, float(cf[k]),
-                              float(kappa[k]), convention)
-        assert_liquidation_row_matches(batch, k, res)
+        [i.pool.fee for i in instances], params, convention)
+    for batch, (cf_target, kappa) in zip(halves, [(closing_factor, 1.0), (1.0, max_liq_fraction)]):
+        for k, inst in enumerate(instances):
+            res = run_liquidation(inst.position, inst.pool, params, cf_target, kappa, convention)
+            assert_liquidation_row_matches(batch, k, res)
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.value)

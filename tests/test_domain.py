@@ -35,7 +35,7 @@ from oevsim import (
     subadditivity_check,
 )
 from oevsim.attack import _sandwich_total, attack_profit_batch
-from oevsim.engine import best_strategy_batch, run_liquidation_batch
+from oevsim.engine import best_strategy_batch
 from oevsim.lending import _x_collateral
 
 
@@ -290,10 +290,6 @@ INPUT_ROW = (6.0, 10_000.0, 1e6, 1.5e9, 0.003, INPUT_PARAMS)
                  "cf_target must lie in (0, 1], got 0.0", id="run_liquidation_cf_zero"),
     pytest.param(lambda: run_liquidation(INPUT_POSITION, INPUT_POOL, INPUT_PARAMS, 1.5, 0.5),
                  "cf_target must lie in (0, 1], got 1.5", id="run_liquidation_cf_high"),
-    pytest.param(lambda: run_liquidation_batch(*INPUT_ROW, [1.0, 1.5], 0.5),
-                 "cf_target must lie in (0, 1], got 1.5", id="run_liquidation_batch_cf"),
-    pytest.param(lambda: run_liquidation_batch(*INPUT_ROW, 1.0, [0.5, 0.0]),
-                 "kappa must lie in (0, 1], got 0.0", id="run_liquidation_batch_kappa"),
     pytest.param(lambda: integral_oracle(INPUT_POOL, -1.0, 0.05),
                  "x_liq must be >= 0, got -1.0", id="integral_oracle"),
     pytest.param(lambda: subadditivity_check(INPUT_POOL, 0.05, 1.0, -1.0),
@@ -366,3 +362,27 @@ def test_scalar_and_batch_paths_return_or_raise_alike_at_full_float_range(state)
         returned_or_raised(lambda: simulate_liquidation_sequence(
             position, pool, params, params.closing_factor, params.max_liq_fraction, convention,
             step_limit, max_steps=1_000))
+
+
+# amm._sell forms b*a_eff and a*b before it divides by the new reserve, so
+# these sales overflow to inf proceeds: the first pool's reserve product is
+# inf, the second's is finite (parse_config accepts that scenario).  ROADMAP
+# item 2's power-of-two normalization is the planned mend.
+@pytest.mark.xfail(strict=True, reason="amm._sell overflows before it divides")
+@pytest.mark.parametrize("delta, position, pool, params, convention", [
+    pytest.param(1e297, LoanPosition(1e-300, 1e-300), PoolState(1e300, 1e300, 0.0),
+                 RiskParams(0.5, 0.05, 0.05, 0.05), RepayConvention.SPOT_PRICE,
+                 id="reserve_product_overflows"),
+    pytest.param(1e12, LoanPosition(2e-10, 1e290), PoolState(1.0, 1e300, 0.0),
+                 RiskParams(0.85, 0.05, 0.8, 0.5), RepayConvention.EXECUTION_VALUE,
+                 id="reserve_product_finite"),
+])
+def test_attack_profit_is_finite_or_raises_where_a_sale_overflows(delta, position, pool, params,
+                                                                  convention):
+    try:
+        res = attack_profit(delta, position, pool, params, convention)
+    except (ValueError, ArithmeticError):
+        return
+    assert math.isfinite(res.front_proceeds) and math.isfinite(res.liq_profit)
+    for value in (res.buyback_cost, res.total_profit):
+        assert value is None or math.isfinite(value)
