@@ -281,42 +281,36 @@ def optimize_attack(
     bounds = delta_bounds(position, pool, params)
     lo = max(0.0, delta_range[0])
     hi = min(bounds.baddebt_cap, bounds.no_revert * (1.0 - GUARD_BAND), delta_range[1])
+    delta, points, best_positive = 0.0, 0, -math.inf
+    if not (hi <= 0.0 or hi < lo or hi == math.inf):
+        c, b, a, b_res, fee = (position.collateral, position.debt, pool.reserve_collateral,
+                               pool.reserve_debt, pool.fee)
 
-    def outcome(delta: float, points: int, best_positive: float) -> OptimizeOutcome:
-        result = attack_profit(delta, position, pool, params, convention)
-        return OptimizeOutcome(delta, result, points, max(hi, 0.0), best_positive, bounds, lo)
+        def profit_of(d: float) -> float:
+            return _sandwich_total(d, c, b, a, b_res, fee, params, convention)
 
-    if hi <= 0.0 or hi < lo or hi == math.inf:
-        return outcome(0.0, 0, -math.inf)
+        p_zero = profit_of(0.0)
+        grid = _coarse_grid(bounds, lo, hi)
+        points = len(grid)
+        coarse = attack_profit_batch(grid, c, b, a, b_res, fee, params, convention)
+        total = np.where(coarse.feasible, coarse.total_profit, -math.inf)
+        best_positive = float(total.max(where=grid > 0.0, initial=-math.inf))
+        if coarse.feasible.any():
+            idx = int(total.argmax())  # the first best size, as max() picks it
+            d_best, p_best = float(grid[idx]), float(total[idx])
 
-    c, b, a, b_res, fee = (position.collateral, position.debt, pool.reserve_collateral,
-                           pool.reserve_debt, pool.fee)
+            # Golden refinement between the coarse neighbours of the best point.
+            lo_b = float(grid[idx - 1]) if idx > 0 else max(lo, d_best * 0.5)
+            hi_b = float(grid[idx + 1]) if idx + 1 < len(grid) else hi
+            d_ref, p_ref = golden_max(profit_of, lo_b, hi_b, tol=1e-10)
+            if p_ref > p_best and d_ref > 0.0:
+                d_best, p_best = d_ref, p_ref
+                best_positive = max(best_positive, p_ref)
+            if not p_zero >= p_best:
+                delta = d_best
 
-    def profit_of(d: float) -> float:
-        return _sandwich_total(d, c, b, a, b_res, fee, params, convention)
-
-    p_zero = profit_of(0.0)
-    grid = _coarse_grid(bounds, lo, hi)
-    coarse = attack_profit_batch(grid, c, b, a, b_res, fee, params, convention)
-    total = np.where(coarse.feasible, coarse.total_profit, -math.inf)
-    best_positive = float(total.max(where=grid > 0.0, initial=-math.inf))
-    if not coarse.feasible.any():
-        return outcome(0.0, len(grid), best_positive)
-
-    idx = int(total.argmax())  # the first best size, as max() picks it
-    d_best, p_best = float(grid[idx]), float(total[idx])
-
-    # Golden refinement between the coarse neighbours of the best point.
-    lo_b = float(grid[idx - 1]) if idx > 0 else max(lo, d_best * 0.5)
-    hi_b = float(grid[idx + 1]) if idx + 1 < len(grid) else hi
-    d_ref, p_ref = golden_max(profit_of, lo_b, hi_b, tol=1e-10)
-    if p_ref > p_best and d_ref > 0.0:
-        d_best, p_best = d_ref, p_ref
-        best_positive = max(best_positive, p_ref)
-
-    if p_zero >= p_best:
-        return outcome(0.0, len(grid), best_positive)
-    return outcome(d_best, len(grid), best_positive)
+    result = attack_profit(delta, position, pool, params, convention)
+    return OptimizeOutcome(delta, result, points, max(hi, 0.0), best_positive, bounds, lo)
 
 
 def _coarse_grid(bounds: DeltaBounds, lo: float, hi: float) -> np.ndarray:
@@ -383,17 +377,15 @@ def critical_fee(
     probes += [fee_low + (fee_high - fee_low) * (i + 1) / (_FEE_PROBES + 1)
                for i in range(_FEE_PROBES)]
     probes.append(fee_high)
-    values = [(f, g(f)) for f in probes]
-
-    profitable = [v > profit_floor for _, v in values]
+    profitable = [g(f) > profit_floor for f in probes]
     if not profitable[0]:
-        raise NoThresholdError("attack is not profitable at the low end of the interval", values)
+        raise NoThresholdError("attack is not profitable at the low end of the interval", trace)
     if profitable[-1]:
-        raise NoThresholdError("attack is still profitable at the high end of the interval", values)
+        raise NoThresholdError("attack is still profitable at the high end of the interval", trace)
     k = profitable.index(False)
     if any(profitable[k:]):
         raise NonMonotoneFeeProfileError(
-            f"best-attack profit recovered after turning non-positive; probe table: {values}")
+            f"best-attack profit recovered after turning non-positive; probe table: {trace}")
 
     lo, hi = probes[k - 1], probes[k]
     if hi - lo > _FEE_TOL:

@@ -57,16 +57,10 @@ class LoanPosition:
     debt: float
 
     def __post_init__(self) -> None:
-        if not (self.collateral >= 0.0 and self.debt >= 0.0):
-            _check_position(self.collateral, self.debt)
-
-
-def _check_position(c, b) -> None:
-    """Raise ValueError unless collateral and debt are >= 0 (a NaN fails)."""
-    if not c >= 0.0:
-        raise ValueError(f"collateral must be >= 0, got {c}")
-    if not b >= 0.0:
-        raise ValueError(f"debt must be >= 0, got {b}")
+        if not self.collateral >= 0.0:
+            raise ValueError(f"collateral must be >= 0, got {self.collateral}")
+        if not self.debt >= 0.0:
+            raise ValueError(f"debt must be >= 0, got {self.debt}")
 
 
 @dataclass(frozen=True)

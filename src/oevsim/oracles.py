@@ -109,8 +109,9 @@ def simulate_liquidation_sequence(
     The terminator records which constraint ended the run: the health gate
     ("closing_factor"), debt exhausted, collateral exhausted, a gate that
     was already shut at entry ("gate"), the step budget ("steps"), or a
-    transaction cap that is not positive ("stalled").  With no transaction
-    made, the post-state is the caller's ``position`` and ``pool`` objects.
+    transaction size that is not positive, as a ``step_limit`` <= 0 or NaN
+    gives ("stalled").  With no transaction made, the post-state is the
+    caller's ``position`` and ``pool`` objects.
 
     Runs of plain steps -- ``step_limit`` under both caps, leaving a state
     the walk goes on from with the gate open -- are computed as float64
@@ -236,7 +237,9 @@ def simulate_liquidation_sequence(
         x = min(step_limit, _x_collateral(c, ell),
                 _kappa_cap(kappa * b, a, r, u, m, convention))
         if not x > 0.0:
-            term = "stalled"  # defensive; caps are positive whenever c, b are
+            # Reached by a step_limit of 0, below 0 or NaN.  A size that is not
+            # positive makes no progress, so without this exit the walk would loop forever.
+            term = "stalled"
             break
         step = _step(c, b, a, r, x)
         crossing = fine and step[5] > cf_target

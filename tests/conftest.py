@@ -24,6 +24,15 @@ def broken_health_factor_check(monkeypatch) -> None:
 
 
 @pytest.fixture
+def broken_polynomial_check(monkeypatch) -> None:
+    """Make the polynomial self-check at a debt- or collateral-exhaustion root always fail.
+
+    No known state fails it, so only a residual forced to inf reaches its raise.
+    """
+    monkeypatch.setattr(oevsim.lending, "_poly_check", lambda quad, root: (math.inf, 0.0))
+
+
+@pytest.fixture
 def non_monotone_fee_profile(monkeypatch) -> None:
     """Make the best attack profit on fees in [0, 0.003] turn non-positive, then positive.
 

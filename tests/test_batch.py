@@ -32,7 +32,12 @@ from oevsim.attack import (
 )
 from oevsim.cli import main, run_sweep
 from oevsim.config import load_config, parse_config
-from oevsim.engine import best_strategy, run_liquidation, run_liquidation_batch
+from oevsim.engine import (
+    best_strategy,
+    best_strategy_batch,
+    run_liquidation,
+    run_liquidation_batch,
+)
 from oevsim.lending import (
     DEFAULT_CONVENTION,
     LoanPosition,
@@ -313,6 +318,25 @@ def test_batch_raises_where_the_scalar_self_check_raises():
                             pool.reserve_collateral, pool.reserve_debt, pool.fee, params)
     assert raised.value.position == position
     assert raised.value.convention is RepayConvention.EXECUTION_VALUE
+
+
+# HF 0.248: the recovery root sits at exhaustion, where the polynomial self-check runs.
+AT_EXHAUSTION = (LoanPosition(38.22285036096994, 8.652567146157587),
+                 PoolState(16657.945238211185, 1563.8823960128884, 0.0014056667623457881),
+                 RiskParams(0.5975284102087317, 0.05131141895889022, 0.3155082477105548,
+                            0.9205281032181243))
+
+
+@pytest.mark.usefixtures("broken_polynomial_check")
+def test_batch_raises_where_the_scalar_polynomial_self_check_raises():
+    position, pool, params = AT_EXHAUSTION
+    with pytest.raises(RecoveryRootError) as want:
+        best_strategy(position, pool, params)
+    with pytest.raises(RecoveryRootError) as got:
+        best_strategy_batch(position.collateral, position.debt, pool.reserve_collateral,
+                            pool.reserve_debt, pool.fee, params)
+    assert want.value.check == got.value.check == "polynomial self-check"
+    assert str(got.value) == str(want.value)
 
 
 def test_refine_takes_no_debt_exhaustion_pole_for_a_crossing(monkeypatch):

@@ -360,6 +360,23 @@ risk: {haircut: 0.6099749591202599, bonus: 0.0663722135511839, closing_factor: 0
     assert "LoanPosition(collateral=8.331745663884487e-07" in out.err
 
 
+@pytest.mark.usefixtures("broken_polynomial_check")
+def test_cli_liquidate_polynomial_self_check_error_exits_5(tmp_path, capsys):
+    # test_batch.py's AT_EXHAUSTION state, whose recovery root sits at exhaustion.
+    cfg = """
+pool: {reserve_collateral: 16657.945238211185, reserve_debt: 1563.8823960128884,
+       fee: 0.0014056667623457881}
+position: {collateral: 38.22285036096994, debt: 8.652567146157587}
+risk: {haircut: 0.5975284102087317, bonus: 0.05131141895889022, closing_factor: 0.3155082477105548,
+       max_liq_fraction: 0.9205281032181243}
+"""
+    assert main(["liquidate", write(tmp_path, cfg)]) == 5
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err
+    assert out.err.startswith("liquidate: recovery-bound root failed its polynomial self-check")
+
+
 # The liquidation sale of a debt of 3e143 into a pool of 8e-85 collateral and
 # 2e-135 debt asset leaves a debt reserve of exactly 0.
 RESERVE_UNDERFLOW = """

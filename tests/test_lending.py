@@ -228,15 +228,15 @@ def test_param_validation():
         RiskParams(0.85, 0.05, 1.2, 0.5)
     with pytest.raises(ValueError):
         RiskParams(0.85, 0.05, 0.8, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="collateral must be >= 0, got"):
         LoanPosition(-1.0, 0.0)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: LoanPosition(math.nan, 1.0),
-    lambda: LoanPosition(1.0, math.nan),
-    lambda: RiskParams(0.85, math.nan, 0.8, 0.5),
+@pytest.mark.parametrize("build, match", [
+    (lambda: LoanPosition(math.nan, 1.0), "collateral must be >= 0, got"),
+    (lambda: LoanPosition(1.0, math.nan), "debt must be >= 0, got"),
+    (lambda: RiskParams(0.85, math.nan, 0.8, 0.5), "bonus must be >= 0, got"),
 ], ids=["collateral", "debt", "bonus"])
-def test_param_validation_rejects_nan(build):
-    with pytest.raises(ValueError):
+def test_param_validation_rejects_nan(build, match):
+    with pytest.raises(ValueError, match=match):
         build()

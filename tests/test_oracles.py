@@ -261,8 +261,7 @@ def test_verification_report_smoke():
     assert "engine_vs_dp" in checks and "integral_vs_closed_form" in checks
 
 
-def walk_reference(position, pool, params, cf_target, kappa, convention, step_limit,
-                   stop_before_crossing, max_steps):
+def walk_reference(position, pool, params, cf_target, kappa, convention, step_limit, max_steps):
     """simulate_liquidation_sequence as one scalar transaction per loop iteration."""
     theta, ell, fee = params.haircut, params.bonus, pool.fee
     c_eps = _EXHAUST_EPS * max(position.collateral, 1.0)
@@ -270,6 +269,7 @@ def walk_reference(position, pool, params, cf_target, kappa, convention, step_li
     one_plus = 1.0 + ell
     spot = convention is RepayConvention.SPOT_PRICE
     u, m = trade_multiplier(fee, ell), _traj_factor(fee, convention)
+    fine = step_limit < math.inf
 
     def step_at(c, b, a, r, size):
         amount = size * one_plus
@@ -317,7 +317,7 @@ def walk_reference(position, pool, params, cf_target, kappa, convention, step_li
             term = "stalled"
             break
         step = step_at(c, b, a, r, x)
-        crossing = stop_before_crossing and step[5] > cf_target
+        crossing = fine and step[5] > cf_target
         if crossing:
             x, _ = halve(lambda size: not step_at(c, b, a, r, size)[5] > cf_target, 0.0, x,
                          lambda lo, hi: hi - lo <= 1e-15 * max(1.0, hi), 200)
@@ -367,7 +367,7 @@ def walk_pair(inst, convention, step_limit, max_steps, cf_target=None, kappa=Non
             inst.cf_target if cf_target is None else cf_target,
             inst.kappa if kappa is None else kappa, convention, step_limit)
     return (simulate_liquidation_sequence(*args, max_steps=max_steps),
-            walk_reference(*args, step_limit < math.inf, max_steps))
+            walk_reference(*args, max_steps))
 
 
 def span(inst):
@@ -415,6 +415,17 @@ def test_a_kappa_cap_binding_after_a_plain_run_matches_the_scalar_walk(conventio
     got, want = walk_pair(DRAIN_WALK, convention, share * cap0, 40_000, kappa=kappa)
     assert outcome_bits(got) == outcome_bits(want)
     assert got.cumulative_x < got.steps * share * cap0 * (1.0 - 1e-3)
+
+
+@pytest.mark.parametrize("step_limit", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_a_step_limit_that_is_not_positive_stalls_the_walk(step_limit):
+    # A step of that size makes no progress; the walk ends before its first one.
+    inst = GATE_WALK
+    assert health_factor(inst.position, inst.pool, inst.params.haircut) <= inst.cf_target
+    got = simulate_liquidation_sequence(inst.position, inst.pool, inst.params, inst.cf_target,
+                                        inst.kappa, step_limit=step_limit)
+    assert (got.terminator, got.steps, got.profit, got.cumulative_x) == ("stalled", 0, 0.0, 0.0)
+    assert got.post_position is inst.position and got.post_pool is inst.pool
 
 
 @pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
