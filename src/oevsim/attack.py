@@ -62,7 +62,10 @@ _FEE_PROBES = 5
 
 
 class NoThresholdError(RuntimeError):
-    """The best-attack profit does not change sign on the searched fee interval."""
+    """The best-attack profit does not change sign once on the searched fee interval.
+
+    ``probes`` holds the (fee, profit) table that the message lists.
+    """
 
     def __init__(self, message: str, probes: list[tuple[float, float]]):
         table = ", ".join(f"g({g:.6g})={p:.6g}" for g, p in probes)
@@ -70,7 +73,7 @@ class NoThresholdError(RuntimeError):
         self.probes = probes
 
 
-class NonMonotoneFeeProfileError(RuntimeError):
+class NonMonotoneFeeProfileError(NoThresholdError):
     """Best-attack profit is not monotone across the fee probes; refusing to bisect."""
 
 
@@ -384,8 +387,8 @@ def critical_fee(
         raise NoThresholdError("attack is still profitable at the high end of the interval", trace)
     k = profitable.index(False)
     if any(profitable[k:]):
-        raise NonMonotoneFeeProfileError(
-            f"best-attack profit recovered after turning non-positive; probe table: {trace}")
+        raise NonMonotoneFeeProfileError("best-attack profit recovered after turning non-positive",
+                                         trace)
 
     lo, hi = probes[k - 1], probes[k]
     if hi - lo > _FEE_TOL:

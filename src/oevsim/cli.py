@@ -428,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (atk.NoThresholdError, atk.NonMonotoneFeeProfileError) as exc:
+    except atk.NoThresholdError as exc:
         print(f"no threshold: {exc}", file=sys.stderr)
         return 3
     except RecoveryRootError as exc:

@@ -367,11 +367,17 @@ def bound_closing(
 
 
 def _closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention):
-    """:func:`bound_closing` over floats: the root and its branch.
+    """:func:`bound_closing` over floats: solve, polish and self-check the root.
 
     ``u`` and ``m`` are the trade multiplier and trajectory factor of ``fee``
-    and ``convention``.  A position and a pool are built only to raise
-    :class:`RecoveryRootError`.
+    and ``convention``.  Where ``linear*linear`` overflows, ``|linear|`` is
+    taken out of the discriminant's square root.  The root, polished by two
+    Newton steps, must satisfy HF == cf: the polynomial's coefficients can
+    lose digits in extreme states, so a root whose residual exceeds the
+    tolerance is re-bisected on the health-factor gap itself, on floats
+    (:func:`_hf_marginal`), and a root no nearby sign change brackets must
+    meet the tolerance as it is.  Returns ``(root, branch)``; a position and a
+    pool are built only to raise :class:`RecoveryRootError`.
     """
     if b <= 0.0:
         return math.inf, "none"
@@ -384,10 +390,13 @@ def _closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention):
         roots = [-offset / linear] if linear != 0.0 else []
     else:
         branch = "quadratic"
-        disc = _discriminant(quad)
+        # outer is 1.0, an exact factor, unless linear*linear overflows.
+        disc, outer = _discriminant(quad), 1.0
+        if disc == math.inf and linear != 0.0:
+            disc, outer = 1.0 + 4.0 * lead * (offset / linear) / linear, abs(linear)
         if disc < 0.0:
             return math.inf, "none"
-        q = _citardauq(linear, math.sqrt(disc), math.copysign)
+        q = _citardauq(linear, outer * math.sqrt(disc), math.copysign)
         roots = [q / lead]
         if q != 0.0:
             roots.append(-offset / q)
@@ -410,21 +419,7 @@ def _closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention):
             break
         root -= step
     root = max(root, 0.0)
-    return _refine_and_verify_closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf,
-                                           convention, root, quad), branch
 
-
-def _refine_and_verify_closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention,
-                                    root, quad):
-    """Defining-property self-check: the returned root must satisfy HF == cf.
-
-    The polynomial's coefficients can lose digits in extreme states, so
-    when the residual of the defining equation exceeds the tolerance the
-    root is re-bisected on the health-factor gap itself; a root no nearby
-    sign change brackets must meet the tolerance as it is.  The re-bisection
-    evaluates the gap on floats (:func:`_hf_marginal`); a position and a pool
-    are built only to raise :class:`RecoveryRootError`.
-    """
     remaining = b - _repay_total(a, b_res, root, u, m)
     if _exhausted(c, b, root, bonus, remaining):
         # Root sits at (or beyond) debt or collateral exhaustion, where HF
@@ -434,7 +429,7 @@ def _refine_and_verify_closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, c
         if residual > limit:
             raise RecoveryRootError("polynomial self-check", LoanPosition(c, b),
                                     PoolState(a, b_res, fee), cf, convention, residual)
-        return root
+        return root, branch
 
     tol = _hf_tol(cf)
     # Not exhausted, so remaining is not <= 0: this is _hf_marginal(root).
@@ -460,12 +455,12 @@ def _refine_and_verify_closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, c
                 # Crossing bracketed to one ulp: the defining property holds
                 # to the representable limit even if HF is too steep for the
                 # residual itself to reach the tolerance.
-                return 0.5 * (lo + hi)
+                return 0.5 * (lo + hi), branch
             width *= 8.0
     if abs(res) > tol:
         raise RecoveryRootError("self-check", LoanPosition(c, b), PoolState(a, b_res, fee), cf,
                                 convention, res)
-    return root
+    return root, branch
 
 
 def _exhausted(c, b, root, bonus, remaining):
@@ -481,9 +476,9 @@ def bound_closing_batch(c, b, a, b_res, fee, haircut, bonus, cf, convention):
     polish run as masks over the scalar path's formulas.  A row the batch
     cannot settle is handed to :func:`bound_closing` itself, whose
     self-checks then run and may raise: the linear branch, a debt that is
-    not positive, a debt-exhaustion root that fails the polynomial check,
-    and a health-factor residual above half the tolerance, which the scalar
-    path would refine.
+    not positive, a discriminant that overflows, a debt-exhaustion root that
+    fails the polynomial check, and a health-factor residual above half the
+    tolerance, which the scalar path would refine.
     """
     with np.errstate(all="ignore"):
         u = trade_multiplier(fee, bonus)
@@ -516,7 +511,7 @@ def bound_closing_batch(c, b, a, b_res, fee, haircut, bonus, cf, convention):
         settled = np.where(_exhausted(c, b, root, bonus, remaining), ~(residual > limit),
                            abs(gap) <= 0.5 * _hf_tol(cf))
         x = np.where(found, root, math.inf)
-        fallback = (b <= 0.0) | (lead == 0.0) | (found & ~settled)
+        fallback = (b <= 0.0) | (lead == 0.0) | (disc == math.inf) | (found & ~settled)
     for i in np.flatnonzero(fallback).tolist():
         position = LoanPosition(float(c[i]), float(b[i]))
         pool = PoolState(float(a[i]), float(b_res[i]), float(fee[i]))

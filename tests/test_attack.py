@@ -328,8 +328,12 @@ def test_critical_fee_requires_sign_change():
 
 
 def test_critical_fee_refuses_a_non_monotone_profile(non_monotone_fee_profile):
-    with pytest.raises(NonMonotoneFeeProfileError, match="recovered after turning non-positive"):
+    with pytest.raises(NonMonotoneFeeProfileError,
+                       match="recovered after turning non-positive") as err:
         critical_fee(POS5, POOL5, STD, 0.0, 0.003)
+    assert isinstance(err.value, NoThresholdError)
+    assert [p for _, p in err.value.probes] == [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]
+    assert "non-positive [g(0)=1, g(0.0005)=1, g(0.001)=0, " in str(err.value)
 
 
 def test_critical_fee_trace_brackets_result():

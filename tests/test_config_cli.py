@@ -433,7 +433,8 @@ NO_THRESHOLD = {
     # g(0.0005) is about 22277: the attack still pays at the high end.
     "profitable_at_high_end": (BUNDLED_ATTACK.replace("fee_high: 0.003", "fee_high: 0.0005"),
                                False, "still profitable at the high end"),
-    "non_monotone": (BUNDLED_ATTACK, True, "recovered after turning non-positive"),
+    "non_monotone": (BUNDLED_ATTACK, True,
+                     "recovered after turning non-positive [g(0)=1, g(0.0005)=1, g(0.001)=0, "),
 }
 
 

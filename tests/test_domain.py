@@ -12,6 +12,7 @@ import re
 import signal
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from oevsim import (
     RiskParams,
     attack_profit,
     best_strategy,
+    bound_closing,
     compute_bounds,
     critical_fee,
     delta_bounds,
@@ -35,6 +37,8 @@ from oevsim import (
     subadditivity_check,
 )
 from oevsim.attack import _sandwich_total, attack_profit_batch
+from oevsim.cli import main
+from oevsim.config import parse_config
 from oevsim.engine import best_strategy_batch
 from oevsim.lending import _x_collateral
 
@@ -273,6 +277,55 @@ def test_underflowing_square_raises_one_value_error():
         strategy_batch(position, pool, params)
     with pytest.raises(ValueError, match=match):
         attack_profit(0.0, position, pool, params)
+
+
+# Its recovery quadratic's linear*linear overflows, so the discriminant is
+# inf, and root 0 taken from it failed the health-factor self-check.  The
+# state has no recovery root: its health factor stays near 4.7e-6, and the
+# collateral bound binds.
+OVERFLOWING_DISCRIMINANT = """\
+convention: execution_per_bonus
+pool: {reserve_collateral: 5.204366883555337e+144, reserve_debt: 7.437278773769457e+49, fee: 0.0}
+position: {debt: 5.818560089371399e-84, initial_health_factor: 4.710481466813223e-06}
+risk: {haircut: 0.8096558833309286, bonus: 0.4539958490350111,
+       closing_factor: 0.2810264227463748, max_liq_fraction: 0.3277197201592209}
+"""
+
+
+def test_overflowing_discriminant_batch_matches_scalar():
+    cfg = parse_config(yaml.safe_load(OVERFLOWING_DISCRIMINANT))
+    position, pool = cfg.state_at()
+    liq, strategy = best_strategy(position, pool, cfg.risk, cfg.convention)
+    assert liq.binding is Binding.COLLATERAL
+    assert liq.bounds.x_closing > liq.bounds.x_collateral
+    assert liq.pi_tot.hex() == "0x1.587fb2f681156p-296"
+    batch, strategies = best_strategy_batch([position.collateral], [position.debt],
+                                            [pool.reserve_collateral], [pool.reserve_debt],
+                                            pool.fee, cfg.risk, cfg.convention)
+    assert float(batch.pi_tot[0]).hex() == liq.pi_tot.hex() and strategies[0] == strategy
+
+
+@pytest.mark.parametrize("command, code, patterns", [
+    ("liquidate", 0, [r"^marginal phase .* binding=collateral$"]),
+    ("attack", 0, [r"^best attack +delta=0$", r"^  total profit +1\.05698558012e-89$"]),
+    ("fee-threshold", 3, [r"^no threshold: attack is not profitable at the low end "]),
+])
+def test_overflowing_discriminant_runs_every_command(tmp_path, capsys, command, code, patterns):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(OVERFLOWING_DISCRIMINANT)
+    assert main([command, str(path)]) == code
+    out = capsys.readouterr()
+    for pattern in patterns:
+        assert re.search(pattern, out.out + out.err, re.M), pattern
+
+
+def test_overflowing_discriminant_without_a_linear_term_cannot_bind():
+    # lead*offset overflows while linear is exactly 0, so |linear| cannot be
+    # taken out of the square root.  The true root, about 2**299, lies far
+    # past the collateral bound 1.
+    position, pool = LoanPosition(1.0, 2.0 ** 698), PoolState(2.0 ** 300, 2.0 ** 700, 0.0)
+    bound = bound_closing(position, pool, 0.5, 0.0, 1.0, RepayConvention.SPOT_PRICE)
+    assert bound.x > _x_collateral(position.collateral, 0.0)
 
 
 # A liquidatable position (HF 0.85*1500*6/1e4 = 0.765) in a pool at 1500.

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -18,7 +19,7 @@ from oevsim import (
     run_liquidation,
 )
 from oevsim._numerics import bisect_root
-from oevsim.lending import _repay, _traj_factor, trade_multiplier
+from oevsim.lending import _repay, _repay_total, _traj_factor, trade_multiplier
 from oevsim.oracles import random_instances
 
 
@@ -101,6 +102,29 @@ def test_bound_closing_no_recovery_is_infinite():
 def test_bound_closing_of_a_debt_free_position_is_none():
     cb = bound_closing(LoanPosition(5.0, 0.0), pool_at(1800.0, fee=0.003), 0.85, 0.05, 1.0)
     assert (cb.x, cb.branch) == (math.inf, "none")
+
+
+def test_recovery_root_at_a_small_exhausted_share_takes_the_polynomial_check():
+    """The root leaves 3.7e-11 of the debt and 4.4e-11 of the collateral.
+
+    Both shares lie between epsilon*1e-9 and epsilon/1e-9, the exhaustion
+    share, so the root counts as an exhaustion point and is checked on the
+    polynomial; refined on the health factor instead, it moves by three ulps.
+    """
+    spot = RepayConvention.SPOT_PRICE
+    pos = LoanPosition(63.796344289587026, 1814.4438728938323)
+    pool = PoolState(37104.443824160466, 1156807.2968581007, 0.006683070963504107)
+    haircut, bonus = 0.7756375479550072, 0.09432483935774388
+    x = bound_closing(pos, pool, haircut, bonus, 1.0, spot).x
+    u, m = trade_multiplier(pool.fee, bonus), _traj_factor(pool.fee, spot)
+    repaid = _repay_total(pool.reserve_collateral, pool.reserve_debt, x, u, m)
+    low, high = sys.float_info.epsilon * 1e-9, sys.float_info.epsilon / 1e-9
+    assert low < (pos.debt - repaid) / pos.debt < high
+    assert low < (pos.collateral - x * (1.0 + bonus)) / pos.collateral < high
+    assert x.hex() == "0x1.d2612be01142bp+5"
+    params = RiskParams(haircut, bonus, 0.5302754743086606, 0.5365533988135535)
+    res = run_liquidation(pos, pool, params, 1.0, params.max_liq_fraction, spot)
+    assert res.pi_tot.hex() == "0x1.3bc12b02cfe40p+7"
 
 
 def test_bisect_root_returns_an_exact_endpoint_and_needs_a_sign_change():
