@@ -72,6 +72,32 @@ def _trade(a, r, fee, x, bonus):
     return proceeds - r / a * x, a_n, r_n
 
 
+def _debt_reserves(a_col: np.ndarray, r: float) -> np.ndarray:
+    """The debt reserves ``r_k`` that follow ``r`` as the collateral reserve
+    runs through ``a_col``, with the bits of the float loop
+    ``r_{k+1} = a_k*r_k/a_{k+1}`` (``amm._sell``'s post reserve).
+
+    The next reserve depends on ``r_k`` only through the product ``s = a_k*r_k``.
+    While a row's product is still the first one, the next reserve is
+    ``s/a_{k+1}``, so one division gives the column up to the first row whose
+    product moved (NaN counts as moved), and the loop goes on from that row.
+    Call it under ``np.errstate``: the rows may overflow.
+    """
+    s = a_col[0] * r
+    r_col = np.empty(len(a_col))
+    r_col[0] = r
+    np.divide(s, a_col[1:], out=r_col[1:])
+    same = a_col[:-1] * r_col[:-1] == s
+    j = int(same.argmin())
+    if not same[j]:
+        a_list = a_col[j:].tolist()
+        r_list = [float(r_col[j])]
+        for a_pre, a_post in zip(a_list, a_list[1:]):
+            r_list.append(a_pre * r_list[-1] / a_post)
+        r_col[j:] = r_list
+    return r_col
+
+
 @dataclass(frozen=True)
 class SequenceOutcome:
     """Trace summary of a simulated transaction-by-transaction liquidation."""
@@ -120,10 +146,13 @@ def simulate_liquidation_sequence(
     ``a``, profit and cumulative size change by one addition per step, and
     ``np.add.accumulate`` adds one element at a time, in order, so each is
     one accumulate seeded with the current state.  The debt reserve
-    ``a*r/a_next`` is a plain float loop, and everything else is pointwise,
-    where numpy rounds each ``+ - * /`` as a Python float does.  The first
-    step that is not plain (a cap, a crossing, exhaustion, the budget) runs
-    scalar, as does every greedy walk.
+    ``a*r/a_next`` is one division while the product ``a*r`` repeats, and a
+    float loop from the first row where it moved (:func:`_debt_reserves`).
+    Everything else is pointwise, where numpy rounds each ``+ - * /`` as a
+    Python float does.  A chunk ends at the row that exhausts the
+    collateral, as no row after it is plain.  The first step that is not
+    plain (a cap, a crossing, exhaustion, the budget) runs scalar, as does
+    every greedy walk.
     """
     theta, ell, fee = params.haircut, params.bonus, pool.fee
     u, m = trade_multiplier(fee, ell), _traj_factor(fee, convention)
@@ -163,13 +192,14 @@ def simulate_liquidation_sequence(
             # a moves by amm._sell's net inflow, the same every step.
             fixed[:, 1:] = (amount * (1.0 - fee),), (-amount,), (step_limit,)
             a_col, c_col, x_col = np.add.accumulate(fixed, axis=1, out=fixed)
-            # The debt reserve a*r/a_next is the one recurrence no accumulate forms.
-            a_list = a_col.tolist()
-            r_list = [r]
-            for a_pre, a_post in zip(a_list, a_list[1:]):
-                r = a_pre * r / a_post
-                r_list.append(r)
-            r_col = np.array(r_list)
+            # No step after the one that exhausts the collateral is plain, so
+            # the columns end at that row.
+            spent = c_col <= c_eps
+            j = int(spent.argmax())
+            if spent[j]:
+                n = j
+                a_col, c_col, x_col = fixed[:, :n + 1]
+            r_col = _debt_reserves(a_col, r)
             a_pre, r_pre, a_post, r_post = a_col[:-1], r_col[:-1], a_col[1:], r_col[1:]
             # Debt falls by each step's write-down; profit rises as _step prices it.
             moved = np.empty((2, n + 1))
@@ -193,7 +223,7 @@ def simulate_liquidation_sequence(
             k = n
         if k == 0:
             return 0, None
-        return k, (float(c_col[k]), float(b_col[k]), a_list[k], r_list[k],
+        return k, (float(c_col[k]), float(b_col[k]), float(a_col[k]), float(r_col[k]),
                    float(hf_post[k - 1]), float(p_col[k]), float(x_col[k]))
 
     c, b = position.collateral, position.debt
@@ -359,9 +389,19 @@ def integral_oracle(pool: PoolState, x_liq: float, bonus: float) -> float:
 
     def midpoint(n: int) -> float:
         h = x_liq / n
-        x = (np.arange(n) + 0.5) * h
-        y = b_res * x * u / (a + x * u)
-        f = (b_res - y) * (u - 1.0) / (a + x * u)
+        x = np.arange(n, dtype=float)
+        x += 0.5
+        x *= h
+        w = x * u
+        w += a
+        # f = (B - B*x*u/w) * (u - 1) / w in that order, in x's buffer.
+        f = x
+        f *= b_res
+        f *= u
+        f /= w
+        np.subtract(b_res, f, out=f)
+        f *= u - 1.0
+        f /= w
         return float(np.sum(f) * h)
 
     coarse = midpoint(2**14)

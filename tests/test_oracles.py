@@ -34,7 +34,14 @@ from oevsim.lending import (
     _x_collateral,
     trade_multiplier,
 )
-from oevsim.oracles import _EXHAUST_EPS, Instance, SequenceOutcome, _trade, random_instances
+from oevsim.oracles import (
+    _EXHAUST_EPS,
+    Instance,
+    SequenceOutcome,
+    _debt_reserves,
+    _trade,
+    random_instances,
+)
 
 STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
 
@@ -261,8 +268,13 @@ def test_verification_report_smoke():
     assert "engine_vs_dp" in checks and "integral_vs_closed_form" in checks
 
 
-def walk_reference(position, pool, params, cf_target, kappa, convention, step_limit, max_steps):
-    """simulate_liquidation_sequence as one scalar transaction per loop iteration."""
+def walk_reference(position, pool, params, cf_target, kappa, convention, step_limit, max_steps,
+                   products=None):
+    """simulate_liquidation_sequence as one scalar transaction per loop iteration.
+
+    A ``products`` list receives the pool's reserve product ``a*r`` at entry and
+    after each transaction.
+    """
     theta, ell, fee = params.haircut, params.bonus, pool.fee
     c_eps = _EXHAUST_EPS * max(position.collateral, 1.0)
     b_eps = _EXHAUST_EPS * max(position.debt, 1.0)
@@ -295,6 +307,8 @@ def walk_reference(position, pool, params, cf_target, kappa, convention, step_li
     hf = health_factor(position, pool, theta)
     profit = cum_x = 0.0
     steps = 0
+    if products is not None:
+        products.append(a * r)
     while True:
         if b <= b_eps:
             term = "debt"
@@ -327,6 +341,8 @@ def walk_reference(position, pool, params, cf_target, kappa, convention, step_li
             profit += dpi
             cum_x += x
             steps += 1
+            if products is not None:
+                products.append(a * r)
         if crossing:
             term = "closing_factor"
             break
@@ -356,9 +372,70 @@ def test_cumsum_is_sequential_subtraction():
     assert [v.hex() for v in np.cumsum(cols[0]).tolist()] == want[0]
 
 
-# Two feasible states: in steps of cap/20000, GATE_WALK crosses the gate after about
-# 16,000 of them, and DRAIN_WALK never shuts it and runs out of collateral.
-DRAIN_WALK, _, _, _, _, GATE_WALK = random_instances(6, seed=77, feasible_only=True)
+def test_elementwise_products_and_quotients_round_as_floats():
+    # The walk's columns, its debt reserves among them, rest on numpy rounding
+    # each float64 * and / as a Python float does: on normal operands, on
+    # subnormal operands and results, and on results that overflow to inf.
+    rng = np.random.default_rng(37)
+    # Binary exponent ranges of x and y: normal, x mostly subnormal, x near overflow.
+    for exponents in [((-60, 60), (-60, 60)), ((-1073, -990), (-60, 60)),
+                      ((960, 1023), (-60, 60))]:
+        x, y = (rng.uniform(1.0, 2.0, 3000) * np.exp2(rng.integers(*bounds, 3000))
+                for bounds in exponents)
+        with np.errstate(all="ignore"):
+            got = (x * y, x / y, y / x, x[0] / y)
+        xs, ys = x.tolist(), y.tolist()
+        want = ([p * q for p, q in zip(xs, ys)], [p / q for p, q in zip(xs, ys)],
+                [q / p for p, q in zip(xs, ys)], [xs[0] / q for q in ys])
+        for col, ref in zip(got, want):
+            assert [v.hex() for v in col.tolist()] == [v.hex() for v in ref]
+
+
+def reserve_loop(a_col, r):
+    """The debt reserves after each collateral reserve of a_col, one float step at a time."""
+    a_list, r_list = a_col.tolist(), [r]
+    for a_pre, a_post in zip(a_list, a_list[1:]):
+        r_list.append(a_pre * r_list[-1] / a_post)
+    return r_list
+
+
+def seeded_draw(seed):
+    """A collateral reserve, a per-step inflow and a debt reserve as random states draw them."""
+    rng = np.random.default_rng(seed)
+    return tuple((10.0 ** rng.uniform(3.0, 7.0, 3) * [1.0, 1e-5, 100.0]).tolist())
+
+
+@pytest.mark.parametrize("draw, moves_at", [
+    (seeded_draw(1), None),
+    (seeded_draw(19), 1),
+    (seeded_draw(53), 147),
+    # Row 198's product feeds the last reserve.
+    (seeded_draw(12419), 198),
+    # a*r overflows to inf, and so does every reserve.
+    ((1e200, 1e195, 1e200), None),
+    # The collateral reserve reaches inf at row 107: the reserve there is 0, its
+    # product NaN, and every reserve after it NaN.
+    ((1e308, 7.5e305, 1.0), 107),
+], ids=["never", "row_1", "mid_column", "last_product", "product_overflows",
+        "column_reaches_inf"])
+def test_the_debt_reserve_column_matches_the_float_loop(draw, moves_at):
+    a0, inflow, r = draw
+    with np.errstate(all="ignore"):
+        # The collateral reserves of 199 equal sales, as the walk's chunks form them.
+        a_col = np.add.accumulate(np.r_[a0, np.full(199, inflow)])
+        got = _debt_reserves(a_col, r)
+    want = reserve_loop(a_col, r)
+    products = [a * q for a, q in zip(a_col.tolist(), want)]
+    assert next((k for k, p in enumerate(products) if not p == products[0]), None) == moves_at
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+# Four feasible states.  In steps of cap/20000, GATE_WALK crosses the gate after about
+# 16,000 of them, and DRAIN_WALK never shuts it and runs out of collateral; the pool's
+# reserve product a*r moves on many of their rows.  REPEAT_DRAIN runs out of
+# collateral and REPEAT_GATE crosses the gate with a product that never moves.
+_WALKS = random_instances(15, seed=77, feasible_only=True)
+DRAIN_WALK, GATE_WALK, REPEAT_DRAIN, REPEAT_GATE = (_WALKS[i] for i in (0, 5, 2, 14))
 
 
 def walk_pair(inst, convention, step_limit, max_steps, cf_target=None, kappa=None):
@@ -379,6 +456,21 @@ def test_long_walks_match_the_scalar_walk(convention):
     got, want = walk_pair(GATE_WALK, convention, span(GATE_WALK) / 20_000, 40_000)
     assert outcome_bits(got) == outcome_bits(want)
     assert got.terminator == "closing_factor" and got.steps > 16_000
+
+
+@pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("case", ["collateral", "closing_factor"])
+def test_walks_whose_reserve_product_never_moves_match_the_scalar_walk(convention, case):
+    # Each chunk's debt reserves are then one division, with no loop.
+    inst = {"collateral": REPEAT_DRAIN, "closing_factor": REPEAT_GATE}[case]
+    args = (inst.position, inst.pool, inst.params, inst.cf_target, inst.kappa, convention,
+            span(inst) / 20_000)
+    products = []
+    want = walk_reference(*args, 40_000, products)
+    got = simulate_liquidation_sequence(*args, max_steps=40_000)
+    assert outcome_bits(got) == outcome_bits(want)
+    assert got.terminator == case and got.steps > 5_000
+    assert len(products) == want.steps + 1 and set(products) == {products[0]}
 
 
 @pytest.mark.parametrize("convention", [RepayConvention.EXECUTION_VALUE,
