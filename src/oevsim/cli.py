@@ -49,8 +49,9 @@ class ProcessPoolExecutor:
     """
 
 
-# One float cell: also "inf", "-inf" and "nan", whatever the NaN's sign.
-_FLOAT = "{:.12g}".format
+# One float cell's printf field.  It prints "inf", "-inf", "nan" (either sign)
+# and "-0" as format() does: both call PyOS_double_to_string.
+_FLOAT = "%.12g"
 _BOOL = {True: "true", False: "false"}
 
 
@@ -60,33 +61,27 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return _BOOL[value]
     if isinstance(value, float):
-        return _FLOAT(value)
+        return _FLOAT % value
     return str(value)
 
 
-def _cells(column: list):
-    """The cells of one column as :func:`_fmt` formats them, in one pass where it can."""
-    kinds = set(map(type, column))
-    if kinds == {float}:
-        return map(_FLOAT, column)
-    if kinds == {str}:
-        return column
-    if kinds == {bool}:
-        return map(_BOOL.__getitem__, column)
-    return map(_fmt, column)
-
-
 def _write_csv(header: list[str], columns: list[list], out_path: str | None) -> None:
-    """Write a table given as columns, formatting each column in one pass.
+    """Write a table given as columns, each row through one printf template.
 
-    A column of floats, strings or bools alone takes one map (strings pass
-    as they are); a mixed column (``None`` cells, ints) goes through
-    :func:`_fmt`.  No cell holds a comma, a quote or a line break and every
-    table has two or more columns, so no cell needs CSV quoting and the rows
-    are plain joins.
+    Each column gives one field: ``%.12g`` for floats alone, and ``%s`` for
+    strings alone, for bools alone (over ``true``/``false``) and for a mixed
+    column (``None`` cells, ints; over :func:`_fmt`).  A ``%`` in a cell is
+    data.  No cell holds a comma, a quote or a line break and every table has
+    two or more columns, so no cell needs CSV quoting.
     """
-    cells = [_cells(col) for col in columns]
-    text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    fields, cells = [], []
+    for col in columns:
+        kinds = set(map(type, col))
+        fields.append(_FLOAT if kinds == {float} else "%s")
+        cells.append(col if kinds in ({float}, {str})
+                     else map(_BOOL.__getitem__ if kinds == {bool} else _fmt, col))
+    template = ",".join(fields) + "\n"
+    text = ",".join(header) + "\n" + "".join(map(template.__mod__, zip(*cells)))
     if out_path:
         with open(out_path, "w", newline="") as stream:
             stream.write(text)

@@ -482,8 +482,17 @@ def test_cli_verify_rejects_out_of_domain_arguments(capsys, extra):
     assert out.err.count("\n") == 1 and "--instances >= 1 and --grid-n >= 2" in out.err
 
 
+# 0, -0, both NaN signs, the smallest subnormal of each sign, the largest
+# subnormal, and both infinities, spelled as format(v, ".12g") spells them.
+FLOAT_EDGES = [(0.0, "0"), (-0.0, "-0"), (math.nan, "nan"), (-math.nan, "nan"),
+               (5e-324, "4.94065645841e-324"), (-5e-324, "-4.94065645841e-324"),
+               (2.225073858507201e-308, "2.22507385851e-308"),
+               (math.inf, "inf"), (-math.inf, "-inf")]
+
+
 def test_number_formatting_uses_12_significant_digits():
     assert _fmt(1234.56789012345) == "1234.56789012"
+    assert [_fmt(v) for v, _ in FLOAT_EDGES] == [cell for _, cell in FLOAT_EDGES]
     assert _fmt(math.inf) == "inf"
     assert _fmt(-math.inf) == "-inf"
     assert _fmt(math.nan) == _fmt(-math.nan) == "nan"
@@ -526,6 +535,46 @@ def test_write_csv_matches_the_csv_writer_reference(tmp_path, capsys):
     _write_csv(header, columns, str(out))
     assert out.read_bytes() == want.encode()
     _write_csv(header, columns, None)
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("header, columns", [
+    # A "%" in a cell or a header is data: the template holds only its fields.
+    (["share", "100%", "note"], [["100%", "%s", "%%", "%(x)s"], [0.5, 1.0, -2.0, 3.25],
+                                 [None, "%d", "a%", "%.12g"]]),
+    (["x", "y"], [[1.5], ["one row"]]),
+    (["x"], [[0.1, 2.0, -3.5e300]]),
+    (["tag"], [["kappa_cap", "%s", "none"]]),
+    (["x"], [[True]]),
+    (["count", "signed"], [[0, 7, 10 ** 30], [-1, 2, -3]]),
+    (["edge", "tag"], [[v for v, _ in FLOAT_EDGES], ["e%"] * len(FLOAT_EDGES)]),
+], ids=["percent-cells", "one-row", "one-float-column", "one-string-column", "one-cell",
+        "int-columns", "float-edges"])
+def test_write_csv_template_edges_match_the_csv_writer_reference(tmp_path, capsys, header,
+                                                                  columns):
+    want = csv_writer_reference(header, columns)
+    out = tmp_path / "table.csv"
+    _write_csv(header, columns, str(out))
+    assert out.read_bytes() == want.encode()
+    _write_csv(header, columns, None)
+    assert capsys.readouterr().out == want
+
+
+ATTACK_SWEEP = (Path(__file__).resolve().parent.parent / "scenarios"
+                / "attack_delta_sweep.yaml").read_text()
+
+
+@pytest.mark.parametrize("text, steps", [(SWEEP, "steps: 7"), (ATTACK_SWEEP, "steps: 241")],
+                         ids=["liquidation", "attack"])
+def test_single_point_sweep_writes_the_reference_to_both_sinks(tmp_path, capsys, text, steps):
+    path = write(tmp_path, text.replace(steps, "steps: 1"))
+    want = csv_writer_reference(*run_sweep(load_config(path)))
+    assert want.count("\n") == 2
+    out = tmp_path / "one.csv"
+    assert main(["sweep", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == want.encode()
+    assert main(["sweep", path]) == 0
     assert capsys.readouterr().out == want
 
 

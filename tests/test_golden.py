@@ -54,13 +54,23 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("command, target", sorted(CSV_SHA256))
-def test_csv_bytes_match_reference(tmp_path, capsys, command, target):
+# Each table through both sinks against one digest; a stdout case's id ends in -stdout.
+@pytest.mark.parametrize("command, target, to_file", [
+    pytest.param(command, target, to_file,
+                 id=f"{command}-{target}" + ("" if to_file else "-stdout"))
+    for command, target in sorted(CSV_SHA256) for to_file in (True, False)
+])
+def test_csv_bytes_match_reference(tmp_path, capsys, command, target, to_file):
     arg = str(SCENARIOS / f"{target}.yaml") if command == "sweep" else target
     out = tmp_path / "out.csv"
-    assert main([command, arg, "--out", str(out)]) == 0
-    assert capsys.readouterr().out == ""
-    assert sha256(out.read_bytes()) == CSV_SHA256[command, target]
+    assert main([command, arg, *(["--out", str(out)] if to_file else [])]) == 0
+    printed = capsys.readouterr().out
+    if to_file:
+        assert printed == ""
+        assert sha256(out.read_bytes()) == CSV_SHA256[command, target]
+    else:
+        assert not out.exists()
+        assert sha256(printed.encode()) == CSV_SHA256[command, target]
 
 
 @pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
