@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -285,21 +284,6 @@ def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, boun
             c, b, a, b_res)
 
 
-def _best_of(run, params: RiskParams, pi_tot):
-    """The better of ``run(closing_factor, 1)`` and ``run(1, kappa)``, and its Strategy.
-
-    ``pi_tot`` reads a run's total profit; ties go to the first pair.
-    """
-    full = run(params.closing_factor, 1.0)
-    capped = run(1.0, params.max_liq_fraction)
-    if pi_tot(full) >= pi_tot(capped):
-        return full, Strategy.CF_FULL
-    return capped, Strategy.ONE_KAPPA
-
-
-_RESULT_PI_TOT, _RUN_PI_TOT = attrgetter("pi_tot"), itemgetter(0)
-
-
 def best_strategy(
     position: LoanPosition,
     pool: PoolState,
@@ -307,27 +291,28 @@ def best_strategy(
     convention: RepayConvention = DEFAULT_CONVENTION,
 ) -> tuple[LiquidationResult, Strategy]:
     """max{L(closing_factor, 1), L(1, kappa)}; ties go to the first pair."""
-    return _best_of(lambda cf_target, kappa: run_liquidation(position, pool, params, cf_target,
-                                                             kappa, convention),
-                    params, _RESULT_PI_TOT)
+    full = run_liquidation(position, pool, params, params.closing_factor, 1.0, convention)
+    capped = run_liquidation(position, pool, params, 1.0, params.max_liq_fraction, convention)
+    if full.pi_tot >= capped.pi_tot:
+        return full, Strategy.CF_FULL
+    return capped, Strategy.ONE_KAPPA
 
 
 def _best_run(c, b, a, b_res, fee, params: RiskParams, convention: RepayConvention) -> tuple:
     """The :func:`_liquidation` tuple that :func:`best_strategy` picks, built from floats alone.
 
-    Each pair runs the float paths of compute_bounds and run_liquidation.
-    The threshold pairs come from a RiskParams, so the range checks of
-    cf_target (run_liquidation's) and kappa (compute_bounds') cannot fail
-    and are left out.
+    Each pair runs the float paths of compute_bounds and run_liquidation, in
+    best_strategy's order and with its tie rule.  The threshold pairs come
+    from a RiskParams, so the range checks of cf_target (run_liquidation's)
+    and kappa (compute_bounds') cannot fail and are left out.
     """
-    bonus = params.bonus
+    bonus, cf, kappa = params.bonus, params.closing_factor, params.max_liq_fraction
     u, m = trade_multiplier(fee, bonus), _traj_factor(fee, convention)
-
-    def run(cf_target: float, kappa: float) -> tuple:
-        bounds = _bounds(c, b, a, b_res, fee, u, m, params, cf_target, convention)
-        return _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, bounds)
-
-    return _best_of(run, params, _RUN_PI_TOT)[0]
+    full = _liquidation(c, b, a, b_res, u, m, bonus, cf, 1.0, convention,
+                        _bounds(c, b, a, b_res, fee, u, m, params, cf, convention))
+    capped = _liquidation(c, b, a, b_res, u, m, bonus, 1.0, kappa, convention,
+                          _bounds(c, b, a, b_res, fee, u, m, params, 1.0, convention))
+    return full if full[0] >= capped[0] else capped
 
 
 # The batch path: run_liquidation and best_strategy over float64 columns.

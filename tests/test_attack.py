@@ -3,6 +3,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oevsim.attack
@@ -20,6 +21,7 @@ from oevsim import (
     load_config,
     optimize_attack,
 )
+from oevsim.cli import main
 from oevsim.oracles import random_instances
 
 STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
@@ -344,3 +346,79 @@ def test_critical_fee_trace_brackets_result():
     nonpositives = [f for f, v in res.trace if v <= 0.0]
     assert max(positives) < res.fee_star <= min(nonpositives)
     assert hi - lo <= 1e-5
+
+
+# ROADMAP item 1's reproducers: a profitable spike at a binding switch falls
+# between two coarse points of the attack search.  Each entry is the
+# scenario, a narrow range around the spike and a size inside it.
+SPIKES = {
+    "A1": ("""
+mode: attack
+convention: spot_price
+pool: {reserve_collateral: 198.8317176449356, reserve_debt: 206705.14705078723, fee: 0.0011604420299647878}
+position: {debt: 150.74931317298365, collateral: 0.25472551578852265}
+risk: {haircut: 0.8652464892010575, bonus: 0.1, closing_factor: 0.5439339953559104, max_liq_fraction: 0.2365119949027771}
+attack: {fee_low: 0.0, fee_high: 0.006}
+""", (51.0, 54.0), 52.3647),
+    "A2": ("""
+mode: attack
+convention: spot_price
+pool: {reserve_collateral: 899112.9516557544, reserve_debt: 82384979.4340823, fee: 0.003943818545209387}
+position: {debt: 209063.28735026415, collateral: 3858.089007084154}
+risk: {haircut: 0.7528625216922883, bonus: 0.09576667248026424, closing_factor: 0.7833150601264014, max_liq_fraction: 0.3914432313409951}
+attack: {fee_low: 0.0, fee_high: 0.006}
+""", (214957.0, 221845.0), 216735.0),
+}
+
+missed_spike = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: the coarse grid misses a spike at a binding switch")
+
+
+def spike_scenario(tmp_path, name):
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(SPIKES[name][0])
+    return path
+
+
+@missed_spike
+@pytest.mark.parametrize("name", ["A1", "A2"])
+def test_a_full_search_finds_what_a_narrow_one_does(tmp_path, name):
+    cfg = load_config(spike_scenario(tmp_path, name))
+    position, pool = cfg.state_at()
+    full = optimize_attack(position, pool, cfg.risk, convention=cfg.convention)
+    narrow = optimize_attack(position, pool, cfg.risk, SPIKES[name][1], cfg.convention)
+    best = narrow.best_positive_profit
+    assert full.best_positive_profit >= best - 1e-9 * abs(best)
+
+
+@missed_spike
+@pytest.mark.parametrize("name", ["A1", "A2"])
+def test_the_attack_command_finds_the_spike(tmp_path, capsys, name):
+    assert main(["attack", str(spike_scenario(tmp_path, name))]) == 0
+    total = next(line.split()[-1] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  total profit"))
+    assert float(total) > 0.0
+
+
+@missed_spike
+@pytest.mark.parametrize("name", ["A1", "A2"])
+def test_the_spike_is_unprofitable_at_the_critical_fee(tmp_path, name):
+    cfg = load_config(spike_scenario(tmp_path, name))
+    position, pool = cfg.state_at()
+    res = critical_fee(position, pool, cfg.risk, cfg.attack.fee_low, cfg.attack.fee_high,
+                       cfg.convention)
+    at_fee = PoolState(pool.reserve_collateral, pool.reserve_debt, res.fee_star)
+    spike = attack_profit(SPIKES[name][2], position, at_fee, cfg.risk, cfg.convention)
+    assert spike.total_profit <= 1e-12 * pool.reserve_debt
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "bundled"])
+def test_best_positive_profit_does_not_rise_with_the_fee(tmp_path, name):
+    cfg = load_config(BUNDLED_ATTACK if name == "bundled" else spike_scenario(tmp_path, name))
+    position, pool = cfg.state_at()
+    pools = [PoolState(pool.reserve_collateral, pool.reserve_debt, float(fee))
+             for fee in np.linspace(0.0, 0.006, 13)]
+    best = [optimize_attack(position, at_fee, cfg.risk, convention=cfg.convention)
+            .best_positive_profit for at_fee in pools]
+    assert all(later <= earlier for earlier, later in zip(best, best[1:])), best

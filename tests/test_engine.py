@@ -195,6 +195,7 @@ def test_best_strategy_tie_breaks_to_cf_full():
     res, chosen = best_strategy(pos, pool_at(2050.0), STD)
     assert res.pi_tot == 0.0
     assert chosen is Strategy.CF_FULL
+    assert res.cf_target == STD.closing_factor and res.kappa == 1.0
 
 
 def test_gate_soundness_margin():
