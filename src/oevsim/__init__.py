@@ -28,21 +28,17 @@ from .engine import (
     LiquidationResult,
     Strategy,
     best_strategy,
-    final_tranche,
     run_liquidation,
 )
 from .lending import (
     DEFAULT_CONVENTION,
     BoundSet,
-    ClosingBound,
     LoanPosition,
     RecoveryRootError,
     RepayConvention,
     RiskParams,
-    bound_closing,
     compute_bounds,
     health_factor,
-    hf_after_marginal,
 )
 from .oracles import (
     Instance,

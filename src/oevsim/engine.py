@@ -114,29 +114,16 @@ class LiquidationResult:
     kappa: float
 
 
-def final_tranche(
-    pool_bar: PoolState,
-    pos_bar: LoanPosition,
-    params: RiskParams,
-    kappa: float,
-    convention: RepayConvention = DEFAULT_CONVENTION,
-) -> tuple[float, float, LastBinding]:
-    """Size, profit and cap tag of the one finite trade closing the run.
+def final_tranche(a, b_res, c, b, u, m, bonus, kappa, convention):
+    """Size, profit and cap tag of the one finite trade closing the run, over floats.
 
-    Admissible sizes are capped by the remaining collateral and by the
-    single-transaction kappa bound; within those the interior optimum wins.
-    Returns a zero trade when u <= 1, where the interior optimum is <= 0.
+    ``a, b_res, c, b`` are the post-run reserves and position, ``u`` and ``m``
+    the state's trade multiplier and trajectory factor.  Admissible sizes are
+    capped by the remaining collateral and by the single-transaction kappa
+    bound (kappa is checked by ``compute_bounds``); within those the interior
+    optimum wins.  Returns a zero trade when u <= 1, where the interior
+    optimum is <= 0.
     """
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    fee = pool_bar.fee
-    return _tranche(pool_bar.reserve_collateral, pool_bar.reserve_debt, pos_bar.collateral,
-                    pos_bar.debt, trade_multiplier(fee, params.bonus),
-                    _traj_factor(fee, convention), params.bonus, kappa, convention)
-
-
-def _tranche(a, b_res, c, b, u, m, bonus, kappa, convention):
-    """:func:`final_tranche` over floats, with the state's ``u`` and ``m``."""
     x_rem = _x_collateral(c, bonus)
     x_kb = _kappa_cap(kappa * b, a, b_res, u, m, convention)
     x_opt = _interior(a, u, math.sqrt)
@@ -236,7 +223,7 @@ def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, boun
 
     ``bounds`` is (x_collateral, x_debt_full, x_closing, hf), as ``lending._bounds``
     returns it; ``u`` and ``m`` are the state's trade multiplier and trajectory
-    factor.  The binding alone gates the closing trade, which :func:`_tranche`
+    factor.  The binding alone gates the closing trade, which :func:`final_tranche`
     sizes from the post-run state.  After each leg a reserve that is not > 0
     (a NaN recovery bound leaves NaN reserves) raises
     :class:`~oevsim.amm.ReserveUnderflowError`.  The post collateral and debt
@@ -272,8 +259,8 @@ def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, boun
             _check_reserves(a, b_res)
 
         if binding is Binding.CLOSING_FACTOR:
-            x_last, pi_last, last_binding = _tranche(a, b_res, c, b, u, m, bonus, kappa,
-                                                     convention)
+            x_last, pi_last, last_binding = final_tranche(a, b_res, c, b, u, m, bonus, kappa,
+                                                          convention)
             if x_last > 0.0:
                 c, b, a, b_res = _liquidate(a, b_res, c, b, x_last, u,
                                             _repay(a, b_res, x_last, u, m, convention),
@@ -359,9 +346,10 @@ def run_liquidation_batch(
     ``(1, max_liq_fraction)``, with the scalar calls' bits, from one pass over
     twice the rows.  The position and pool columns broadcast against each
     other.  Branches are masks over the scalar path's formulas.  A recovery
-    bound the masks cannot settle is solved by the scalar ``bound_closing``
-    (see :func:`~oevsim.lending.bound_closing_batch`), so its self-check
-    raises here as in a loop of :func:`run_liquidation` calls.
+    bound the masks cannot settle is solved by the scalar
+    :func:`~oevsim.lending.bound_closing` (see
+    :func:`~oevsim.lending.bound_closing_batch`), so its self-check raises
+    here as in a loop of :func:`run_liquidation` calls.
     """
     cols = _columns(collateral, debt, reserve_collateral, reserve_debt, fee)
     c, b, a, b_res, fee = (np.concatenate([v, v]) for v in cols)

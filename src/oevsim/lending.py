@@ -35,6 +35,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,29 +138,15 @@ def health_factor(position: LoanPosition, pool: PoolState, haircut: float) -> fl
                    position.collateral, position.debt)
 
 
-def hf_after_marginal(
-    position: LoanPosition,
-    pool: PoolState,
-    haircut: float,
-    bonus: float,
-    x: float,
-    convention: RepayConvention = DEFAULT_CONVENTION,
-) -> float:
+def hf_after_marginal(a, b_res, c, b, u, m, haircut, bonus, x):
     """Health factor after a marginal liquidation run of cumulative size x.
 
     Collateral falls by x*(1+bonus), the pool absorbs x*u collateral, the
     marked price becomes B*A/(A + x*u)**2 and the position's debt falls by
-    the trajectory repayment m*B*x/(A + x*u).  +inf once the run has repaid
-    the whole debt, as for any debt-free position.
+    the trajectory repayment m*B*x/(A + x*u).  ``u`` and ``m`` are the
+    state's trade multiplier and trajectory factor.  +inf once the run has
+    repaid the whole debt, as for any debt-free position.
     """
-    fee = pool.fee
-    return _hf_marginal(pool.reserve_collateral, pool.reserve_debt, position.collateral,
-                        position.debt, trade_multiplier(fee, bonus), _traj_factor(fee, convention),
-                        haircut, bonus, x)
-
-
-def _hf_marginal(a, b_res, c, b, u, m, haircut, bonus, x):
-    """:func:`hf_after_marginal` over floats, with the state's ``u`` and ``m``."""
     remaining = b - _repay_total(a, b_res, x, u, m)
     if remaining <= 0.0:
         return math.inf
@@ -318,8 +305,10 @@ class RecoveryRootError(ArithmeticError):
                 f"{self.position} {self.pool}")
 
 
-@dataclass(frozen=True)
-class ClosingBound:
+# bound_closing, hf_after_marginal and engine.final_tranche are the float rules
+# themselves, with public names because the benchmark's tracer wraps them by
+# name and reads ClosingBound.branch.
+class ClosingBound(NamedTuple):
     """Recovery bound and the solver branch that produced it.
 
     ``x`` is +inf when no non-negative real root exists (the health factor
@@ -331,56 +320,37 @@ class ClosingBound:
     branch: str
 
 
-def bound_closing(
-    position: LoanPosition,
-    pool: PoolState,
-    haircut: float,
-    bonus: float,
-    cf_target: float,
-    convention: RepayConvention = DEFAULT_CONVENTION,
-) -> ClosingBound:
-    """Smallest non-negative x with hf_after_marginal(x) == cf_target.
+_NO_ROOT = ClosingBound(math.inf, "none")
 
-    The defining equation reduces to
+
+def bound_closing(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention) -> ClosingBound:
+    """Smallest non-negative x with hf_after_marginal(x) == cf, over floats.
+
+    ``u`` and ``m`` are the trade multiplier and trajectory factor of ``fee``
+    and ``convention``.  The defining equation reduces to
 
         cf * curvature * x**2 - linear * x - offset = 0
 
     with  curvature = m*B*u - b*u**2,
           linear    = cf*(2*A*b*u - m*B*A) + haircut*B*A*(1+bonus),
-          offset    = cf*b*A**2 - haircut*B*A*c,
-          u = (1-fee)*(1+bonus),  m the convention's trajectory factor.
+          offset    = cf*b*A**2 - haircut*B*A*c.
 
     The smallest non-negative real root is returned; when it lies above
     min(collateral bound, debt-exhaustion bound) it cannot bind.  Roots down to
     -1e-12*min(A/u, collateral bound) are rounding noise around 0 and count
     as 0; scaling that tolerance to the position, not only to the pool,
     keeps a tiny position in a deep pool from taking a truly negative root
-    for 0.  The returned root is polished by two Newton steps and verified
-    against the defining equation to 1e-9; a root that fails raises
-    :class:`RecoveryRootError`.
-    """
-    fee = pool.fee
-    return ClosingBound(*_closing_root(
-        position.collateral, position.debt, pool.reserve_collateral, pool.reserve_debt, fee,
-        trade_multiplier(fee, bonus), _traj_factor(fee, convention), haircut, bonus, cf_target,
-        convention))
-
-
-def _closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention):
-    """:func:`bound_closing` over floats: solve, polish and self-check the root.
-
-    ``u`` and ``m`` are the trade multiplier and trajectory factor of ``fee``
-    and ``convention``.  Where ``linear*linear`` overflows, ``|linear|`` is
-    taken out of the discriminant's square root.  The root, polished by two
-    Newton steps, must satisfy HF == cf: the polynomial's coefficients can
-    lose digits in extreme states, so a root whose residual exceeds the
-    tolerance is re-bisected on the health-factor gap itself, on floats
-    (:func:`_hf_marginal`), and a root no nearby sign change brackets must
-    meet the tolerance as it is.  Returns ``(root, branch)``; a position and a
-    pool are built only to raise :class:`RecoveryRootError`.
+    for 0.  Where ``linear*linear`` overflows, ``|linear|`` is taken out of
+    the discriminant's square root.  The root, polished by two Newton steps,
+    must satisfy HF == cf to 1e-9: the polynomial's coefficients can lose
+    digits in extreme states, so a root whose residual exceeds the tolerance
+    is re-bisected on the health-factor gap itself (:func:`hf_after_marginal`),
+    and a root no nearby sign change brackets must meet the tolerance as it
+    is, or :class:`RecoveryRootError` is raised.  A position and a pool are
+    built only for that error.
     """
     if b <= 0.0:
-        return math.inf, "none"
+        return _NO_ROOT
     quad = _closing_quadratic(a, b_res, c, b, u, m, haircut, bonus, cf)
     lead, linear, offset = quad
 
@@ -395,7 +365,7 @@ def _closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention):
         if disc == math.inf and linear != 0.0:
             disc, outer = 1.0 + 4.0 * lead * (offset / linear) / linear, abs(linear)
         if disc < 0.0:
-            return math.inf, "none"
+            return _NO_ROOT
         q = _citardauq(linear, outer * math.sqrt(disc), math.copysign)
         roots = [q / lead]
         if q != 0.0:
@@ -408,7 +378,7 @@ def _closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention):
         if math.isfinite(r) and r >= -floor and max(r, 0.0) < root:
             root = max(r, 0.0)
     if root == math.inf:
-        return math.inf, "none"
+        return _NO_ROOT
 
     for _ in range(2):  # Newton polish against float cancellation
         d = _poly_slope(quad, root)
@@ -429,14 +399,14 @@ def _closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention):
         if residual > limit:
             raise RecoveryRootError("polynomial self-check", LoanPosition(c, b),
                                     PoolState(a, b_res, fee), cf, convention, residual)
-        return root, branch
+        return ClosingBound(root, branch)
 
     tol = _hf_tol(cf)
-    # Not exhausted, so remaining is not <= 0: this is _hf_marginal(root).
+    # Not exhausted, so remaining is not <= 0: this is hf_after_marginal(root).
     res = _hf_after(a, b_res, c, haircut, bonus, root, u, remaining) - cf
     if abs(res) > 0.5 * tol:
         def gap(x: float) -> float:
-            return _hf_marginal(a, b_res, c, b, u, m, haircut, bonus, x) - cf
+            return hf_after_marginal(a, b_res, c, b, u, m, haircut, bonus, x) - cf
 
         # A bracket scaled to the root itself: one scaled to max(root, 1)
         # reaches past the exhaustion point of a root far below 1.  The ulp
@@ -455,12 +425,12 @@ def _closing_root(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention):
                 # Crossing bracketed to one ulp: the defining property holds
                 # to the representable limit even if HF is too steep for the
                 # residual itself to reach the tolerance.
-                return 0.5 * (lo + hi), branch
+                return ClosingBound(0.5 * (lo + hi), branch)
             width *= 8.0
     if abs(res) > tol:
         raise RecoveryRootError("self-check", LoanPosition(c, b), PoolState(a, b_res, fee), cf,
                                 convention, res)
-    return root, branch
+    return ClosingBound(root, branch)
 
 
 def _exhausted(c, b, root, bonus, remaining):
@@ -469,7 +439,7 @@ def _exhausted(c, b, root, bonus, remaining):
 
 
 def bound_closing_batch(c, b, a, b_res, fee, haircut, bonus, cf, convention):
-    """``bound_closing(...).x`` of every row, as one float64 array.
+    """:func:`bound_closing`'s ``x`` of every row, as one float64 array.
 
     ``c, b, a, b_res, fee, cf`` are the rows' position, pool and target, all
     arrays of one shape.  The quadratic, the root choice and the Newton
@@ -513,9 +483,10 @@ def bound_closing_batch(c, b, a, b_res, fee, haircut, bonus, cf, convention):
         x = np.where(found, root, math.inf)
         fallback = (b <= 0.0) | (lead == 0.0) | (disc == math.inf) | (found & ~settled)
     for i in np.flatnonzero(fallback).tolist():
-        position = LoanPosition(float(c[i]), float(b[i]))
-        pool = PoolState(float(a[i]), float(b_res[i]), float(fee[i]))
-        x[i] = bound_closing(position, pool, haircut, bonus, float(cf[i]), convention).x
+        f = float(fee[i])
+        x[i] = bound_closing(float(c[i]), float(b[i]), float(a[i]), float(b_res[i]), f,
+                             trade_multiplier(f, bonus), _traj_factor(f, convention), haircut,
+                             bonus, float(cf[i]), convention).x
     return x
 
 
@@ -564,10 +535,10 @@ def _bounds(c, b, a, b_res, fee, u, m, params, cf_target, convention):
     """The bounds a run reads: (x_collateral, x_debt_full, x_closing, hf), from floats.
 
     ``u`` and ``m`` are the trade multiplier and trajectory factor of ``fee``
-    and ``convention``.  The recovery bound is solved (:func:`_closing_root`)
+    and ``convention``.  The recovery bound is solved (:func:`bound_closing`)
     only when the gate is open.
     """
     hf = _health(params.haircut, a, b_res, c, b)
-    x_cf = 0.0 if hf > cf_target else _closing_root(
+    x_cf = 0.0 if hf > cf_target else bound_closing(
         c, b, a, b_res, fee, u, m, params.haircut, params.bonus, cf_target, convention)[0]
     return _x_collateral(c, params.bonus), _debt_cap(b, a, b_res, u, m), x_cf, hf

@@ -653,8 +653,11 @@ def verification_report(
         if not (math.isfinite(closed) and 0.0 < closed < hi):
             continue
 
+        u, m = trade_multiplier(fee, bonus), _traj_factor(fee, DEFAULT_CONVENTION)
+
         def gap(x):
-            return hf_after_marginal(position, pool, haircut, bonus, x) - cf_target
+            return hf_after_marginal(a0, b0, position.collateral, debt, u, m, haircut, bonus,
+                                     x) - cf_target
 
         if gap(hi) <= 0.0:
             continue

@@ -6,7 +6,37 @@ from types import SimpleNamespace
 import pytest
 
 import oevsim.attack
+import oevsim.engine
 import oevsim.lending
+from oevsim.lending import DEFAULT_CONVENTION, _traj_factor, trade_multiplier
+
+
+# The scalar leaf rules take floats; these adapters feed them a position and a pool.
+
+def closing_bound(position, pool, haircut, bonus, cf_target, convention=DEFAULT_CONVENTION):
+    """``lending.bound_closing`` of a position and a pool."""
+    fee = pool.fee
+    return oevsim.lending.bound_closing(
+        position.collateral, position.debt, pool.reserve_collateral, pool.reserve_debt, fee,
+        trade_multiplier(fee, bonus), _traj_factor(fee, convention), haircut, bonus, cf_target,
+        convention)
+
+
+def hf_marginal(position, pool, haircut, bonus, x, convention=DEFAULT_CONVENTION):
+    """``lending.hf_after_marginal`` of a position and a pool."""
+    fee = pool.fee
+    return oevsim.lending.hf_after_marginal(
+        pool.reserve_collateral, pool.reserve_debt, position.collateral, position.debt,
+        trade_multiplier(fee, bonus), _traj_factor(fee, convention), haircut, bonus, x)
+
+
+def tranche(pool, position, params, kappa, convention=DEFAULT_CONVENTION):
+    """``engine.final_tranche`` from a post-run pool and position."""
+    fee = pool.fee
+    return oevsim.engine.final_tranche(
+        pool.reserve_collateral, pool.reserve_debt, position.collateral, position.debt,
+        trade_multiplier(fee, params.bonus), _traj_factor(fee, convention), params.bonus,
+        kappa, convention)
 
 
 @pytest.fixture

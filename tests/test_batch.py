@@ -45,11 +45,12 @@ from oevsim.lending import (
     RepayConvention,
     RiskParams,
     _x_collateral,
-    bound_closing,
     bound_closing_batch,
     compute_bounds,
 )
 from oevsim.oracles import random_instances
+
+from conftest import closing_bound
 
 BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "attack_delta_sweep.yaml"
 FEES_BPS = (0.0, 1.0, 5.0, 30.0, 100.0)
@@ -345,11 +346,11 @@ def test_refine_takes_no_debt_exhaustion_pole_for_a_crossing(monkeypatch):
     # Shifted up by 1.0, the health factor never comes down to cf_target 1.0.
     position, pool, params = SHORT_OF_WINDOW
     args = (position, pool, params.haircut, params.bonus, 1.0)
-    assert bound_closing(*args).x == 7.813165449634398e-07
+    assert closing_bound(*args).x == 7.813165449634398e-07
     hf_after = oevsim.lending._hf_after
     monkeypatch.setattr(oevsim.lending, "_hf_after", lambda *a: hf_after(*a) + 1.0)
     with pytest.raises(RecoveryRootError) as raised:
-        bound_closing(*args)
+        closing_bound(*args)
     assert raised.value.check == "self-check"
     assert raised.value.residual == pytest.approx(1.0, abs=1e-8)
     columns = [np.array([v]) for v in (position.collateral, position.debt,
@@ -357,6 +358,25 @@ def test_refine_takes_no_debt_exhaustion_pole_for_a_crossing(monkeypatch):
     with pytest.raises(RecoveryRootError):
         bound_closing_batch(*columns[:5], params.haircut, params.bonus, columns[5],
                             DEFAULT_CONVENTION)
+
+
+def test_bound_closing_batch_builds_no_state_for_its_fallback_rows(monkeypatch):
+    # SHORT_OF_WINDOW's root takes the refine and the second row is debt-free,
+    # so both rows go to the scalar bound_closing, on the rows' floats.
+    position, pool, params = SHORT_OF_WINDOW
+    c, b, a, b_res, fee = (np.array([v, w]) for v, w in zip(
+        (position.collateral, position.debt, pool.reserve_collateral, pool.reserve_debt, pool.fee),
+        (5.0, 0.0, 1000.0, 2e6, 0.003)))
+    bound_closing, solved, built = oevsim.lending.bound_closing, [], []
+    monkeypatch.setattr(oevsim.lending, "bound_closing",
+                        lambda *args: solved.append(args) or bound_closing(*args))
+    for cls in (LoanPosition, PoolState):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+    x = bound_closing_batch(c, b, a, b_res, fee, params.haircut, params.bonus, np.ones(2),
+                            DEFAULT_CONVENTION)
+    assert x.tolist() == [7.813165449634398e-07, math.inf]
+    assert len(solved) == 2
+    assert built == []
 
 
 def test_batch_raises_where_a_scalar_pool_is_invalid():

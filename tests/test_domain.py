@@ -26,7 +26,6 @@ from oevsim import (
     RiskParams,
     attack_profit,
     best_strategy,
-    bound_closing,
     compute_bounds,
     critical_fee,
     delta_bounds,
@@ -36,11 +35,13 @@ from oevsim import (
     simulate_liquidation_sequence,
     subadditivity_check,
 )
-from oevsim.attack import _sandwich_total, attack_profit_batch
+from oevsim.attack import NoThresholdError, _sandwich_total, attack_profit_batch
 from oevsim.cli import main
 from oevsim.config import parse_config
 from oevsim.engine import best_strategy_batch
 from oevsim.lending import _x_collateral
+
+from conftest import closing_bound
 
 
 def lerp(r: float, lo: float, hi: float) -> float:
@@ -319,12 +320,24 @@ def test_overflowing_discriminant_runs_every_command(tmp_path, capsys, command, 
         assert re.search(pattern, out.out + out.err, re.M), pattern
 
 
+@pytest.mark.xfail(strict=True, reason="critical_fee's profit floor is 1e-12 of the debt reserve, "
+                                        "7.4e37 here, so the +1.06e-89 probes read as not profitable")
+def test_critical_fee_takes_a_positive_low_end_probe_for_profitable():
+    cfg = parse_config(yaml.safe_load(OVERFLOWING_DISCRIMINANT))
+    position, pool = cfg.state_at()
+    try:
+        critical_fee(position, pool, cfg.risk, 0.0, 0.003, cfg.convention)
+    except NoThresholdError as err:
+        low_end = str(err).startswith("attack is not profitable at the low end")
+        assert not (low_end and err.probes[0][1] > 0.0), err.probes
+
+
 def test_overflowing_discriminant_without_a_linear_term_cannot_bind():
     # lead*offset overflows while linear is exactly 0, so |linear| cannot be
     # taken out of the square root.  The true root, about 2**299, lies far
     # past the collateral bound 1.
     position, pool = LoanPosition(1.0, 2.0 ** 698), PoolState(2.0 ** 300, 2.0 ** 700, 0.0)
-    bound = bound_closing(position, pool, 0.5, 0.0, 1.0, RepayConvention.SPOT_PRICE)
+    bound = closing_bound(position, pool, 0.5, 0.0, 1.0, RepayConvention.SPOT_PRICE)
     assert bound.x > _x_collateral(position.collateral, 0.0)
 
 

@@ -17,7 +17,6 @@ from oevsim import (
     RiskParams,
     Strategy,
     best_strategy,
-    final_tranche,
     health_factor,
     run_liquidation,
 )
@@ -27,6 +26,7 @@ from oevsim.engine import _run_profit, _shot_profit
 from oevsim.lending import _x_collateral, trade_multiplier
 from oevsim.oracles import integral_oracle, random_instances
 
+from conftest import closing_bound, tranche
 from test_batch import SHORT_OF_WINDOW
 from test_domain import SUBNORMAL_ROOT
 
@@ -80,20 +80,21 @@ def test_tranche_vanishes_at_parity():
     # At bonus parity and above it, where every trade loses.
     for fee in (0.05 / 1.05, 0.06, 0.5):
         flat = PoolState(1000.0, 2_000_000.0, fee)
-        x_last, pi_last, tag = final_tranche(flat, LoanPosition(5.0, 1000.0), STD, 0.5)
+        x_last, pi_last, tag = tranche(flat, LoanPosition(5.0, 1000.0), STD, 0.5)
         assert (x_last, pi_last, tag) == (0.0, 0.0, LastBinding.NONE)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.5, math.nan])
-def test_final_tranche_rejects_kappa_out_of_range(kappa):
+def test_run_liquidation_rejects_kappa_out_of_range(kappa):
+    # compute_bounds owns the check; the closing trade's rule takes kappa as given.
     with pytest.raises(ValueError, match="kappa must lie in"):
-        final_tranche(pool_at(1800.0), LoanPosition(5.0, 1000.0), STD, kappa)
+        run_liquidation(LoanPosition(5.0, 1000.0), pool_at(1800.0), STD, 1.0, kappa)
 
 
 def test_final_tranche_kappa_cap_matches_substitution():
     pool = pool_at(1800.0)
     pos = LoanPosition(50.0, 200_000.0)  # fat debt so the kappa cap binds
-    x_last, pi_last, tag = final_tranche(pool, pos, STD, 0.01)
+    x_last, pi_last, tag = tranche(pool, pos, STD, 0.01)
     assert tag is LastBinding.KAPPA_CAP
     assert pi_last == pytest.approx(shot_profit(pool, x_last, STD.bonus), rel=1e-14)
 
@@ -247,19 +248,21 @@ def scalar_chain(position, pool, params, convention):
     return best_strategy(position, pool, params, convention), runs, attacks
 
 
-def test_scalar_chain_skips_the_public_leaves(monkeypatch):
-    # The float rules call each other: compute_bounds solves the recovery bound
-    # and run_liquidation sizes the closing trade without their public wrappers.
+def test_scalar_chain_runs_through_the_traced_leaves(monkeypatch):
+    # compute_bounds solves the recovery bound and run_liquidation sizes the
+    # closing trade by the module-global names that a tracer wraps.
     unpatched = [scalar_chain(*state) for state in SCENARIO_STATES]
     # The states reach the recovery bound and the closing trade.
     assert any(run.last_binding is not LastBinding.NONE for _, runs, _ in unpatched for run in runs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the scalar chain called a public leaf")
-
-    monkeypatch.setattr(oevsim.lending, "bound_closing", refuse)
-    monkeypatch.setattr(oevsim.engine, "final_tranche", refuse)
+    calls = []
+    bound_closing, final_tranche = oevsim.lending.bound_closing, oevsim.engine.final_tranche
+    monkeypatch.setattr(oevsim.lending, "bound_closing",
+                        lambda *args: calls.append("bound_closing") or bound_closing(*args))
+    monkeypatch.setattr(oevsim.engine, "final_tranche",
+                        lambda *args: calls.append("final_tranche") or final_tranche(*args))
     assert [bits(scalar_chain(*state)) for state in SCENARIO_STATES] == bits(unpatched)
+    assert set(calls) == {"bound_closing", "final_tranche"}
 
 
 def test_recovery_root_refine_builds_no_state(monkeypatch):
@@ -268,10 +271,10 @@ def test_recovery_root_refine_builds_no_state(monkeypatch):
     built, gaps = [], []
     for cls in (LoanPosition, PoolState):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
-    hf_marginal = oevsim.lending._hf_marginal
-    monkeypatch.setattr(oevsim.lending, "_hf_marginal",
+    hf_marginal = oevsim.lending.hf_after_marginal
+    monkeypatch.setattr(oevsim.lending, "hf_after_marginal",
                         lambda *args: gaps.append(args) or hf_marginal(*args))
-    bound = oevsim.lending.bound_closing(position, pool, params.haircut, params.bonus, 1.0)
+    bound = closing_bound(position, pool, params.haircut, params.bonus, 1.0)
     assert bound.x == 7.813165449634398e-07
     assert built == []
     assert len(gaps) == 16

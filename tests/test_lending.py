@@ -12,15 +12,15 @@ from oevsim import (
     RepayConvention,
     RiskParams,
     DEFAULT_CONVENTION,
-    bound_closing,
     compute_bounds,
     health_factor,
-    hf_after_marginal,
     run_liquidation,
 )
 from oevsim._numerics import bisect_root
 from oevsim.lending import _repay, _repay_total, _traj_factor, trade_multiplier
 from oevsim.oracles import random_instances
+
+from conftest import closing_bound, hf_marginal
 
 
 def pool_at(price, liquidity=2e9, fee=0.0):
@@ -84,9 +84,9 @@ def test_compute_bounds_rejects_kappa_out_of_range(kappa):
 def test_bound_closing_defining_property():
     pos = LoanPosition(6.0, 10_000.0)
     pool = pool_at(1800.0)
-    cb = bound_closing(pos, pool, 0.85, 0.05, cf_target=1.0)
+    cb = closing_bound(pos, pool, 0.85, 0.05, cf_target=1.0)
     assert math.isfinite(cb.x)
-    hf = hf_after_marginal(pos, pool, 0.85, 0.05, cb.x)
+    hf = hf_marginal(pos, pool, 0.85, 0.05, cb.x)
     assert hf == pytest.approx(1.0, abs=1e-9)
 
 
@@ -94,13 +94,13 @@ def test_bound_closing_no_recovery_is_infinite():
     # Deep underwater at a low price: health cannot climb back to 1.
     pos = LoanPosition(6.0, 10_000.0)
     pool = pool_at(900.0)
-    cb = bound_closing(pos, pool, 0.85, 0.05, cf_target=1.0)
+    cb = closing_bound(pos, pool, 0.85, 0.05, cf_target=1.0)
     b = bounds(pos, pool, 0.05)
     assert cb.x > min(b.x_collateral, b.x_debt_full)  # cannot bind before collateral/debt run out
 
 
 def test_bound_closing_of_a_debt_free_position_is_none():
-    cb = bound_closing(LoanPosition(5.0, 0.0), pool_at(1800.0, fee=0.003), 0.85, 0.05, 1.0)
+    cb = closing_bound(LoanPosition(5.0, 0.0), pool_at(1800.0, fee=0.003), 0.85, 0.05, 1.0)
     assert (cb.x, cb.branch) == (math.inf, "none")
 
 
@@ -115,7 +115,7 @@ def test_recovery_root_at_a_small_exhausted_share_takes_the_polynomial_check():
     pos = LoanPosition(63.796344289587026, 1814.4438728938323)
     pool = PoolState(37104.443824160466, 1156807.2968581007, 0.006683070963504107)
     haircut, bonus = 0.7756375479550072, 0.09432483935774388
-    x = bound_closing(pos, pool, haircut, bonus, 1.0, spot).x
+    x = closing_bound(pos, pool, haircut, bonus, 1.0, spot).x
     u, m = trade_multiplier(pool.fee, bonus), _traj_factor(pool.fee, spot)
     repaid = _repay_total(pool.reserve_collateral, pool.reserve_debt, x, u, m)
     low, high = sys.float_info.epsilon * 1e-9, sys.float_info.epsilon / 1e-9
@@ -151,14 +151,14 @@ def test_bound_closing_matches_bisection_on_random_instances():
         hf0 = cf_target * rng.uniform(0.90, 0.999)
         pos = LoanPosition(hf0 * debt * a0 / (haircut * b0), debt)
 
-        cb = bound_closing(pos, pool, haircut, bonus, cf_target)
+        cb = closing_bound(pos, pool, haircut, bonus, cf_target)
         b = bounds(pos, pool, bonus)
         hi = min(b.x_collateral, b.x_debt_full) * (1.0 - 1e-9)
         if not (math.isfinite(cb.x) and 0.0 < cb.x < hi):
             continue
 
         def gap(x):
-            return hf_after_marginal(pos, pool, haircut, bonus, x) - cf_target
+            return hf_marginal(pos, pool, haircut, bonus, x) - cf_target
 
         if gap(hi) <= 0.0:
             continue
@@ -173,7 +173,7 @@ def test_trajectory_hf_strictly_increasing_when_trade_profitable():
     b = bounds(pos, pool, 0.05)
     hi = min(b.x_collateral, b.x_debt_full)
     xs = [hi * i / 400.0 for i in range(400)]
-    vals = [hf_after_marginal(pos, pool, 0.85, 0.05, x) for x in xs]
+    vals = [hf_marginal(pos, pool, 0.85, 0.05, x) for x in xs]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
