@@ -1,14 +1,58 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures, states and helpers shared by the test modules.
+
+A named state, such as a ROADMAP reproducer, is one scenario file in
+``tests/scenarios/``; :func:`named_state` loads it.
+"""
 
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
 
 import oevsim.attack
 import oevsim.engine
 import oevsim.lending
-from oevsim.lending import DEFAULT_CONVENTION, _traj_factor, trade_multiplier
+from oevsim.amm import PoolState
+from oevsim.config import load_config
+from oevsim.lending import (
+    DEFAULT_CONVENTION,
+    LoanPosition,
+    RiskParams,
+    _traj_factor,
+    trade_multiplier,
+)
+
+# Each property draws the same examples on every run, and none is replayed from a database.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BUNDLED_ATTACK = SCENARIOS / "attack_delta_sweep.yaml"
+NAMED_STATES = Path(__file__).resolve().parent / "scenarios"
+
+# The study's risk parameters, and its healthy borrower behind a deep 30 bps pool.
+STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
+POS5 = LoanPosition(20.12, 32_000.0)
+POOL5 = PoolState(10_000.0, 28_000_000.0, 0.003)
+
+
+def named_state(name):
+    """The scenario file ``tests/scenarios/<name>.yaml`` and its
+    ``(position, pool, risk, convention)``."""
+    path = NAMED_STATES / f"{name}.yaml"
+    cfg = load_config(path)
+    return path, (*cfg.state_at(), cfg.risk, cfg.convention)
+
+
+def pool_at(price, liquidity=2e9, fee=0.0):
+    """The pool of ``liquidity`` = A*B at ``price`` = B/A."""
+    return PoolState(math.sqrt(liquidity / price), math.sqrt(liquidity * price), fee)
+
+
+def product(pool):
+    return pool.reserve_collateral * pool.reserve_debt
 
 
 # The scalar leaf rules take floats; these adapters feed them a position and a pool.

@@ -15,7 +15,6 @@ from oevsim import (
     LoanPosition,
     PoolState,
     RepayConvention,
-    RiskParams,
     attack_profit,
     critical_fee,
     delta_bounds,
@@ -33,9 +32,7 @@ from oevsim.engine import _interior, _run_profit, _shot_profit
 from oevsim.lending import _x_collateral, trade_multiplier
 from oevsim.oracles import random_instances
 
-STUDY_RISK = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
-POS5 = LoanPosition(20.12, 32_000.0)
-POOL5 = PoolState(10_000.0, 28_000_000.0, 0.003)
+from conftest import POOL5, POS5, STD, pool_at
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -63,9 +60,9 @@ def test_criterion_01_price_regime_switch():
     # The regime change of the liquidation run: collateral-bound below the
     # switch price, health-recovery-bound above it.
     def collateral_bound_at(p: float) -> bool:
-        pool = PoolState(math.sqrt(2e9 / p), math.sqrt(2e9 * p), 0.0)
+        pool = pool_at(p)
         seq = simulate_liquidation_sequence(
-            position, pool, STUDY_RISK, cf_target=1.0, kappa=0.5,
+            position, pool, STD, cf_target=1.0, kappa=0.5,
             convention=RepayConvention.SPOT_PRICE,
         )
         return seq.terminator == "collateral"
@@ -73,16 +70,16 @@ def test_criterion_01_price_regime_switch():
     assert collateral_bound_at(1700.0) and not collateral_bound_at(1900.0)
     lo, hi = halve(collateral_bound_at, 1700.0, 1900.0, _within(1e-10), 200)
     p_switch = 0.5 * (lo + hi)
-    pool_hi = PoolState(math.sqrt(2e9 / hi), math.sqrt(2e9 * hi), 0.0)
+    pool_hi = pool_at(hi)
     tag_after = simulate_liquidation_sequence(
-        position, pool_hi, STUDY_RISK, 1.0, 0.5, RepayConvention.SPOT_PRICE
+        position, pool_hi, STD, 1.0, 0.5, RepayConvention.SPOT_PRICE
     ).terminator
 
     # Closed-form bound triple of the engine, for the record: its own
     # collateral -> recovery switch sits a few price units higher.
     def engine_collateral_bound(p: float) -> bool:
-        pool = PoolState(math.sqrt(2e9 / p), math.sqrt(2e9 * p), 0.0)
-        return run_liquidation(position, pool, STUDY_RISK, 1.0, 0.5).binding is Binding.COLLATERAL
+        pool = pool_at(p)
+        return run_liquidation(position, pool, STD, 1.0, 0.5).binding is Binding.COLLATERAL
 
     assert engine_collateral_bound(1700.0) and not engine_collateral_bound(1900.0)
     elo, ehi = halve(engine_collateral_bound, 1700.0, 1900.0, _within(1e-10), 200)
@@ -100,7 +97,7 @@ def test_criterion_01_price_regime_switch():
 
 def test_criterion_02_fee_deterrence_all_sizes():
     t0 = time.monotonic()
-    bounds = delta_bounds(POS5, POOL5, STUDY_RISK)
+    bounds = delta_bounds(POS5, POOL5, STD)
     cap, ceiling = bounds.baddebt_cap, bounds.no_revert
     hi = 0.999 * cap
     lo = hi * 1e-8
@@ -111,7 +108,7 @@ def test_criterion_02_fee_deterrence_all_sizes():
     n_feasible = 0
     for i in range(n_grid):
         delta = lo * ratio**i
-        res = attack_profit(delta, POS5, POOL5, STUDY_RISK)
+        res = attack_profit(delta, POS5, POOL5, STD)
         if res.feasible:
             n_feasible += 1
             worst = max(worst, res.total_profit)
@@ -129,7 +126,7 @@ def test_criterion_02_fee_deterrence_all_sizes():
 
 def test_criterion_03_critical_fee_level():
     t0 = time.monotonic()
-    res = critical_fee(POS5, POOL5, STUDY_RISK, 0.0, 0.003)
+    res = critical_fee(POS5, POOL5, STD, 0.0, 0.003)
     elapsed = time.monotonic() - t0
     bps = res.fee_star * 1e4
     ok = 16.0 <= bps <= 18.0 and elapsed < 120.0

@@ -1,7 +1,6 @@
 """Sandwich attack legs, feasibility bounds, limiting behavior, optimizer."""
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,15 +23,7 @@ from oevsim import (
 from oevsim.cli import main
 from oevsim.oracles import random_instances
 
-STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
-
-# Heavily-used study configuration: deep pool vs a healthy borrower.
-POOL5 = PoolState(10_000.0, 28_000_000.0, 0.003)
-POS5 = LoanPosition(20.12, 32_000.0)
-
-
-def product(pool):
-    return pool.reserve_collateral * pool.reserve_debt
+from conftest import BUNDLED_ATTACK, POOL5, POS5, STD, named_state, pool_at, product
 
 
 def test_sell_proceeds_approach_full_reserve_without_fee():
@@ -151,7 +142,7 @@ def test_pure_round_trip_loses_exactly_the_fee_drag():
 def test_trigger_jump_in_liquidation_component():
     pos = LoanPosition(6.0, 10_000.0)
     p0 = 1.05 * pos.debt / (STD.haircut * pos.collateral)
-    pool = PoolState(math.sqrt(2e9 / p0), math.sqrt(2e9 * p0), 0.0)
+    pool = pool_at(p0)
     trig = delta_bounds(pos, pool, STD).trigger
     below = attack_profit(trig * (1 - 1e-6), pos, pool, STD)
     above = attack_profit(trig * (1 + 1e-6), pos, pool, STD)
@@ -216,7 +207,7 @@ def test_optimizer_rides_monotone_profile_to_the_cap():
     # the top of the searched range (the bad-debt robustness cap).
     pos = LoanPosition(6.0, 10_000.0)
     p0 = 1.05 * pos.debt / (STD.haircut * pos.collateral)
-    pool = PoolState(math.sqrt(2e9 / p0), math.sqrt(2e9 * p0), 0.0)
+    pool = pool_at(p0)
     out = optimize_attack(pos, pool, STD)
     assert out.delta == pytest.approx(out.search_hi, rel=1e-6)
     assert out.result.total_profit > 0.0
@@ -239,9 +230,6 @@ def attack_sizes(monkeypatch):
     monkeypatch.setattr(oevsim.attack, "attack_profit",
                         lambda *args: sizes.append(args[0]) or attack_profit(*args))
     return sizes
-
-
-BUNDLED_ATTACK = Path(__file__).resolve().parent.parent / "scenarios" / "attack_delta_sweep.yaml"
 
 
 def test_golden_section_steps_build_no_attack_result(attack_sizes):
@@ -267,9 +255,7 @@ def test_optimize_attack_through_near_equal_exhaustion_bounds():
     # agree to about 3e-11 and HF is 0/0 at the end of the marginal run: its
     # health-factor residual of -5.27e-06 is cancellation noise, so the root
     # sits inside the exhaustion window and the polynomial check applies.
-    pos = LoanPosition(0.009783424003038013, 0.0001522178433067494)
-    pool = PoolState(48.579849532452165, 2.506480705390799, 1e-4)
-    risk = RiskParams(0.5521458022613934, 0.01, 0.8520760834790868, 0.4688723566652169)
+    pos, pool, risk, _ = named_state("cause_b")[1]
     out = optimize_attack(pos, pool, risk)
     assert out.result.feasible and math.isfinite(out.result.total_profit)
 
@@ -349,73 +335,50 @@ def test_critical_fee_trace_brackets_result():
 
 
 # ROADMAP item 1's reproducers: a profitable spike at a binding switch falls
-# between two coarse points of the attack search.  Each entry is the
-# scenario, a narrow range around the spike and a size inside it.
-SPIKES = {
-    "A1": ("""
-mode: attack
-convention: spot_price
-pool: {reserve_collateral: 198.8317176449356, reserve_debt: 206705.14705078723, fee: 0.0011604420299647878}
-position: {debt: 150.74931317298365, collateral: 0.25472551578852265}
-risk: {haircut: 0.8652464892010575, bonus: 0.1, closing_factor: 0.5439339953559104, max_liq_fraction: 0.2365119949027771}
-attack: {fee_low: 0.0, fee_high: 0.006}
-""", (51.0, 54.0), 52.3647),
-    "A2": ("""
-mode: attack
-convention: spot_price
-pool: {reserve_collateral: 899112.9516557544, reserve_debt: 82384979.4340823, fee: 0.003943818545209387}
-position: {debt: 209063.28735026415, collateral: 3858.089007084154}
-risk: {haircut: 0.7528625216922883, bonus: 0.09576667248026424, closing_factor: 0.7833150601264014, max_liq_fraction: 0.3914432313409951}
-attack: {fee_low: 0.0, fee_high: 0.006}
-""", (214957.0, 221845.0), 216735.0),
-}
+# between two coarse points of the attack search.  Each entry is a narrow
+# range around the spike and a size inside it.
+SPIKES = {"A1": ((51.0, 54.0), 52.3647), "A2": ((214957.0, 221845.0), 216735.0),
+          "A3": ((94.0, 97.0), 95.417)}
 
 missed_spike = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="ROADMAP item 1: the coarse grid misses a spike at a binding switch")
 
 
-def spike_scenario(tmp_path, name):
-    path = tmp_path / f"{name}.yaml"
-    path.write_text(SPIKES[name][0])
-    return path
-
-
 @missed_spike
-@pytest.mark.parametrize("name", ["A1", "A2"])
-def test_a_full_search_finds_what_a_narrow_one_does(tmp_path, name):
-    cfg = load_config(spike_scenario(tmp_path, name))
-    position, pool = cfg.state_at()
-    full = optimize_attack(position, pool, cfg.risk, convention=cfg.convention)
-    narrow = optimize_attack(position, pool, cfg.risk, SPIKES[name][1], cfg.convention)
+@pytest.mark.parametrize("name", sorted(SPIKES))
+def test_a_full_search_finds_what_a_narrow_one_does(name):
+    position, pool, risk, convention = named_state(name.lower())[1]
+    full = optimize_attack(position, pool, risk, convention=convention)
+    narrow = optimize_attack(position, pool, risk, SPIKES[name][0], convention)
     best = narrow.best_positive_profit
     assert full.best_positive_profit >= best - 1e-9 * abs(best)
 
 
 @missed_spike
-@pytest.mark.parametrize("name", ["A1", "A2"])
-def test_the_attack_command_finds_the_spike(tmp_path, capsys, name):
-    assert main(["attack", str(spike_scenario(tmp_path, name))]) == 0
+@pytest.mark.parametrize("name", sorted(SPIKES))
+def test_the_attack_command_finds_the_spike(capsys, name):
+    assert main(["attack", str(named_state(name.lower())[0])]) == 0
     total = next(line.split()[-1] for line in capsys.readouterr().out.splitlines()
                  if line.startswith("  total profit"))
     assert float(total) > 0.0
 
 
 @missed_spike
-@pytest.mark.parametrize("name", ["A1", "A2"])
-def test_the_spike_is_unprofitable_at_the_critical_fee(tmp_path, name):
-    cfg = load_config(spike_scenario(tmp_path, name))
+@pytest.mark.parametrize("name", sorted(SPIKES))
+def test_the_spike_is_unprofitable_at_the_critical_fee(name):
+    cfg = load_config(named_state(name.lower())[0])
     position, pool = cfg.state_at()
     res = critical_fee(position, pool, cfg.risk, cfg.attack.fee_low, cfg.attack.fee_high,
                        cfg.convention)
     at_fee = PoolState(pool.reserve_collateral, pool.reserve_debt, res.fee_star)
-    spike = attack_profit(SPIKES[name][2], position, at_fee, cfg.risk, cfg.convention)
+    spike = attack_profit(SPIKES[name][1], position, at_fee, cfg.risk, cfg.convention)
     assert spike.total_profit <= 1e-12 * pool.reserve_debt
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "bundled"])
-def test_best_positive_profit_does_not_rise_with_the_fee(tmp_path, name):
-    cfg = load_config(BUNDLED_ATTACK if name == "bundled" else spike_scenario(tmp_path, name))
+@pytest.mark.parametrize("name", [*sorted(SPIKES), "bundled"])
+def test_best_positive_profit_does_not_rise_with_the_fee(name):
+    cfg = load_config(BUNDLED_ATTACK if name == "bundled" else named_state(name.lower())[0])
     position, pool = cfg.state_at()
     pools = [PoolState(pool.reserve_collateral, pool.reserve_debt, float(fee))
              for fee in np.linspace(0.0, 0.006, 13)]

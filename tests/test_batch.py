@@ -12,7 +12,6 @@ compared with rows built point by point from the scalar calls, and
 """
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,27 +49,14 @@ from oevsim.lending import (
 )
 from oevsim.oracles import random_instances
 
-from conftest import closing_bound
+from conftest import BUNDLED_ATTACK, STD, closing_bound, named_state
 
-BUNDLED = Path(__file__).resolve().parent.parent / "scenarios" / "attack_delta_sweep.yaml"
 FEES_BPS = (0.0, 1.0, 5.0, 30.0, 100.0)
 CONVENTIONS = list(RepayConvention)
 
-# Cause B of the recovery-root self-check: at this size the collateral and
-# debt-exhaustion bounds of the post-front state nearly tie.  Its root sits
-# inside the exhaustion window, so the polynomial check settles it.
-CAUSE_B = (LoanPosition(0.009783424003038013, 0.0001522178433067494),
-           PoolState(48.579849532452165, 2.506480705390799, 1e-4),
-           RiskParams(0.5521458022613934, 0.01, 0.8520760834790868, 0.4688723566652169))
+# The attack size at which cause B's post-front bounds nearly tie.
 CAUSE_B_DELTA = float.fromhex("0x1.3b904db4b9ed5p+5")  # 39.44546071236042
-# A near tie (bounds 1.3e-7 apart) whose root leaves about 2.5e-7 of the debt,
-# just outside the exhaustion window.  Its health-factor self-check failed
-# while the refine's first bracket was 1e-12*max(root, 1) wide, which for
-# this root of 7.8e-7 reached past the exhaustion point.
-SHORT_OF_WINDOW = (LoanPosition(8.331745663884487e-07, 2.885445894891363e-08),
-                   PoolState(3.458330422621055, 0.12771808493794157, 0.0010974388239558678),
-                   RiskParams(0.6099749591202599, 0.0663722135511839, 0.7986954779277954,
-                              0.4947399655985014))
+SHORT_OF_WINDOW = named_state("short_of_window")[1]
 
 
 def hx(value) -> str:
@@ -121,8 +107,7 @@ def test_delta_bounds_batch_matches_the_scalar_formulas():
              (1.0, 5e-324, 1.0, 1.0, 0.5), (0.0, 0.0, 1.0, 1.0, 0.0),
              *((6.0, 1e4, 1e3, 2e6, 1.0 - x) for x in SQUARES_APART[:2])]
     cols = [np.concatenate([col, edge]) for col, edge in zip((c, b, a0, b0, fee), zip(*edges))]
-    for params in (RiskParams(0.85, 0.05, 0.8, 0.5), RiskParams(0.31, 0.0, 0.5, 1.0),
-                   RiskParams(1.0, 0.17, 1.0, 0.2)):
+    for params in (STD, RiskParams(0.31, 0.0, 0.5, 1.0), RiskParams(1.0, 0.17, 1.0, 0.2)):
         got = delta_bounds_batch(*cols, params)
         rows = [(LoanPosition(ci, bi), PoolState(ai, bri, gi))
                 for ci, bi, ai, bri, gi in zip(*(col.tolist() for col in cols))]
@@ -195,15 +180,15 @@ def test_attack_batch_matches_scalar_on_random_instances(seed, convention):
 
 @pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.value)
 def test_attack_batch_matches_scalar_on_the_bundled_grid(convention):
-    position, pool = load_config(BUNDLED).state_at()
-    params = load_config(BUNDLED).risk
+    position, pool = load_config(BUNDLED_ATTACK).state_at()
+    params = load_config(BUNDLED_ATTACK).risk
     deltas = probe_deltas(position, pool, params, coarse_points=512)
     assert_attack_rows_match(deltas, position, pool, params, convention)
 
 
 def tied_states():
     """Collateral bound within 1e-12..1e-6 of the debt-exhaustion bound."""
-    params = RiskParams(0.85, 0.05, 0.8, 0.5)
+    params = STD
     for fee in (0.0, 0.003, 0.01):
         pool = PoolState(1000.0, 2e6, fee)
         for rel in (-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6):
@@ -269,7 +254,7 @@ def debt_and_empty_states():
     """Runs that end on the debt bound, and empty positions with and without the fee gate."""
     for position, pool, risk in DEBT_BOUND:
         yield LoanPosition(*position), PoolState(*pool), RiskParams(*risk)
-    params = RiskParams(0.85, 0.05, 0.8, 0.5)
+    params = STD
     for fee in (0.0, 0.003, 0.06):
         for position in (LoanPosition(0.0, 1e4), LoanPosition(5.0, 0.0), LoanPosition(0.0, 0.0)):
             yield position, PoolState(1000.0, 2e6, fee), params
@@ -305,13 +290,13 @@ def test_run_liquidation_batch_matches_scalar_per_threshold_pair(closing_factor,
 
 @pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.value)
 def test_batch_matches_scalar_at_the_cause_b_size(convention):
-    position, pool, params = CAUSE_B
+    position, pool, params, _ = named_state("cause_b")[1]
     assert_attack_rows_match([0.0, 1.0, CAUSE_B_DELTA, 50.0], position, pool, params, convention)
 
 
 @pytest.mark.usefixtures("broken_health_factor_check")
 def test_batch_raises_where_the_scalar_self_check_raises():
-    position, pool, params = SHORT_OF_WINDOW
+    position, pool, params, _ = SHORT_OF_WINDOW
     with pytest.raises(RecoveryRootError):
         attack_profit(0.0, position, pool, params)
     with pytest.raises(RecoveryRootError) as raised:
@@ -321,16 +306,9 @@ def test_batch_raises_where_the_scalar_self_check_raises():
     assert raised.value.convention is RepayConvention.EXECUTION_VALUE
 
 
-# HF 0.248: the recovery root sits at exhaustion, where the polynomial self-check runs.
-AT_EXHAUSTION = (LoanPosition(38.22285036096994, 8.652567146157587),
-                 PoolState(16657.945238211185, 1563.8823960128884, 0.0014056667623457881),
-                 RiskParams(0.5975284102087317, 0.05131141895889022, 0.3155082477105548,
-                            0.9205281032181243))
-
-
 @pytest.mark.usefixtures("broken_polynomial_check")
 def test_batch_raises_where_the_scalar_polynomial_self_check_raises():
-    position, pool, params = AT_EXHAUSTION
+    position, pool, params, _ = named_state("at_exhaustion")[1]
     with pytest.raises(RecoveryRootError) as want:
         best_strategy(position, pool, params)
     with pytest.raises(RecoveryRootError) as got:
@@ -344,7 +322,7 @@ def test_refine_takes_no_debt_exhaustion_pole_for_a_crossing(monkeypatch):
     # The health factor goes to +inf as a run repays the whole debt, and
     # stays +inf past that point, so the gap's jump there is no crossing.
     # Shifted up by 1.0, the health factor never comes down to cf_target 1.0.
-    position, pool, params = SHORT_OF_WINDOW
+    position, pool, params, _ = SHORT_OF_WINDOW
     args = (position, pool, params.haircut, params.bonus, 1.0)
     assert closing_bound(*args).x == 7.813165449634398e-07
     hf_after = oevsim.lending._hf_after
@@ -363,7 +341,7 @@ def test_refine_takes_no_debt_exhaustion_pole_for_a_crossing(monkeypatch):
 def test_bound_closing_batch_builds_no_state_for_its_fallback_rows(monkeypatch):
     # SHORT_OF_WINDOW's root takes the refine and the second row is debt-free,
     # so both rows go to the scalar bound_closing, on the rows' floats.
-    position, pool, params = SHORT_OF_WINDOW
+    position, pool, params, _ = SHORT_OF_WINDOW
     c, b, a, b_res, fee = (np.array([v, w]) for v, w in zip(
         (position.collateral, position.debt, pool.reserve_collateral, pool.reserve_debt, pool.fee),
         (5.0, 0.0, 1000.0, 2e6, 0.003)))
@@ -382,7 +360,7 @@ def test_bound_closing_batch_builds_no_state_for_its_fallback_rows(monkeypatch):
 def test_batch_raises_where_a_scalar_pool_is_invalid():
     # An infinite sale leaves a debt reserve of 0, which PoolState rejects.
     position, pool = LoanPosition(5.0, 0.0), PoolState(1000.0, 2e6, 0.0)
-    params = RiskParams(0.85, 0.05, 0.8, 0.5)
+    params = STD
     with pytest.raises(ValueError, match="reserve_debt must be > 0"):
         attack_profit(math.inf, position, pool, params)
     with pytest.raises(ValueError, match="reserve_debt must be > 0"):
@@ -391,8 +369,8 @@ def test_batch_raises_where_a_scalar_pool_is_invalid():
 
 
 def test_bundled_attack_grid_needs_no_scalar_fallback(monkeypatch):
-    position, pool = load_config(BUNDLED).state_at()
-    params = load_config(BUNDLED).risk
+    position, pool = load_config(BUNDLED_ATTACK).state_at()
+    params = load_config(BUNDLED_ATTACK).risk
     grid = _coarse_grid(delta_bounds(position, pool, params), 0.0,
                         search_hi(position, pool, params))
     assert len(grid) == 514
@@ -409,8 +387,8 @@ def test_bundled_attack_grid_needs_no_scalar_fallback(monkeypatch):
 
 
 def test_optimize_attack_returns_the_scalar_result_of_the_best_grid_point():
-    position, pool = load_config(BUNDLED).state_at()
-    params = load_config(BUNDLED).risk
+    position, pool = load_config(BUNDLED_ATTACK).state_at()
+    params = load_config(BUNDLED_ATTACK).risk
     out = optimize_attack(position, pool, params)
     again = attack_profit(out.delta, position, pool, params)
     assert out.result == again

@@ -4,7 +4,6 @@ import csv
 import io
 import math
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +16,8 @@ from oevsim import ConfigError, LoanPosition, PoolState, health_factor, load_con
 from oevsim.cli import REPRODUCERS, _fmt, _write_csv, main, run_sweep
 from oevsim.config import SWEEP_AXES, parse_config
 from oevsim.engine import best_strategy
+
+from conftest import BUNDLED_ATTACK, SCENARIOS, named_state
 
 MINIMAL = """
 pool:
@@ -241,31 +242,25 @@ attack: {delta_max: 0.0}
 
 
 # A debt-free position in a fee-free pool: the search ceiling is inf.
-DEBT_FREE_NO_FEE = """
-mode: attack
-pool: {reserve_collateral: 10000.0, reserve_debt: 2.8e+7, fee: 0.0}
-position: {debt: 0.0, collateral: 20.12}
-risk: {haircut: 0.85, bonus: 0.05, closing_factor: 0.8, max_liq_fraction: 0.5}
-"""
+DEBT_FREE_NO_FEE = str(named_state("debt_free_no_fee")[0])
 
 
-def test_cli_attack_debt_free_position_in_fee_free_pool_exits_3(tmp_path, capsys):
-    assert main(["attack", write(tmp_path, DEBT_FREE_NO_FEE)]) == 3
+def test_cli_attack_debt_free_position_in_fee_free_pool_exits_3(capsys):
+    assert main(["attack", DEBT_FREE_NO_FEE]) == 3
     out = capsys.readouterr().out
     assert "search               [0, inf] coarse points=0\n" in out
     assert "best attack          delta=0\n" in out
     assert "no profitable attack size found" in out
 
 
-def test_cli_fee_threshold_debt_free_position_exits_3(tmp_path, capsys):
-    assert main(["fee-threshold", write(tmp_path, DEBT_FREE_NO_FEE)]) == 3
+def test_cli_fee_threshold_debt_free_position_exits_3(capsys):
+    assert main(["fee-threshold", DEBT_FREE_NO_FEE]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "no threshold: attack is not profitable at the low end of the interval" in err
 
 
-BUNDLED_ATTACK = (Path(__file__).resolve().parent.parent / "scenarios"
-                  / "attack_delta_sweep.yaml").read_text()
+ATTACK_SWEEP = BUNDLED_ATTACK.read_text()
 
 
 @pytest.fixture
@@ -317,81 +312,44 @@ best attack          delta=5000
   triggered=True feasible=True strategy=cf_full
 """),
 }
-DELTA_MIN_5000 = """
-mode: attack
-pool: {reserve_collateral: 10000.0, reserve_debt: 2.8e+7, fee: 0.0}
-position: {debt: 32000.0, collateral: 20.12}
-risk: {haircut: 0.85, bonus: 0.05, closing_factor: 0.8, max_liq_fraction: 0.5}
-attack: {delta_min: 5000.0}
-"""
-ATTACK_TEXTS = {
-    "bundled": BUNDLED_ATTACK,
-    "delta_min_5000": DELTA_MIN_5000,
-    "zero_width_5000": DELTA_MIN_5000.replace("{delta_min: 5000.0}",
-                                              "{delta_min: 5000.0, delta_max: 5000.0}"),
-}
 
 
 @pytest.mark.usefixtures("no_bounds_after_the_search")
 @pytest.mark.parametrize("scenario", sorted(ATTACK_STDOUT))
-def test_cli_attack_prints_the_bounds_of_its_search(tmp_path, capsys, scenario):
+def test_cli_attack_prints_the_bounds_of_its_search(capsys, scenario):
     code, stdout = ATTACK_STDOUT[scenario]
-    assert main(["attack", write(tmp_path, ATTACK_TEXTS[scenario])]) == code
+    path = BUNDLED_ATTACK if scenario == "bundled" else named_state(scenario)[0]
+    assert main(["attack", str(path)]) == code
     assert capsys.readouterr() == (stdout, "")
 
 
 @pytest.mark.usefixtures("broken_health_factor_check")
-def test_cli_attack_recovery_root_error_exits_5(tmp_path, capsys):
-    # test_batch.py's SHORT_OF_WINDOW state, whose recovery root passes its
-    # self-check unless the health factor the check evaluates is broken.
-    cfg = """
-mode: attack
-pool: {reserve_collateral: 3.458330422621055, reserve_debt: 0.12771808493794157,
-       fee: 0.0010974388239558678}
-position: {collateral: 8.331745663884487e-07, debt: 2.885445894891363e-08}
-risk: {haircut: 0.6099749591202599, bonus: 0.0663722135511839, closing_factor: 0.7986954779277954,
-       max_liq_fraction: 0.4947399655985014}
-"""
-    assert main(["attack", write(tmp_path, cfg)]) == 5
+def test_cli_attack_recovery_root_error_exits_5(capsys):
+    # The short-of-window state, whose recovery root passes its self-check
+    # unless the health factor the check evaluates is broken.
+    path, (position, *_) = named_state("short_of_window")
+    assert main(["attack", str(path)]) == 5
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and "Traceback" not in out.err
     assert out.err.startswith("attack: recovery-bound root failed its self-check: residual=")
-    assert "LoanPosition(collateral=8.331745663884487e-07" in out.err
+    assert f"LoanPosition(collateral={position.collateral!r}" in out.err
 
 
 @pytest.mark.usefixtures("broken_polynomial_check")
-def test_cli_liquidate_polynomial_self_check_error_exits_5(tmp_path, capsys):
-    # test_batch.py's AT_EXHAUSTION state, whose recovery root sits at exhaustion.
-    cfg = """
-pool: {reserve_collateral: 16657.945238211185, reserve_debt: 1563.8823960128884,
-       fee: 0.0014056667623457881}
-position: {collateral: 38.22285036096994, debt: 8.652567146157587}
-risk: {haircut: 0.5975284102087317, bonus: 0.05131141895889022, closing_factor: 0.3155082477105548,
-       max_liq_fraction: 0.9205281032181243}
-"""
-    assert main(["liquidate", write(tmp_path, cfg)]) == 5
+def test_cli_liquidate_polynomial_self_check_error_exits_5(capsys):
+    # The at-exhaustion state, whose recovery root sits at exhaustion.
+    assert main(["liquidate", str(named_state("at_exhaustion")[0])]) == 5
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and "Traceback" not in out.err
     assert out.err.startswith("liquidate: recovery-bound root failed its polynomial self-check")
 
 
-# The liquidation sale of a debt of 3e143 into a pool of 8e-85 collateral and
-# 2e-135 debt asset leaves a debt reserve of exactly 0.
-RESERVE_UNDERFLOW = """
-mode: attack
-convention: execution_per_bonus
-pool: {reserve_collateral: 8.376768473521796e-85, reserve_debt: 1.741852207761701e-135, fee: 0.0}
-position: {debt: 3.1079094409569596e+143, initial_health_factor: 0.0006158444937192295}
-risk: {haircut: 0.2197507022640751, bonus: 0.37563875698734817,
-       closing_factor: 0.6843701205367683, max_liq_fraction: 0.2400993706964124}
-"""
-
-
+# R2's liquidation sale leaves a debt reserve of exactly 0.
 @pytest.mark.parametrize("command", ["liquidate", "attack"])
-def test_cli_reserve_underflow_exits_6(tmp_path, capsys, command):
-    assert main([command, write(tmp_path, RESERVE_UNDERFLOW)]) == 6
+def test_cli_reserve_underflow_exits_6(capsys, command):
+    assert main([command, str(named_state("r2")[0])]) == 6
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"{command}: reserve underflow: reserve_debt must be > 0, got 0.0\n"
@@ -431,9 +389,9 @@ NO_THRESHOLD = {
     "above_parity": (MINIMAL + "mode: attack\nattack:\n  fee_low: 0.08\n  fee_high: 0.09\n",
                      False, "not profitable at the low end"),
     # g(0.0005) is about 22277: the attack still pays at the high end.
-    "profitable_at_high_end": (BUNDLED_ATTACK.replace("fee_high: 0.003", "fee_high: 0.0005"),
+    "profitable_at_high_end": (ATTACK_SWEEP.replace("fee_high: 0.003", "fee_high: 0.0005"),
                                False, "still profitable at the high end"),
-    "non_monotone": (BUNDLED_ATTACK, True,
+    "non_monotone": (ATTACK_SWEEP, True,
                      "recovered after turning non-positive [g(0)=1, g(0.0005)=1, g(0.001)=0, "),
 }
 
@@ -558,10 +516,6 @@ def test_write_csv_template_edges_match_the_csv_writer_reference(tmp_path, capsy
     assert out.read_bytes() == want.encode()
     _write_csv(header, columns, None)
     assert capsys.readouterr().out == want
-
-
-ATTACK_SWEEP = (Path(__file__).resolve().parent.parent / "scenarios"
-                / "attack_delta_sweep.yaml").read_text()
 
 
 @pytest.mark.parametrize("text, steps", [(SWEEP, "steps: 7"), (ATTACK_SWEEP, "steps: 241")],
@@ -858,7 +812,7 @@ def test_cli_attack_on_a_subnormal_debt_finds_nothing(tmp_path, capsys):
     assert captured.out.endswith("no profitable attack size found\n") and captured.err == ""
 
 
-SCENARIO_FILES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
+SCENARIO_FILES = sorted(SCENARIOS.glob("*.yaml"))
 # Every bundled scenario, the CLI rejection table and YAML 1.1 scalars that
 # the resolver types: exponents without a sign, sexagesimals, hex, booleans.
 LOADER_TEXTS = [path.read_text() for path in SCENARIO_FILES] + [

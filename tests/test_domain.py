@@ -12,7 +12,6 @@ import re
 import signal
 
 import pytest
-import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,11 +36,13 @@ from oevsim import (
 )
 from oevsim.attack import NoThresholdError, _sandwich_total, attack_profit_batch
 from oevsim.cli import main
-from oevsim.config import parse_config
 from oevsim.engine import best_strategy_batch
 from oevsim.lending import _x_collateral
 
-from conftest import closing_bound
+from conftest import STD, closing_bound, named_state
+
+SHORT_OF_WINDOW = named_state("short_of_window")[1]
+R1_PATH, R1 = named_state("r1")
 
 
 def lerp(r: float, lo: float, hi: float) -> float:
@@ -112,7 +113,7 @@ def assert_liquidation_in_domain(res, position: LoanPosition, pool: PoolState) -
     assert pool_kept(pool, res.post_pool)
 
 
-@settings(derandomize=True, max_examples=250, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(edge_states())
 # Bounds 1e-11 apart, so the recovery root sits near the 0/0 point of the
 # health factor: with the exhaustion window at 1e-12 its self-check failed.
@@ -120,11 +121,8 @@ def assert_liquidation_in_domain(res, position: LoanPosition, pool: PoolState) -
           RiskParams(0.5, 0.05, 0.05, 0.05), 0.000999999999))
 # A near tie whose root leaves 2.5e-7 of the debt, just outside the
 # exhaustion window: its self-check failed while the refine's first bracket
-# was 1e-12*max(root, 1) wide (test_batch.py's SHORT_OF_WINDOW).
-@example((LoanPosition(8.331745663884487e-07, 2.885445894891363e-08),
-          PoolState(3.458330422621055, 0.12771808493794157, 0.0010974388239558678),
-          RiskParams(0.6099749591202599, 0.0663722135511839, 0.7986954779277954,
-                     0.4947399655985014), 0.0))
+# was 1e-12*max(root, 1) wide.
+@example((*SHORT_OF_WINDOW[:3], 0.0))
 def test_edge_states_stay_in_the_domain(state):
     position, pool, params, delta = state
     liq, _ = best_strategy(position, pool, params)
@@ -159,7 +157,7 @@ def outcome(total, *args):
         return type(exc)
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(edge_states(), st.sampled_from(list(RepayConvention)))
 def test_golden_section_steps_have_the_bits_of_attack_profit(state, convention):
     # optimize_attack's golden-section steps read the total from the float path.
@@ -174,11 +172,7 @@ def test_golden_section_steps_have_the_bits_of_attack_profit(state, convention):
 
 @pytest.mark.usefixtures("broken_health_factor_check")
 def test_golden_section_steps_raise_the_recovery_root_error_of_attack_profit():
-    position, pool, params = (LoanPosition(8.331745663884487e-07, 2.885445894891363e-08),
-                              PoolState(3.458330422621055, 0.12771808493794157,
-                                        0.0010974388239558678),
-                              RiskParams(0.6099749591202599, 0.0663722135511839,
-                                         0.7986954779277954, 0.4947399655985014))
+    position, pool, params, _ = SHORT_OF_WINDOW
     args = (0.0, position, pool, params, RepayConvention.EXECUTION_VALUE)
     with pytest.raises(RecoveryRootError) as want:
         attack_total(*args)
@@ -194,7 +188,7 @@ UNDERFLOW_POOL = PoolState(1e-300, 2e6, 0.003)
 @pytest.mark.parametrize("position", [LoanPosition(6.0, 1e-320), LoanPosition(0.0, 1e-320)],
                          ids=["collateral", "no_collateral"])
 def test_underflowing_health_factor_raises_one_value_error(position):
-    params = RiskParams(0.85, 0.05, 0.8, 0.5)
+    params = STD
     pool = UNDERFLOW_POOL
     match = "health factor undefined: reserve_collateral \\* debt underflows to 0"
     with pytest.raises(ValueError, match=match):
@@ -209,22 +203,14 @@ def test_underflowing_health_factor_raises_one_value_error(position):
 
 
 def test_kappa_error_comes_before_the_underflow_error():
-    position, params = LoanPosition(6.0, 1e-320), RiskParams(0.85, 0.05, 0.8, 0.5)
+    position = LoanPosition(6.0, 1e-320)
     for call in (compute_bounds, run_liquidation):
         with pytest.raises(ValueError, match="kappa must lie in"):
-            call(position, UNDERFLOW_POOL, params, 1.0, 1.5)
-
-
-# Its closing roots sit near 2e-320, where 1e-12 of the root underflows:
-# the refine's first bracket was 0 wide and never widened.
-SUBNORMAL_ROOT = (LoanPosition(5.617e-320, 4.1315580598467965e-56),
-                  PoolState(2.261158176774195e-125, 2.3604507266552503e+139, 0.003),
-                  RiskParams(0.6194808574528073, 0.18775295667392683, 0.5788067776509134,
-                             0.9679986501417864))
+            call(position, UNDERFLOW_POOL, STD, 1.0, 1.5)
 
 
 def test_subnormal_root_refine_terminates():
-    position, pool, params = SUBNORMAL_ROOT
+    position, pool, params, _ = named_state("subnormal_root")[1]
 
     def stop(signum, frame):
         raise TimeoutError("the recovery-root refine did not terminate")
@@ -246,7 +232,7 @@ def test_subnormal_root_refine_terminates():
 # The recovery bound squares A + x*u: at this depth the square overflows,
 # which libm pow raised as OverflowError.
 OVERFLOWING_SQUARE = (LoanPosition(0.9 * 1e-120 * 1e160 / (0.85 * 1e-100), 1e-120),
-                      PoolState(1e160, 1e-100, 0.003), RiskParams(0.85, 0.05, 0.8, 0.5))
+                      PoolState(1e160, 1e-100, 0.003), STD)
 # Here the square underflows to 0, which the price divided by.
 UNDERFLOWING_SQUARE = (LoanPosition(5.40968013807e-312, 0.0001702831402522715),
                        PoolState(5.521961965644144e-190, 1.329511478343834e+118, 0.01),
@@ -280,29 +266,17 @@ def test_underflowing_square_raises_one_value_error():
         attack_profit(0.0, position, pool, params)
 
 
-# Its recovery quadratic's linear*linear overflows, so the discriminant is
-# inf, and root 0 taken from it failed the health-factor self-check.  The
-# state has no recovery root: its health factor stays near 4.7e-6, and the
-# collateral bound binds.
-OVERFLOWING_DISCRIMINANT = """\
-convention: execution_per_bonus
-pool: {reserve_collateral: 5.204366883555337e+144, reserve_debt: 7.437278773769457e+49, fee: 0.0}
-position: {debt: 5.818560089371399e-84, initial_health_factor: 4.710481466813223e-06}
-risk: {haircut: 0.8096558833309286, bonus: 0.4539958490350111,
-       closing_factor: 0.2810264227463748, max_liq_fraction: 0.3277197201592209}
-"""
-
-
+# R1's recovery discriminant overflows to inf (tests/scenarios/r1.yaml): it has
+# no recovery root, and the collateral bound binds.
 def test_overflowing_discriminant_batch_matches_scalar():
-    cfg = parse_config(yaml.safe_load(OVERFLOWING_DISCRIMINANT))
-    position, pool = cfg.state_at()
-    liq, strategy = best_strategy(position, pool, cfg.risk, cfg.convention)
+    position, pool, risk, convention = R1
+    liq, strategy = best_strategy(position, pool, risk, convention)
     assert liq.binding is Binding.COLLATERAL
     assert liq.bounds.x_closing > liq.bounds.x_collateral
     assert liq.pi_tot.hex() == "0x1.587fb2f681156p-296"
     batch, strategies = best_strategy_batch([position.collateral], [position.debt],
                                             [pool.reserve_collateral], [pool.reserve_debt],
-                                            pool.fee, cfg.risk, cfg.convention)
+                                            pool.fee, risk, convention)
     assert float(batch.pi_tot[0]).hex() == liq.pi_tot.hex() and strategies[0] == strategy
 
 
@@ -311,10 +285,8 @@ def test_overflowing_discriminant_batch_matches_scalar():
     ("attack", 0, [r"^best attack +delta=0$", r"^  total profit +1\.05698558012e-89$"]),
     ("fee-threshold", 3, [r"^no threshold: attack is not profitable at the low end "]),
 ])
-def test_overflowing_discriminant_runs_every_command(tmp_path, capsys, command, code, patterns):
-    path = tmp_path / "scenario.yaml"
-    path.write_text(OVERFLOWING_DISCRIMINANT)
-    assert main([command, str(path)]) == code
+def test_overflowing_discriminant_runs_every_command(capsys, command, code, patterns):
+    assert main([command, str(R1_PATH)]) == code
     out = capsys.readouterr()
     for pattern in patterns:
         assert re.search(pattern, out.out + out.err, re.M), pattern
@@ -323,10 +295,9 @@ def test_overflowing_discriminant_runs_every_command(tmp_path, capsys, command, 
 @pytest.mark.xfail(strict=True, reason="critical_fee's profit floor is 1e-12 of the debt reserve, "
                                         "7.4e37 here, so the +1.06e-89 probes read as not profitable")
 def test_critical_fee_takes_a_positive_low_end_probe_for_profitable():
-    cfg = parse_config(yaml.safe_load(OVERFLOWING_DISCRIMINANT))
-    position, pool = cfg.state_at()
+    position, pool, risk, convention = R1
     try:
-        critical_fee(position, pool, cfg.risk, 0.0, 0.003, cfg.convention)
+        critical_fee(position, pool, risk, 0.0, 0.003, convention)
     except NoThresholdError as err:
         low_end = str(err).startswith("attack is not profitable at the low end")
         assert not (low_end and err.probes[0][1] > 0.0), err.probes
@@ -343,18 +314,17 @@ def test_overflowing_discriminant_without_a_linear_term_cannot_bind():
 
 # A liquidatable position (HF 0.85*1500*6/1e4 = 0.765) in a pool at 1500.
 INPUT_POSITION, INPUT_POOL = LoanPosition(6.0, 10_000.0), PoolState(1e6, 1.5e9, 0.003)
-INPUT_PARAMS = RiskParams(0.85, 0.05, 0.8, 0.5)
-INPUT_ROW = (6.0, 10_000.0, 1e6, 1.5e9, 0.003, INPUT_PARAMS)
+INPUT_ROW = (6.0, 10_000.0, 1e6, 1.5e9, 0.003, STD)
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: critical_fee(INPUT_POSITION, INPUT_POOL, INPUT_PARAMS, 0.003, 0.003),
+    pytest.param(lambda: critical_fee(INPUT_POSITION, INPUT_POOL, STD, 0.003, 0.003),
                  "need 0 <= fee_low < fee_high < 1, got [0.003, 0.003]", id="critical_fee"),
     pytest.param(lambda: attack_profit_batch([1.0, -2.0], *INPUT_ROW),
                  "attack size must be >= 0, got -2.0", id="attack_profit_batch"),
-    pytest.param(lambda: run_liquidation(INPUT_POSITION, INPUT_POOL, INPUT_PARAMS, 0.0, 0.5),
+    pytest.param(lambda: run_liquidation(INPUT_POSITION, INPUT_POOL, STD, 0.0, 0.5),
                  "cf_target must lie in (0, 1], got 0.0", id="run_liquidation_cf_zero"),
-    pytest.param(lambda: run_liquidation(INPUT_POSITION, INPUT_POOL, INPUT_PARAMS, 1.5, 0.5),
+    pytest.param(lambda: run_liquidation(INPUT_POSITION, INPUT_POOL, STD, 1.5, 0.5),
                  "cf_target must lie in (0, 1], got 1.5", id="run_liquidation_cf_high"),
     pytest.param(lambda: integral_oracle(INPUT_POOL, -1.0, 0.05),
                  "x_liq must be >= 0, got -1.0", id="integral_oracle"),
@@ -397,7 +367,7 @@ def returned_or_raised(call):
         return type(exc), str(exc)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(full_range_states())
 def test_scalar_and_batch_paths_return_or_raise_alike_at_full_float_range(state):
     position, pool, params, delta, convention = state
@@ -440,7 +410,7 @@ def test_scalar_and_batch_paths_return_or_raise_alike_at_full_float_range(state)
                  RiskParams(0.5, 0.05, 0.05, 0.05), RepayConvention.SPOT_PRICE,
                  id="reserve_product_overflows"),
     pytest.param(1e12, LoanPosition(2e-10, 1e290), PoolState(1.0, 1e300, 0.0),
-                 RiskParams(0.85, 0.05, 0.8, 0.5), RepayConvention.EXECUTION_VALUE,
+                 STD, RepayConvention.EXECUTION_VALUE,
                  id="reserve_product_finite"),
 ])
 def test_attack_profit_is_finite_or_raises_where_a_sale_overflows(delta, position, pool, params,

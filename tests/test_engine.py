@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import random
-from pathlib import Path
 
 import pytest
 
@@ -14,7 +13,6 @@ from oevsim import (
     LastBinding,
     LoanPosition,
     PoolState,
-    RiskParams,
     Strategy,
     best_strategy,
     health_factor,
@@ -26,15 +24,9 @@ from oevsim.engine import _run_profit, _shot_profit
 from oevsim.lending import _x_collateral, trade_multiplier
 from oevsim.oracles import integral_oracle, random_instances
 
-from conftest import closing_bound, tranche
-from test_batch import SHORT_OF_WINDOW
-from test_domain import SUBNORMAL_ROOT
+from conftest import SCENARIOS, STD, closing_bound, named_state, pool_at, product, tranche
 
-STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
-
-
-def pool_at(price, liquidity=2e9, fee=0.0):
-    return PoolState(math.sqrt(liquidity / price), math.sqrt(liquidity * price), fee)
+SHORT_OF_WINDOW = named_state("short_of_window")[1]
 
 
 def run_profit(pool, x_liq, bonus):
@@ -45,10 +37,6 @@ def run_profit(pool, x_liq, bonus):
 def shot_profit(pool, x, bonus):
     return _shot_profit(pool.reserve_collateral, pool.reserve_debt,
                         trade_multiplier(pool.fee, bonus), x)
-
-
-def product(pool):
-    return pool.reserve_collateral * pool.reserve_debt
 
 
 def test_marginal_phase_profit_zero_cases():
@@ -233,10 +221,8 @@ def bits(value):
 
 SCENARIO_STATES = [
     (*cfg.state_at(), cfg.risk, cfg.convention)
-    for cfg in map(load_config, sorted(Path(__file__).resolve().parent.parent
-                                       .joinpath("scenarios").glob("*.yaml")))
-] + [(*SHORT_OF_WINDOW, oevsim.lending.DEFAULT_CONVENTION),
-     (*SUBNORMAL_ROOT, oevsim.lending.DEFAULT_CONVENTION)]
+    for cfg in map(load_config, sorted(SCENARIOS.glob("*.yaml")))
+] + [SHORT_OF_WINDOW, named_state("subnormal_root")[1]]
 
 
 def scalar_chain(position, pool, params, convention):
@@ -267,7 +253,7 @@ def test_scalar_chain_runs_through_the_traced_leaves(monkeypatch):
 
 def test_recovery_root_refine_builds_no_state(monkeypatch):
     # SHORT_OF_WINDOW's root takes the refine, which bisects the gap on floats.
-    position, pool, params = SHORT_OF_WINDOW
+    position, pool, params, _ = SHORT_OF_WINDOW
     built, gaps = [], []
     for cls in (LoanPosition, PoolState):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))

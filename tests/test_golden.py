@@ -18,7 +18,6 @@ import dataclasses
 import hashlib
 import math
 from enum import Enum
-from pathlib import Path
 
 import pytest
 
@@ -27,10 +26,10 @@ from oevsim.attack import attack_profit, optimize_attack
 from oevsim.cli import main
 from oevsim.config import load_config
 from oevsim.engine import best_strategy
-from oevsim.lending import LoanPosition, RepayConvention, RiskParams, _x_collateral
+from oevsim.lending import LoanPosition, RepayConvention, _x_collateral
 from oevsim.oracles import dp_oracle, random_instances, simulate_liquidation_sequence
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+from conftest import BUNDLED_ATTACK, SCENARIOS, STD, pool_at
 
 CSV_SHA256 = {
     ("sweep", "liquidation_price_sweep"):
@@ -76,7 +75,7 @@ def test_csv_bytes_match_reference(tmp_path, capsys, command, target, to_file):
 @pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
 def test_bundled_attack_stdout_matches_reference(capsys, command):
     rc, digest = STDOUT_SHA256[command]
-    assert main([command, str(SCENARIOS / "attack_delta_sweep.yaml")]) == rc
+    assert main([command, str(BUNDLED_ATTACK)]) == rc
     assert sha256(capsys.readouterr().out.encode()) == digest
 
 
@@ -96,14 +95,11 @@ DP_HEX = {
 VERIFY_REPORT_SHA256 = "df1f0b5332f4bbb750d879d13a9bca74d1a9190fac5dd2eb4d935c73d226e6d1"
 
 
-STUDY_RISK = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
-
-
 @pytest.mark.parametrize("price, convention", list(DP_HEX),
                          ids=lambda v: v.value if isinstance(v, RepayConvention) else f"p{v:g}")
 def test_dp_oracle_value_is_bit_exact(price, convention):
-    pool = PoolState(math.sqrt(2e9 / price), math.sqrt(2e9 * price), 0.003)
-    value = dp_oracle(LoanPosition(6.0, 1e4), pool, STUDY_RISK, 1.0, 0.5, 4000, convention)
+    pool = pool_at(price, fee=0.003)
+    value = dp_oracle(LoanPosition(6.0, 1e4), pool, STD, 1.0, 0.5, 4000, convention)
     assert value.hex() == DP_HEX[price, convention]
 
 
@@ -151,8 +147,8 @@ def test_engine_results_are_bit_exact():
             pool = PoolState(1000.0, 2e6, fee)
             for position in (LoanPosition(0.0, 1e4), LoanPosition(5.0, 0.0),
                              LoanPosition(0.0, 0.0), LoanPosition(5.0, 1e4)):
-                results.append(best_strategy(position, pool, STUDY_RISK, convention))
-    cfg = load_config(SCENARIOS / "attack_delta_sweep.yaml")
+                results.append(best_strategy(position, pool, STD, convention))
+    cfg = load_config(BUNDLED_ATTACK)
     position, pool = cfg.state_at()
     results.append(optimize_attack(position, pool, cfg.risk))
     results.append(optimize_attack(position, pool, cfg.risk, delta_range=(0.0, 0.0)))
@@ -181,8 +177,8 @@ def _walks():
     # kappa 1 the first trade of a state near the gate repays the whole debt.
     for kappa in (0.5, 1.0):
         for price in (1400.0, 1600.0, 1700.0, 1800.0, 1820.0, 1900.0, 2100.0):
-            pool = PoolState(math.sqrt(2e9 / price), math.sqrt(2e9 * price), 0.0)
-            yield simulate_liquidation_sequence(LoanPosition(6.0, 1e4), pool, STUDY_RISK, 1.0,
+            pool = pool_at(price)
+            yield simulate_liquidation_sequence(LoanPosition(6.0, 1e4), pool, STD, 1.0,
                                                 kappa, RepayConvention.SPOT_PRICE)
 
 

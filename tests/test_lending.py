@@ -20,14 +20,7 @@ from oevsim._numerics import bisect_root
 from oevsim.lending import _repay, _repay_total, _traj_factor, trade_multiplier
 from oevsim.oracles import random_instances
 
-from conftest import closing_bound, hf_marginal
-
-
-def pool_at(price, liquidity=2e9, fee=0.0):
-    return PoolState(math.sqrt(liquidity / price), math.sqrt(liquidity * price), fee)
-
-
-STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
+from conftest import STD, closing_bound, hf_marginal, pool_at
 
 
 def bounds(pos, pool, bonus, kappa=1.0, convention=DEFAULT_CONVENTION):

@@ -10,7 +10,6 @@ from oevsim import (
     LoanPosition,
     PoolState,
     RepayConvention,
-    RiskParams,
     compute_bounds,
     dp_oracle,
     health_factor,
@@ -43,11 +42,7 @@ from oevsim.oracles import (
     random_instances,
 )
 
-STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
-
-
-def pool_at(price, liquidity=2e9, fee=0.0):
-    return PoolState(math.sqrt(liquidity / price), math.sqrt(liquidity * price), fee)
+from conftest import STD, pool_at
 
 
 def test_dp_gate_zero_regardless_of_grid():
