@@ -4,7 +4,9 @@ A named state, such as a ROADMAP reproducer, is one scenario file in
 ``tests/scenarios/``; :func:`named_state` loads it.
 """
 
+import dataclasses
 import math
+from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -53,6 +55,29 @@ def pool_at(price, liquidity=2e9, fee=0.0):
 
 def product(pool):
     return pool.reserve_collateral * pool.reserve_debt
+
+
+def leaves(value, name: str = ""):
+    """Every leaf of a result as a string: float bits, enum values, flags.
+
+    Dataclasses, tuples and lists are walked in order; two results are equal
+    bit for bit when their leaves are.
+    """
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from leaves(getattr(value, f.name), f.name)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from leaves(item, name)
+    elif value is None:
+        # A binding of None and the FEE_GATE member are the same outcome.
+        yield "fee_gate" if name == "binding" else "none"
+    elif isinstance(value, Enum):
+        yield value.value
+    elif isinstance(value, (bool, str)):
+        yield str(value)
+    else:
+        yield float(value).hex()
 
 
 # The scalar leaf rules take floats; these adapters feed them a position and a pool.

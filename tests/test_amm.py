@@ -1,6 +1,5 @@
 """CPMM mechanics: quoted examples, swap invariants, fee effects."""
 
-import math
 from fractions import Fraction
 
 import pytest

@@ -57,6 +57,9 @@ CONVENTIONS = list(RepayConvention)
 # The attack size at which cause B's post-front bounds nearly tie.
 CAUSE_B_DELTA = float.fromhex("0x1.3b904db4b9ed5p+5")  # 39.44546071236042
 SHORT_OF_WINDOW = named_state("short_of_window")[1]
+# The bundled attack scenario's position, pool and risk parameters.
+_BUNDLED = load_config(BUNDLED_ATTACK)
+BUNDLED_STATE = (*_BUNDLED.state_at(), _BUNDLED.risk)
 
 
 def hx(value) -> str:
@@ -180,8 +183,7 @@ def test_attack_batch_matches_scalar_on_random_instances(seed, convention):
 
 @pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.value)
 def test_attack_batch_matches_scalar_on_the_bundled_grid(convention):
-    position, pool = load_config(BUNDLED_ATTACK).state_at()
-    params = load_config(BUNDLED_ATTACK).risk
+    position, pool, params = BUNDLED_STATE
     deltas = probe_deltas(position, pool, params, coarse_points=512)
     assert_attack_rows_match(deltas, position, pool, params, convention)
 
@@ -369,8 +371,7 @@ def test_batch_raises_where_a_scalar_pool_is_invalid():
 
 
 def test_bundled_attack_grid_needs_no_scalar_fallback(monkeypatch):
-    position, pool = load_config(BUNDLED_ATTACK).state_at()
-    params = load_config(BUNDLED_ATTACK).risk
+    position, pool, params = BUNDLED_STATE
     grid = _coarse_grid(delta_bounds(position, pool, params), 0.0,
                         search_hi(position, pool, params))
     assert len(grid) == 514
@@ -387,8 +388,7 @@ def test_bundled_attack_grid_needs_no_scalar_fallback(monkeypatch):
 
 
 def test_optimize_attack_returns_the_scalar_result_of_the_best_grid_point():
-    position, pool = load_config(BUNDLED_ATTACK).state_at()
-    params = load_config(BUNDLED_ATTACK).risk
+    position, pool, params = BUNDLED_STATE
     out = optimize_attack(position, pool, params)
     again = attack_profit(out.delta, position, pool, params)
     assert out.result == again

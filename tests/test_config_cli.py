@@ -226,16 +226,8 @@ def test_cli_attack_range_above_search_ceiling(tmp_path, capsys):
     assert "delta range [1e+12, inf] lies above the search ceiling 190621" in out.err
 
 
-def test_cli_attack_zero_delta_max_searches_only_zero(tmp_path, capsys):
-    # The README pool without a fee: unclipped, the best attack is about 8.3e6.
-    cfg = """
-mode: attack
-pool: {reserve_collateral: 10000.0, reserve_debt: 2.8e+7, fee: 0.0}
-position: {debt: 32000.0, collateral: 20.12}
-risk: {haircut: 0.85, bonus: 0.05, closing_factor: 0.8, max_liq_fraction: 0.5}
-attack: {delta_max: 0.0}
-"""
-    assert main(["attack", write(tmp_path, cfg)]) == 3
+def test_cli_attack_zero_delta_max_searches_only_zero(capsys):
+    assert main(["attack", str(named_state("delta_max_0")[0])]) == 3
     out = capsys.readouterr().out
     assert "best attack          delta=0\n" in out
     assert "no profitable attack size found" in out
@@ -388,9 +380,8 @@ NO_THRESHOLD = {
     # Interval entirely above bonus parity: liquidation never profitable.
     "above_parity": (MINIMAL + "mode: attack\nattack:\n  fee_low: 0.08\n  fee_high: 0.09\n",
                      False, "not profitable at the low end"),
-    # g(0.0005) is about 22277: the attack still pays at the high end.
-    "profitable_at_high_end": (ATTACK_SWEEP.replace("fee_high: 0.003", "fee_high: 0.0005"),
-                               False, "still profitable at the high end"),
+    "profitable_at_high_end": (named_state("high_end")[0].read_text(), False,
+                               "still profitable at the high end"),
     "non_monotone": (ATTACK_SWEEP, True,
                      "recovered after turning non-positive [g(0)=1, g(0.0005)=1, g(0.001)=0, "),
 }

@@ -14,10 +14,8 @@ hash covers every field of a fixed set of ``best_strategy``,
 ``attack_profit`` and ``optimize_attack`` results.
 """
 
-import dataclasses
 import hashlib
 import math
-from enum import Enum
 
 import pytest
 
@@ -29,7 +27,7 @@ from oevsim.engine import best_strategy
 from oevsim.lending import LoanPosition, RepayConvention, _x_collateral
 from oevsim.oracles import dp_oracle, random_instances, simulate_liquidation_sequence
 
-from conftest import BUNDLED_ATTACK, SCENARIOS, STD, pool_at
+from conftest import BUNDLED_ATTACK, SCENARIOS, STD, leaves, pool_at
 
 CSV_SHA256 = {
     ("sweep", "liquidation_price_sweep"):
@@ -113,25 +111,6 @@ def test_verify_report_bytes_match_reference(tmp_path, capsys):
 ENGINE_SHA256 = "4a8031e259a468b51b5e2a8b7478f111b2380623169665961c3cf4d3a953556d"
 
 
-def _fields(value, name: str = ""):
-    """Every leaf of a result as a string: float bits, enum values, flags."""
-    if dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _fields(getattr(value, f.name), f.name)
-    elif isinstance(value, tuple):
-        for item in value:
-            yield from _fields(item, name)
-    elif value is None:
-        # A binding of None and the FEE_GATE member are the same outcome.
-        yield "fee_gate" if name == "binding" else "none"
-    elif isinstance(value, Enum):
-        yield value.value
-    elif isinstance(value, (bool, str)):
-        yield str(value)
-    else:
-        yield float(value).hex()
-
-
 def test_engine_results_are_bit_exact():
     results = []
     instances = random_instances(200, seed=4242)
@@ -152,7 +131,7 @@ def test_engine_results_are_bit_exact():
     position, pool = cfg.state_at()
     results.append(optimize_attack(position, pool, cfg.risk))
     results.append(optimize_attack(position, pool, cfg.risk, delta_range=(0.0, 0.0)))
-    digest = sha256("\n".join(_fields(tuple(results))).encode())
+    digest = sha256("\n".join(leaves(results)).encode())
     assert digest == ENGINE_SHA256
 
 
@@ -183,5 +162,5 @@ def _walks():
 
 
 def test_walk_outcomes_are_bit_exact():
-    digest = sha256("\n".join(_fields(tuple(_walks()))).encode())
+    digest = sha256("\n".join(leaves(tuple(_walks()))).encode())
     assert digest == WALK_SHA256

@@ -42,7 +42,7 @@ from oevsim.oracles import (
     random_instances,
 )
 
-from conftest import STD, pool_at
+from conftest import STD, leaves, pool_at
 
 
 def test_dp_gate_zero_regardless_of_grid():
@@ -344,13 +344,6 @@ def walk_reference(position, pool, params, cf_target, kappa, convention, step_li
     return SequenceOutcome(profit, term, steps, cum_x, LoanPosition(c, b), PoolState(a, r, fee))
 
 
-def outcome_bits(out: SequenceOutcome) -> tuple:
-    pos, pool = out.post_position, out.post_pool
-    return (out.terminator, out.steps, *(v.hex() for v in (
-        out.profit, out.cumulative_x, pos.collateral, pos.debt,
-        pool.reserve_collateral, pool.reserve_debt, pool.fee)))
-
-
 def test_cumsum_is_sequential_subtraction():
     # The walk's columns rest on add.accumulate adding one row element at a time.
     rng = np.random.default_rng(31)
@@ -449,7 +442,7 @@ def span(inst):
 @pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
 def test_long_walks_match_the_scalar_walk(convention):
     got, want = walk_pair(GATE_WALK, convention, span(GATE_WALK) / 20_000, 40_000)
-    assert outcome_bits(got) == outcome_bits(want)
+    assert list(leaves(got)) == list(leaves(want))
     assert got.terminator == "closing_factor" and got.steps > 16_000
 
 
@@ -463,7 +456,7 @@ def test_walks_whose_reserve_product_never_moves_match_the_scalar_walk(conventio
     products = []
     want = walk_reference(*args, 40_000, products)
     got = simulate_liquidation_sequence(*args, max_steps=40_000)
-    assert outcome_bits(got) == outcome_bits(want)
+    assert list(leaves(got)) == list(leaves(want))
     assert got.terminator == case and got.steps > 5_000
     assert len(products) == want.steps + 1 and set(products) == {products[0]}
 
@@ -478,7 +471,7 @@ def test_a_chunk_with_no_plain_row_hands_the_step_to_the_scalar_walk(convention)
     bounds, _ = compute_bounds(inst.position, inst.pool, inst.params, inst.cf_target, 1.0,
                                convention)
     got, want = walk_pair(inst, convention, bounds.x_closing / 8.5, 40_000, kappa=1.0)
-    assert outcome_bits(got) == outcome_bits(want)
+    assert list(leaves(got)) == list(leaves(want))
     assert got.terminator == "closing_factor" and got.steps == 9
 
 
@@ -486,7 +479,7 @@ def test_a_chunk_with_no_plain_row_hands_the_step_to_the_scalar_walk(convention)
 @pytest.mark.parametrize("max_steps", [1025, 2100, 4097])
 def test_a_step_budget_inside_a_run_matches_the_scalar_walk(convention, max_steps):
     got, want = walk_pair(DRAIN_WALK, convention, span(DRAIN_WALK) / 20_000, max_steps)
-    assert outcome_bits(got) == outcome_bits(want)
+    assert list(leaves(got)) == list(leaves(want))
     assert got.terminator == "steps" and got.steps == max_steps
 
 
@@ -500,7 +493,7 @@ def test_a_kappa_cap_binding_after_a_plain_run_matches_the_scalar_walk(conventio
                       trade_multiplier(pool.fee, DRAIN_WALK.params.bonus),
                       _traj_factor(pool.fee, convention), convention)
     got, want = walk_pair(DRAIN_WALK, convention, share * cap0, 40_000, kappa=kappa)
-    assert outcome_bits(got) == outcome_bits(want)
+    assert list(leaves(got)) == list(leaves(want))
     assert got.cumulative_x < got.steps * share * cap0 * (1.0 - 1e-3)
 
 
@@ -523,7 +516,7 @@ def test_walk_ends_match_the_scalar_walk(convention, case):
     inst, cf_target = {"over_gate": (GATE_WALK, None), "collateral": (DRAIN_WALK, None),
                        "debt": (GATE_WALK, math.inf)}[case]
     got, want = walk_pair(inst, convention, span(inst) / 5_000, 40_000, cf_target=cf_target)
-    assert outcome_bits(got) == outcome_bits(want)
+    assert list(leaves(got)) == list(leaves(want))
     assert got.terminator == {"over_gate": "closing_factor"}.get(case, case)
     assert got.steps > 4_000
     if case == "over_gate":
