@@ -86,12 +86,6 @@ def test_baddebt_cap_self_check_and_limits():
     assert delta_bounds(LoanPosition(20.0, 0.0), POOL5, STD).baddebt_cap == math.inf
 
 
-def test_no_revert_ceiling():
-    assert delta_bounds(POS5, PoolState(1e4, 2.8e7, 0.0), STD).no_revert == math.inf
-    ceiling = delta_bounds(POS5, POOL5, STD).no_revert
-    assert ceiling == pytest.approx((1e4 + 0.997 * 20.12) / 0.003, rel=1e-14)
-
-
 def test_no_revert_boundary_is_sharp():
     # Walk the three legs by hand with the full collateral liquidated and
     # check the buy-back reverts just above the ceiling, not just below.
@@ -195,11 +189,12 @@ def test_baddebt_cap_of_a_subnormal_debt_is_infinite():
     assert out.delta == 0.0 and out.result.total_profit == 0.0
 
 
-def test_optimizer_finds_nothing_at_30bps():
-    out = optimize_attack(POS5, POOL5, STD)
-    assert out.delta == 0.0
-    assert out.result.total_profit == 0.0
-    assert out.best_positive_profit < 0.0
+def test_best_positive_profit_leaves_out_a_zero_size_on_the_grid():
+    # HF 0.9: the trigger is 0, so the coarse grid holds size 0, which earns
+    # more than every positive size.
+    out = optimize_attack(LoanPosition(12.100840336134453, 32_000.0), POOL5, STD)
+    assert out.bounds.trigger == 0.0 and out.delta == 0.0
+    assert out.best_positive_profit < out.result.total_profit
 
 
 def test_optimizer_rides_monotone_profile_to_the_cap():
@@ -287,12 +282,6 @@ def test_optimizer_on_a_zero_width_range_evaluates_that_size(monkeypatch):
     assert brackets == [(5000.0, 5000.0)]
     assert out.delta == 5000.0
     assert out.result.total_profit == attack_profit(5000.0, POS5, README_POOL, STD).total_profit > 0
-
-
-def test_optimizer_on_a_zero_width_range_counts_one_coarse_point():
-    # geomspace(5000, 5000, 512) returns 5000 at both of its exact ends.
-    out = optimize_attack(POS5, README_POOL, STD, delta_range=(5000.0, 5000.0))
-    assert out.coarse_points == 1
 
 
 def test_optimizer_returns_the_zero_attack_when_every_coarse_size_reverts():

@@ -32,6 +32,7 @@ from oevsim.attack import (
 from oevsim.cli import main, run_sweep
 from oevsim.config import load_config, parse_config
 from oevsim.engine import (
+    LastBinding,
     best_strategy,
     best_strategy_batch,
     run_liquidation,
@@ -288,6 +289,15 @@ def test_run_liquidation_batch_matches_scalar_per_threshold_pair(closing_factor,
         for k, inst in enumerate(instances):
             res = run_liquidation(inst.position, inst.pool, params, cf_target, kappa, convention)
             assert_liquidation_row_matches(batch, k, res)
+
+
+def test_a_kappa_cap_equal_to_the_interior_optimum_binds_in_both_paths():
+    position, pool, params, convention = named_state("kappa_tie")[1]
+    res = run_liquidation(position, pool, params, 1.0, params.max_liq_fraction, convention)
+    _, capped = run_liquidation_batch(position.collateral, position.debt, pool.reserve_collateral,
+                                      pool.reserve_debt, pool.fee, params, convention)
+    assert res.last_binding is LastBinding.KAPPA_CAP
+    assert_liquidation_row_matches(capped, 0, res)
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.value)

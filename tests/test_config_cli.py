@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oevsim.attack
 from oevsim import ConfigError, LoanPosition, PoolState, health_factor, load_config
-from oevsim.cli import REPRODUCERS, _fmt, _write_csv, main, run_sweep
+from oevsim.cli import _fmt, _write_csv, main, run_sweep
 from oevsim.config import SWEEP_AXES, parse_config
 from oevsim.engine import best_strategy
 
@@ -130,13 +130,6 @@ def test_single_point_sweep_matches_direct_call(tmp_path):
                                           float]
 
 
-def test_ex1_header_and_shape_golden():
-    header, cols = REPRODUCERS["ex1"]()
-    assert header == ["s", "profit_cf_full", "profit_one_kappa"]
-    assert len(cols) == 3
-    assert all(len(col) == 121 for col in cols)
-
-
 def test_cli_sweep_csv_roundtrip(tmp_path):
     cfg_path = write(tmp_path, SWEEP)
     out1 = tmp_path / "a.csv"
@@ -166,6 +159,9 @@ def test_cli_rejects_a_scenario_file_that_is_not_utf8(tmp_path, capsys):
 REJECTIONS = {
     "fee_interval": (
         "fee-threshold", "mode: attack\nattack:\n  fee_low: 0.003\n  fee_high: 0.001\n",
+        "fee_low must be < fee_high"),
+    "fee_interval_empty": (
+        "fee-threshold", "mode: attack\nattack:\n  fee_low: 0.003\n  fee_high: 0.003\n",
         "fee_low must be < fee_high"),
     "price_negative": (
         "sweep", "sweep:\n  axis: price\n  start: -100.0\n  stop: 2000.0\n  steps: 3\n",
@@ -397,14 +393,6 @@ def test_cli_fee_threshold_no_threshold_exit(tmp_path, capsys, request, text, no
     assert err.startswith("no threshold: ") and fragment in err
 
 
-def test_cli_reproduce_writes_csv(tmp_path):
-    out = tmp_path / "ex3.csv"
-    assert main(["reproduce", "ex3", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "p,hf0,pi_liq,pi_last,pi_tot,binding,binding_txn"
-    assert len(lines) == 282
-
-
 def test_cli_verify_small_run(tmp_path, capsys, monkeypatch):
     report = tmp_path / "report.jsonl"
     code = main(["verify", "--instances", "4", "--seed", "3", "--report", str(report)])
@@ -561,6 +549,8 @@ MERGED_REPEAT = MERGED_RISK.replace("bonus: 0.06}", "bonus: 0.06, bonus: 0.07}")
     (POOL_KP.replace("  price: 2000.0\n", ""), "liquidity and price must be given together"),
     (POOL_KP.replace("liquidity: 2.0e9", "liquidity: 0.0"), "liquidity and price must be > 0"),
     (POOL_KP.replace("price: 2000.0", "price: -2000.0"), "liquidity and price must be > 0"),
+    (edit("reserve_collateral: 1000.0", "reserve_collateral: 0.0"), "pool: reserves must be > 0"),
+    (edit("fee: 0.003", "fee: 1.0"), "pool.fee: must lie in [0, 1), got 1.0"),
     # A pool's size is its reserves or its liquidity; pool_scale is a sweep axis only.
     (edit("  fee: 0.003\n", "  fee: 0.003\n  scale: 2.0\n"), "pool: unknown key 'scale'"),
     (edit("debt: 10000.0", "debt: -1.0"), "position.debt: must be >= 0"),
@@ -600,8 +590,8 @@ MERGED_REPEAT = MERGED_RISK.replace("bonus: 0.06}", "bonus: 0.06, bonus: 0.07}")
 ], ids=["section_not_mapping", "unknown_section_key", "number_type", "bool_not_number",
         "integer_type", "string_type", "top_level_not_mapping", "yaml_syntax", "both_pool_forms",
         "half_reserves", "half_liquidity_price", "liquidity_zero", "price_negative",
-        "scale_unknown", "debt_negative", "debt_missing", "collateral_negative", "hf_negative",
-        "risk_key_missing", "risk_params_rejected", "bad_spacing", "log_start_zero",
+        "reserve_zero", "pool_fee_one", "scale_unknown", "debt_negative", "debt_missing",
+        "collateral_negative", "hf_negative", "risk_key_missing", "risk_params_rejected", "bad_spacing", "log_start_zero",
         "fee_axis_stop_one", "fee_axis_start_negative", "fee_high_one", "fee_low_negative",
         "fee_high_nan", "reserve_underflow", "reserve_overflow", "reserve_product_overflow",
         "health_factor_nan", "bad_convention", "repeated_key", "repeated_key_beside_merge"])

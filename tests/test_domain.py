@@ -320,6 +320,9 @@ INPUT_ROW = (6.0, 10_000.0, 1e6, 1.5e9, 0.003, STD)
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: critical_fee(INPUT_POSITION, INPUT_POOL, STD, 0.003, 0.003),
                  "need 0 <= fee_low < fee_high < 1, got [0.003, 0.003]", id="critical_fee"),
+    # A probe at fee 1 would raise PoolState's fee error instead.
+    pytest.param(lambda: critical_fee(INPUT_POSITION, INPUT_POOL, STD, 0.0, 1.0),
+                 "need 0 <= fee_low < fee_high < 1, got [0.0, 1.0]", id="critical_fee_high_one"),
     pytest.param(lambda: attack_profit_batch([1.0, -2.0], *INPUT_ROW),
                  "attack size must be >= 0, got -2.0", id="attack_profit_batch"),
     pytest.param(lambda: run_liquidation(INPUT_POSITION, INPUT_POOL, STD, 0.0, 0.5),
@@ -332,6 +335,12 @@ INPUT_ROW = (6.0, 10_000.0, 1e6, 1.5e9, 0.003, STD)
                  "split sizes must be >= 0", id="subadditivity_check"),
     pytest.param(lambda: hf_monotonicity_check(INPUT_POSITION, INPUT_POOL, 0.85, 0.05, 4.0, 4.0),
                  "split repays more than the outstanding debt", id="hf_monotonicity_check"),
+    # The lump repays exactly the debt, 2 * 2048, and leaves no health factor to divide by.
+    pytest.param(lambda: hf_monotonicity_check(LoanPosition(100.0, 4096.0),
+                                               PoolState(1024.0, 2097152.0, 0.0), 0.85, 0.25,
+                                               1.0, 1.0),
+                 "split repays more than the outstanding debt",
+                 id="hf_monotonicity_check_exact_debt"),
     # (4 + 4) * 1.05 collateral claimed from 6, against a debt the split does not repay.
     pytest.param(lambda: hf_monotonicity_check(LoanPosition(6.0, 1e6), INPUT_POOL, 0.85, 0.05,
                                                4.0, 4.0),

@@ -14,14 +14,13 @@ from oevsim import (
     PoolState,
     Strategy,
     best_strategy,
-    health_factor,
     run_liquidation,
 )
 from oevsim.attack import attack_profit
 from oevsim.config import load_config
 from oevsim.engine import _run_profit, _shot_profit
 from oevsim.lending import _x_collateral, trade_multiplier
-from oevsim.oracles import integral_oracle, random_instances
+from oevsim.oracles import random_instances
 
 from conftest import SCENARIOS, STD, closing_bound, leaves, named_state, pool_at, product, tranche
 
@@ -53,14 +52,6 @@ def test_marginal_phase_profit_sign_tracks_margin():
     pool_neg = PoolState(1000.0, 2_000_000.0, 0.06)
     assert run_profit(pool_pos, 1.0, 0.05) > 0.0
     assert run_profit(pool_neg, 1.0, 0.05) < 0.0
-
-
-def test_marginal_phase_profit_matches_quadrature():
-    for inst in random_instances(50, seed=31):
-        x = 0.8 * _x_collateral(inst.position.collateral, inst.params.bonus)
-        closed = run_profit(inst.pool, x, inst.params.bonus)
-        quad = integral_oracle(inst.pool, x, inst.params.bonus)
-        assert closed == pytest.approx(quad, rel=1e-9, abs=1e-12)
 
 
 def test_tranche_vanishes_at_parity():
@@ -184,15 +175,6 @@ def test_best_strategy_tie_breaks_to_cf_full():
     assert res.pi_tot == 0.0
     assert chosen is Strategy.CF_FULL
     assert res.cf_target == STD.closing_factor and res.kappa == 1.0
-
-
-def test_gate_soundness_margin():
-    # Marginally below fee parity liquidation still pays on a live position.
-    pos = LoanPosition(6.0, 10_000.0)
-    parity = STD.bonus / (1.0 + STD.bonus)
-    res = run_liquidation(pos, pool_at(1500.0, fee=parity * (1 - 1e-3)), STD, 1.0, 0.5)
-    assert res.pi_tot > 0.0
-    assert health_factor(pos, pool_at(1500.0), STD.haircut) < 1.0
 
 
 def test_run_liquidation_evaluates_the_health_factor_once(monkeypatch):

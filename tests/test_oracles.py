@@ -1,7 +1,6 @@
 """Oracle machinery: DP convergence, quadrature, inequality suites, generator."""
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -42,7 +41,7 @@ from oevsim.oracles import (
     random_instances,
 )
 
-from conftest import STD, leaves, pool_at
+from conftest import STD, leaves, named_state, pool_at
 
 
 def test_dp_gate_zero_regardless_of_grid():
@@ -108,16 +107,6 @@ def test_integral_oracle_trivial_cases():
     assert integral_oracle(pool, 3.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_integral_oracle_matches_closed_form():
-    for inst in random_instances(40, seed=2024):
-        x = 0.9 * _x_collateral(inst.position.collateral, inst.params.bonus)
-        got = integral_oracle(inst.pool, x, inst.params.bonus)
-        pool = inst.pool
-        want = _run_profit(pool.reserve_collateral, pool.reserve_debt,
-                           trade_multiplier(pool.fee, inst.params.bonus), x)
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-
 @pytest.mark.parametrize("x1, x2", [(2.5, 0.0), (0.0, 2.5)], ids=["second_zero", "first_zero"])
 def test_subadditivity_zero_split_is_equality(x1, x2):
     # A zero leg leaves the pool as it is; a sale of 0 would move reserve_debt
@@ -136,16 +125,6 @@ def test_a_float_trade_sells_as_the_amm_does():
         _trade(a, r, 0.003, -1.0, 0.05)
 
 
-def test_subadditivity_random_batch():
-    rng = random.Random(5)
-    for inst in random_instances(300, seed=41):
-        cap = _x_collateral(inst.position.collateral, inst.params.bonus)
-        x1 = rng.uniform(0.0, 0.7) * cap
-        x2 = rng.uniform(0.0, 0.7) * (cap - x1)
-        lhs, rhs, holds = subadditivity_check(inst.pool, inst.params.bonus, x1, x2)
-        assert holds, (inst.digest(), lhs, rhs)
-
-
 def test_zero_fee_zero_bonus_marginal_run_is_profitless():
     # Degenerate economics: the marginal run nets exactly nothing.
     pool = PoolState(1000.0, 2_000_000.0, 0.0)
@@ -162,25 +141,10 @@ def test_hf_monotonicity_zero_split_and_chain():
     assert hf_lump == pytest.approx(hf_seq, rel=1e-15)
 
 
-def test_hf_monotonicity_random_batch():
-    rng = random.Random(6)
-    count = 0
-    for inst in random_instances(400, seed=43):
-        pos, pool, params = inst.position, inst.pool, inst.params
-        cap = _x_collateral(pos.collateral, params.bonus)
-        x1 = rng.uniform(0.0, 0.4) * cap
-        x2 = rng.uniform(0.0, 0.4) * cap
-        spot = pool.spot_price()
-        if pos.debt - (x1 + x2) * spot <= 0.0:
-            continue
-        hf_mid = health_factor(pos, pool, params.haircut)
-        if hf_mid > inst.cf_target:
-            continue
-        hf_lump, hf_seq, holds = hf_monotonicity_check(pos, pool, params.haircut, params.bonus,
-                                                       x1, x2)
-        assert holds, (inst.digest(), hf_lump, hf_seq)
-        count += 1
-    assert count >= 150
+def test_hf_monotonicity_split_that_claims_all_the_collateral():
+    # (1 + 1) * 1.25 claims exactly the collateral 2.5, so both health factors are 0.
+    pos, pool = LoanPosition(2.5, 1e6), PoolState(1000.0, 2e6, 0.0)
+    assert hf_monotonicity_check(pos, pool, 0.85, 0.25, 1.0, 1.0) == (0.0, 0.0, True)
 
 
 def test_sequence_simulator_gate_and_terminators():
@@ -204,6 +168,14 @@ def test_sequence_simulator_gate_and_terminators():
     )
     assert high.terminator == "closing_factor"
     assert health_factor(high.post_position, high.post_pool, STD.haircut) >= 1.0
+
+
+def test_a_walk_that_starts_at_the_gate_transacts():
+    # The health factor equals cf_target exactly, and the gate is open at equality.
+    position, pool, params, _ = named_state("at_the_gate")[1]
+    assert health_factor(position, pool, params.haircut) == 1.0
+    walk = simulate_liquidation_sequence(position, pool, params, 1.0, params.max_liq_fraction)
+    assert (walk.terminator, walk.steps) == ("collateral", 5)
 
 
 def test_sequence_simulator_raises_what_the_state_constructors_raise():
@@ -248,6 +220,12 @@ def test_random_instances_feasible_mode():
         assert hf0 <= inst.cf_target
         parity = inst.params.bonus / (1.0 + inst.params.bonus)
         assert inst.pool.fee < parity
+
+
+def test_random_instances_gives_up_when_the_fee_filter_rejects_every_draw():
+    # 100 bps lies above 0.9 of bonus parity at a 1 % bonus.
+    with pytest.raises(RuntimeError, match="^instance generator rejected too many draws$"):
+        random_instances(1, 0, fees_bps=(100.0,), bonuses=(0.01,), feasible_only=True)
 
 
 def test_dp_oracle_rejects_grid_below_two():
