@@ -57,7 +57,7 @@ def product(pool):
     return pool.reserve_collateral * pool.reserve_debt
 
 
-def leaves(value, name: str = ""):
+def leaves(value):
     """Every leaf of a result as a string: float bits, enum values, flags.
 
     Dataclasses, tuples and lists are walked in order; two results are equal
@@ -65,13 +65,12 @@ def leaves(value, name: str = ""):
     """
     if dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
-            yield from leaves(getattr(value, f.name), f.name)
+            yield from leaves(getattr(value, f.name))
     elif isinstance(value, (tuple, list)):
         for item in value:
-            yield from leaves(item, name)
+            yield from leaves(item)
     elif value is None:
-        # A binding of None and the FEE_GATE member are the same outcome.
-        yield "fee_gate" if name == "binding" else "none"
+        yield "none"
     elif isinstance(value, Enum):
         yield value.value
     elif isinstance(value, (bool, str)):

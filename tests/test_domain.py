@@ -35,14 +35,13 @@ from oevsim import (
     subadditivity_check,
 )
 from oevsim.attack import NoThresholdError, _sandwich_total, attack_profit_batch
-from oevsim.cli import main
 from oevsim.engine import best_strategy_batch
 from oevsim.lending import _x_collateral
 
 from conftest import STD, closing_bound, named_state
 
 SHORT_OF_WINDOW = named_state("short_of_window")[1]
-R1_PATH, R1 = named_state("r1")
+R1 = named_state("r1")[1]
 
 
 def lerp(r: float, lo: float, hi: float) -> float:
@@ -278,18 +277,6 @@ def test_overflowing_discriminant_batch_matches_scalar():
                                             [pool.reserve_collateral], [pool.reserve_debt],
                                             pool.fee, risk, convention)
     assert float(batch.pi_tot[0]).hex() == liq.pi_tot.hex() and strategies[0] == strategy
-
-
-@pytest.mark.parametrize("command, code, patterns", [
-    ("liquidate", 0, [r"^marginal phase .* binding=collateral$"]),
-    ("attack", 0, [r"^best attack +delta=0$", r"^  total profit +1\.05698558012e-89$"]),
-    ("fee-threshold", 3, [r"^no threshold: attack is not profitable at the low end "]),
-])
-def test_overflowing_discriminant_runs_every_command(capsys, command, code, patterns):
-    assert main([command, str(R1_PATH)]) == code
-    out = capsys.readouterr()
-    for pattern in patterns:
-        assert re.search(pattern, out.out + out.err, re.M), pattern
 
 
 @pytest.mark.xfail(strict=True, reason="critical_fee's profit floor is 1e-12 of the debt reserve, "

@@ -6,12 +6,12 @@ the same commands (``sweep_csv-bundled-*``, ``sweep_csv-reproduce-ex*``,
 A change that alters any CSV byte or any printed digit fails here.
 
 The brute-force oracle is pinned bit for bit too: the exact ``dp_oracle``
-values of one borrower under every repayment convention, and the bytes of
-a small ``verify`` report (the references hash only its stdout, which
-shows pass counts, not the compared values), and every field of a fixed
-set of transaction-by-transaction walks.  So are the closed forms: one
-hash covers every field of a fixed set of ``best_strategy``,
-``attack_profit`` and ``optimize_attack`` results.
+values of one borrower under every repayment convention, the bytes of a
+small and of the default-seed ``verify --instances 100`` report (the
+references hash only its stdout, which shows pass counts, not the compared
+values), and every field of a fixed set of transaction-by-transaction walks.
+So are the closed forms: one hash covers every field of a fixed set of
+``best_strategy``, ``attack_profit`` and ``optimize_attack`` results.
 """
 
 import hashlib
@@ -90,7 +90,14 @@ DP_HEX = {
     (1820.0, RepayConvention.EXECUTION_PER_BONUS): "0x1.95b31016b6442p+8",
 }
 
-VERIFY_REPORT_SHA256 = "df1f0b5332f4bbb750d879d13a9bca74d1a9190fac5dd2eb4d935c73d226e6d1"
+# verify --report bytes per set of arguments.
+VERIFY_REPORT_SHA256 = {
+    ("--instances", "2", "--seed", "1000"):
+        "df1f0b5332f4bbb750d879d13a9bca74d1a9190fac5dd2eb4d935c73d226e6d1",
+    # 474 records over 200 fine walks, whose debt reserves take both the
+    # one-division path and the float loop.
+    ("--instances", "100"): "190d6f16e8efabafa362e431cdd8da63b962513ab06f4bb5134b5245d2b0e9e1",
+}
 
 
 @pytest.mark.parametrize("price, convention", list(DP_HEX),
@@ -101,11 +108,12 @@ def test_dp_oracle_value_is_bit_exact(price, convention):
     assert value.hex() == DP_HEX[price, convention]
 
 
-def test_verify_report_bytes_match_reference(tmp_path, capsys):
+@pytest.mark.parametrize("args", VERIFY_REPORT_SHA256, ids=lambda args: "-".join(arg.lstrip("-") for arg in args))
+def test_verify_report_bytes_match_reference(tmp_path, capsys, args):
     report = tmp_path / "report.jsonl"
-    assert main(["verify", "--instances", "2", "--seed", "1000", "--report", str(report)]) == 0
+    assert main(["verify", *args, "--report", str(report)]) == 0
     assert "verification passed" in capsys.readouterr().out
-    assert sha256(report.read_bytes()) == VERIFY_REPORT_SHA256
+    assert sha256(report.read_bytes()) == VERIFY_REPORT_SHA256[args]
 
 
 ENGINE_SHA256 = "4a8031e259a468b51b5e2a8b7478f111b2380623169665961c3cf4d3a953556d"

@@ -4,18 +4,22 @@ Every command pays for the modules that importing the CLI loads, so the
 modules that only some commands use are imported where they are used:
 ``yaml`` by the commands that read a scenario, ``hashlib`` and ``json`` by
 ``verify``.  ``cli.ProcessPoolExecutor`` is a placeholder class that loads
-nothing when read.
+nothing when read.  The benchmark's tracer (``perfbench/tracing.py``), which
+rewires the package's functions by name, is installed in one too.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from conftest import BUNDLED_ATTACK
 from test_golden import CSV_SHA256
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -67,3 +71,33 @@ def test_reproduce_and_verify_run_without_yaml(tmp_path):
     )
     assert "verification passed" in proc.stdout
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256["reproduce", "ex1"]
+
+
+def test_the_benchmark_tracer_counts_every_layer_of_the_chain(tmp_path):
+    # A traced name that is renamed fails the install; one that is bypassed
+    # leaves its count at 0 or breaks an equality.
+    proc = run_fresh(
+        "import json, math, sys\n"
+        "from pathlib import Path\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import tracing\n"
+        "tracer = tracing.Tracer(Path(sys.argv[2]))\n"
+        "tracer.install()\n"
+        "from oevsim import LoanPosition, PoolState, RiskParams, best_strategy, load_config\n"
+        "from oevsim import optimize_attack\n"
+        "# conftest's STD and pool_at(1850.0): the marginal phase ends on the recovery bound.\n"
+        "pool = PoolState(math.sqrt(2e9 / 1850.0), math.sqrt(2e9 * 1850.0), 0.0)\n"
+        "best_strategy(LoanPosition(6.0, 1e4), pool, RiskParams(0.85, 0.05, 0.8, 0.5))\n"
+        "cfg = load_config(sys.argv[3])\n"
+        "optimize_attack(*cfg.state_at(), cfg.risk)\n"
+        "print(json.dumps(tracing.layer_metrics(*tracer.collect(), tracer.names)))\n",
+        str(PERFBENCH), str(tmp_path), str(BUNDLED_ATTACK),
+    )
+    m = json.loads(proc.stdout)
+    # Each best_strategy runs both threshold pairs through the public chain by name.
+    assert (m["engine.run_liquidation.calls"] == 2 * m["engine.best_strategy.calls"]
+            == m["lending.compute_bounds.calls"] > 0)
+    # The chain solves recovery roots and sizes closing trades through the traced leaves.
+    assert m["lending.bound_closing.branch.quadratic"] > 0 and m["engine.final_tranche.calls"] > 0
+    # The search compares floats; only each returned size is an attack_profit call.
+    assert m["attack.attack_profit.calls"] == m["attack.optimize_attack.calls"] > 0
