@@ -29,7 +29,7 @@ profit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ class NonMonotoneFeeProfileError(NoThresholdError):
     """Best-attack profit is not monotone across the fee probes; refusing to bisect."""
 
 
-@dataclass(frozen=True)
-class DeltaBounds:
+class DeltaBounds(NamedTuple):
     """Characteristic attack sizes for a position/pool pair.
 
     trigger      smallest sale pushing the health factor to 1 (0 if already there)
@@ -93,8 +92,7 @@ class DeltaBounds:
     no_revert: float
 
 
-@dataclass(frozen=True)
-class AttackResult:
+class AttackResult(NamedTuple):
     """Leg-by-leg accounting of one sandwich of size delta.
 
     ``feasible`` is False when the buy-back would revert; the cost and the
@@ -188,8 +186,7 @@ def _sandwich_total(delta, c, b, a, b_res, fee, params, convention) -> float:
     return -math.inf if cost is None else proceeds + pi_tot - cost
 
 
-@dataclass(frozen=True)
-class AttackBatch:
+class AttackBatch(NamedTuple):
     """Columns of :class:`AttackResult` fields, one row per attack.
 
     ``buyback_cost`` and ``total_profit`` are NaN where the buy-back reverts
@@ -237,8 +234,7 @@ def attack_profit_batch(
     return AttackBatch(front, cost, total, feasible, liq.hf_initial <= 1.0, liq)
 
 
-@dataclass(frozen=True)
-class OptimizeOutcome:
+class OptimizeOutcome(NamedTuple):
     """Best attack found, with the search that found it on record.
 
     ``best_positive_profit`` tracks the best profit over strictly positive
@@ -327,8 +323,7 @@ def _coarse_grid(bounds: DeltaBounds, lo: float, hi: float) -> np.ndarray:
     return grid[keep]
 
 
-@dataclass(frozen=True)
-class CriticalFeeResult:
+class CriticalFeeResult(NamedTuple):
     """Smallest fee at which no positive-size attack stays profitable.
 
     ``trace`` holds every (fee, best positive-size profit) evaluation in

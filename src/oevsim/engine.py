@@ -32,8 +32,8 @@ Pure functions over immutable values throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class Strategy(Enum):
     ONE_KAPPA = "one_kappa"  # pair (1, kappa)
 
 
-@dataclass(frozen=True)
-class LiquidationResult:
+class LiquidationResult(NamedTuple):
     """Outcome of one liquidation run against a fixed threshold pair.
 
     pi_tot == pi_liq + pi_last exactly; bad_debt is the debt left once the
@@ -311,8 +310,7 @@ _REMAINDER, _KAPPA_CAP, _INTERIOR_MAX, _NONE = range(4)
 _STRATEGIES = np.array(list(Strategy), dtype=object)
 
 
-@dataclass(frozen=True)
-class LiquidationBatch:
+class LiquidationBatch(NamedTuple):
     """Columns of :class:`LiquidationResult` fields, one row per state.
 
     ``binding`` and ``last_binding`` hold :class:`Binding` and
@@ -420,9 +418,8 @@ def run_liquidation_batch(
             post_reserve_collateral=np.where(trade, a_fin, np.where(idle, a, a_bar)),
             post_reserve_debt=np.where(trade, b_res_fin, np.where(idle, b_res, b_res_bar)),
         )
-    fields = vars(both).values()
-    return (LiquidationBatch(*(col[:n] for col in fields)),
-            LiquidationBatch(*(col[n:] for col in fields)))
+    return (LiquidationBatch(*(col[:n] for col in both)),
+            LiquidationBatch(*(col[n:] for col in both)))
 
 
 def best_strategy_batch(
@@ -438,5 +435,5 @@ def best_strategy_batch(
     full, capped = run_liquidation_batch(collateral, debt, reserve_collateral, reserve_debt, fee,
                                          params, convention)
     first = full.pi_tot >= capped.pi_tot
-    chosen = (np.where(first, f, k) for f, k in zip(vars(full).values(), vars(capped).values()))
+    chosen = (np.where(first, f, k) for f, k in zip(full, capped))
     return LiquidationBatch(*chosen), _STRATEGIES[np.where(first, 0, 1)]

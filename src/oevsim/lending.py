@@ -490,8 +490,7 @@ def bound_closing_batch(c, b, a, b_res, fee, haircut, bonus, cf, convention):
     return x
 
 
-@dataclass(frozen=True)
-class BoundSet:
+class BoundSet(NamedTuple):
     """The three liquidation bounds of a state.
 
     x_debt_full is the cumulative bound of a marginal run (full repayment,

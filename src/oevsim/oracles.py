@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +99,7 @@ def _debt_reserves(a_col: np.ndarray, r: float) -> np.ndarray:
     return r_col
 
 
-@dataclass(frozen=True)
-class SequenceOutcome:
+class SequenceOutcome(NamedTuple):
     """Trace summary of a simulated transaction-by-transaction liquidation."""
 
     profit: float

@@ -4,7 +4,7 @@ The property test draws the edge families of ``perfbench/edge.py`` (bounds
 that nearly tie, positions tiny next to the pool, health factors far below
 the target) with risk parameters in the observed ranges: bonus 5-15 % and a
 fee of 0 or 1-100 bps (Qin et al., "An Empirical Study of DeFi
-Liquidations", IMC 2021).
+Liquidations", IMC 2021).  Every record the package returns is immutable.
 """
 
 import math
@@ -30,6 +30,7 @@ from oevsim import (
     delta_bounds,
     hf_monotonicity_check,
     integral_oracle,
+    optimize_attack,
     run_liquidation,
     simulate_liquidation_sequence,
     subadditivity_check,
@@ -38,7 +39,7 @@ from oevsim.attack import NoThresholdError, _sandwich_total, attack_profit_batch
 from oevsim.engine import best_strategy_batch
 from oevsim.lending import _x_collateral
 
-from conftest import STD, closing_bound, named_state
+from conftest import POOL5, POS5, STD, closing_bound, named_state
 
 SHORT_OF_WINDOW = named_state("short_of_window")[1]
 R1 = named_state("r1")[1]
@@ -337,6 +338,32 @@ INPUT_ROW = (6.0, 10_000.0, 1e6, 1.5e9, 0.003, STD)
 def test_documented_input_errors_raise_their_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Each record type the package returns: the call that returns one, and one of its fields.
+RESULTS = {
+    "BoundSet": (lambda: compute_bounds(INPUT_POSITION, INPUT_POOL, STD, 1.0, 0.5)[0],
+                 "x_closing"),
+    "LiquidationResult": (lambda: run_liquidation(INPUT_POSITION, INPUT_POOL, STD, 1.0, 0.5),
+                          "pi_tot"),
+    "LiquidationBatch": (lambda: best_strategy_batch(*INPUT_ROW)[0], "pi_tot"),
+    "DeltaBounds": (lambda: delta_bounds(INPUT_POSITION, INPUT_POOL, STD), "trigger"),
+    "AttackResult": (lambda: attack_profit(1.0, INPUT_POSITION, INPUT_POOL, STD), "total_profit"),
+    "AttackBatch": (lambda: attack_profit_batch([1.0], *INPUT_ROW), "total_profit"),
+    "OptimizeOutcome": (lambda: optimize_attack(INPUT_POSITION, INPUT_POOL, STD), "result"),
+    "CriticalFeeResult": (lambda: critical_fee(POS5, POOL5, STD, 0.0015, 0.002), "fee_star"),
+    "SequenceOutcome": (lambda: simulate_liquidation_sequence(INPUT_POSITION, INPUT_POOL, STD,
+                                                              1.0, 0.5), "profit"),
+}
+
+
+@pytest.mark.parametrize("record", RESULTS)
+def test_results_are_immutable(record):
+    call, field = RESULTS[record]
+    result = call()
+    assert type(result).__name__ == record
+    with pytest.raises(AttributeError):
+        setattr(result, field, getattr(result, field))
 
 
 @st.composite
