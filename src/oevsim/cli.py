@@ -56,23 +56,19 @@ _BOOL = {True: "true", False: "false"}
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return _BOOL[value]
-    if isinstance(value, float):
-        return _FLOAT % value
-    return str(value)
+    """A float cell, or an empty one for ``None``."""
+    return "" if value is None else _FLOAT % value
 
 
 def _write_csv(header: list[str], columns: list[list], out_path: str | None) -> None:
     """Write a table given as columns, each row through one printf template.
 
     Each column gives one field: ``%.12g`` for floats alone, and ``%s`` for
-    strings alone, for bools alone (over ``true``/``false``) and for a mixed
-    column (``None`` cells, ints; over :func:`_fmt`).  A ``%`` in a cell is
-    data.  No cell holds a comma, a quote or a line break and every table has
-    two or more columns, so no cell needs CSV quoting.
+    strings alone, for bools alone (over ``true``/``false``) and for floats
+    with empty cells (``None``, where a buy-back reverts; over :func:`_fmt`).
+    A ``%`` in a cell is data.  No cell holds a comma, a quote or a line
+    break and every table has two or more columns, so no cell needs CSV
+    quoting.
     """
     fields, cells = [], []
     for col in columns:

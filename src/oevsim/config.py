@@ -311,14 +311,18 @@ def parse_config(data: dict) -> ScenarioConfig:
             # The domain holds for the points the sweep evaluates, whose ends
             # can round past start/stop; values() is monotone between them.
             sweep = SweepSpec(**sweep_raw)
-            values = sweep.values()
-            ends = (values[0], values[-1])
-            if axis == "fee" and not all(0.0 <= v < 1.0 for v in ends):
-                problems.append("sweep: fee axis values must lie in [0, 1)")
-            elif axis in ("price", "pool_scale") and not all(v > 0.0 for v in ends):
-                problems.append(f"sweep: {axis} axis values must be > 0")
-            elif axis == "delta" and not all(0.0 <= v < math.inf for v in ends):
-                problems.append("sweep: delta axis values must be >= 0 and finite")
+            try:
+                values = sweep.values()
+            except OverflowError:  # a log sweep's ratio**i past the float range
+                problems.append("sweep: log-spaced values overflow")
+            else:
+                ends = (values[0], values[-1])
+                if axis == "fee" and not all(0.0 <= v < 1.0 for v in ends):
+                    problems.append("sweep: fee axis values must lie in [0, 1)")
+                elif axis in ("price", "pool_scale") and not all(v > 0.0 for v in ends):
+                    problems.append(f"sweep: {axis} axis values must be > 0")
+                elif axis == "delta" and not all(0.0 <= v < math.inf for v in ends):
+                    problems.append("sweep: delta axis values must be >= 0 and finite")
 
     attack = AttackSpec(**_take(data.get("attack"), "attack", AttackSpec, problems))
     f_lo, f_hi = attack.fee_low, attack.fee_high

@@ -1,10 +1,13 @@
 """Fixtures, states and helpers shared by the test modules.
 
 A named state, such as a ROADMAP reproducer, is one scenario file in
-``tests/scenarios/``; :func:`named_state` loads it.
+``tests/scenarios/``; :func:`named_state` loads it.  The edge families of
+the domain come from the benchmark's generator, ``perfbench/edge.py``,
+loaded once as :data:`edge`; the tests that draw them keep their own checks.
 """
 
 import dataclasses
+import importlib.util
 import math
 from enum import Enum
 from pathlib import Path
@@ -34,6 +37,17 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED_ATTACK = SCENARIOS / "attack_delta_sweep.yaml"
 NAMED_STATES = Path(__file__).resolve().parent / "scenarios"
 
+
+def load_file(path: Path):
+    """The module at ``path`` of the checkout, loaded by file path with no ``sys.path`` edit."""
+    spec = importlib.util.spec_from_file_location(f"{path.parent.name}_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+edge = load_file(SCENARIOS.parent / "perfbench" / "edge.py")
+
 # The study's risk parameters, and its healthy borrower behind a deep 30 bps pool.
 STD = RiskParams(haircut=0.85, bonus=0.05, closing_factor=0.8, max_liq_fraction=0.5)
 POS5 = LoanPosition(20.12, 32_000.0)
@@ -46,6 +60,14 @@ def named_state(name):
     path = NAMED_STATES / f"{name}.yaml"
     cfg = load_config(path)
     return path, (*cfg.state_at(), cfg.risk, cfg.convention)
+
+
+def edge_objects(state):
+    """The ``(position, pool, params)`` of one plain-float state of ``edge.draw_state``."""
+    return (LoanPosition(state["collateral"], state["debt"]),
+            PoolState(state["reserve_collateral"], state["reserve_debt"], state["fee"]),
+            RiskParams(state["haircut"], state["bonus"], state["closing_factor"],
+                       state["max_liq_fraction"]))
 
 
 def pool_at(price, liquidity=2e9, fee=0.0):

@@ -11,7 +11,10 @@ compared with rows built point by point from the scalar calls, and
 ``delta_bounds_batch`` with the scalar float formulas it replaced.
 """
 
+import functools
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -50,7 +53,7 @@ from oevsim.lending import (
 )
 from oevsim.oracles import random_instances
 
-from conftest import BUNDLED_ATTACK, STD, closing_bound, named_state
+from conftest import BUNDLED_ATTACK, STD, closing_bound, edge, edge_objects, named_state
 
 FEES_BPS = (0.0, 1.0, 5.0, 30.0, 100.0)
 CONVENTIONS = list(RepayConvention)
@@ -189,40 +192,21 @@ def test_attack_batch_matches_scalar_on_the_bundled_grid(convention):
     assert_attack_rows_match(deltas, position, pool, params, convention)
 
 
-def tied_states():
-    """Collateral bound within 1e-12..1e-6 of the debt-exhaustion bound."""
-    params = STD
-    for fee in (0.0, 0.003, 0.01):
-        pool = PoolState(1000.0, 2e6, fee)
-        for rel in (-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6):
-            probe = LoanPosition(1.0, 1e4)
-            x_b = compute_bounds(probe, pool, params, 1.0, 1.0)[0].x_debt_full
-            position = LoanPosition(x_b * (1.0 + params.bonus) * (1.0 + rel), 1e4)
-            assert _x_collateral(position.collateral, params.bonus) == pytest.approx(x_b, rel=2e-6)
-            yield position, pool, params
+def edge_family(family: str, n: int = 27) -> list:
+    """The first ``n`` states of one ``perfbench/edge.py`` family on a seed of its own."""
+    rng = random.Random(f"tests:test_batch:{family}")
+    draws = (edge.draw_state(rng) for _ in itertools.count())
+    return [edge_objects(s) for _, s in itertools.islice((d for d in draws if d[0] == family), n)]
 
 
-def tiny_states():
-    """Debts of 1e-16..1e-9 of a deep pool's debt reserve, HF 0.3..1.1."""
-    params = RiskParams(0.9, 0.08, 0.4, 0.3)
-    for fee in (0.0, 0.0013, 0.01):
-        pool = PoolState(7.7e8, 2.4e8, fee)
-        for scale in (1e-16, 1e-12, 1e-9):
-            for hf0 in (0.3, 0.95, 1.1):
-                debt = pool.reserve_debt * scale
-                coll = hf0 * debt * pool.reserve_collateral / (params.haircut * pool.reserve_debt)
-                yield LoanPosition(coll, debt), pool, params
-
-
-def underwater_states():
-    """Initial health factors of 0.002..0.05."""
-    params = RiskParams(0.8, 0.1, 0.05, 0.5)
-    for fee in (0.0, 0.0005, 0.01):
-        pool = PoolState(5e4, 1e8, fee)
-        for hf0 in (0.002, 0.01, 0.05):
-            debt = 1e6
-            coll = hf0 * debt * pool.reserve_collateral / (params.haircut * pool.reserve_debt)
-            yield LoanPosition(coll, debt), pool, params
+def tie_states() -> list:
+    """The tie family: collateral bounds within 1e-6 of the debt bound, one exactly on it."""
+    states = edge_family("tie")
+    gaps = [abs(_x_collateral(position.collateral, params.bonus)
+                / compute_bounds(position, pool, params, 1.0, 1.0)[0].x_debt_full - 1.0)
+            for position, pool, params in states]
+    assert max(gaps) <= 1e-6 and min(gaps) == 0.0
+    return states
 
 
 def large_states():
@@ -263,8 +247,9 @@ def debt_and_empty_states():
             yield position, PoolState(1000.0, 2e6, fee), params
 
 
-@pytest.mark.parametrize("states", [tied_states, tiny_states, underwater_states, large_states,
-                                    debt_and_empty_states],
+@pytest.mark.parametrize("states", [tie_states, *(functools.partial(edge_family, family)
+                                                  for family in ("tiny", "underwater")),
+                                    large_states, debt_and_empty_states],
                          ids=["tie", "tiny", "underwater", "large", "debt_and_empty"])
 @pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.value)
 def test_attack_batch_matches_scalar_on_edge_states(states, convention):

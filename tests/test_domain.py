@@ -1,10 +1,11 @@
 """The documented domain: every state returns finite numbers or raises a documented error.
 
-The property test draws the edge families of ``perfbench/edge.py`` (bounds
-that nearly tie, positions tiny next to the pool, health factors far below
-the target) with risk parameters in the observed ranges: bonus 5-15 % and a
-fee of 0 or 1-100 bps (Qin et al., "An Empirical Study of DeFi
-Liquidations", IMC 2021).  Every record the package returns is immutable.
+The edge-state properties run the benchmark's generator ``perfbench/edge.py``
+(bounds that nearly tie, positions tiny next to the pool, health factors far
+below the target, and general states), with this module's own checks.  The
+full-range property draws its own states over [1e-300, 1e300]; the named
+states are files in ``tests/scenarios/``.  Every record the package returns
+is immutable.
 """
 
 import math
@@ -39,7 +40,7 @@ from oevsim.attack import NoThresholdError, _sandwich_total, attack_profit_batch
 from oevsim.engine import best_strategy_batch
 from oevsim.lending import _x_collateral
 
-from conftest import POOL5, POS5, STD, closing_bound, named_state
+from conftest import POOL5, POS5, STD, closing_bound, edge, edge_objects, named_state
 
 SHORT_OF_WINDOW = named_state("short_of_window")[1]
 R1 = named_state("r1")[1]
@@ -49,50 +50,14 @@ def lerp(r: float, lo: float, hi: float) -> float:
     return lo + (hi - lo) * r
 
 
-@st.composite
-def edge_states(draw):
-    """(position, pool, params, attack size) of one tie, tiny or underwater state.
+def edge_state(rng):
+    """(position, pool, params, attack size) of one ``perfbench/edge.py`` state."""
+    _, state = edge.draw_state(rng)
+    return (*edge_objects(state), edge.draw_delta(rng, state))
 
-    All uniforms come in one tuple draw, which keeps generation cheap.
-    """
-    family = draw(st.sampled_from(("tie", "tiny", "underwater")))
-    (r_a, r_b, r_free, r_fee, r_bonus, r_haircut, r_cf, r_kappa, r_debt, r_hf, r_tie, r_side,
-     r_ceiling, r_near, r_delta) = draw(st.tuples(*[st.floats(0.0, 1.0)] * 15))
-    a0 = 10.0 ** lerp(r_a, 0.0, 9.0)
-    b0 = a0 * 10.0 ** lerp(r_b, -3.0, 5.0)
-    fee = 0.0 if r_free < 0.2 else 10.0 ** lerp(r_fee, 0.0, 2.0) / 1e4
-    bonus = lerp(r_bonus, 0.05, 0.15)
-    haircut = lerp(r_haircut, 0.5, 0.95)
-    cf = lerp(r_cf, 0.05, 1.0)
-    kappa = lerp(r_kappa, 0.05, 1.0)
-    if family == "tiny":
-        debt = b0 * 10.0 ** lerp(r_debt, -16.0, -9.0)
-        hf0 = 10.0 ** lerp(r_hf, -3.0, 0.1)
-    elif family == "underwater":
-        debt = b0 * 10.0 ** lerp(r_debt, -8.0, -0.5)
-        hf0 = cf * 10.0 ** lerp(r_hf, -4.0, -1.0)
-    else:
-        debt = b0 * 10.0 ** lerp(r_debt, -8.0, -0.5)
-        hf0 = lerp(r_hf, 0.01, 1.5)
-    coll = hf0 * debt * a0 / (haircut * b0)
-    den = b0 - debt * (1.0 - fee) * (1.0 + bonus)
-    if family == "tie" and den > 0.0:
-        # Collateral bound on the debt-exhaustion bound, up to a tiny relative
-        # offset (exactly zero for a fifth of the draws).
-        eps = 0.0 if r_side < 0.2 else math.copysign(10.0 ** lerp(r_tie, -15.0, -7.0),
-                                                     r_side - 0.6)
-        coll = (1.0 + bonus) * debt * a0 / den * (1.0 + eps)
-    # Attack size in [0, no-revert ceiling), often close to the ceiling.
-    if fee > 0.0:
-        ceiling = (a0 + (1.0 - fee) * coll) / fee
-    else:
-        ceiling = a0 * 10.0 ** lerp(r_ceiling, -3.0, 3.0)
-    if r_near < 0.3:
-        delta = ceiling * (1.0 - 10.0 ** lerp(r_delta, -9.0, -1.0))
-    else:
-        delta = ceiling * r_delta ** 3
-    return (LoanPosition(coll, debt), PoolState(a0, b0, fee),
-            RiskParams(haircut, bonus, cf, kappa), delta)
+
+# Each example runs the benchmark's generator on a random stream that hypothesis draws.
+EDGE_STATES = st.randoms(use_true_random=False).map(edge_state)
 
 
 def pool_kept(before: PoolState, after: PoolState) -> bool:
@@ -114,7 +79,7 @@ def assert_liquidation_in_domain(res, position: LoanPosition, pool: PoolState) -
 
 
 @settings(max_examples=250, deadline=None)
-@given(edge_states())
+@given(EDGE_STATES)
 # Bounds 1e-11 apart, so the recovery root sits near the 0/0 point of the
 # health factor: with the exhaustion window at 1e-12 its self-check failed.
 @example((LoanPosition(1.0500000110355002e-08, 1.0000000000000001e-11), PoolState(1.0, 0.001, 0.0),
@@ -158,7 +123,7 @@ def outcome(total, *args):
 
 
 @settings(max_examples=120, deadline=None)
-@given(edge_states(), st.sampled_from(list(RepayConvention)))
+@given(EDGE_STATES, st.sampled_from(list(RepayConvention)))
 def test_golden_section_steps_have_the_bits_of_attack_profit(state, convention):
     # optimize_attack's golden-section steps read the total from the float path.
     position, pool, params, delta = state
@@ -426,8 +391,9 @@ def test_scalar_and_batch_paths_return_or_raise_alike_at_full_float_range(state)
 # amm._sell forms b*a_eff and a*b before it divides by the new reserve, so
 # these sales overflow to inf proceeds: the first pool's reserve product is
 # inf, the second's is finite (parse_config accepts that scenario).  ROADMAP
-# item 2's power-of-two normalization is the planned mend.
-@pytest.mark.xfail(strict=True, reason="amm._sell overflows before it divides")
+# item 16's guards in amm._sell and amm._buy, which take the other operation
+# order only where a product overflows, are the planned mend.
+@pytest.mark.xfail(strict=True, reason="amm._sell overflows before it divides (ROADMAP item 16)")
 @pytest.mark.parametrize("delta, position, pool, params, convention", [
     pytest.param(1e297, LoanPosition(1e-300, 1e-300), PoolState(1e300, 1e300, 0.0),
                  RiskParams(0.5, 0.05, 0.05, 0.05), RepayConvention.SPOT_PRICE,

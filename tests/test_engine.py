@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-import oevsim.engine
 import oevsim.lending
 from oevsim import (
     Binding,
@@ -16,13 +15,11 @@ from oevsim import (
     best_strategy,
     run_liquidation,
 )
-from oevsim.attack import attack_profit
-from oevsim.config import load_config
 from oevsim.engine import _run_profit, _shot_profit
 from oevsim.lending import _x_collateral, trade_multiplier
 from oevsim.oracles import random_instances
 
-from conftest import SCENARIOS, STD, closing_bound, leaves, named_state, pool_at, product, tranche
+from conftest import STD, closing_bound, named_state, pool_at, product, tranche
 
 SHORT_OF_WINDOW = named_state("short_of_window")[1]
 
@@ -187,39 +184,6 @@ def test_run_liquidation_evaluates_the_health_factor_once(monkeypatch):
     res = run_liquidation(LoanPosition(6.0, 10_000.0), pool_at(1820.0), STD, 1.0, 0.5)
     assert res.binding is Binding.CLOSING_FACTOR and res.hf_initial < 1.0
     assert len(calls) == 1
-
-
-SCENARIO_STATES = [
-    (*cfg.state_at(), cfg.risk, cfg.convention)
-    for cfg in map(load_config, sorted(SCENARIOS.glob("*.yaml")))
-] + [SHORT_OF_WINDOW, named_state("subnormal_root")[1]]
-
-
-def scalar_chain(position, pool, params, convention):
-    """best_strategy, run_liquidation of both pairs, and attack_profit at three sizes."""
-    runs = [run_liquidation(position, pool, params, cf, kappa, convention)
-            for cf, kappa in ((params.closing_factor, 1.0), (1.0, params.max_liq_fraction))]
-    attacks = [attack_profit(delta * pool.reserve_collateral, position, pool, params, convention)
-               for delta in (0.0, 1e-3, 0.1)]
-    return best_strategy(position, pool, params, convention), runs, attacks
-
-
-def test_scalar_chain_runs_through_the_traced_leaves(monkeypatch):
-    # compute_bounds solves the recovery bound and run_liquidation sizes the
-    # closing trade by the module-global names that a tracer wraps.
-    unpatched = [scalar_chain(*state) for state in SCENARIO_STATES]
-    # The states reach the recovery bound and the closing trade.
-    assert any(run.last_binding is not LastBinding.NONE for _, runs, _ in unpatched for run in runs)
-
-    calls = []
-    bound_closing, final_tranche = oevsim.lending.bound_closing, oevsim.engine.final_tranche
-    monkeypatch.setattr(oevsim.lending, "bound_closing",
-                        lambda *args: calls.append("bound_closing") or bound_closing(*args))
-    monkeypatch.setattr(oevsim.engine, "final_tranche",
-                        lambda *args: calls.append("final_tranche") or final_tranche(*args))
-    patched = [scalar_chain(*state) for state in SCENARIO_STATES]
-    assert list(leaves(patched)) == list(leaves(unpatched))
-    assert set(calls) == {"bound_closing", "final_tranche"}
 
 
 def test_recovery_root_refine_builds_no_state(monkeypatch):

@@ -5,7 +5,8 @@ modules that only some commands use are imported where they are used:
 ``yaml`` by the commands that read a scenario, ``hashlib`` and ``json`` by
 ``verify``.  ``cli.ProcessPoolExecutor`` is a placeholder class that loads
 nothing when read.  The benchmark's tracer (``perfbench/tracing.py``), which
-rewires the package's functions by name, is installed in one too.
+rewires the package's functions by name, is installed in one too.  Last,
+the set arithmetic of the line tracer ``tools/line_set.py``.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import BUNDLED_ATTACK
+from conftest import BUNDLED_ATTACK, load_file
 from test_golden import CSV_SHA256
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -101,3 +102,16 @@ def test_the_benchmark_tracer_counts_every_layer_of_the_chain(tmp_path):
     assert m["lending.bound_closing.branch.quadratic"] > 0 and m["engine.final_tranche.calls"] > 0
     # The search compares floats; only each returned size is an attack_profit call.
     assert m["attack.attack_profit.calls"] == m["attack.optimize_attack.calls"] > 0
+
+
+def test_line_set_compares_runs_over_the_lines_a_diff_leaves_unchanged(tmp_path):
+    line_set = load_file(SRC.parent / "tools" / "line_set.py")
+    old = ["def f(x):", "    if x:", "        return 1", "    return 2"]
+    new = ["def f(x):", "    y = x", "    if y:", "            return 1", "    return 2"]
+    (tmp_path / "f.py").write_text("\n".join(old))
+    assert line_set.executable_lines(tmp_path / "f.py") == {1, 2, 3, 4}
+    # An edited line is its own side's; an unchanged one pairs up, reindented or not.
+    got = line_set.diff({"mode": "a", "files": {"f.py": {"run": [1, 2, 3], "source": old}}},
+                        {"mode": "b", "files": {"f.py": {"run": [1, 2, 3, 4, 5], "source": new}}})
+    assert got["counts"] == {"only_a": 1, "only_b": 3} and got["only_a"] == {"f.py": {"2": "if x:"}}
+    assert got["only_b"] == {"f.py": {"2": "y = x", "3": "if y:", "5": "return 2"}}
