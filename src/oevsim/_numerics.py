@@ -1,5 +1,6 @@
 """Small shared numeric helpers: golden-section maximization, the one halving
-loop behind every bisection, and Python's ``min``/``max`` for floats or arrays."""
+loop behind every bisection, Python's ``min``/``max`` for floats or arrays, and
+the float64 columns of the batch entry points."""
 
 from __future__ import annotations
 
@@ -29,6 +30,24 @@ def pmax(x, y):
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
         return np.where(y > x, y, x)
     return y if y > x else x
+
+
+def float_columns(*values, rows: int | None = None) -> list[np.ndarray]:
+    """Float64 columns of ``rows`` rows from floats and 1-D arrays, as ``np.broadcast_arrays``
+    gives them.
+
+    A value of one element repeats to ``rows``, by default the length of the
+    longest value; a value of any other length must have ``rows`` rows.
+    """
+    cols = [np.asarray(v, dtype=float) for v in values]
+    if rows is None:
+        rows = max((col.size for col in cols if col.size != 1), default=1)
+    for i, col in enumerate(cols):
+        if col.shape != (rows,):
+            if col.size != 1:
+                raise ValueError(f"a column of shape {col.shape} does not fit {rows} rows")
+            cols[i] = col.reshape(1).repeat(rows)
+    return cols
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:

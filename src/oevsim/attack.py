@@ -33,14 +33,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numerics import golden_max, halve, pmax
+from ._numerics import float_columns, golden_max, halve, pmax
 from .amm import PoolState, _buy, _purchase, _require_reserves, _sale, _sell
 from .engine import (
     LiquidationBatch,
     LiquidationResult,
     Strategy,
     _best_run,
-    _columns,
+    _search_floats,
     best_strategy,
     best_strategy_batch,
 )
@@ -125,7 +125,7 @@ def delta_bounds_batch(collateral, debt, reserve_collateral, reserve_debt, fee,
     gives +inf; the trigger and the cap clamp at 0 as ``max(0.0, .)`` does.
     ``np.float_power`` squares with libm ``pow``, as ``** 2`` does on a float.
     """
-    c, b, a0, b0, g = _columns(collateral, debt, reserve_collateral, reserve_debt, fee)
+    c, b, a0, b0, g = float_columns(collateral, debt, reserve_collateral, reserve_debt, fee)
     with np.errstate(all="ignore"):
         target_a1 = np.sqrt(params.haircut * c * a0 * b0 / b)
         trigger = np.where(b == 0.0, math.inf, pmax(0.0, (target_a1 - a0) / (1.0 - g)))
@@ -178,10 +178,13 @@ def _buyback(a2, b2, fee, delta):
     return _purchase(a2, b2, fee, delta)[0] if delta < a2 else None
 
 
-def _sandwich_total(delta, c, b, a, b_res, fee, params, convention) -> float:
-    """``attack_profit(...).total_profit``, or -inf where the buy-back reverts, from floats."""
+def _sandwich_total(delta, c, b, a, b_res, fee, convention, floats) -> float:
+    """``attack_profit(...).total_profit``, or -inf where the buy-back reverts, from floats.
+
+    ``floats`` is :func:`~oevsim.engine._search_floats` of ``c``, ``fee`` and the params.
+    """
     proceeds, a1, b1 = _sale(a, b_res, fee, delta)
-    pi_tot, *_, a2, b2 = _best_run(c, b, a1, b1, fee, params, convention)
+    pi_tot, *_, a2, b2 = _best_run(c, b, a1, b1, fee, convention, floats)
     cost = _buyback(a2, b2, fee, delta)
     return -math.inf if cost is None else proceeds + pi_tot - cost
 
@@ -270,12 +273,13 @@ def optimize_attack(
     ``coarse_points`` 0, and so does an unbounded one: its ceiling is inf
     only for a debt-free position in a fee-free pool, where no size gains.
 
-    The search compares sizes by their total profit only: the coarse grid
-    (up to ``_COARSE_POINTS + 2`` sizes) is one :func:`attack_profit_batch`
-    call, and the zero-size attack and the golden-section steps run the
-    sandwich on floats (``_sandwich_total``), one at a time, as a batch would
-    cost more.  All three give the bits of :func:`attack_profit`, which is
-    called once, for the returned size.
+    The search compares sizes by their total profit only and prices each
+    size once: the coarse grid (up to ``_COARSE_POINTS + 2`` sizes) is one
+    :func:`attack_profit_batch` call, and the zero-size attack and the
+    golden-section steps run the sandwich on floats (``_sandwich_total``),
+    one at a time, as a batch would cost more; a golden step on a coarse
+    size reads the batch's total.  All three give the bits of
+    :func:`attack_profit`, which is called once, for the returned size.
     """
     bounds = delta_bounds(position, pool, params)
     lo = max(0.0, delta_range[0])
@@ -284,11 +288,8 @@ def optimize_attack(
     if not (hi <= 0.0 or hi < lo or hi == math.inf):
         c, b, a, b_res, fee = (position.collateral, position.debt, pool.reserve_collateral,
                                pool.reserve_debt, pool.fee)
-
-        def profit_of(d: float) -> float:
-            return _sandwich_total(d, c, b, a, b_res, fee, params, convention)
-
-        p_zero = profit_of(0.0)
+        floats = _search_floats(c, fee, params, convention)
+        p_zero = _sandwich_total(0.0, c, b, a, b_res, fee, convention, floats)
         grid = _coarse_grid(bounds, lo, hi)
         points = len(grid)
         coarse = attack_profit_batch(grid, c, b, a, b_res, fee, params, convention)
@@ -297,8 +298,16 @@ def optimize_attack(
         if coarse.feasible.any():
             idx = int(total.argmax())  # the first best size, as max() picks it
             d_best, p_best = float(grid[idx]), float(total[idx])
+            near = slice(max(idx - 1, 0), idx + 2)
+            priced = dict(zip(grid[near].tolist(), total[near].tolist()))
 
-            # Golden refinement between the coarse neighbours of the best point.
+            def profit_of(d: float) -> float:
+                if d in priced:
+                    return priced[d]
+                return _sandwich_total(d, c, b, a, b_res, fee, convention, floats)
+
+            # Golden refinement between the coarse neighbours of the best point; the
+            # sizes it shares with the grid read the batch's totals.
             lo_b = float(grid[idx - 1]) if idx > 0 else max(lo, d_best * 0.5)
             hi_b = float(grid[idx + 1]) if idx + 1 < len(grid) else hi
             d_ref, p_ref = golden_max(profit_of, lo_b, hi_b, tol=1e-10)

@@ -50,6 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._numerics import float_columns
 from .amm import PoolState
 from .lending import (
     DEFAULT_CONVENTION,
@@ -166,8 +167,7 @@ class ScenarioConfig:
         with np.errstate(all="ignore"):
             a, b, g = self.pool.columns(**override)
             c, d = self.position.columns(a, b, self.risk.haircut)
-        n = 1 if values is None else len(values)
-        return tuple(np.broadcast_to(np.asarray(v, dtype=float), n) for v in (c, d, a, b, g))
+        return tuple(float_columns(c, d, a, b, g, rows=1 if values is None else len(values)))
 
     def state_at(self) -> tuple[LoanPosition, PoolState]:
         """Position and pool of the base state: the one row of :meth:`columns`."""

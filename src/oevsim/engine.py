@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numerics import pmax
+from ._numerics import float_columns, pmax
 from .amm import PoolState, _check_reserves, _require_reserves, _sell
 from .lending import (
     DEFAULT_CONVENTION,
@@ -45,8 +45,8 @@ from .lending import (
     LoanPosition,
     RepayConvention,
     RiskParams,
-    _bounds,
     _debt_cap,
+    _gated_closing,
     _health,
     _hf,
     _kappa_cap,
@@ -284,20 +284,36 @@ def best_strategy(
     return capped, Strategy.ONE_KAPPA
 
 
-def _best_run(c, b, a, b_res, fee, params: RiskParams, convention: RepayConvention) -> tuple:
+def _search_floats(c, fee, params: RiskParams, convention: RepayConvention) -> tuple:
+    """What :func:`_best_run` reads that the debt and the pool leave alone: (u, m,
+    x_collateral, haircut, bonus, closing_factor, max_liq_fraction).
+
+    An attack search fixes the collateral and the fee, so it builds this once.
+    """
+    bonus = params.bonus
+    return (trade_multiplier(fee, bonus), _traj_factor(fee, convention), _x_collateral(c, bonus),
+            params.haircut, bonus, params.closing_factor, params.max_liq_fraction)
+
+
+def _best_run(c, b, a, b_res, fee, convention: RepayConvention, floats: tuple) -> tuple:
     """The :func:`_liquidation` tuple that :func:`best_strategy` picks, built from floats alone.
 
-    Each pair runs the float paths of compute_bounds and run_liquidation, in
-    best_strategy's order and with its tie rule.  The threshold pairs come
-    from a RiskParams, so the range checks of cf_target (run_liquidation's)
-    and kappa (compute_bounds') cannot fail and are left out.
+    ``floats`` is :func:`_search_floats` of ``c``, ``fee`` and the params.  The
+    health factor and the collateral and debt bounds do not depend on the
+    threshold pair, so they are read once; each pair solves only its recovery
+    root, then runs, in best_strategy's order and with its tie rule.  The
+    threshold pairs come from a RiskParams, so the range checks of cf_target
+    (run_liquidation's) and kappa (compute_bounds') cannot fail and are left out.
     """
-    bonus, cf, kappa = params.bonus, params.closing_factor, params.max_liq_fraction
-    u, m = trade_multiplier(fee, bonus), _traj_factor(fee, convention)
-    full = _liquidation(c, b, a, b_res, u, m, bonus, cf, 1.0, convention,
-                        _bounds(c, b, a, b_res, fee, u, m, params, cf, convention))
-    capped = _liquidation(c, b, a, b_res, u, m, bonus, 1.0, kappa, convention,
-                          _bounds(c, b, a, b_res, fee, u, m, params, 1.0, convention))
+    u, m, x_c, haircut, bonus, cf, kappa = floats
+    hf = _health(haircut, a, b_res, c, b)
+    x_b = _debt_cap(b, a, b_res, u, m)
+    full = _liquidation(c, b, a, b_res, u, m, bonus, cf, 1.0, convention, (
+        x_c, x_b, _gated_closing(hf, c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention),
+        hf))
+    capped = _liquidation(c, b, a, b_res, u, m, bonus, 1.0, kappa, convention, (
+        x_c, x_b, _gated_closing(hf, c, b, a, b_res, fee, u, m, haircut, bonus, 1.0, convention),
+        hf))
     return full if full[0] >= capped[0] else capped
 
 
@@ -328,11 +344,6 @@ class LiquidationBatch(NamedTuple):
     post_reserve_debt: np.ndarray
 
 
-def _columns(*values) -> list[np.ndarray]:
-    """Float64 arrays of one 1-D shape, broadcast from floats and arrays."""
-    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in values))
-
-
 def run_liquidation_batch(
     collateral, debt, reserve_collateral, reserve_debt, fee,
     params: RiskParams,
@@ -349,7 +360,7 @@ def run_liquidation_batch(
     :func:`~oevsim.lending.bound_closing_batch`), so its self-check raises
     here as in a loop of :func:`run_liquidation` calls.
     """
-    cols = _columns(collateral, debt, reserve_collateral, reserve_debt, fee)
+    cols = float_columns(collateral, debt, reserve_collateral, reserve_debt, fee)
     c, b, a, b_res, fee = (np.concatenate([v, v]) for v in cols)
     n = len(c) // 2
     cf = np.repeat([params.closing_factor, 1.0], n)

@@ -538,6 +538,13 @@ def _bounds(c, b, a, b_res, fee, u, m, params, cf_target, convention):
     only when the gate is open.
     """
     hf = _health(params.haircut, a, b_res, c, b)
-    x_cf = 0.0 if hf > cf_target else bound_closing(
-        c, b, a, b_res, fee, u, m, params.haircut, params.bonus, cf_target, convention)[0]
+    x_cf = _gated_closing(hf, c, b, a, b_res, fee, u, m, params.haircut, params.bonus, cf_target,
+                          convention)
     return _x_collateral(c, params.bonus), _debt_cap(b, a, b_res, u, m), x_cf, hf
+
+
+def _gated_closing(hf, c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention):
+    """The recovery bound behind the health gate: 0 when ``hf`` is above ``cf``, else the
+    root :func:`bound_closing` solves."""
+    return 0.0 if hf > cf else bound_closing(c, b, a, b_res, fee, u, m, haircut, bonus, cf,
+                                             convention)[0]

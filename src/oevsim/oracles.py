@@ -92,10 +92,8 @@ def _debt_reserves(a_col: np.ndarray, r: float) -> np.ndarray:
     j = int(same.argmin())
     if not same[j]:
         a_list = a_col[j:].tolist()
-        r_list = [float(r_col[j])]
-        for a_pre, a_post in zip(a_list, a_list[1:]):
-            r_list.append(a_pre * r_list[-1] / a_post)
-        r_col[j:] = r_list
+        r = float(r_col[j])
+        r_col[j + 1:] = [(r := a_pre * r / a_post) for a_pre, a_post in zip(a_list, a_list[1:])]
     return r_col
 
 

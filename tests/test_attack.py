@@ -1,6 +1,8 @@
 """Sandwich attack legs, feasibility bounds, limiting behavior, optimizer."""
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from oevsim import (
     NonMonotoneFeeProfileError,
     NoThresholdError,
     PoolState,
+    RepayConvention,
     RiskParams,
     attack_profit,
     critical_fee,
@@ -284,6 +287,36 @@ def test_optimizer_on_a_zero_width_range_evaluates_that_size(monkeypatch):
     assert out.result.total_profit == attack_profit(5000.0, POS5, README_POOL, STD).total_profit > 0
 
 
+@pytest.mark.parametrize("name", ["seeded", "a1", "a2", "a3", "bundled"])
+def test_the_golden_pass_prices_no_coarse_size_again(monkeypatch, name):
+    """Each search prices 0 first, then golden steps; no step repeats a size of its batch."""
+    grids, priced = [], []
+    batch, total = oevsim.attack.attack_profit_batch, oevsim.attack._sandwich_total
+    monkeypatch.setattr(oevsim.attack, "attack_profit_batch",
+                        lambda grid, *args: grids.append(grid.tolist()) or batch(grid, *args))
+    monkeypatch.setattr(oevsim.attack, "_sandwich_total",
+                        lambda delta, *args: priced.append(delta) or total(delta, *args))
+    if name == "seeded":
+        conventions = itertools.cycle(RepayConvention)
+        states = [(i.position, i.pool, i.params, next(conventions))
+                  for i in random_instances(30, seed=23)]
+    elif name == "bundled":
+        cfg = load_config(BUNDLED_ATTACK)
+        states = [(*cfg.state_at(), cfg.risk, cfg.convention)]
+    else:
+        states = [named_state(name)[1]]
+    golden = 0
+    for position, pool, params, convention in states:
+        grids.clear()
+        priced.clear()
+        optimize_attack(position, pool, params, convention=convention)
+        if grids:
+            assert priced[0] == 0.0
+            assert not set(priced[1:]) & set(grids[0])
+            golden += len(priced) > 1
+    assert golden > 0
+
+
 def test_optimizer_returns_the_zero_attack_when_every_coarse_size_reverts():
     # The range is the top 0.1 % under the no-revert ceiling, which counts all
     # the collateral as sold into the pool; at a 6 % fee the fee gate sells none
@@ -311,6 +344,21 @@ def test_critical_fee_refuses_a_non_monotone_profile(non_monotone_fee_profile):
     assert isinstance(err.value, NoThresholdError)
     assert [p for _, p in err.value.probes] == [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]
     assert "non-positive [g(0)=1, g(0.0005)=1, g(0.001)=0, " in str(err.value)
+
+
+def test_critical_fee_probes_evenly_from_a_positive_low_end(monkeypatch):
+    # A profile positive below 25 bps, on [10, 40] bps: the seven opening probes
+    # split the interval into sixths from its low end, then the bisection starts.
+    def optimize_attack(position, pool, params, convention):
+        return SimpleNamespace(best_positive_profit=1.0 if pool.fee < 0.0025 else 0.0)
+
+    monkeypatch.setattr(oevsim.attack, "optimize_attack", optimize_attack)
+    fee_low, fee_high = 0.001, 0.004
+    res = critical_fee(POS5, POOL5, STD, fee_low, fee_high)
+    probes = [fee for fee, _ in res.trace[:7]]
+    assert probes == pytest.approx([fee_low + (fee_high - fee_low) * i / 6 for i in range(7)],
+                                   rel=1e-15)
+    assert res.bracket[0] < 0.0025 <= res.fee_star == res.bracket[1]
 
 
 def test_critical_fee_trace_brackets_result():

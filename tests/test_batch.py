@@ -22,6 +22,7 @@ import yaml
 
 import oevsim.attack
 import oevsim.lending
+from oevsim._numerics import float_columns
 from oevsim.amm import PoolState
 from oevsim.attack import (
     GUARD_BAND,
@@ -503,6 +504,32 @@ def test_sweep_columns_carry_the_scalar_states_bits(axis, start, stop, spacing, 
     assert [[hx(v) for v in col] for col in columns] == [[hx(v) for v in col] for col in fields]
     assert states_of(columns) == want
     assert [states_of(cfg.columns([v]))[0] for v in values[::9]] == want[::9]
+
+
+SPECIAL = np.array([-0.0, math.nan, math.inf, -math.inf])
+COLUMN_CASES = {
+    "scalars": (1.5, -0.0, math.nan, math.inf, -math.inf),
+    "zero_d": tuple(np.asarray(v) for v in SPECIAL),
+    "length_n": (SPECIAL, SPECIAL[::-1], np.arange(4.0)),
+    "mixed": (2.0, np.asarray(-0.0), SPECIAL, np.array([math.nan]), [1, 2, 3, 4]),
+    "length_1": (np.array([-0.0]), np.array([math.inf]), 3.0),
+}
+
+
+@pytest.mark.parametrize("values", COLUMN_CASES.values(), ids=COLUMN_CASES.keys())
+def test_float_columns_give_the_broadcast_arrays_bits(values):
+    want = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in values))
+    for rows in (None, len(want[0])):
+        got = float_columns(*values, rows=rows)
+        assert [(col.dtype, col.shape, col.tobytes()) for col in got] == \
+            [(col.dtype, col.shape, col.tobytes()) for col in want]
+
+
+@pytest.mark.parametrize("values, rows", [((np.zeros(2), np.zeros(3)), None),
+                                          ((1.0, np.zeros(3)), 2), ((np.zeros(2),), 3)])
+def test_float_columns_reject_columns_of_another_length(values, rows):
+    with pytest.raises(ValueError):
+        float_columns(*values, rows=rows)
 
 
 def test_sweep_scenarios_reach_the_fee_gate_both_strategies_and_three_closing_caps():

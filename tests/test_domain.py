@@ -37,7 +37,7 @@ from oevsim import (
     subadditivity_check,
 )
 from oevsim.attack import NoThresholdError, _sandwich_total, attack_profit_batch
-from oevsim.engine import best_strategy_batch
+from oevsim.engine import _search_floats, best_strategy_batch
 from oevsim.lending import _x_collateral
 
 from conftest import POOL5, POS5, STD, closing_bound, edge, edge_objects, named_state
@@ -110,8 +110,9 @@ def attack_total(delta, position, pool, params, convention):
 
 
 def float_total(delta, position, pool, params, convention):
-    return _sandwich_total(delta, position.collateral, position.debt, pool.reserve_collateral,
-                           pool.reserve_debt, pool.fee, params, convention)
+    c, fee = position.collateral, pool.fee
+    return _sandwich_total(delta, c, position.debt, pool.reserve_collateral, pool.reserve_debt,
+                           fee, convention, _search_floats(c, fee, params, convention))
 
 
 def outcome(total, *args):

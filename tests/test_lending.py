@@ -97,6 +97,16 @@ def test_bound_closing_of_a_debt_free_position_is_none():
     assert (cb.x, cb.branch) == (math.inf, "none")
 
 
+def test_bound_closing_solves_the_linear_equation_when_the_lead_is_zero():
+    # At fee 0 and bonus 0.5, u = 1.5 and B = u*b, so the curvature m*B*u - b*u**2
+    # is exactly 0, and the root is -offset/linear, about 32000/600.
+    pos, pool = LoanPosition(200.0, 2.0), PoolState(100.0, 3.0, 0.0)
+    cb = closing_bound(pos, pool, 0.8, 0.5, cf_target=0.8)
+    assert cb.branch == "linear"
+    assert cb.x == pytest.approx(160.0 / 3.0, rel=1e-15)
+    assert hf_marginal(pos, pool, 0.8, 0.5, cb.x) == pytest.approx(0.8, rel=1e-15)
+
+
 def test_recovery_root_at_a_small_exhausted_share_takes_the_polynomial_check():
     """The root leaves 3.7e-11 of the debt and 4.4e-11 of the collateral.
 
