@@ -191,11 +191,8 @@ def run_liquidation(
     collateral, no debt, a shut health gate (HF > cf_target), or the fee
     gate.  Otherwise the marginal run and, after a recovery, the closing
     trade execute.  The bounds and the gate's health factor come from
-    ``compute_bounds``, which checks kappa first.
+    ``compute_bounds``, which checks cf_target and kappa first.
     """
-    if not 0.0 < cf_target <= 1.0:
-        raise ValueError(f"cf_target must lie in (0, 1], got {cf_target}")
-
     bounds, hf0 = compute_bounds(position, pool, params, cf_target, kappa, convention)
     fee = pool.fee
     c, b = position.collateral, position.debt
@@ -220,12 +217,12 @@ def _liquidation(c, b, a, b_res, u, m, bonus, cf_target, kappa, convention, boun
     """:func:`run_liquidation` over floats: (pi_tot, x_liq, binding, pi_liq, x_last,
     last_binding, pi_last, then the post-state c, b, a, b_res).
 
-    ``bounds`` is (x_collateral, x_debt_full, x_closing, hf), as ``lending._bounds``
-    returns it; ``u`` and ``m`` are the state's trade multiplier and trajectory
-    factor.  The binding alone gates the closing trade, which :func:`final_tranche`
-    sizes from the post-run state.  After each leg a reserve that is not > 0
-    (a NaN recovery bound leaves NaN reserves) raises
-    :class:`~oevsim.amm.ReserveUnderflowError`.  The post collateral and debt
+    ``bounds`` is (x_collateral, x_debt_full, x_closing, hf): the bounds a run
+    reads and the gate's health factor.  ``u`` and ``m`` are the state's trade
+    multiplier and trajectory factor.  The binding alone gates the closing
+    trade, which :func:`final_tranche` sizes from the post-run state.  After
+    each leg a reserve that is not > 0 (a NaN recovery bound leaves NaN
+    reserves) raises :class:`~oevsim.amm.ReserveUnderflowError`.  The post collateral and debt
     need no check: they are clamped at 0, and a NaN needs a NaN size or a
     repayment over an overflowed ``a + x*u``, which is the new reserve.
     """
@@ -302,8 +299,8 @@ def _best_run(c, b, a, b_res, fee, convention: RepayConvention, floats: tuple) -
     health factor and the collateral and debt bounds do not depend on the
     threshold pair, so they are read once; each pair solves only its recovery
     root, then runs, in best_strategy's order and with its tie rule.  The
-    threshold pairs come from a RiskParams, so the range checks of cf_target
-    (run_liquidation's) and kappa (compute_bounds') cannot fail and are left out.
+    threshold pairs come from a RiskParams, so compute_bounds' range checks of
+    cf_target and kappa cannot fail and are left out.
     """
     u, m, x_c, haircut, bonus, cf, kappa = floats
     hf = _health(haircut, a, b_res, c, b)

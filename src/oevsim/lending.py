@@ -42,7 +42,8 @@ import numpy as np
 from ._numerics import halve, pmax, pmin
 from .amm import PoolState
 
-# Tolerance for the root self-check in bound_closing.
+# Tolerance for the health-factor self-check in bound_closing: absolute, as
+# every cf_target lies in (0, 1].
 _ROOT_CHECK_TOL = 1e-9
 # Share of the debt or the collateral left below which a recovery root counts
 # as an exhaustion point: the cancellation in what is left then costs the
@@ -278,11 +279,6 @@ def _poly_check(quad, root):
     return abs(_poly(quad, root)), 1e-7 * scale
 
 
-def _hf_tol(cf):
-    """Tolerance of the health-factor self-check."""
-    return _ROOT_CHECK_TOL * pmax(1.0, cf)
-
-
 class RecoveryRootError(ArithmeticError):
     """A recovery-bound root failed its self-check (see :func:`bound_closing`).
 
@@ -401,10 +397,9 @@ def bound_closing(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention) -> 
                                     PoolState(a, b_res, fee), cf, convention, residual)
         return ClosingBound(root, branch)
 
-    tol = _hf_tol(cf)
     # Not exhausted, so remaining is not <= 0: this is hf_after_marginal(root).
     res = _hf_after(a, b_res, c, haircut, bonus, root, u, remaining) - cf
-    if abs(res) > 0.5 * tol:
+    if abs(res) > 0.5 * _ROOT_CHECK_TOL:
         def gap(x: float) -> float:
             return hf_after_marginal(a, b_res, c, b, u, m, haircut, bonus, x) - cf
 
@@ -427,7 +422,7 @@ def bound_closing(c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention) -> 
                 # residual itself to reach the tolerance.
                 return ClosingBound(0.5 * (lo + hi), branch)
             width *= 8.0
-    if abs(res) > tol:
+    if abs(res) > _ROOT_CHECK_TOL:
         raise RecoveryRootError("self-check", LoanPosition(c, b), PoolState(a, b_res, fee), cf,
                                 convention, res)
     return ClosingBound(root, branch)
@@ -479,7 +474,7 @@ def bound_closing_batch(c, b, a, b_res, fee, haircut, bonus, cf, convention):
         residual, limit = _poly_check(quad, root)
         gap = _hf_after(a, b_res, c, haircut, bonus, root, u, remaining) - cf
         settled = np.where(_exhausted(c, b, root, bonus, remaining), ~(residual > limit),
-                           abs(gap) <= 0.5 * _hf_tol(cf))
+                           abs(gap) <= 0.5 * _ROOT_CHECK_TOL)
         x = np.where(found, root, math.inf)
         fallback = (b <= 0.0) | (lead == 0.0) | (disc == math.inf) | (found & ~settled)
     for i in np.flatnonzero(fallback).tolist():
@@ -518,29 +513,22 @@ def compute_bounds(
     Returns ``(bounds, hf)``, where ``hf`` is the health factor the gate read.
     A health factor above ``cf_target`` shuts the gate, and the recovery bound
     reports 0 instead of solving an ill-conditioned crossing above the
-    threshold.  This is where kappa is checked, before the health factor, so
-    its error comes first, and the one place ``x_debt_kappa`` is computed (no run reads it).
+    threshold.  This is where the threshold pair is checked, cf_target first,
+    then kappa, both before the health factor, so their errors come first; and
+    the one place ``x_debt_kappa`` is computed (no run reads it).
     """
+    if not 0.0 < cf_target <= 1.0:
+        raise ValueError(f"cf_target must lie in (0, 1], got {cf_target}")
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
     c, b, a, b_res, fee = (position.collateral, position.debt, pool.reserve_collateral,
                            pool.reserve_debt, pool.fee)
-    u, m = trade_multiplier(fee, params.bonus), _traj_factor(fee, convention)
-    x_c, x_b, x_cf, hf = _bounds(c, b, a, b_res, fee, u, m, params, cf_target, convention)
-    return BoundSet(x_c, x_b, _kappa_cap(kappa * b, a, b_res, u, m, convention), x_cf), hf
-
-
-def _bounds(c, b, a, b_res, fee, u, m, params, cf_target, convention):
-    """The bounds a run reads: (x_collateral, x_debt_full, x_closing, hf), from floats.
-
-    ``u`` and ``m`` are the trade multiplier and trajectory factor of ``fee``
-    and ``convention``.  The recovery bound is solved (:func:`bound_closing`)
-    only when the gate is open.
-    """
-    hf = _health(params.haircut, a, b_res, c, b)
-    x_cf = _gated_closing(hf, c, b, a, b_res, fee, u, m, params.haircut, params.bonus, cf_target,
-                          convention)
-    return _x_collateral(c, params.bonus), _debt_cap(b, a, b_res, u, m), x_cf, hf
+    haircut, bonus = params.haircut, params.bonus
+    u, m = trade_multiplier(fee, bonus), _traj_factor(fee, convention)
+    hf = _health(haircut, a, b_res, c, b)
+    x_cf = _gated_closing(hf, c, b, a, b_res, fee, u, m, haircut, bonus, cf_target, convention)
+    return BoundSet(_x_collateral(c, bonus), _debt_cap(b, a, b_res, u, m),
+                    _kappa_cap(kappa * b, a, b_res, u, m, convention), x_cf), hf
 
 
 def _gated_closing(hf, c, b, a, b_res, fee, u, m, haircut, bonus, cf, convention):

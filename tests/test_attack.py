@@ -378,7 +378,7 @@ SPIKES = {"A1": ((51.0, 54.0), 52.3647), "A2": ((214957.0, 221845.0), 216735.0),
           "A3": ((94.0, 97.0), 95.417)}
 
 missed_spike = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
+    raises=AssertionError,
     reason="ROADMAP item 1: the coarse grid misses a spike at a binding switch")
 
 

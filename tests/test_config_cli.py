@@ -4,6 +4,8 @@ import csv
 import io
 import math
 import random
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -345,6 +347,16 @@ def test_cli_verify_rejects_out_of_domain_arguments(capsys, extra):
     out = capsys.readouterr()
     assert "verification passed" not in out.out
     assert out.err.count("\n") == 1 and "--instances >= 1 and --grid-n >= 2" in out.err
+
+
+def test_python_m_oevsim_cli_exits_with_the_code_of_main(capsys, monkeypatch):
+    # runpy warns that the module was imported before it runs as __main__.
+    monkeypatch.setattr(sys, "argv", ["oevsim", "verify", "--instances", "0"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+            pytest.raises(SystemExit) as exit_:
+        runpy.run_module("oevsim.cli", run_name="__main__")
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 # 0, -0, both NaN signs, the smallest subnormal of each sign, the largest

