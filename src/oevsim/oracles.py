@@ -46,8 +46,9 @@ from .lending import (
 _EXHAUST_EPS = 1e-11
 
 # The walk runs plain steps as columns once this many scalar steps in a row
-# were plain, in chunks that start at _CHUNK_MIN rows and double to _CHUNK_MAX
-# while every row is plain (see simulate_liquidation_sequence).
+# were plain, in chunks of _CHUNK_MAX rows or the rest of the step budget,
+# and only while at least _CHUNK_MIN steps of it are left (see
+# simulate_liquidation_sequence).
 _PLAIN_STEPS = 8
 _CHUNK_MIN = 32
 _CHUNK_MAX = 4096
@@ -231,10 +232,10 @@ def simulate_liquidation_sequence(
     cum_x = 0.0
     steps = 0
     # A fine walk runs the plain steps ahead as columns from step chunk_at on,
-    # which is _PLAIN_STEPS after the last step that was not plain, and ends
-    # on the gate crossing.
+    # which is _PLAIN_STEPS after the last step that was not plain, in chunks
+    # of _CHUNK_MAX rows or the rest of the budget, and ends on the gate crossing.
     fine = step_limit < math.inf
-    chunk_at, chunk = _PLAIN_STEPS, _CHUNK_MIN
+    chunk_at = _PLAIN_STEPS
     while True:
         if b <= b_eps:
             term = "debt"
@@ -252,16 +253,15 @@ def simulate_liquidation_sequence(
             raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
         if steps >= chunk_at and fine and max_steps - steps >= _CHUNK_MIN:
             # An int length: a float step budget leaves max_steps - steps a float.
-            n = int(min(chunk, max_steps - steps))
+            n = int(min(_CHUNK_MAX, max_steps - steps))
             k, state = _plain_run(n, c, b, a, r, profit, cum_x)
             if k:
                 c, b, a, r, hf, profit, cum_x = state
                 steps += k
             if k == n:
-                chunk = min(2 * chunk, _CHUNK_MAX)
                 continue
             # The next step is not plain: the scalar step takes it.
-            chunk_at, chunk = steps + 1 + _PLAIN_STEPS, _CHUNK_MIN
+            chunk_at = steps + 1 + _PLAIN_STEPS
         x = min(step_limit, _x_collateral(c, ell),
                 _kappa_cap(kappa * b, a, r, u, m, convention))
         if not x > 0.0:
@@ -629,8 +629,11 @@ def verification_report(
 
     # Recovery bound vs an independent bisection: near-threshold states make
     # the recovery bound the binding one, so the crossing is observable.
-    checked = 0
+    checked = draws = 0
     while checked < n_instances:
+        draws += 1
+        if draws > 200 * max(n_instances, 1):
+            raise RuntimeError("recovery-bound suite rejected too many draws")
         fee = rng.choice(FEE_GRID_BPS) / 1e4
         bonus = rng.choice(tuple(b for b in BONUS_GRID if b > 0.0))
         haircut = rng.uniform(0.7, 0.95)

@@ -264,6 +264,8 @@ def test_criterion_08_split_inequalities():
     hf_checked = hf_bad = 0
     i = 0
     while hf_checked < 10_000:
+        # About 15,000 draws give the 10,000 checks; a fault that skips every draw fails here.
+        assert i < 100_000, f"criterion 08: {i} draws gave only {hf_checked} hf-dominance checks"
         inst = instances[i % len(instances)]
         i += 1
         pos, pool, params = inst.position, inst.pool, inst.params

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oevsim.oracles
 from oevsim import (
     LoanPosition,
     PoolState,
@@ -38,6 +39,7 @@ from oevsim.oracles import (
     _debt_reserves,
     _trade,
     random_instances,
+    verification_report,
 )
 
 from conftest import STD, leaves, named_state, pool_at
@@ -195,6 +197,13 @@ def test_random_instances_gives_up_when_the_fee_filter_rejects_every_draw():
     # 100 bps lies above 0.9 of bonus parity at a 1 % bonus.
     with pytest.raises(RuntimeError, match="^instance generator rejected too many draws$"):
         random_instances(1, 0, fees_bps=(100.0,), bonuses=(0.01,), feasible_only=True)
+
+
+def test_the_recovery_suite_gives_up_when_every_draw_is_unusable(monkeypatch):
+    # A health factor of 0 never reaches the gate, so every draw is skipped.
+    monkeypatch.setattr(oevsim.oracles, "hf_after_marginal", lambda *args: 0.0)
+    with pytest.raises(RuntimeError, match="^recovery-bound suite rejected too many draws$"):
+        verification_report(1, seed=1000, grid_n=16)
 
 
 def test_dp_oracle_rejects_grid_below_two():
@@ -415,11 +424,31 @@ def test_a_chunk_with_no_plain_row_hands_the_step_to_the_scalar_walk(convention)
 
 
 @pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
-@pytest.mark.parametrize("max_steps", [1025, 2100, 4097])
+# 4104 is 8 scalar steps and one full chunk; 4135 and 4136 leave a tail one
+# step under the 32 steps worth a chunk and exactly 32.
+@pytest.mark.parametrize("max_steps", [1025, 2100, 4097, 4104, 4135, 4136, 8201])
 def test_a_step_budget_inside_a_run_matches_the_scalar_walk(convention, max_steps):
     got, want = walk_pair(DRAIN_WALK, convention, span(DRAIN_WALK) / 20_000, max_steps)
     assert list(leaves(got)) == list(leaves(want))
     assert got.terminator == "steps" and got.steps == max_steps
+
+
+@pytest.mark.parametrize("inst, chunks", [(GATE_WALK, 4), (DRAIN_WALK, 5)], ids=["gate", "drain"])
+def test_a_plain_stretch_runs_in_full_chunks(monkeypatch, inst, chunks):
+    # Each chunk forms its debt reserves once; after 8 scalar steps every
+    # chunk but the last one, which ends on the stretch's end, is 4,096 rows.
+    passes = []
+
+    def counted(a_col, r):
+        passes.append(len(a_col) - 1)
+        return _debt_reserves(a_col, r)
+
+    monkeypatch.setattr(oevsim.oracles, "_debt_reserves", counted)
+    got = simulate_liquidation_sequence(inst.position, inst.pool, inst.params, inst.cf_target,
+                                        inst.kappa, step_limit=span(inst) / 20_000,
+                                        max_steps=40_000)
+    assert len(passes) == math.ceil((got.steps - 8) / 4096) == chunks
+    assert passes[:-1] == [4096] * (chunks - 1)
 
 
 @pytest.mark.parametrize("convention", list(RepayConvention), ids=lambda c: c.value)
